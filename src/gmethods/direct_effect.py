@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols, term_bases
-from .gformula import JointTable
+from .gformula import JointTable, _TableLaw, group_rows
 from .glm import (
     TestReport,
     _report,
@@ -43,8 +42,15 @@ from .glm import (
     robust_score_test,
     wald_test,
 )
-from .laws import BernoulliLogit, NormalLinear
-from .sndm import BlipSpec, GEstimate, _search, g_test_at
+from .laws import BernoulliLogit, NormalLinear, NormalMarginal
+from .sndm import (
+    BlipSpec,
+    GEstimate,
+    _residual_outcome,
+    _search,
+    _stack_shifts,
+    g_test_at,
+)
 
 WEIGHT_FLOOR = 1e-6
 
@@ -135,7 +141,7 @@ def fit_z_laws(
             laws[k] = known[k]
             continue
         estimated = True
-        cols = history_cols(dataset.L, dataset.A, k)
+        cols = history_cols(dataset.L, dataset.A, k + 1, k, k)
         X = eval_terms(terms, cols)
         a = dataset.A[:, k]
         if np.isin(np.unique(a), (0.0, 1.0)).all():
@@ -155,7 +161,7 @@ def ipw_weights(dataset: Dataset, split: SplitSchema, z_laws: dict[int, object],
     factors = {}
     for k in split.z_occasions:
         law = z_laws[k]
-        cols = history_cols(dataset.L, dataset.A, k)
+        cols = history_cols(dataset.L, dataset.A, k + 1, k, k)
         a = dataset.A[:, k]
         if hasattr(law, "pmf"):
             factors[k] = np.asarray(law.pmf(a, cols), dtype=float)
@@ -203,7 +209,10 @@ def direct_effect_gnull_test(
     w1 = w.factors[1]
     t1v = dataset.Y if t1 is None else np.asarray(t1(dataset.Y), dtype=float)
     a1 = dataset.A[:, 1]
-    t2v = stats.norm.pdf(a1) if t2 is None else np.asarray(t2(a1), dtype=float)
+    if t2 is None:
+        t2v = NormalMarginal(0.0, 1.0).density(a1)
+    else:
+        t2v = np.asarray(t2(a1), dtype=float)
     script = t1v * t2v / w1
     if not np.isfinite(script).all():
         raise EstimationError("weighted transform is non-finite")
@@ -365,30 +374,20 @@ class DeSndmSpec:
                 )
 
 
-def _de_occ_cols(L: np.ndarray, A: np.ndarray, m: int) -> dict[str, np.ndarray]:
-    cols = {f"l{j}": L[:, j] for j in range(L.shape[1])}
-    cols.update({f"a{j}": A[:, j] for j in range(A.shape[1])})
-    cols["lm"] = L[:, m]
-    cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(L.shape[0])
-    return cols
-
-
-def de_cofactor_matrix(spec: DeSndmSpec, L: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
-    return eval_terms(spec.blip.cofactors, _de_occ_cols(L, A, m))
-
-
-def de_shift_basis(spec: DeSndmSpec, split: SplitSchema, L: np.ndarray,
-                   A: np.ndarray) -> np.ndarray:
-    """(n, dim) basis S with S @ psi = total studied-arm shift."""
-    S = np.zeros((L.shape[0], spec.blip.dim))
-    for m in split.p_occasions:
-        S += A[:, m][:, None] * de_cofactor_matrix(spec, L, A, m)
-    return S
+def _de_cofactors(spec: DeSndmSpec, L: np.ndarray, A: np.ndarray, occs) -> list[np.ndarray]:
+    """Cofactor rows at each studied-arm occasion m, evaluated over the whole
+    trajectory plus "lm" and "a_prev"; ``DeSndmSpec.validate_for`` says which
+    of those columns a family may use."""
+    K1 = L.shape[1]
+    return [eval_terms(spec.blip.cofactors, history_cols(L, A, K1, K1, m)) for m in occs]
 
 
 def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.ndarray:
     """Residual outcome H: observed Y with every studied-arm shift removed."""
-    return _residual_rows(spec, split, dataset.L, dataset.A, dataset.Y)
+    occs = split.p_occasions
+    C = _de_cofactors(spec, dataset.L, dataset.A, occs)
+    S = _stack_shifts(spec.blip, dataset.A, occs, C)
+    return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
 
 
 class _DeEngine:
@@ -404,7 +403,7 @@ class _DeEngine:
         blocks, resp = [], []
         wcols = []
         for m in occs:
-            cols = history_cols(dataset.L, dataset.A, m)
+            cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
             blocks.append(eval_terms(spec.mean_terms, cols))
             resp.append(dataset.A[:, m])
             wcols.append(weights.w_from(m + 1, n))
@@ -415,8 +414,8 @@ class _DeEngine:
         bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
         if np.any(bad):
             raise EstimationError("studied-arm treatments must be binary")
-        self.C = [de_cofactor_matrix(spec, dataset.L, dataset.A, m) for m in occs]
-        self.S = de_shift_basis(spec, split, dataset.L, dataset.A)
+        self.C = _de_cofactors(spec, dataset.L, dataset.A, occs)
+        self.S = _stack_shifts(spec.blip, dataset.A, occs, self.C)
         self.occs = occs
         if p_alpha_known is not None:
             self.alpha = np.asarray(p_alpha_known, dtype=float)
@@ -429,12 +428,7 @@ class _DeEngine:
         self.note = base
 
     def h_of(self, psi: np.ndarray) -> np.ndarray:
-        Y = self.dataset.Y
-        if self.spec.blip.family == "additive":
-            return Y + self.S @ psi
-        if np.any(Y <= 0):
-            raise EstimationError("multiplicative blip family requires positive outcomes")
-        return Y * np.exp(self.S @ psi)
+        return _residual_outcome(self.spec.blip.family, self.dataset.Y, self.S @ psi)
 
     def zmat(self, psi: np.ndarray) -> np.ndarray:
         h = self.h_of(psi)
@@ -526,22 +520,8 @@ class DeMomentReport:
 
 def _table_factor(table: JointTable, k: int) -> np.ndarray:
     """Exact f(a_k | l_bar_k, a_bar_{k-1}) for every table row."""
-    cols = [table.l_col(j) for j in range(k + 1)] + [table.a_col(j) for j in range(k)]
-    out = np.empty(table.cells.shape[0])
-    for r in range(table.cells.shape[0]):
-        vals = table.cells[r]
-        num_idx = cols + [table.a_col(k)]
-        num = _sum_match(table, num_idx, vals[num_idx])
-        den = _sum_match(table, cols, vals[cols])
-        out[r] = num / den if den > 0 else 0.0
-    return out
-
-
-def _sum_match(table: JointTable, idx, vals) -> float:
-    mask = np.ones(table.cells.shape[0], dtype=bool)
-    for i, v in zip(idx, vals):
-        mask &= np.abs(table.cells[:, i] - v) <= 1e-9
-    return float(table.probs[mask].sum())
+    law = _TableLaw(table, table.a_col(k), list(range(table.a_col(k))))
+    return law.probs[law.row_key, law.row_value]
 
 
 def direct_effect_moment_check(
@@ -564,96 +544,53 @@ def direct_effect_moment_check(
     """
     spec.blip.require_psi()
     if isinstance(source, JointTable):
-        return _moment_check_table(source, split, spec, t)
-    if z_laws is None and split.z_occasions:
-        raise ConfigError("dataset mode needs the fixed-arm laws for weights")
-    return _moment_check_data(source, split, spec, z_laws or {}, t)
-
-
-def _residual_rows(spec: DeSndmSpec, split: SplitSchema, L, A, Y) -> np.ndarray:
-    psi = spec.blip.require_psi()
-    S = np.zeros((L.shape[0], spec.blip.dim))
-    for m in split.p_occasions:
-        S += A[:, m][:, None] * de_cofactor_matrix(spec, L, A, m)
-    if spec.blip.family == "additive":
-        return Y + S @ psi
-    if np.any(Y <= 0):
-        raise EstimationError("multiplicative blip family requires positive outcomes")
-    return Y * np.exp(S @ psi)
-
-
-def _moment_check_table(table: JointTable, split: SplitSchema, spec: DeSndmSpec,
-                        t) -> DeMomentReport:
-    K = table.schema.K
-    split.validate_for(K)
-    spec.validate_for(split, K)
-    L = np.column_stack([table.cells[:, table.l_col(j)] for j in range(K + 1)])
-    A = np.column_stack([table.cells[:, table.a_col(j)] for j in range(K + 1)])
-    Y = table.cells[:, -1]
-    h = _residual_rows(spec, split, L, A, Y)
+        spec.validate_for(split, source.schema.K)
+        cells = source.cells
+        data = Dataset(source.schema, cells[:, 0:-1:2], cells[:, 1:-1:2], cells[:, -1])
+        mass = source.probs
+        factors = {k: _table_factor(source, k) for k in split.z_occasions}
+    else:
+        if z_laws is None and split.z_occasions:
+            raise ConfigError("dataset mode needs the fixed-arm laws for weights")
+        spec.validate_for(split, source.schema.K)
+        data = source
+        mass = np.ones(data.n)
+        factors = ipw_weights(data, split, z_laws or {}, "design").factors
+    h = de_blip_down(spec, split, data)
     tv = h if t is None else np.asarray(t(h), dtype=float)
-    factors = {k: _table_factor(table, k) for k in split.z_occasions}
+    live = mass > 0.0
     per, counted = {}, {}
-    live = table.probs > 0.0
     for m in split.p_occasions:
-        w = np.ones(len(tv))
+        w = np.ones(int(live.sum()))
         for k, f in factors.items():
             if k >= m + 1:
-                if np.any(live & (f <= 0.0)):
+                if np.any(f[live] <= 0.0):
                     raise PositivityError(
                         f"zero conditional assignment probability at occasion {k}"
                     )
-                w = w * np.where(live, f, 1.0)
-        key_cols = ([table.l_col(j) for j in range(m + 1)]
-                    + [table.a_col(j) for j in range(m)])
-        keys = np.round(table.cells[:, key_cols], 9)
-        uniq = np.unique(keys, axis=0)
-        worst, cells = 0.0, 0
-        a_col = table.a_col(m)
-        for u in uniq:
-            in_cell = live & np.all(np.abs(keys - u) <= 1e-9, axis=1)
-            means = []
-            for a in np.unique(table.cells[in_cell, a_col]):
-                sel = in_cell & (np.abs(table.cells[:, a_col] - a) <= 1e-9)
-                mass = float(table.probs[sel].sum())
-                if mass <= 0.0:
-                    continue
-                means.append(float(np.sum(table.probs[sel] * tv[sel] / w[sel]) / mass))
-            if len(means) >= 2:
-                cells += 1
-                worst = max(worst, max(means) - min(means))
-        per[m] = worst
-        counted[m] = cells
+                w = w * f[live]
+        keys = np.column_stack([data.L[live, : m + 1], data.A[live, : m + 1]])
+        per[m], counted[m] = _moment_spread(keys, (mass * tv)[live] / w, mass[live])
     return DeMomentReport(per, counted)
 
 
-def _moment_check_data(dataset: Dataset, split: SplitSchema, spec: DeSndmSpec,
-                       z_laws: dict[int, object], t) -> DeMomentReport:
-    K = dataset.schema.K
-    split.validate_for(K)
-    spec.validate_for(split, K)
-    weights = ipw_weights(dataset, split, z_laws, "design") if split.z_occasions \
-        else IpwWeights({}, "design")
-    h = _residual_rows(spec, split, dataset.L, dataset.A, dataset.Y)
-    tv = h if t is None else np.asarray(t(h), dtype=float)
-    per, counted = {}, {}
-    for m in split.p_occasions:
-        w = weights.w_from(m + 1, dataset.n)
-        hist = np.column_stack([dataset.L[:, : m + 1], dataset.A[:, :m]])
-        keys = np.round(hist, 9)
-        uniq = np.unique(keys, axis=0)
-        worst, cells = 0.0, 0
-        for u in uniq:
-            in_cell = np.all(np.abs(keys - u) <= 1e-9, axis=1)
-            means = []
-            for a in np.unique(dataset.A[in_cell, m]):
-                sel = in_cell & (np.abs(dataset.A[:, m] - a) <= 1e-9)
-                if sel.sum() == 0:
-                    continue
-                means.append(float(np.mean(tv[sel] / w[sel])))
-            if len(means) >= 2:
-                cells += 1
-                worst = max(worst, max(means) - min(means))
-        per[m] = worst
-        counted[m] = cells
-    return DeMomentReport(per, counted)
+def _moment_spread(keys: np.ndarray, num: np.ndarray, mass: np.ndarray) -> tuple[float, int]:
+    """Largest spread of sum(num) / sum(mass) across the treatment levels of a
+    history, and how many histories have two levels or more.
+
+    Each row of ``keys`` is a history followed by its treatment.  Each group
+    is summed with ``np.sum`` over its rows in order: at the true parameter
+    the spread is rounding noise, and a different summation order would
+    change the reported figure.
+    """
+    groups, inverse = group_rows(keys)
+    means = np.array([np.sum(num[inverse == g]) / np.sum(mass[inverse == g])
+                      for g in range(len(groups))])
+    histories, of_group = group_rows(groups[:, :-1])
+    worst, cells = 0.0, 0
+    for h in range(len(histories)):
+        level_means = means[of_group == h]
+        if len(level_means) >= 2:
+            cells += 1
+            worst = max(worst, float(level_means.max() - level_means.min()))
+    return worst, cells

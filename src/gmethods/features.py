@@ -2,14 +2,16 @@
 
 A term is a string naming one regressor column: either a base column ("1",
 "u", "h", "y", "l0", "a2", "lm", "a_prev") or a product of bases joined with
-"*" ("a0*l1").  Which bases are available depends on the calling context:
+"*" ("a0*l1").  Which bases are available depends on the calling context,
+and ``history_cols`` builds every context from how many covariates and
+treatments are observed:
 
-* ``history_cols``   — everything observable just before treatment m acts
-  (covariates through m, treatments through m-1), used by treatment models
-  and blip cofactors;
-* ``row_cols``       — the full trajectory, used by outcome models;
-* scenario laws add the hidden cause as ``u`` (or its residual-outcome alias
-  ``h``).
+* covariate law at occasion m — l0..l(m-1), a0..a(m-1), "a_prev", plus the
+  hidden cause "u" (scenarios) or the residual outcome "h" (blip models);
+* treatment law and blip cofactors at occasion m — l0..lm, a0..a(m-1),
+  "lm", "a_prev";
+* outcome law — every l and a, plus "u";
+* direct-effect cofactors at occasion m — every l and a, "lm", "a_prev".
 
 "lm" is the current covariate at the context's occasion, "a_prev" the
 previous treatment (zero at occasion 0).
@@ -29,39 +31,24 @@ Cols = Mapping[str, np.ndarray]
 def history_cols(
     L: np.ndarray,
     A: np.ndarray,
-    m: int,
+    n_l: int,
+    n_a: int,
+    m: int | None = None,
     *,
     extra: Cols | None = None,
 ) -> dict[str, np.ndarray]:
-    """Columns observable at occasion ``m`` before A_m is assigned."""
-    n = L.shape[0]
-    cols: dict[str, np.ndarray] = {}
-    for j in range(m + 1):
-        cols[f"l{j}"] = L[:, j]
-    for j in range(m):
-        cols[f"a{j}"] = A[:, j]
-    cols["lm"] = L[:, m]
-    cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(n)
-    if extra:
-        cols.update(extra)
-    return cols
+    """Columns l0..l(n_l-1) and a0..a(n_a-1) of the observed trajectory.
 
-
-def row_cols(
-    L: np.ndarray,
-    A: np.ndarray,
-    y: np.ndarray | None = None,
-    *,
-    extra: Cols | None = None,
-) -> dict[str, np.ndarray]:
-    """Columns of the complete trajectory (outcome models, diagnostics)."""
-    cols: dict[str, np.ndarray] = {}
-    for j in range(L.shape[1]):
-        cols[f"l{j}"] = L[:, j]
-    for j in range(A.shape[1]):
-        cols[f"a{j}"] = A[:, j]
-    if y is not None:
-        cols["y"] = y
+    With an occasion ``m`` the context also holds "a_prev" (A_{m-1}, zero at
+    m = 0) and, once L_m is observed (``n_l > m``), "lm".  ``extra`` adds
+    columns from outside the trajectory, such as "u", "h" or "y".
+    """
+    cols = {f"l{j}": L[:, j] for j in range(n_l)}
+    cols.update({f"a{j}": A[:, j] for j in range(n_a)})
+    if m is not None:
+        if n_l > m:
+            cols["lm"] = L[:, m]
+        cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(L.shape[0])
     if extra:
         cols.update(extra)
     return cols

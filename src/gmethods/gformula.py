@@ -24,6 +24,25 @@ _MATCH_TOL = 1e-9
 _POSITIVITY_EPS = 1e-12
 
 
+def group_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of M, compared after rounding to 9 decimals.
+
+    Returns the distinct rounded rows in lexicographic order and, for each
+    row of M, the index of its group.  A zero-width M is one group.
+    """
+    R = np.round(np.asarray(M, dtype=float), 9)
+    n = R.shape[0]
+    if R.shape[1] == 0:
+        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    order = np.lexsort(R.T[::-1])
+    S = R[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Finite joint law of (L0, A0, ..., LK, AK, Y): support rows + probabilities."""
@@ -266,99 +285,44 @@ def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> R
     return RegimeDistribution.exact(atoms, probs / total, regime.name)
 
 
-class _TableConditional:
-    """Exact conditional law of L_m given its past, read off a JointTable."""
+class _TableLaw:
+    """Exact law of one table column given other columns, read off a JointTable.
 
-    def __init__(self, table: JointTable, m: int):
-        self.m = m
-        self.support = table.covariate_support(m)
-        self._cpt: dict[tuple, np.ndarray] = {}
-        parents = []
-        for j in range(m):
-            parents += [table.l_col(j), table.a_col(j)]
-        self._parent_l = list(range(m))
-        if parents:
-            key_mat = np.round(table.cells[:, parents], 9)
-            uniq = np.unique(key_mat, axis=0)
-        else:
-            uniq = np.zeros((1, 0))
-            key_mat = np.zeros((table.cells.shape[0], 0))
-        for row in uniq:
-            mask = np.all(np.abs(key_mat - row) <= _MATCH_TOL, axis=1)
-            denom = float(table.probs[mask].sum())
-            if denom <= 0:
-                continue
-            probs = np.array([
-                float(table.probs[mask & (np.abs(table.cells[:, table.l_col(m)] - v) <= _MATCH_TOL)].sum())
-                for v in self.support
-            ]) / denom
-            self._cpt[tuple(row)] = probs
+    ``keys`` are the distinct parent rows (see ``group_rows``), ``mass`` their
+    probabilities, ``values`` the distinct values of the column, and
+    ``probs[i, j]`` the probability of ``values[j]`` given ``keys[i]`` (a zero
+    row where the parent row has no mass).  ``row_key`` and ``row_value``
+    place each table row in ``keys`` and ``values``.
+    """
 
-    def _keys(self, cols: Cols, n: int) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros((n, 0))
-        parts = []
-        for j in range(self.m):
-            parts += [cols[f"l{j}"], cols[f"a{j}"]]
-        return np.round(np.column_stack(parts), 9)
+    def __init__(self, table: JointTable, column: int, parents: list[int]):
+        names = table.schema.columns()
+        self.name = names[column]
+        self.parent_names = [names[c].lower() for c in parents]
+        self.keys, self.row_key = group_rows(table.cells[:, parents])
+        self.values, self.row_value = np.unique(table.cells[:, column], return_inverse=True)
+        G, V = len(self.keys), len(self.values)
+        self.mass = np.bincount(self.row_key, weights=table.probs, minlength=G)
+        joint = np.bincount(self.row_key * V + self.row_value, weights=table.probs,
+                            minlength=G * V).reshape(G, V)
+        live = self.mass > 0.0
+        self.probs = np.zeros((G, V))
+        self.probs[live] = joint[live] / self.mass[live, None]
+        self._cpt = {tuple(k): p for k, p, ok in zip(self.keys, self.probs, live) if ok}
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        keys = self._keys(cols, n)
+        """Draw the column given each row's parent values in ``cols``."""
+        parts = [cols[name] for name in self.parent_names]
+        keys, inverse = group_rows(np.column_stack(parts) if parts else np.zeros((n, 0)))
         out = np.empty(n)
-        if keys.shape[1] == 0:
-            probs = self._cpt[()]
-            out[:] = rng.choice(self.support, size=n, p=probs)
-            return out
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        for gi, row in enumerate(uniq):
-            probs = self._cpt.get(tuple(row))
+        for g, key in enumerate(keys):
+            probs = self._cpt.get(tuple(key))
             if probs is None:
                 raise PositivityError(
-                    f"covariate law at occasion {self.m} required for an "
-                    f"unsupported history {tuple(row)}"
+                    f"law of {self.name} required for an unsupported history {tuple(key)}"
                 )
-            sel = inverse == gi
-            out[sel] = rng.choice(self.support, size=int(sel.sum()), p=probs)
-        return out
-
-
-class _TableOutcome:
-    """Exact law of Y given the full (l, a) path, read off a JointTable."""
-
-    def __init__(self, table: JointTable):
-        K = table.schema.K
-        parents = []
-        for j in range(K + 1):
-            parents += [table.l_col(j), table.a_col(j)]
-        self.K = K
-        key_mat = np.round(table.cells[:, parents], 9)
-        self._cpt: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for row in np.unique(key_mat, axis=0):
-            mask = np.all(np.abs(key_mat - row) <= _MATCH_TOL, axis=1)
-            denom = float(table.probs[mask].sum())
-            if denom <= 0:
-                continue
-            self._cpt[tuple(row)] = (
-                table.cells[mask, -1].copy(),
-                table.probs[mask] / denom,
-            )
-
-    def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        parts = []
-        for j in range(self.K + 1):
-            parts += [cols[f"l{j}"], cols[f"a{j}"]]
-        keys = np.round(np.column_stack(parts), 9)
-        out = np.empty(n)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        for gi, row in enumerate(uniq):
-            entry = self._cpt.get(tuple(row))
-            if entry is None:
-                raise PositivityError(
-                    f"outcome law required for an unsupported history {tuple(row)}"
-                )
-            atoms, probs = entry
-            sel = inverse == gi
-            out[sel] = rng.choice(atoms, size=int(sel.sum()), p=probs)
+            sel = inverse == g
+            out[sel] = rng.choice(self.values, size=int(sel.sum()), p=probs)
         return out
 
 
@@ -376,11 +340,14 @@ class ConditionalLaws:
 
     @staticmethod
     def from_table(table: JointTable) -> "ConditionalLaws":
+        def given_past(col: int) -> _TableLaw:
+            return _TableLaw(table, col, list(range(col)))
+
         K = table.schema.K
         return ConditionalLaws(
             K,
-            tuple(_TableConditional(table, m) for m in range(K + 1)),
-            _TableOutcome(table),
+            tuple(given_past(table.l_col(m)) for m in range(K + 1)),
+            given_past(table.cells.shape[1] - 1),
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .data import Dataset
 from .errors import ConvergenceError, EstimationError, SeparationError
@@ -45,23 +45,6 @@ def logit(p):
 
 
 @dataclass(frozen=True)
-class DesignSpec:
-    """An ordered list of feature terms (see features module for the grammar)."""
-
-    terms: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-    @property
-    def p(self) -> int:
-        return len(self.terms)
-
-    def matrix(self, cols) -> np.ndarray:
-        return eval_terms(self.terms, cols)
-
-
-@dataclass(frozen=True)
 class FittedGlm:
     family: str  # "normal" | "binomial"
     coef: np.ndarray
@@ -90,17 +73,22 @@ class TestReport:
         return self.p_value < 0.05
 
     def recomputed_p(self) -> float:
-        if self.reference == "chi2":
-            return float(stats.chi2.sf(self.statistic, self.df))
-        return float(2.0 * stats.norm.sf(abs(self.statistic)))
+        return _tail_p(self.statistic, self.df, self.reference)
+
+
+def _tail_p(statistic: float, df: int | None, reference: str) -> float:
+    """p-value of a statistic: chi-square(df) upper tail, or two-sided normal.
+
+    A chi-square statistic on 0 df carries no information and gets p = 1.
+    """
+    if reference == "chi2":
+        return float(chdtrc(df, statistic)) if df and df > 0 else 1.0
+    return float(2.0 * ndtr(-abs(statistic)))
 
 
 def _report(statistic: float, df: int | None, reference: str, level: float,
             note: str = "") -> TestReport:
-    if reference == "chi2":
-        p = float(stats.chi2.sf(statistic, df)) if df and df > 0 else 1.0
-    else:
-        p = float(2.0 * stats.norm.sf(abs(statistic)))
+    p = _tail_p(statistic, df, reference)
     return TestReport(float(statistic), df, reference, p, level, p < level, note)
 
 
@@ -363,7 +351,7 @@ def pooled_rows(
     blocks, resp, subj, occ_ix = [], [], [], []
     n = dataset.n
     for m in occs:
-        cols = history_cols(dataset.L, dataset.A, m, extra=extra)
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m, extra=extra)
         blocks.append(eval_terms(tuple(terms), cols))
         resp.append(dataset.A[:, m])
         subj.append(np.arange(n))

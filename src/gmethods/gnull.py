@@ -29,7 +29,7 @@ import numpy as np
 from .data import Dataset, Schema, constant, discrete
 from .errors import ConfigError, EstimationError
 from .features import eval_terms, history_cols
-from .gformula import JointTable
+from .gformula import JointTable, _TableLaw, group_rows
 from .glm import (
     TestReport,
     _report,
@@ -121,7 +121,7 @@ class GnullScoreInputs:
     pi2: object
 
     def pi2_values(self, dataset: Dataset) -> np.ndarray:
-        cols = history_cols(dataset.L, dataset.A, 1)
+        cols = history_cols(dataset.L, dataset.A, 2, 1, 1)
         if hasattr(self.pi2, "mean"):
             return np.asarray(self.pi2.mean(cols), dtype=float)
         if hasattr(self.pi2, "prob"):
@@ -222,7 +222,7 @@ def pooled_g_test(dataset: Dataset, spec: GTestSpec, level: float = 0.05) -> Tes
     X, resp, _, _ = pooled_rows(dataset, spec.treatment_terms, occs)
     qs = []
     for m in occs:
-        cols = history_cols(dataset.L, dataset.A, m)
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
         qs.append(spec.q_values(dataset.Y, cols, m))
     Z = np.vstack(qs)
     if not np.isfinite(Z).all():
@@ -249,49 +249,33 @@ def pooled_g_test(dataset: Dataset, spec: GTestSpec, level: float = 0.05) -> Tes
 # ---------------------------------------------------------------------------
 # Exact predicates on discrete joint tables (two-occasion shape).
 #
-# Columns of a K=1 table: (l0, a0, l1, a1, y).  All sums are literal.
+# Columns of a K=1 table: (l0, a0, l1, a1, y).  Every conditional law of Y is
+# read off the table by exact summation.
 # ---------------------------------------------------------------------------
 
 
-def _mass(table: JointTable, idx: list[int], vals: list[float]) -> float:
-    mask = np.ones(len(table.probs), dtype=bool)
-    for i, v in zip(idx, vals):
-        mask &= np.abs(table.cells[:, i] - v) <= 1e-9
-    return float(table.probs[mask].sum())
+def _y_given(table: JointTable, parents: list[int]) -> _TableLaw:
+    if table.schema.K != 1:
+        raise ConfigError("table predicates are defined for two-occasion tables")
+    return _TableLaw(table, 4, parents)
 
 
-def _cond_y_dist(table: JointTable, idx: list[int], vals: list[float]) -> np.ndarray | None:
-    """P(Y = y | condition) over table.y_values, or None if the event is null."""
-    denom = _mass(table, idx, vals)
-    if denom <= 0.0:
-        return None
-    ycol = table.cells.shape[1] - 1
-    out = np.array([
-        _mass(table, idx + [ycol], vals + [y]) for y in table.y_values()
-    ])
-    return out / denom
-
-
-def _levels(table: JointTable, col: int) -> np.ndarray:
-    return np.unique(table.cells[:, col])
+def _rows_agree(dists: np.ndarray, by: np.ndarray, tol: float) -> bool:
+    """True when, within each group of equal ``by`` rows, every row of
+    ``dists`` is within ``tol`` of the group's first row."""
+    keys, inverse = group_rows(by)
+    for g in range(len(keys)):
+        d = dists[inverse == g]
+        if np.max(np.abs(d - d[0])) > tol:
+            return False
+    return True
 
 
 def predicate_y_indep_a1_given_past(table: JointTable, tol: float = 1e-10) -> bool:
     """Y independent of A1 given (L0, A0, L1), by direct summation."""
-    if table.schema.K != 1:
-        raise ConfigError("table predicates are defined for two-occasion tables")
-    for l0 in _levels(table, 0):
-        for a0 in _levels(table, 1):
-            for l1 in _levels(table, 2):
-                dists = []
-                for a1 in _levels(table, 3):
-                    d = _cond_y_dist(table, [0, 1, 2, 3], [l0, a0, l1, a1])
-                    if d is not None:
-                        dists.append(d)
-                for d in dists[1:]:
-                    if np.max(np.abs(d - dists[0])) > tol:
-                        return False
-    return True
+    law = _y_given(table, [0, 1, 2, 3])
+    live = law.mass > 0.0
+    return _rows_agree(law.probs[live], law.keys[live, :3], tol)
 
 
 def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> bool:
@@ -300,43 +284,21 @@ def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> 
     For each a0: sum over covariate values of P(y | covs, a0) weighted by
     P(covs | a0), computed literally from the table.
     """
-    if table.schema.K != 1:
-        raise ConfigError("table predicates are defined for two-occasion tables")
-    yvals = table.y_values()
-    curves = []
-    for a0 in _levels(table, 1):
-        pa0 = _mass(table, [1], [a0])
-        if pa0 <= 0.0:
-            continue
-        g = np.zeros(len(yvals))
-        for l0 in _levels(table, 0):
-            for l1 in _levels(table, 2):
-                joint = _mass(table, [0, 1, 2], [l0, a0, l1])
-                if joint <= 0.0:
-                    continue
-                w = joint / pa0
-                d = _cond_y_dist(table, [0, 1, 2], [l0, a0, l1])
-                g += w * d
-        curves.append(g)
-    for g in curves[1:]:
-        if np.max(np.abs(g - curves[0])) > tol:
-            return False
-    return True
+    law = _y_given(table, [0, 1, 2])
+    live = law.mass > 0.0
+    _, by_a0 = group_rows(law.keys[live, 1:2])
+    p_a0 = np.bincount(by_a0, weights=law.mass[live])
+    weights = law.mass[live] / p_a0[by_a0]
+    curves = np.zeros((len(p_a0), len(law.values)))
+    np.add.at(curves, by_a0, weights[:, None] * law.probs[live])
+    return _rows_agree(curves, np.zeros((len(curves), 0)), tol)
 
 
 def predicate_y_indep_a0(table: JointTable, tol: float = 1e-10) -> bool:
     """Y independent of A0 marginally, by direct summation."""
-    if table.schema.K != 1:
-        raise ConfigError("table predicates are defined for two-occasion tables")
-    dists = []
-    for a0 in _levels(table, 1):
-        d = _cond_y_dist(table, [1], [a0])
-        if d is not None:
-            dists.append(d)
-    for d in dists[1:]:
-        if np.max(np.abs(d - dists[0])) > tol:
-            return False
-    return True
+    law = _y_given(table, [1])
+    live = law.mass > 0.0
+    return _rows_agree(law.probs[live], np.zeros((int(live.sum()), 0)), tol)
 
 
 def gnull_table_check(table: JointTable, tol: float = 1e-10) -> dict[str, bool]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ConfigError
 from .features import Cols, eval_terms
@@ -185,8 +186,6 @@ class LinearOutcome:
 
     def bin_probs(self, cols: Cols, edges: np.ndarray) -> np.ndarray:
         """Mass of Y in [edge_j, edge_{j+1}) given scalar parents (normal noise)."""
-        from scipy.stats import norm
-
         mu = float(self.mean(cols)[0])
-        cdf = norm.cdf((np.asarray(edges, dtype=float) - mu) / self.noise_sd)
+        cdf = ndtr((np.asarray(edges, dtype=float) - mu) / self.noise_sd)
         return np.diff(cdf)

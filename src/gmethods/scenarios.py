@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import streams
 from .data import (
@@ -28,7 +29,7 @@ from .data import (
     regime_values,
 )
 from .errors import ConfigError, EstimationError
-from .features import Cols
+from .features import Cols, history_cols
 from .gformula import JointTable
 from .laws import (
     BernoulliLogit,
@@ -89,34 +90,6 @@ class ScenarioConfig:
             raise ConfigError("one covariate law and one treatment law per occasion")
 
 
-def _l_cols(u: np.ndarray, L: np.ndarray, A: np.ndarray, m: int) -> dict[str, np.ndarray]:
-    cols = {"u": u}
-    for j in range(m):
-        cols[f"l{j}"] = L[:, j]
-        cols[f"a{j}"] = A[:, j]
-    cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(len(u))
-    return cols
-
-
-def _a_cols(L: np.ndarray, A: np.ndarray, m: int) -> dict[str, np.ndarray]:
-    cols = {}
-    for j in range(m + 1):
-        cols[f"l{j}"] = L[:, j]
-    for j in range(m):
-        cols[f"a{j}"] = A[:, j]
-    cols["lm"] = L[:, m]
-    cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(L.shape[0])
-    return cols
-
-
-def _y_cols(u: np.ndarray, L: np.ndarray, A: np.ndarray) -> dict[str, np.ndarray]:
-    cols = {"u": u}
-    for j in range(L.shape[1]):
-        cols[f"l{j}"] = L[:, j]
-        cols[f"a{j}"] = A[:, j]
-    return cols
-
-
 def _rollout(
     config: ScenarioConfig,
     n: int,
@@ -137,12 +110,15 @@ def _rollout(
         Lb = np.empty((nb, K + 1))
         Ab = np.empty((nb, K + 1))
         for m in range(K + 1):
-            Lb[:, m] = config.l_laws[m].sample(rng, _l_cols(u, Lb, Ab, m), nb)
+            lcols = history_cols(Lb, Ab, m, m, m, extra={"u": u})
+            Lb[:, m] = config.l_laws[m].sample(rng, lcols, nb)
             if regime is None:
-                Ab[:, m] = config.a_laws[m].sample(rng, _a_cols(Lb, Ab, m), nb)
+                acols = history_cols(Lb, Ab, m + 1, m, m)
+                Ab[:, m] = config.a_laws[m].sample(rng, acols, nb)
             else:
                 Ab[:, m] = regime_values(regime, Lb[:, : m + 1], m)
-        yb = config.y_law.sample(rng, _y_cols(u, Lb, Ab), nb)
+        ycols = history_cols(Lb, Ab, K + 1, K + 1, extra={"u": u})
+        yb = config.y_law.sample(rng, ycols, nb)
         take = min(nb, n - done)
         sl = slice(done, done + take)
         U[sl] = u[:take]
@@ -211,22 +187,18 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
         return np.array([float(v)])
 
     def walk_y(u: float, lvals: list[float], avals: list[float], w: float) -> None:
-        cols = {"u": scalar(u)}
-        for j in range(K + 1):
-            cols[f"l{j}"] = scalar(lvals[j])
-            cols[f"a{j}"] = scalar(avals[j])
+        cols = history_cols(np.array([lvals]), np.array([avals]), K + 1, K + 1,
+                            extra={"u": scalar(u)})
         if y_bins is None:
             pairs = config.y_law.atoms(cols)
         else:
-            from scipy.stats import norm
-
             edges = np.asarray(y_bins, dtype=float)
             mids = 0.5 * (edges[:-1] + edges[1:])
             mass = config.y_law.bin_probs(cols, edges).copy()
             mu = float(config.y_law.mean(cols)[0])
             sd = config.y_law.noise_sd
-            mass[0] += norm.cdf((edges[0] - mu) / sd)
-            mass[-1] += norm.sf((edges[-1] - mu) / sd)
+            mass[0] += ndtr((edges[0] - mu) / sd)
+            mass[-1] += ndtr(-((edges[-1] - mu) / sd))
             pairs = list(zip(mids, mass))
         for y, py in pairs:
             if py <= 0.0:
@@ -242,16 +214,13 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
         if m > K:
             walk_y(u, lvals, avals, w)
             return
-        u_arr = scalar(u)
-        Lp = np.array([lvals]) if lvals else np.zeros((1, 0))
-        Ap = np.array([avals]) if avals else np.zeros((1, 0))
-        lcols = _l_cols(u_arr, _pad(Lp, K + 1), _pad(Ap, K + 1), m)
+        Ap = np.array([avals])
+        lcols = history_cols(np.array([lvals]), Ap, m, m, m, extra={"u": scalar(u)})
         for lv in _law_support(config.l_laws[m]):
             pl = float(np.asarray(config.l_laws[m].pmf(lv, lcols))[0])
             if pl <= 0.0:
                 continue
-            Lp2 = np.array([lvals + [lv]])
-            acols = _a_cols(_pad(Lp2, K + 1), _pad(Ap, K + 1), m)
+            acols = history_cols(np.array([lvals + [lv]]), Ap, m + 1, m, m)
             for av in _law_support(config.a_laws[m]):
                 pa = float(np.asarray(config.a_laws[m].pmf(av, acols))[0])
                 if pa <= 0.0:
@@ -270,14 +239,6 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
     if abs(total - 1.0) > 1e-9:
         raise EstimationError(f"enumerated mass {total!r} is not 1; check the laws")
     return JointTable(config.schema, cells, probs / total)
-
-
-def _pad(M: np.ndarray, width: int) -> np.ndarray:
-    """Right-pad a (1, k) prefix matrix with zeros to full width."""
-    out = np.zeros((M.shape[0], width))
-    if M.shape[1]:
-        out[:, : M.shape[1]] = M
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.optimize
-from scipy import stats
+from scipy.special import gammaincinv
 
 from . import streams
 from .data import Dataset, History, Regime, regime_values
@@ -33,6 +33,7 @@ from .gformula import RegimeDistribution
 from .glm import (
     FittedGlm,
     TestReport,
+    _report,
     expit,
     fit_logistic,
     pooled_rows,
@@ -96,8 +97,8 @@ def multiplicative_blip(*cofactors: str, psi=None) -> BlipSpec:
 
 
 def cofactor_matrix(spec: BlipSpec, L: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
-    """(n, dim) matrix of cofactor values at occasion m."""
-    return eval_terms(spec.cofactors, history_cols(L, A, m))
+    """(n, dim) matrix of cofactor values at occasion m, from the history before A_m."""
+    return eval_terms(spec.cofactors, history_cols(L, A, m + 1, m, m))
 
 
 def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
@@ -107,12 +108,25 @@ def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
     ``occasions`` restricts which treatments the family acts on (default:
     all); treatments at other occasions are left as unmodeled context.
     """
-    K = L.shape[1] - 1
-    occs = range(K + 1) if occasions is None else occasions
-    S = np.zeros((L.shape[0], spec.dim))
-    for m in occs:
-        S += A[:, m][:, None] * cofactor_matrix(spec, L, A, m)
+    occs = range(L.shape[1]) if occasions is None else occasions
+    return _stack_shifts(spec, A, occs, [cofactor_matrix(spec, L, A, m) for m in occs])
+
+
+def _stack_shifts(spec: BlipSpec, A: np.ndarray, occs, C) -> np.ndarray:
+    """Sum over occasions m of A_m times that occasion's cofactor rows ``C``."""
+    S = np.zeros((A.shape[0], spec.dim))
+    for m, c in zip(occs, C):
+        S += A[:, m][:, None] * c
     return S
+
+
+def _residual_outcome(family: str, Y: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Y blipped down by a total shift: Y + shift, or Y exp(shift) for positive Y."""
+    if family == "additive":
+        return Y + shift
+    if np.any(Y <= 0):
+        raise EstimationError("multiplicative blip family requires positive outcomes")
+    return Y * np.exp(shift)
 
 
 def _hist_arrays(hist: History, a_m: float):
@@ -240,7 +254,7 @@ class _GEngine:
             )
         self.qstar = qstar
         self.C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in self.occs]
-        self.S = shift_basis(blip_spec, dataset.L, dataset.A, self.occs)
+        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, self.C)
         if alpha_known is not None:
             self.alpha = np.asarray(alpha_known, dtype=float)
             self.fit: FittedGlm | None = None
@@ -252,12 +266,7 @@ class _GEngine:
                          "relies on its correct specification")
 
     def h_of(self, psi: np.ndarray) -> np.ndarray:
-        Y = self.dataset.Y
-        if self.spec.family == "additive":
-            return Y + self.S @ psi
-        if np.any(Y <= 0):
-            raise EstimationError("multiplicative blip family requires positive outcomes")
-        return Y * np.exp(self.S @ psi)
+        return _residual_outcome(self.spec.family, self.dataset.Y, self.S @ psi)
 
     def zmat(self, psi: np.ndarray) -> np.ndarray:
         h = self.h_of(psi)
@@ -389,7 +398,8 @@ def _search(eng, dim: int, box: np.ndarray, points: tuple[int, ...],
                 best, best_val = np.clip(res.x, box[:, 0], box[:, 1]), res.fun
         psi_hat = np.asarray(best, dtype=float)
         edge = (np.abs(psi_hat - box[:, 0]) < 1e-9) | (np.abs(psi_hat - box[:, 1]) < 1e-9)
-        boundary = bool(np.any(edge) and best_val > stats.chi2.ppf(0.5, dim))
+        # 2 * gammaincinv(dim / 2, 0.5) is the median of chi-square(dim).
+        boundary = bool(np.any(edge) and best_val > 2.0 * gammaincinv(dim / 2, 0.5))
     at_hat = eng.report(psi_hat)
     return GEstimate(
         psi_hat=np.atleast_1d(psi_hat),
@@ -442,14 +452,6 @@ class SndmMle:
     loglik: float
     converged: bool
     n_params: int
-
-
-def _covariate_cols(L: np.ndarray, A: np.ndarray, m: int, h: np.ndarray) -> dict:
-    cols = {f"l{j}": L[:, j] for j in range(m)}
-    cols.update({f"a{j}": A[:, j] for j in range(m)})
-    cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(L.shape[0])
-    cols["h"] = h
-    return cols
 
 
 def _check_cov_terms(terms, m: int) -> None:
@@ -538,7 +540,8 @@ def sndm_mle(
         if include_jacobian:
             ll += log_jac
         for m in modeled:
-            X = eval_terms(terms_by_m[m], _covariate_cols(L, A, m, h))
+            cols = history_cols(L, A, m, m, m, extra={"h": h})
+            X = eval_terms(terms_by_m[m], cols)
             eta = X @ phis[m]
             ll += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
         return -ll
@@ -585,8 +588,7 @@ def sndm_lr_test(
     null = sndm_mle(dataset, blip_spec, covariate_terms=covariate_terms,
                     psi_fixed=psi_null)
     lr = max(0.0, 2.0 * (free.loglik - null.loglik))
-    p = float(stats.chi2.sf(lr, d))
-    return TestReport(lr, d, "chi2", p, level, p < level)
+    return _report(lr, d, "chi2", level)
 
 
 def mc_regime_draws(
@@ -644,7 +646,7 @@ def mc_regime_draws(
         nb = min(streams.BLOCK, n - done)
         sl = slice(done, done + nb)
         for m in range(K + 1):
-            cols = _covariate_cols(L[sl], A[sl], m, h[sl])
+            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": h[sl]})
             L[sl, m] = covariate_models[m].sample(rng, cols, nb)
             A[sl, m] = regime_values(regime, L[sl, : m + 1], m)
         done += nb

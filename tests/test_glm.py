@@ -6,13 +6,20 @@ proportions; test statistics against their textbook identities and a small
 Monte Carlo level study.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import gmethods
+
 from gmethods.data import Dataset, Schema, binary
 from gmethods.errors import EstimationError, SeparationError
 from gmethods.glm import (
+    _report,
     expit,
     fit_linear,
     fit_logistic,
@@ -190,6 +197,29 @@ class TestWald:
         fit = fit_linear(X, rng.normal(size=50))
         rep = wald_test(fit, [0, 1])
         assert abs(rep.p_value - rep.recomputed_p()) < 1e-10
+
+
+class TestPValues:
+    def test_zero_df_gives_p_one_both_ways(self):
+        rep = _report(0.0, 0, "chi2", 0.05)
+        assert rep.p_value == 1.0
+        assert rep.recomputed_p() == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5])
+    def test_tails_equal_the_scipy_stats_tails(self, df):
+        for x in np.linspace(0.0, 40.0, 161):
+            assert _report(x, df, "chi2", 0.05).p_value == float(stats.chi2.sf(x, df))
+        for z in np.linspace(-8.0, 8.0, 161):
+            assert (_report(z, None, "normal", 0.05).p_value
+                    == float(2.0 * stats.norm.sf(abs(z))))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestScoreTestAdded:

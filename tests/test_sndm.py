@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmethods.data import Dataset, History, Regime, Schema, binary, discrete
 from gmethods.errors import ConfigError, EstimationError
-from gmethods.features import eval_terms, history_cols
+from gmethods.features import eval_terms
 from gmethods.glm import fit_logistic
 from gmethods.scenarios import simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (

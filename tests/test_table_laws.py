@@ -1,0 +1,371 @@
+"""The row group-by and the history-column builder against the per-module
+code they replaced, which is kept below as the reference."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmethods.data import Regime
+from gmethods.direct_effect import (
+    DeSndmSpec,
+    SplitSchema,
+    _table_factor,
+    direct_effect_moment_check,
+    ipw_weights,
+)
+from gmethods.errors import PositivityError
+from gmethods.features import eval_terms, history_cols
+from gmethods.gformula import (
+    ConditionalLaws,
+    JointTable,
+    _TableLaw,
+    g_formula_mc,
+    group_rows,
+)
+from gmethods.gnull import random_sequential_table
+from gmethods.scenarios import (
+    direct_effect_scenario,
+    discrete_trial_scenario,
+    enumerate_joint,
+    sequential_trial_scenario,
+    simulate,
+    sndm_scenario,
+)
+from gmethods.sndm import additive_blip
+
+_MATCH_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Reference: masked sums, one per conditioning event.
+# ---------------------------------------------------------------------------
+
+
+def masked_sum(table, idx, vals) -> float:
+    mask = np.ones(table.cells.shape[0], dtype=bool)
+    for i, v in zip(idx, vals):
+        mask &= np.abs(table.cells[:, i] - v) <= _MATCH_TOL
+    return float(table.probs[mask].sum())
+
+
+def masked_factor(table, k) -> np.ndarray:
+    """f(a_k | l_bar_k, a_bar_{k-1}) per row, one pair of masked sums per row."""
+    cols = [table.l_col(j) for j in range(k + 1)] + [table.a_col(j) for j in range(k)]
+    out = np.empty(table.cells.shape[0])
+    for r in range(table.cells.shape[0]):
+        vals = table.cells[r]
+        num_idx = cols + [table.a_col(k)]
+        num = masked_sum(table, num_idx, vals[num_idx])
+        den = masked_sum(table, cols, vals[cols])
+        out[r] = num / den if den > 0 else 0.0
+    return out
+
+
+def masked_y_given(table, idx, vals) -> np.ndarray | None:
+    """P(Y = y | condition) over table.y_values, or None if the event is null."""
+    denom = masked_sum(table, idx, vals)
+    if denom <= 0.0:
+        return None
+    ycol = table.cells.shape[1] - 1
+    return np.array([
+        masked_sum(table, idx + [ycol], vals + [y]) for y in table.y_values()
+    ]) / denom
+
+
+class MaskedConditional:
+    """Law of L_m given its past, one masked sum per history and value."""
+
+    def __init__(self, table, m):
+        self.m = m
+        self.support = table.covariate_support(m)
+        self._cpt = {}
+        parents = []
+        for j in range(m):
+            parents += [table.l_col(j), table.a_col(j)]
+        if parents:
+            key_mat = np.round(table.cells[:, parents], 9)
+            uniq = np.unique(key_mat, axis=0)
+        else:
+            uniq = np.zeros((1, 0))
+            key_mat = np.zeros((table.cells.shape[0], 0))
+        for row in uniq:
+            mask = np.all(np.abs(key_mat - row) <= _MATCH_TOL, axis=1)
+            denom = float(table.probs[mask].sum())
+            if denom <= 0:
+                continue
+            lcol = table.cells[:, table.l_col(m)]
+            self._cpt[tuple(row)] = np.array([
+                float(table.probs[mask & (np.abs(lcol - v) <= _MATCH_TOL)].sum())
+                for v in self.support
+            ]) / denom
+
+    def sample(self, rng, cols, n):
+        out = np.empty(n)
+        if self.m == 0:
+            out[:] = rng.choice(self.support, size=n, p=self._cpt[()])
+            return out
+        parts = []
+        for j in range(self.m):
+            parts += [cols[f"l{j}"], cols[f"a{j}"]]
+        keys = np.round(np.column_stack(parts), 9)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        for gi, row in enumerate(uniq):
+            probs = self._cpt.get(tuple(row))
+            if probs is None:
+                raise PositivityError(f"unsupported history {tuple(row)}")
+            sel = inverse == gi
+            out[sel] = rng.choice(self.support, size=int(sel.sum()), p=probs)
+        return out
+
+
+class MaskedOutcome:
+    """Law of Y given the full path, one masked sum per path."""
+
+    def __init__(self, table):
+        K = table.schema.K
+        parents = []
+        for j in range(K + 1):
+            parents += [table.l_col(j), table.a_col(j)]
+        self.K = K
+        key_mat = np.round(table.cells[:, parents], 9)
+        self._cpt = {}
+        for row in np.unique(key_mat, axis=0):
+            mask = np.all(np.abs(key_mat - row) <= _MATCH_TOL, axis=1)
+            denom = float(table.probs[mask].sum())
+            if denom <= 0:
+                continue
+            self._cpt[tuple(row)] = (table.cells[mask, -1].copy(),
+                                     table.probs[mask] / denom)
+
+    def sample(self, rng, cols, n):
+        parts = []
+        for j in range(self.K + 1):
+            parts += [cols[f"l{j}"], cols[f"a{j}"]]
+        keys = np.round(np.column_stack(parts), 9)
+        out = np.empty(n)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        for gi, row in enumerate(uniq):
+            entry = self._cpt.get(tuple(row))
+            if entry is None:
+                raise PositivityError(f"unsupported history {tuple(row)}")
+            atoms, probs = entry
+            sel = inverse == gi
+            out[sel] = rng.choice(atoms, size=int(sel.sum()), p=probs)
+        return out
+
+
+def masked_moment_check(table, split, spec):
+    """Max within-cell spread of the weighted moment, by masked cell loops."""
+    K = table.schema.K
+    L = np.column_stack([table.cells[:, table.l_col(j)] for j in range(K + 1)])
+    A = np.column_stack([table.cells[:, table.a_col(j)] for j in range(K + 1)])
+    S = np.zeros((L.shape[0], spec.blip.dim))
+    for m in split.p_occasions:
+        cols = {f"l{j}": L[:, j] for j in range(K + 1)}
+        cols.update({f"a{j}": A[:, j] for j in range(K + 1)})
+        cols["lm"] = L[:, m]
+        cols["a_prev"] = A[:, m - 1] if m >= 1 else np.zeros(L.shape[0])
+        S += A[:, m][:, None] * eval_terms(spec.blip.cofactors, cols)
+    tv = table.cells[:, -1] + S @ spec.blip.require_psi()
+    factors = {k: masked_factor(table, k) for k in split.z_occasions}
+    live = table.probs > 0.0
+    per = {}
+    for m in split.p_occasions:
+        w = np.ones(len(tv))
+        for k, f in factors.items():
+            if k >= m + 1:
+                w = w * np.where(live, f, 1.0)
+        key_cols = ([table.l_col(j) for j in range(m + 1)]
+                    + [table.a_col(j) for j in range(m)])
+        keys = np.round(table.cells[:, key_cols], 9)
+        worst = 0.0
+        a_col = table.a_col(m)
+        for u in np.unique(keys, axis=0):
+            in_cell = live & np.all(np.abs(keys - u) <= 1e-9, axis=1)
+            means = []
+            for a in np.unique(table.cells[in_cell, a_col]):
+                sel = in_cell & (np.abs(table.cells[:, a_col] - a) <= 1e-9)
+                mass = float(table.probs[sel].sum())
+                means.append(float(np.sum(table.probs[sel] * tv[sel] / w[sel]) / mass))
+            if len(means) >= 2:
+                worst = max(worst, max(means) - min(means))
+        per[m] = worst
+    return per
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-module column builders.
+# ---------------------------------------------------------------------------
+
+
+def old_covariate_keys(m):  # scenarios._l_cols, sndm._covariate_cols
+    return {f"l{j}" for j in range(m)} | {f"a{j}" for j in range(m)} | {"a_prev"}
+
+
+def old_treatment_keys(m):  # features.history_cols, scenarios._a_cols
+    return ({f"l{j}" for j in range(m + 1)} | {f"a{j}" for j in range(m)}
+            | {"lm", "a_prev"})
+
+
+def old_trajectory_keys(K):  # scenarios._y_cols, features.row_cols
+    return {f"l{j}" for j in range(K + 1)} | {f"a{j}" for j in range(K + 1)}
+
+
+def old_cofactor_keys(K):  # direct_effect._de_occ_cols
+    return old_trajectory_keys(K) | {"lm", "a_prev"}
+
+
+def _table(seed: int, y_levels: int) -> JointTable:
+    return random_sequential_table(np.random.default_rng(seed), l_levels=3,
+                                   a_levels=2, y_levels=y_levels)
+
+
+def _threshold(m, l_bar):
+    return 1.0 if l_bar[-1] >= 0.5 else 0.0
+
+
+class TestGroupRows:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6),
+           levels=st.integers(1, 4))
+    def test_matches_unique_rows(self, seed, width, levels):
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-levels, levels, size=(200, width)) / 3.0
+        keys, inverse = group_rows(M)
+        want, want_inverse = np.unique(np.round(M, 9), axis=0, return_inverse=True)
+        np.testing.assert_array_equal(keys, want)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+
+    def test_rounding_merges_nearby_rows(self):
+        keys, inverse = group_rows(np.array([[1.0], [1.0 + 1e-12], [0.5]]))
+        np.testing.assert_array_equal(keys, [[0.5], [1.0]])
+        np.testing.assert_array_equal(inverse, [1, 1, 0])
+
+    def test_zero_width_is_one_group(self):
+        keys, inverse = group_rows(np.zeros((4, 0)))
+        assert keys.shape == (1, 0)
+        np.testing.assert_array_equal(inverse, np.zeros(4))
+
+
+class TestTableLawOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), y_levels=st.integers(2, 4),
+           parents=st.sampled_from([[1], [0, 1, 2], [0, 1, 2, 3], [2, 3], [3]]))
+    def test_masses_match_masked_sums(self, seed, y_levels, parents):
+        table = _table(seed, y_levels)
+        law = _TableLaw(table, 4, parents)
+        for key, mass, probs in zip(law.keys, law.mass, law.probs):
+            assert mass == pytest.approx(masked_sum(table, parents, key), abs=1e-15)
+            want = masked_y_given(table, parents, list(key))
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), y_levels=st.integers(2, 4),
+           k=st.integers(0, 1))
+    def test_factor_matches_per_row_definition(self, seed, y_levels, k):
+        table = _table(seed, y_levels)
+        np.testing.assert_allclose(_table_factor(table, k), masked_factor(table, k),
+                                   rtol=0, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), y_levels=st.integers(2, 4),
+           parents=st.sampled_from([[0, 1, 2, 3], [0, 1, 2], [1]]))
+    def test_y_laws_behind_the_null_predicates(self, seed, y_levels, parents):
+        # The three predicates read P(Y | l0, a0, l1, a1), P(Y | l0, a0, l1)
+        # and P(Y | a0); every supported condition must match.
+        table = _table(seed, y_levels)
+        law = _TableLaw(table, 4, parents)
+        levels = [np.unique(table.cells[:, c]) for c in parents]
+        for vals in np.array(np.meshgrid(*levels, indexing="ij")).reshape(len(parents), -1).T:
+            want = masked_y_given(table, parents, list(vals))
+            hit = np.all(law.keys == np.round(vals, 9), axis=1)
+            if want is None:
+                assert not np.any(hit & (law.mass > 0))
+            else:
+                np.testing.assert_allclose(law.probs[hit][0], want, rtol=0, atol=1e-14)
+
+
+class TestReplacedPathsAreUnchanged:
+    @pytest.mark.parametrize("table", [
+        enumerate_joint(sequential_trial_scenario(K=1), y_bins=np.linspace(-2, 6, 6)),
+        enumerate_joint(sequential_trial_scenario(K=2), y_bins=np.linspace(-2, 6, 10)),
+        enumerate_joint(discrete_trial_scenario()),
+        enumerate_joint(direct_effect_scenario()),
+        enumerate_joint(sndm_scenario(h_atoms=5)),
+    ], ids=["seq-K1", "seq-K2", "discrete", "direct-effect", "sndm"])
+    def test_mc_draws_equal_the_masked_laws(self, table):
+        K = table.schema.K
+        old = ConditionalLaws(K, tuple(MaskedConditional(table, m) for m in range(K + 1)),
+                              MaskedOutcome(table))
+        new = ConditionalLaws.from_table(table)
+        for plan in (Regime.static((1.0,) * (K + 1)), Regime.dynamic(_threshold)):
+            np.testing.assert_array_equal(g_formula_mc(new, plan, 3000, 5).samples,
+                                          g_formula_mc(old, plan, 3000, 5).samples)
+
+    @settings(max_examples=20, deadline=None)
+    @given(psi0=st.floats(0.0, 2.0), psi1=st.floats(-1.0, 1.0),
+           d0=st.floats(-1.0, 1.0), d1=st.floats(-1.0, 1.0))
+    def test_table_moment_check_equals_the_cell_loops(self, psi0, psi1, d0, d1):
+        table = enumerate_joint(direct_effect_scenario(psi=(psi0, psi1)))
+        split = SplitSchema((0,), (1,))
+        spec = DeSndmSpec(additive_blip("1", "a1", psi=(psi0 + d0, psi1 + d1)))
+        got = direct_effect_moment_check(table, split, spec).per_occasion
+        assert got == masked_moment_check(table, split, spec)
+
+    def test_data_moment_check_equals_the_cell_loops(self):
+        cfg = direct_effect_scenario(psi=(1.0, 0.5))
+        ds = simulate(cfg, 3000, seed=3)
+        split = SplitSchema((0,), (1,))
+        spec = DeSndmSpec(additive_blip("1", "a1", psi=(0.8, 0.2)))
+        laws = {1: cfg.a_laws[1]}
+        w = ipw_weights(ds, split, laws, "design").w_from(1, ds.n)
+        S = ds.A[:, :1] * np.column_stack([np.ones(ds.n), ds.A[:, 1]])
+        tv = ds.Y + S @ np.array([0.8, 0.2])
+        worst = 0.0
+        keys = np.round(ds.L[:, :1], 9)
+        for u in np.unique(keys, axis=0):
+            in_cell = np.all(np.abs(keys - u) <= 1e-9, axis=1)
+            means = [float(np.mean(tv[sel] / w[sel]))
+                     for a in np.unique(ds.A[in_cell, 0])
+                     for sel in [in_cell & (np.abs(ds.A[:, 0] - a) <= 1e-9)]]
+            if len(means) >= 2:
+                worst = max(worst, max(means) - min(means))
+        got = direct_effect_moment_check(ds, split, spec, z_laws=laws)
+        assert got.per_occasion == {0: worst}
+
+
+class TestContextKeys:
+    """Each caller sees exactly the columns the per-module builders gave it."""
+
+    L = np.arange(12.0).reshape(4, 3)
+    A = -np.arange(12.0).reshape(4, 3)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_covariate_draw(self, m):
+        for extra in ("u", "h"):
+            cols = history_cols(self.L, self.A, m, m, m, extra={extra: np.ones(4)})
+            assert set(cols) == old_covariate_keys(m) | {extra}
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_treatment(self, m):
+        cols = history_cols(self.L, self.A, m + 1, m, m)
+        assert set(cols) == old_treatment_keys(m)
+        np.testing.assert_array_equal(cols["lm"], self.L[:, m])
+
+    def test_outcome(self):
+        cols = history_cols(self.L, self.A, 3, 3, extra={"u": np.ones(4)})
+        assert set(cols) == old_trajectory_keys(2) | {"u"}
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_direct_effect_cofactors(self, m):
+        cols = history_cols(self.L, self.A, 3, 3, m)
+        assert set(cols) == old_cofactor_keys(2)
+        np.testing.assert_array_equal(cols["a_prev"],
+                                      self.A[:, m - 1] if m else np.zeros(4))
+
+    def test_prefix_arrays_need_no_padding(self):
+        # Exact enumeration passes only the values drawn so far.
+        L, A = np.array([[1.0, 0.0]]), np.array([[1.0]])
+        assert set(history_cols(L, A, 1, 1, 1)) == old_covariate_keys(1)
+        assert set(history_cols(L, A, 2, 1, 1)) == old_treatment_keys(1)
