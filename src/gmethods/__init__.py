@@ -100,9 +100,7 @@ from .sndm import (
     GEstimate,
     SndmMle,
     additive_blip,
-    blip,
     blip_down,
-    blip_inverse,
     blip_up,
     empirical_static_survivor,
     g_estimate,
@@ -183,9 +181,7 @@ __all__ = [
     "additive_blip",
     "apply_regime",
     "binary",
-    "blip",
     "blip_down",
-    "blip_inverse",
     "blip_up",
     "constant",
     "continuous",

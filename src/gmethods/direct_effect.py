@@ -15,11 +15,18 @@ Main entry points:
 * ``naive_direct_effect_demo`` — the regression-flavored alternative built
   from a covariate model and a covariate-free blip family; shows how it
   rejects a true null when treatment effects are heterogeneous in a
-  hidden cause.
+  hidden cause.  Its scan over the blip parameter builds one score-test
+  engine and evaluates it at every grid point.
 * ``direct_effect_g_estimate`` — three-step weighted g-estimation of a
   direct-effect blip family, with within-subject-robust score tests.
 * ``direct_effect_moment_check`` — the population moment characterization
   evaluated exactly on a joint table (or empirically on a large dataset).
+
+The naive scan and ``direct_effect_g_estimate`` both run on ``sndm``'s
+score-test engine, the one behind ``g_estimate``.  The scan uses it
+unweighted, as plain g-estimation does; ``direct_effect_g_estimate`` gives
+its rows inverse-probability weights, which switch it to the
+within-subject-robust variance.
 """
 
 from __future__ import annotations
@@ -39,17 +46,18 @@ from .glm import (
     expit,
     fit_linear,
     fit_logistic,
-    robust_score_test,
+    pooled_rows,
     wald_test,
 )
 from .laws import BernoulliLogit, NormalLinear, NormalMarginal
 from .sndm import (
     BlipSpec,
     GEstimate,
+    _g_engine,
     _residual_outcome,
+    _ScoreEngine,
     _search,
     _stack_shifts,
-    g_test_at,
 )
 
 WEIGHT_FLOOR = 1e-6
@@ -292,14 +300,8 @@ def naive_direct_effect_demo(
     covariate_test = wald_test(gfit, (1,), level=level,
                                note="covariate-vs-early-treatment dependence")
 
-    pvals = np.empty(len(grid))
-    for i, p2 in enumerate(grid):
-        rep = g_test_at(
-            dataset, _FULL_FAMILY, [p2, 0.0, 0.0, 0.0],
-            treatment_terms=a1_terms, alpha_known=a1_alpha_known,
-            occasions=(1,), level=level,
-        )
-        pvals[i] = rep.p_value
+    eng = _g_engine(dataset, _FULL_FAMILY, a1_terms, None, a1_alpha_known, (1,), level)
+    pvals = np.array([eng.report([p2, 0.0, 0.0, 0.0]).p_value for p2 in grid])
     best = int(np.argmax(pvals))
     reduced_reject = bool(pvals[best] < level)
     naive_reject = bool(covariate_test.reject and reduced_reject)
@@ -307,15 +309,7 @@ def naive_direct_effect_demo(
     psi_full = None
     spread = float("nan")
     if fit_full:
-        from .sndm import g_estimate
-
-        est = g_estimate(
-            dataset, _FULL_FAMILY,
-            treatment_terms=a1_terms, alpha_known=a1_alpha_known,
-            occasions=(1,), psi_box=[(-3.0, 3.0)] * 4, grid_points=5,
-            level=level,
-        )
-        psi_full = est.psi_hat
+        psi_full = _search(eng, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, level).psi_hat
         pl = expit(gfit.coef[0] + gfit.coef[1] * np.array([0.0, 1.0]))
         delta = (psi_full[0] + psi_full[1] * np.array([0.0, 1.0])
                  + (psi_full[2] + psi_full[3] * np.array([0.0, 1.0])) * pl)
@@ -390,71 +384,20 @@ def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.n
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
 
 
-class _DeEngine:
-    """Pooled studied-arm rows, weights, and the robust score test at psi."""
-
-    def __init__(self, dataset, split, spec, weights, p_alpha_known, level):
-        self.dataset = dataset
-        self.split = split
-        self.spec = spec
-        self.level = level
-        occs = list(split.p_occasions)
-        n = dataset.n
-        blocks, resp = [], []
-        wcols = []
-        for m in occs:
-            cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
-            blocks.append(eval_terms(spec.mean_terms, cols))
-            resp.append(dataset.A[:, m])
-            wcols.append(weights.w_from(m + 1, n))
-        self.X = np.vstack(blocks)
-        self.resp = np.concatenate(resp)
-        self.subj = np.tile(np.arange(n), len(occs))
-        self.w = np.concatenate(wcols)
-        bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
-        if np.any(bad):
-            raise EstimationError("studied-arm treatments must be binary")
-        self.C = _de_cofactors(spec, dataset.L, dataset.A, occs)
-        self.S = _stack_shifts(spec.blip, dataset.A, occs, self.C)
-        self.occs = occs
-        if p_alpha_known is not None:
-            self.alpha = np.asarray(p_alpha_known, dtype=float)
-            self.fit = None
-        else:
-            self.alpha = None
-            self.fit = fit_logistic(self.X, self.resp)
-        base = ("known randomization design" if p_alpha_known is not None
-                and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
-        self.note = base
-
-    def h_of(self, psi: np.ndarray) -> np.ndarray:
-        return _residual_outcome(self.spec.blip.family, self.dataset.Y, self.S @ psi)
-
-    def zmat(self, psi: np.ndarray) -> np.ndarray:
-        h = self.h_of(psi)
-        if self.spec.qstar is not None:
-            blocks = [np.atleast_2d(np.asarray(
-                self.spec.qstar(h, self.dataset.L, self.dataset.A, m), dtype=float))
-                for m in self.occs]
-            blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
-        else:
-            blocks = [h[:, None] * C for C in self.C]
-        return np.vstack(blocks) / self.w[:, None]
-
-    def report(self, psi) -> TestReport:
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        Z = self.zmat(psi)
-        if self.alpha is not None:
-            return robust_score_test(self.X, self.resp, Z, self.subj,
-                                     known_coef=self.alpha, level=self.level,
-                                     note=self.note)
-        return robust_score_test(self.X, self.resp, Z, self.subj,
-                                 fit=self.fit, level=self.level, note=self.note)
-
-    def signed_score(self, psi_scalar: float) -> float:
-        Z = self.zmat(np.array([psi_scalar]))
-        coef = self.alpha if self.alpha is not None else self.fit.coef
-        return float(Z[:, 0] @ (self.resp - expit(self.X @ coef)))
+def _de_engine(dataset: Dataset, split: SplitSchema, spec: DeSndmSpec,
+               weights: IpwWeights, p_alpha_known, level: float) -> _ScoreEngine:
+    """The engine for ``direct_effect_g_estimate``: studied-arm rows, each
+    weighted by the fixed-arm densities after its occasion, so the score
+    test uses the within-subject-robust variance."""
+    occs = split.p_occasions
+    note = ("known randomization design" if p_alpha_known is not None
+            and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
+    return _ScoreEngine(
+        dataset, spec.blip, pooled_rows(dataset, spec.mean_terms, occs), occs,
+        _de_cofactors(spec, dataset.L, dataset.A, occs), qstar=spec.qstar,
+        known_coef=p_alpha_known, note=note, level=level,
+        weights=np.concatenate([weights.w_from(m + 1, dataset.n) for m in occs]),
+    )
 
 
 def direct_effect_g_estimate(
@@ -497,7 +440,7 @@ def direct_effect_g_estimate(
         weights = ipw_weights(dataset, split, laws, source)
     else:
         weights = IpwWeights({}, "design")
-    eng = _DeEngine(dataset, split, spec, weights, p_alpha_known, level)
+    eng = _de_engine(dataset, split, spec, weights, p_alpha_known, level)
     return _search(eng, dim, box, points, level)
 
 

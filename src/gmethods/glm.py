@@ -26,6 +26,11 @@ _SCORE_TOL = 1e-8
 _LOGLIK_TOL = 1e-10
 _SEP_LIMIT = 30.0
 
+ESTIMATED_DESIGN_NOTE = (
+    "treatment model estimated from the data; the test level relies on its "
+    "correct specification"
+)
+
 
 def expit(b):
     """Inverse logit, overflow-safe over the whole float range."""

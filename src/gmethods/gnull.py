@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Schema, constant, discrete
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw, group_rows
 from .glm import (
+    ESTIMATED_DESIGN_NOTE,
     TestReport,
     _report,
     fit_linear,
@@ -38,11 +39,6 @@ from .glm import (
     pooled_rows,
     score_test_added,
     wald_test,
-)
-
-ESTIMATED_DESIGN_NOTE = (
-    "treatment model estimated from the data; the test level relies on its "
-    "correct specification"
 )
 
 
@@ -279,19 +275,35 @@ def predicate_y_indep_a1_given_past(table: JointTable, tol: float = 1e-10) -> bo
 
 
 def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> bool:
-    """The covariate-standardized outcome law does not depend on a0.
+    """The standardized outcome law with both treatments set does not depend on a0.
 
-    For each a0: sum over covariate values of P(y | covs, a0) weighted by
-    P(covs | a0), computed literally from the table.
+    For each a1 and each a0: sum over (l0, l1) of P(l0, l1 | a0) times
+    P(y | l0, a0, l1, a1), computed literally from the table.  A1 is set to
+    a1, not averaged over its observed law; averaging would give P(y | a0)
+    and make this ``predicate_y_indep_a0``.  The weight conditions l0 on a0
+    too, so this is the g-formula when A0 does not depend on L0 (as in
+    ``random_sequential_table``, whose L0 is constant).  A covariate history
+    with mass but without some a1 value raises ``PositivityError``.
     """
-    law = _y_given(table, [0, 1, 2])
-    live = law.mass > 0.0
-    _, by_a0 = group_rows(law.keys[live, 1:2])
-    p_a0 = np.bincount(by_a0, weights=law.mass[live])
-    weights = law.mass[live] / p_a0[by_a0]
-    curves = np.zeros((len(p_a0), len(law.values)))
-    np.add.at(curves, by_a0, weights[:, None] * law.probs[live])
-    return _rows_agree(curves, np.zeros((len(curves), 0)), tol)
+    law = _y_given(table, [0, 1, 2, 3])
+    row = {tuple(k): i for i, k in enumerate(law.keys) if law.mass[i] > 0.0}
+    covs, of_cov = group_rows(table.cells[:, :3])
+    cov_mass = np.bincount(of_cov, weights=table.probs)
+    covs, cov_mass = covs[cov_mass > 0.0], cov_mass[cov_mass > 0.0]
+    a0s, of_a0 = group_rows(covs[:, 1:2])
+    weights = cov_mass / np.bincount(of_a0, weights=cov_mass)[of_a0]
+    a1s = np.unique(np.round(table.cells[table.probs > 0.0, 3], 9))
+    curves = np.zeros((len(a1s), len(a0s), len(law.values)))
+    for j, a1 in enumerate(a1s):
+        for cov, w, g in zip(covs, weights, of_a0):
+            i = row.get((*cov, a1))
+            if i is None:
+                raise PositivityError(
+                    f"no mass at a1 = {a1:g} given (l0, a0, l1) = {tuple(cov)}"
+                )
+            curves[j, g] += w * law.probs[i]
+    return _rows_agree(curves.reshape(-1, len(law.values)),
+                       np.repeat(a1s, len(a0s))[:, None], tol)
 
 
 def predicate_y_indep_a0(table: JointTable, tol: float = 1e-10) -> bool:
@@ -305,9 +317,11 @@ def gnull_table_check(table: JointTable, tol: float = 1e-10) -> dict[str, bool]:
     """Evaluate both equivalent two-predicate statements of the null.
 
     The null of "no treatment effect of any kind" can be written as
-    (conditional ⊥ of Y and A1 given the past) AND (standardized law free
-    of a0), or equivalently with the second conjunct replaced by marginal
-    independence of Y and A0.  Returns all three predicates plus the two
+    (conditional ⊥ of Y and A1 given the past) AND (standardized law, with
+    a0 and a1 both set, free of a0), or equivalently with the second
+    conjunct replaced by marginal independence of Y and A0.  The second
+    conjuncts differ on their own: Y reacting to A1 alone passes the first
+    and fails the second.  Returns all three predicates plus the two
     conjunctions.
     """
     p2 = predicate_y_indep_a1_given_past(table, tol)

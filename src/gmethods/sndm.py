@@ -25,18 +25,20 @@ import scipy.optimize
 from scipy.special import gammaincinv
 
 from . import streams
-from .data import Dataset, History, Regime, regime_values
+from .data import Dataset, Regime, regime_values
 from .errors import ConfigError, ConvergenceError, EstimationError
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
 from .gformula import RegimeDistribution
 from .glm import (
+    ESTIMATED_DESIGN_NOTE,
     FittedGlm,
     TestReport,
     _report,
     expit,
     fit_logistic,
     pooled_rows,
+    robust_score_test,
     score_test_added,
 )
 
@@ -129,30 +131,6 @@ def _residual_outcome(family: str, Y: np.ndarray, shift: np.ndarray) -> np.ndarr
     return Y * np.exp(shift)
 
 
-def _hist_arrays(hist: History, a_m: float):
-    L = np.asarray(hist.l_bar, dtype=float)[None, :]
-    A = np.asarray(tuple(hist.a_bar_prev) + (float(a_m),), dtype=float)[None, :]
-    return L, A
-
-
-def _occasion_shift(spec: BlipSpec, L: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
-    psi = spec.require_psi()
-    return A[:, m] * (cofactor_matrix(spec, L, A, m) @ psi)
-
-
-def blip(spec: BlipSpec, y: float, hist: History, a_m: float) -> float:
-    """Apply the occasion-hist.m blip to a single outcome value."""
-    L, A = _hist_arrays(hist, a_m)
-    s = float(_occasion_shift(spec, L, A, hist.m)[0])
-    return y + s if spec.family == "additive" else y * np.exp(s)
-
-
-def blip_inverse(spec: BlipSpec, u: float, hist: History, a_m: float) -> float:
-    L, A = _hist_arrays(hist, a_m)
-    s = float(_occasion_shift(spec, L, A, hist.m)[0])
-    return u - s if spec.family == "additive" else u * np.exp(-s)
-
-
 @dataclass(frozen=True)
 class BlipDownResult:
     """Residual outcomes H_m (blipped down from occasion m on) and the Jacobian."""
@@ -229,44 +207,49 @@ class GEstimate:
                            + [repr(float(s)), repr(float(p)), int(a)])
 
 
-class _GEngine:
-    """Shared machinery: pooled treatment model + score test at candidate psi."""
+class _ScoreEngine:
+    """Score test of "psi is the true blip parameter" in a pooled treatment model.
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        blip_spec: BlipSpec,
-        treatment_terms,
-        qstar: Callable | None,
-        alpha_known,
-        occasions,
-        level: float,
-    ):
-        self.dataset = dataset
-        self.spec = blip_spec
-        self.level = level
-        self.occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
-        self.X, self.resp, self.subj, _ = pooled_rows(dataset, treatment_terms, self.occs)
+    ``rows`` are the pooled treatment-model rows from ``pooled_rows`` and
+    ``C`` the cofactor rows at each tested occasion in ``occs``.  The null
+    treatment model uses ``known_coef`` when given and is fitted once
+    otherwise.  At each psi the added columns pair the residual outcome H(psi)
+    with the cofactors (or come from ``qstar(h, L, A, m)``).  Without
+    ``weights`` they are score-tested with the model-based variance; with
+    row weights they are divided by the weights and the variance is the
+    within-subject-robust one.
+    """
+
+    def __init__(self, dataset: Dataset, blip_spec: BlipSpec, rows, occs, C, *,
+                 qstar: Callable | None, known_coef, note: str, level: float,
+                 weights: np.ndarray | None = None):
+        self.X, self.resp, self.subj, _ = rows
         bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
         if np.any(bad):
             raise EstimationError(
                 "g-estimation needs binary treatments at the pooled occasions"
             )
+        self.dataset = dataset
+        self.family = blip_spec.family
+        self.occs = list(occs)
+        self.C = C
+        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, C)
         self.qstar = qstar
-        self.C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in self.occs]
-        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, self.C)
-        if alpha_known is not None:
-            self.alpha = np.asarray(alpha_known, dtype=float)
+        self.weights = weights
+        self.note = note
+        self.level = level
+        if known_coef is not None:
+            self.known = np.asarray(known_coef, dtype=float)
             self.fit: FittedGlm | None = None
-            self.note = ""
+            coef = self.known
         else:
-            self.alpha = None
+            self.known = None
             self.fit = fit_logistic(self.X, self.resp)
-            self.note = ("treatment model estimated from the data; the test level "
-                         "relies on its correct specification")
+            coef = self.fit.coef
+        self.eps = self.resp - expit(self.X @ coef)
 
     def h_of(self, psi: np.ndarray) -> np.ndarray:
-        return _residual_outcome(self.spec.family, self.dataset.Y, self.S @ psi)
+        return _residual_outcome(self.family, self.dataset.Y, self.S @ psi)
 
     def zmat(self, psi: np.ndarray) -> np.ndarray:
         h = self.h_of(psi)
@@ -277,25 +260,34 @@ class _GEngine:
             blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
         else:
             blocks = [h[:, None] * C for C in self.C]
-        return np.vstack(blocks)
+        Z = np.vstack(blocks)
+        return Z if self.weights is None else Z / self.weights[:, None]
 
     def report(self, psi) -> TestReport:
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        Z = self.zmat(psi)
-        if self.alpha is not None:
-            return score_test_added(self.X, self.resp, Z, "binomial",
-                                    known_coef=self.alpha, level=self.level,
+        Z = self.zmat(np.atleast_1d(np.asarray(psi, dtype=float)))
+        if self.weights is None:
+            return score_test_added(self.X, self.resp, Z, "binomial", fit=self.fit,
+                                    known_coef=self.known, level=self.level,
                                     note=self.note)
-        return score_test_added(self.X, self.resp, Z, "binomial",
-                                fit=self.fit, level=self.level, note=self.note)
+        return robust_score_test(self.X, self.resp, Z, self.subj, fit=self.fit,
+                                 known_coef=self.known, level=self.level,
+                                 note=self.note)
 
     def signed_score(self, psi_scalar: float) -> float:
-        Z = self.zmat(np.array([psi_scalar]))
-        if self.alpha is not None:
-            prob = expit(self.X @ self.alpha)
-        else:
-            prob = expit(self.X @ self.fit.coef)
-        return float(Z[:, 0] @ (self.resp - prob))
+        return float(self.zmat(np.array([psi_scalar]))[:, 0] @ self.eps)
+
+
+def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
+              qstar: Callable | None, alpha_known, occasions,
+              level: float) -> _ScoreEngine:
+    """The engine for ``g_test_at`` and ``g_estimate``: unweighted rows, the
+    family's cofactors at the tested occasions (default: all)."""
+    occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
+    C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in occs]
+    note = "" if alpha_known is not None else ESTIMATED_DESIGN_NOTE
+    return _ScoreEngine(dataset, blip_spec, pooled_rows(dataset, treatment_terms, occs),
+                        occs, C, qstar=qstar, known_coef=alpha_known, note=note,
+                        level=level)
 
 
 def g_test_at(
@@ -310,8 +302,8 @@ def g_test_at(
     level: float = 0.05,
 ) -> TestReport:
     """Score test that psi is the true blip parameter."""
-    eng = _GEngine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
-                   occasions, level)
+    eng = _g_engine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
+                    occasions, level)
     return eng.report(psi)
 
 
@@ -350,18 +342,14 @@ def g_estimate(
         raise ConfigError("psi_box must give (lo, hi) per blip component")
     points = ((grid_points,) * blip_spec.dim
               if isinstance(grid_points, int) else tuple(grid_points))
-    eng = _GEngine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
-                   occasions, level)
+    eng = _g_engine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
+                    occasions, level)
     return _search(eng, blip_spec.dim, box, points, level)
 
 
-def _search(eng, dim: int, box: np.ndarray, points: tuple[int, ...],
+def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...],
             level: float) -> GEstimate:
-    """Grid the box, locate the score minimum, and invert the test.
-
-    ``eng`` is any object with ``report(psi) -> TestReport``,
-    ``signed_score(scalar)`` (used only for dim 1) and a ``note`` string.
-    """
+    """Grid the box, locate the score minimum, and invert the test."""
     grid, resolution = _grid(box, points)
     G = grid.shape[0]
     stats_arr = np.empty(G)
@@ -373,7 +361,7 @@ def _search(eng, dim: int, box: np.ndarray, points: tuple[int, ...],
     imin = int(np.argmin(stats_arr))
     boundary = False
     if dim == 1:
-        psi_hat = _refine_scalar(eng, grid[:, 0], stats_arr, imin, box[0])
+        psi_hat = _refine_scalar(eng, grid[:, 0], imin)
         if psi_hat is None:
             lo_edge = imin in (0, G - 1)
             lo = grid[max(imin - 1, 0), 0]
@@ -416,7 +404,7 @@ def _search(eng, dim: int, box: np.ndarray, points: tuple[int, ...],
     )
 
 
-def _refine_scalar(eng: _GEngine, grid1d, stats_arr, imin, bounds) -> np.ndarray | None:
+def _refine_scalar(eng: _ScoreEngine, grid1d, imin) -> np.ndarray | None:
     """Bisection on the signed score if it changes sign near the grid minimum."""
     G = len(grid1d)
     candidates = []

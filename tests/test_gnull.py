@@ -8,7 +8,7 @@ from scipy import stats
 
 from gmethods import streams
 from gmethods.data import Dataset, Schema, binary, constant, discrete
-from gmethods.errors import ConfigError, EstimationError
+from gmethods.errors import ConfigError, EstimationError, PositivityError
 from gmethods.gformula import JointTable, g_mean_plugin
 from gmethods.gnull import (
     ESTIMATED_DESIGN_NOTE,
@@ -19,6 +19,7 @@ from gmethods.gnull import (
     naive_test,
     parametric_null_check,
     pooled_g_test,
+    predicate_standardized_free_of_a0,
     predicate_y_indep_a0,
     predicate_y_indep_a1_given_past,
     random_sequential_table,
@@ -245,6 +246,24 @@ class TestTablePredicates:
         rng = np.random.default_rng(13)
         t = random_sequential_table(rng, y_parents=("a1",))
         assert not predicate_y_indep_a1_given_past(t)
+
+    def test_standardized_law_sets_the_late_treatment(self):
+        # Y reacting to A1 alone: with a1 set, the standardized law is
+        # P(y | a1) at every a0, but P(y | a0) averages over A1's law, which
+        # depends on a0.
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            t = random_sequential_table(rng, y_parents=("a1",))
+            assert predicate_standardized_free_of_a0(t)
+            assert not predicate_y_indep_a0(t)
+
+    def test_standardized_law_needs_every_late_treatment(self):
+        t = random_sequential_table(np.random.default_rng(19), y_parents=("a1",))
+        # No subject with a0 = 0 takes a1 = 1.
+        probs = np.where((t.cells[:, 1] == 0.0) & (t.cells[:, 3] == 1.0), 0.0, t.probs)
+        thinned = JointTable(t.schema, t.cells, probs / probs.sum())
+        with pytest.raises(PositivityError, match="a1"):
+            predicate_standardized_free_of_a0(thinned)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6),

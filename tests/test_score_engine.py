@@ -1,0 +1,358 @@
+"""The one score-test engine against the two engines it replaced.
+
+``_RefGEngine`` (g-estimation) and ``_RefDeEngine`` (direct-effect
+g-estimation) are the former per-analysis engines, kept here unchanged as
+oracles, together with the former per-point ``g_test_at`` scan of the naive
+direct-effect analysis.  The merged ``sndm._ScoreEngine`` must reproduce
+their statistics, p-values, signed scores and searches bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmethods import direct_effect, sndm
+from gmethods.direct_effect import (
+    CONSERVATIVE_NOTE,
+    DeSndmSpec,
+    IpwWeights,
+    SplitSchema,
+    _de_cofactors,
+    _de_engine,
+    direct_effect_g_estimate,
+    fit_z_laws,
+    ipw_weights,
+    naive_direct_effect_demo,
+)
+from gmethods.errors import EstimationError
+from gmethods.features import eval_terms, history_cols
+from gmethods.glm import (
+    expit,
+    fit_logistic,
+    pooled_rows,
+    robust_score_test,
+    score_test_added,
+)
+from gmethods.laws import BernoulliLogit
+from gmethods.scenarios import (
+    design_alpha,
+    direct_effect_scenario,
+    masked_interaction_scenario,
+    simulate,
+    sndm_scenario,
+)
+from gmethods.sndm import (
+    _g_engine,
+    _residual_outcome,
+    _search,
+    _stack_shifts,
+    additive_blip,
+    cofactor_matrix,
+    g_estimate,
+)
+
+SNDM_TERMS = ("1", "lm", "a_prev")
+SNDM_ALPHA = (-0.1, 0.7, -0.3)
+SPLIT01 = SplitSchema((0,), (1,))
+DE_A1_LAW = BernoulliLogit(("1", "lm", "a0"), (-0.2, 0.7, 0.4))
+
+
+# ---------------------------------------------------------------------------
+# The former engines.
+# ---------------------------------------------------------------------------
+
+
+class _RefGEngine:
+    """Pooled treatment model + model-based score test at candidate psi."""
+
+    def __init__(self, dataset, blip_spec, treatment_terms, qstar, alpha_known,
+                 occasions, level):
+        self.dataset = dataset
+        self.spec = blip_spec
+        self.level = level
+        self.occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
+        self.X, self.resp, self.subj, _ = pooled_rows(dataset, treatment_terms, self.occs)
+        bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
+        if np.any(bad):
+            raise EstimationError(
+                "g-estimation needs binary treatments at the pooled occasions"
+            )
+        self.qstar = qstar
+        self.C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in self.occs]
+        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, self.C)
+        if alpha_known is not None:
+            self.alpha = np.asarray(alpha_known, dtype=float)
+            self.fit = None
+            self.note = ""
+        else:
+            self.alpha = None
+            self.fit = fit_logistic(self.X, self.resp)
+            self.note = ("treatment model estimated from the data; the test level "
+                         "relies on its correct specification")
+
+    def h_of(self, psi):
+        return _residual_outcome(self.spec.family, self.dataset.Y, self.S @ psi)
+
+    def zmat(self, psi):
+        h = self.h_of(psi)
+        L, A = self.dataset.L, self.dataset.A
+        if self.qstar is not None:
+            blocks = [np.atleast_2d(np.asarray(self.qstar(h, L, A, m), dtype=float))
+                      for m in self.occs]
+            blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
+        else:
+            blocks = [h[:, None] * C for C in self.C]
+        return np.vstack(blocks)
+
+    def report(self, psi):
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        Z = self.zmat(psi)
+        if self.alpha is not None:
+            return score_test_added(self.X, self.resp, Z, "binomial",
+                                    known_coef=self.alpha, level=self.level,
+                                    note=self.note)
+        return score_test_added(self.X, self.resp, Z, "binomial",
+                                fit=self.fit, level=self.level, note=self.note)
+
+    def signed_score(self, psi_scalar):
+        Z = self.zmat(np.array([psi_scalar]))
+        if self.alpha is not None:
+            prob = expit(self.X @ self.alpha)
+        else:
+            prob = expit(self.X @ self.fit.coef)
+        return float(Z[:, 0] @ (self.resp - prob))
+
+
+class _RefDeEngine:
+    """Pooled studied-arm rows, weights, and the robust score test at psi."""
+
+    def __init__(self, dataset, split, spec, weights, p_alpha_known, level):
+        self.dataset = dataset
+        self.split = split
+        self.spec = spec
+        self.level = level
+        occs = list(split.p_occasions)
+        n = dataset.n
+        blocks, resp = [], []
+        wcols = []
+        for m in occs:
+            cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
+            blocks.append(eval_terms(spec.mean_terms, cols))
+            resp.append(dataset.A[:, m])
+            wcols.append(weights.w_from(m + 1, n))
+        self.X = np.vstack(blocks)
+        self.resp = np.concatenate(resp)
+        self.subj = np.tile(np.arange(n), len(occs))
+        self.w = np.concatenate(wcols)
+        bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
+        if np.any(bad):
+            raise EstimationError("studied-arm treatments must be binary")
+        self.C = _de_cofactors(spec, dataset.L, dataset.A, occs)
+        self.S = _stack_shifts(spec.blip, dataset.A, occs, self.C)
+        self.occs = occs
+        if p_alpha_known is not None:
+            self.alpha = np.asarray(p_alpha_known, dtype=float)
+            self.fit = None
+        else:
+            self.alpha = None
+            self.fit = fit_logistic(self.X, self.resp)
+        base = ("known randomization design" if p_alpha_known is not None
+                and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
+        self.note = base
+
+    def h_of(self, psi):
+        return _residual_outcome(self.spec.blip.family, self.dataset.Y, self.S @ psi)
+
+    def zmat(self, psi):
+        h = self.h_of(psi)
+        if self.spec.qstar is not None:
+            blocks = [np.atleast_2d(np.asarray(
+                self.spec.qstar(h, self.dataset.L, self.dataset.A, m), dtype=float))
+                for m in self.occs]
+            blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
+        else:
+            blocks = [h[:, None] * C for C in self.C]
+        return np.vstack(blocks) / self.w[:, None]
+
+    def report(self, psi):
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        Z = self.zmat(psi)
+        if self.alpha is not None:
+            return robust_score_test(self.X, self.resp, Z, self.subj,
+                                     known_coef=self.alpha, level=self.level,
+                                     note=self.note)
+        return robust_score_test(self.X, self.resp, Z, self.subj,
+                                 fit=self.fit, level=self.level, note=self.note)
+
+    def signed_score(self, psi_scalar):
+        Z = self.zmat(np.array([psi_scalar]))
+        coef = self.alpha if self.alpha is not None else self.fit.coef
+        return float(Z[:, 0] @ (self.resp - expit(self.X @ coef)))
+
+
+def _ref_de_weights(dataset, split, z_laws, z_terms=("1", "lm", "a_prev")):
+    if not split.z_occasions:
+        return IpwWeights({}, "design")
+    known = z_laws or {}
+    if [k for k in split.z_occasions if k not in known]:
+        laws, source = fit_z_laws(dataset, split, z_terms, known=known)
+    else:
+        laws, source = known, "design"
+    return ipw_weights(dataset, split, laws, source)
+
+
+def _ref_de_g_estimate(dataset, split, spec, *, psi_box, z_laws=None,
+                       p_alpha_known=None, grid_points=201, level=0.05):
+    box = np.atleast_2d(np.asarray(psi_box, dtype=float))
+    points = ((grid_points,) * spec.blip.dim if isinstance(grid_points, int)
+              else tuple(grid_points))
+    weights = _ref_de_weights(dataset, split, z_laws)
+    eng = _RefDeEngine(dataset, split, spec, weights, p_alpha_known, level)
+    return _search(eng, spec.blip.dim, box, points, level)
+
+
+def _ref_scan(dataset, grid, a1_alpha_known, level=0.05):
+    """The naive analysis' former scan: one fresh engine per grid point."""
+    family = additive_blip("1", "a0", "lm", "a0*lm")
+    return np.array([
+        _RefGEngine(dataset, family, ("1", "lm", "a0"), None, a1_alpha_known,
+                    (1,), level).report([p2, 0.0, 0.0, 0.0]).p_value
+        for p2 in grid
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Comparisons.
+# ---------------------------------------------------------------------------
+
+
+def _same_report(a, b):
+    assert (a.statistic, a.df, a.reference, a.p_value, a.level, a.reject, a.note) == \
+        (b.statistic, b.df, b.reference, b.p_value, b.level, b.reject, b.note)
+
+
+def _same_estimate(a, b):
+    for field in ("psi_hat", "grid", "grid_stats", "grid_pvals", "accepted"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+    assert (a.statistic_at_hat, a.p_at_hat, a.boundary, a.resolution, a.level, a.note) == \
+        (b.statistic_at_hat, b.p_at_hat, b.boundary, b.resolution, b.level, b.note)
+
+
+def _qstar_cols(h, L, A, m):
+    # Two added columns per occasion, one of them through the covariate.
+    return np.column_stack([h, h * L[:, m]])
+
+
+def _qstar_row(h, L, A, m):
+    # A 1-D return value: one added column per occasion.
+    return h * (1.0 + A[:, m - 1]) if m > 0 else h
+
+
+QSTARS = {"none": None, "cols": _qstar_cols, "row": _qstar_row}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(80, 600), dim=st.sampled_from([1, 2]),
+       known=st.booleans(), qstar=st.sampled_from(sorted(QSTARS)),
+       psi=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_g_engine_matches_the_former_engine(seed, n, dim, known, qstar, psi):
+    ds = simulate(sndm_scenario(psi=(1.0,)), n, seed=seed)
+    spec = additive_blip("1") if dim == 1 else additive_blip("1", "a_prev")
+    alpha = SNDM_ALPHA if known else None
+    args = (ds, spec, SNDM_TERMS, QSTARS[qstar], alpha, None, 0.05)
+    new, ref = _g_engine(*args), _RefGEngine(*args)
+    for p in (psi[:dim], psi[1:1 + dim]):
+        _same_report(new.report(p), ref.report(p))
+    if dim == 1:
+        for p in psi:
+            assert new.signed_score(p) == ref.signed_score(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(80, 600), dim=st.sampled_from([1, 2]),
+       known=st.booleans(), fitted_z=st.booleans(), qstar=st.sampled_from(sorted(QSTARS)),
+       psi=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_de_engine_matches_the_former_engine(seed, n, dim, known, fitted_z, qstar, psi):
+    ds = simulate(direct_effect_scenario(psi=(1.0, 0.5)), n, seed=seed)
+    blip = additive_blip("1") if dim == 1 else additive_blip("1", "a1")
+    spec = DeSndmSpec(blip, qstar=QSTARS[qstar])
+    weights = _ref_de_weights(ds, SPLIT01, None if fitted_z else {1: DE_A1_LAW})
+    args = (ds, SPLIT01, spec, weights, (0.0,) if known else None, 0.05)
+    new, ref = _de_engine(*args), _RefDeEngine(*args)
+    for p in (psi[:dim], psi[1:1 + dim]):
+        _same_report(new.report(p), ref.report(p))
+    if dim == 1:
+        for p in psi:
+            assert new.signed_score(p) == ref.signed_score(p)
+
+
+@pytest.mark.parametrize("known", [True, False])
+@pytest.mark.parametrize("points", [(21,), (5, 5)])
+def test_g_estimate_matches_the_former_search(known, points):
+    dim = len(points)
+    cofactors, box = ("1", "a_prev")[:dim], ((0.0, 2.0), (-0.5, 1.5))[:dim]
+    ds = simulate(sndm_scenario(cofactors=cofactors, psi=(1.0, 0.5)[:dim]), 1000, seed=76)
+    spec = additive_blip(*cofactors)
+    alpha = SNDM_ALPHA if known else None
+    est = g_estimate(ds, spec, treatment_terms=SNDM_TERMS, alpha_known=alpha,
+                     psi_box=box, grid_points=points)
+    ref = _RefGEngine(ds, spec, SNDM_TERMS, None, alpha, None, 0.05)
+    _same_estimate(est, _search(ref, dim, np.asarray(box), points, 0.05))
+
+
+@pytest.mark.parametrize("case", [
+    # (scenario psi, blip cofactors, z laws, known studied-arm coefficients, grid)
+    ((1.0, 0.5), ("1", "a1"), {1: DE_A1_LAW}, (0.0,), (9, 9)),
+    ((1.0, 0.5), ("1", "a1"), None, None, (7, 7)),
+    ((1.0, 0.0), ("1",), {1: DE_A1_LAW}, (0.0,), 41),
+    ((1.0, 0.0), ("1",), None, None, 41),
+])
+def test_direct_effect_g_estimate_matches_the_former_engine(case):
+    psi, cofactors, z_laws, known, points = case
+    ds = simulate(direct_effect_scenario(psi=psi), 1500, seed=67)
+    spec = DeSndmSpec(additive_blip(*cofactors))
+    box = ((0.0, 2.0), (-0.5, 1.5))[:len(cofactors)]
+    kw = dict(psi_box=box, z_laws=z_laws, p_alpha_known=known, grid_points=points)
+    _same_estimate(direct_effect_g_estimate(ds, SPLIT01, spec, **kw),
+                   _ref_de_g_estimate(ds, SPLIT01, spec, **kw))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(300, 1500), known=st.booleans(),
+       interaction=st.sampled_from([0.0, 1.5]))
+def test_naive_scan_matches_per_point_tests(seed, n, known, interaction):
+    cfg = masked_interaction_scenario(interaction=interaction)
+    ds = simulate(cfg, n, seed=seed)
+    alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,)) if known else None
+    rep = naive_direct_effect_demo(ds, a1_alpha_known=alpha)
+    np.testing.assert_array_equal(rep.scan_pvals, _ref_scan(ds, rep.scan_grid, alpha))
+
+
+@pytest.mark.parametrize("fit_full", [False, True])
+@pytest.mark.parametrize("known", [True, False])
+def test_naive_analysis_builds_one_engine(monkeypatch, known, fit_full):
+    built = []
+    init = sndm._ScoreEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sndm._ScoreEngine, "__init__", counting)
+    cfg = masked_interaction_scenario()
+    ds = simulate(cfg, 400, seed=5)
+    alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,)) if known else None
+    direct_effect.naive_direct_effect_demo(ds, a1_alpha_known=alpha, fit_full=fit_full)
+    assert len(built) == 1
+
+
+def test_full_family_fit_matches_the_former_search():
+    cfg = masked_interaction_scenario()
+    ds = simulate(cfg, 600, seed=64)
+    alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,))
+    rep = naive_direct_effect_demo(ds, a1_alpha_known=alpha, fit_full=True)
+    ref = _RefGEngine(ds, additive_blip("1", "a0", "lm", "a0*lm"), ("1", "lm", "a0"),
+                      None, alpha, (1,), 0.05)
+    want = _search(ref, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, 0.05).psi_hat
+    np.testing.assert_array_equal(rep.psi_full, want)

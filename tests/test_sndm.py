@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmethods.data import Dataset, History, Regime, Schema, binary, discrete
+from gmethods.data import Dataset, Regime, Schema, binary, discrete
 from gmethods.errors import ConfigError, EstimationError
 from gmethods.features import eval_terms
 from gmethods.glm import fit_logistic
@@ -15,10 +15,8 @@ from gmethods.scenarios import simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (
     BlipSpec,
     additive_blip,
-    blip,
     blip_down,
     blip_down_arrays,
-    blip_inverse,
     blip_up,
     cofactor_matrix,
     empirical_static_survivor,
@@ -74,23 +72,31 @@ class TestBlipSpec:
 
 
 class TestScalarBlip:
+    # One-row histories: the H-recursion's column m is the occasion-m blip of
+    # the outcome, and blip_up inverts the whole recursion.
     def test_additive_hand_value(self):
-        # shift = a_m * (psi0 + psi1 * lm) = 2 * (2 + 3*2) = 16
+        # shift at occasion 1 = a1 * (psi0 + psi1 * l1) = 2 * (2 + 3*2) = 16;
+        # at occasion 0 = a0 * (2 + 3*0.5) = 3.5.
         spec = additive_blip("1", "lm", psi=(2.0, 3.0))
-        hist = History(1, (0.5, 2.0), (1.0,))
-        assert abs(blip(spec, 1.0, hist, 2.0) - 17.0) < 1e-12
-        assert abs(blip_inverse(spec, 17.0, hist, 2.0) - 1.0) < 1e-12
+        L, A = np.array([[0.5, 2.0]]), np.array([[1.0, 2.0]])
+        res = blip_down_arrays(spec, L, A, np.array([1.0]))
+        assert abs(res.h_per_occasion[0, 1] - 17.0) < 1e-12
+        assert abs(res.h[0] - 20.5) < 1e-12
+        assert abs(blip_up(spec, res.h, L, A)[0] - 1.0) < 1e-12
 
     def test_multiplicative_hand_value(self):
         spec = multiplicative_blip("1", psi=(0.5,))
-        hist = History(0, (0.0,), ())
-        assert abs(blip(spec, 2.0, hist, 1.0) - 2.0 * math.exp(0.5)) < 1e-12
-        assert abs(blip_inverse(spec, 2.0 * math.exp(0.5), hist, 1.0) - 2.0) < 1e-12
+        L, A = np.array([[0.0]]), np.array([[1.0]])
+        res = blip_down_arrays(spec, L, A, np.array([2.0]))
+        assert abs(res.h[0] - 2.0 * math.exp(0.5)) < 1e-12
+        h = np.array([2.0 * math.exp(0.5)])
+        assert abs(blip_up(spec, h, L, A)[0] - 2.0) < 1e-12
 
     def test_zero_treatment_is_identity(self):
         spec = additive_blip("1", "lm", psi=(2.0, 3.0))
-        hist = History(1, (0.5, 2.0), (1.0,))
-        assert blip(spec, 1.25, hist, 0.0) == 1.25
+        L, A = np.array([[0.5, 2.0]]), np.array([[1.0, 0.0]])
+        res = blip_down_arrays(spec, L, A, np.array([1.25]))
+        assert res.h_per_occasion[0, 1] == 1.25
 
 
 class TestHRecursion:
