@@ -53,6 +53,7 @@ from .laws import BernoulliLogit, NormalLinear, NormalMarginal
 from .sndm import (
     BlipSpec,
     GEstimate,
+    _check_outcomes,
     _g_engine,
     _residual_outcome,
     _ScoreEngine,
@@ -379,6 +380,7 @@ def _de_cofactors(spec: DeSndmSpec, L: np.ndarray, A: np.ndarray, occs) -> list[
 def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.ndarray:
     """Residual outcome H: observed Y with every studied-arm shift removed."""
     occs = split.p_occasions
+    _check_outcomes(spec.blip.family, dataset.Y)
     C = _de_cofactors(spec, dataset.L, dataset.A, occs)
     S = _stack_shifts(spec.blip, dataset.A, occs, C)
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())

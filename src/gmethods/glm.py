@@ -238,13 +238,24 @@ def score_test_added(
     appropriate when treatment assignment probabilities come from a known
     randomization design.
     """
+    U, V = _added_moments(X, y, Z, family, fit=fit, known_coef=known_coef)
+    return _quadratic_report(U, V, level, note)
+
+
+def _added_moments(X, y, Z, family: str = "binomial", *, fit: FittedGlm | None = None,
+                   known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Score U of the added columns Z at the null fit and its model-based variance V.
+
+    Both are linear in Z's columns, so for Z = [Z_0, ..., Z_d] the blocks of
+    U and V give the score and variance of every combination of the Z_j.
+    """
     Z = _as_matrix(Z)
     y = np.asarray(y, dtype=float)
+    X = _as_matrix(X)
     if family == "normal":
         if known_coef is not None:
             raise EstimationError("known-null score test is for binomial designs")
         nullfit = fit or fit_linear(X, y)
-        X = _as_matrix(X)
         resid = y - X @ nullfit.coef
         sigma2 = nullfit.dispersion
         # Relative guard: an exact null fit leaves only solver rounding in
@@ -254,42 +265,51 @@ def score_test_added(
         U = Z.T @ resid / sigma2
         XtX = X.T @ X
         V = (Z.T @ Z - Z.T @ X @ _chol_solve(XtX, X.T @ Z)) / sigma2
+    elif known_coef is not None:
+        prob = expit(X @ np.asarray(known_coef, dtype=float))
+        w = prob * (1.0 - prob)
+        U = Z.T @ (y - prob)
+        V = Z.T @ (Z * w[:, None])
     else:
-        X = _as_matrix(X)
-        if known_coef is not None:
-            prob = expit(X @ np.asarray(known_coef, dtype=float))
-            w = prob * (1.0 - prob)
-            U = Z.T @ (y - prob)
-            V = Z.T @ (Z * w[:, None])
-        else:
-            nullfit = fit or fit_logistic(X, y)
-            prob = expit(X @ nullfit.coef)
-            w = prob * (1.0 - prob)
-            U = Z.T @ (y - prob)
-            XtWX = X.T @ (X * w[:, None])
-            XtWZ = X.T @ (Z * w[:, None])
-            V = Z.T @ (Z * w[:, None]) - XtWZ.T @ _chol_solve(XtWX, XtWZ)
-    return _quadratic_report(U, V, level, note)
+        nullfit = fit or fit_logistic(X, y)
+        prob = expit(X @ nullfit.coef)
+        w = prob * (1.0 - prob)
+        U = Z.T @ (y - prob)
+        XtWX = X.T @ (X * w[:, None])
+        XtWZ = X.T @ (Z * w[:, None])
+        V = Z.T @ (Z * w[:, None]) - XtWZ.T @ _chol_solve(XtWX, XtWZ)
+    return U, V
 
 
 def _quadratic_report(U: np.ndarray, V: np.ndarray, level: float, note: str) -> TestReport:
-    """U' V^+ U against chi-square(rank V); rank-0 collapses to statistic 0."""
-    V = 0.5 * (V + V.T)
-    q = V.shape[0]
-    eigval, eigvec = np.linalg.eigh(V)
-    top = float(eigval[-1]) if q else 0.0
-    scale_u = float(np.max(np.abs(U))) if q else 0.0
-    if top <= 0 or top < 1e-12 * max(1.0, scale_u**2):
-        # Added directions carry no information (all-zero or duplicated
-        # columns): by convention the statistic is 0.
-        return _report(0.0, q, "chi2", level, note)
-    keep = eigval > 1e-10 * top
-    rank = int(np.sum(keep))
-    proj = eigvec[:, keep].T @ U
-    stat = float(np.sum(proj**2 / eigval[keep]))
-    if rank < q and stat < 1e-8:
-        stat = 0.0
-    return _report(stat, rank, "chi2", level, note)
+    """U' V^+ U against chi-square(rank V), through ``_quadratic_stats``."""
+    stat, df, p = _quadratic_stats(U[None], V[None])
+    p0 = float(p[0])
+    return TestReport(float(stat[0]), int(df[0]), "chi2", p0, level, p0 < level, note)
+
+
+def _quadratic_stats(U: np.ndarray, V: np.ndarray):
+    """Score statistics U' V^+ U for a batch: U is (G, q), V is (G, q, q).
+
+    Returns the statistics, their chi-square df (the rank of V) and the
+    p-values.  A V with no information (all-zero or duplicated columns)
+    gives statistic 0 on q df; a rank-deficient V whose statistic is below
+    1e-8 gives 0.
+    """
+    G, q = U.shape
+    if q == 0:
+        return np.zeros(G), np.zeros(G, dtype=int), np.ones(G)
+    eigval, eigvec = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
+    top = eigval[:, -1]
+    empty = (top <= 0) | (top < 1e-12 * np.maximum(1.0, np.abs(U).max(axis=1) ** 2))
+    keep = eigval > 1e-10 * top[:, None]
+    rank = keep.sum(axis=1)
+    proj = np.einsum("gij,gi->gj", eigvec, U)
+    stat = (np.where(keep, proj, 0.0) ** 2 / np.where(keep, eigval, 1.0)).sum(axis=1)
+    stat[empty | ((rank < q) & (stat < 1e-8))] = 0.0
+    df = np.where(empty, q, rank)
+    # As in ``_tail_p``: a statistic on 0 df (a V of NaNs) gets p = 1.
+    return stat, df, np.where(df > 0, chdtrc(df, stat), 1.0)
 
 
 def robust_score_test(
@@ -311,6 +331,18 @@ def robust_score_test(
     rather than from the model.  Logistic null model.  With ``known_coef``
     the null probabilities are fixed (randomization design) and no nuisance
     projection is applied.
+    """
+    U, V = _robust_moments(X, y, Z, subjects, fit=fit, known_coef=known_coef)
+    return _quadratic_report(U, V, level, note)
+
+
+def _robust_moments(X, y, Z, subjects, *, fit: FittedGlm | None = None,
+                    known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Score U of the added columns Z and its within-subject-robust variance V.
+
+    V = P'P over the per-subject score pieces P, which are linear in Z's
+    columns, so (like ``_added_moments``) it carries the cross blocks of
+    stacked Z.
     """
     X = _as_matrix(X)
     Z = _as_matrix(Z)
@@ -336,7 +368,7 @@ def robust_score_test(
         pieces[:, j] = np.bincount(subjects, weights=adj[:, j] * eps, minlength=nsub)
     U = Z.T @ eps
     V = pieces.T @ pieces
-    return _quadratic_report(U, V, level, note)
+    return U, V
 
 
 def pooled_rows(

@@ -497,11 +497,18 @@ def sndm_scenario(
     """Blip-generated data: U is the residual outcome, treatments randomized.
 
     ``h_atoms`` switches the residual-outcome law from standard normal to a
-    discretized version with that many atoms (enables exact tables).
+    discretized version with that many atoms (enables exact tables).  The
+    multiplicative family needs positive outcomes, so there U is exp(Z / 2)
+    for Z on the discretized normal's atoms (``h_atoms``, default 9).
     """
     blip = BlipSpec(family, tuple(cofactors)).with_psi(psi)
     schema = Schema((binary(), binary()), (binary(), binary()))
-    u_law = _discretized_normal(h_atoms) if h_atoms else NormalMarginal(0.0, 1.0)
+    if family == "multiplicative":
+        atoms = _discretized_normal(h_atoms or 9)
+        u_law = DiscreteMarginal(tuple(float(np.exp(0.5 * v)) for v in atoms.values),
+                                 atoms.probs)
+    else:
+        u_law = _discretized_normal(h_atoms) if h_atoms else NormalMarginal(0.0, 1.0)
     # Both occasions share one assignment law on pooled-history terms, so the
     # pooled treatment model with alpha = (-0.1, 0.7, -0.3) is exactly right.
     assign = BernoulliLogit(("1", "lm", "a_prev"), (-0.1, 0.7, -0.3))

@@ -18,11 +18,15 @@ psi is the truth — the moment condition behind g-estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 from scipy.special import gammaincinv
+
+# scipy.optimize is imported inside the numerical fallbacks and sndm_mle
+# only: it adds about 17 MB and 0.2 s to every import of the package, and
+# the closed-form path never needs it.
 
 from . import streams
 from .data import Dataset, Regime, regime_values
@@ -34,7 +38,10 @@ from .glm import (
     ESTIMATED_DESIGN_NOTE,
     FittedGlm,
     TestReport,
+    _added_moments,
+    _quadratic_stats,
     _report,
+    _robust_moments,
     expit,
     fit_logistic,
     pooled_rows,
@@ -43,6 +50,9 @@ from .glm import (
 )
 
 _FORBIDDEN_COFACTOR_BASES = {"y", "u", "h"}
+# An affine score's slope B with a larger condition number has no usable
+# root; the search then falls back to the numerical path.
+_ROOT_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -122,12 +132,17 @@ def _stack_shifts(spec: BlipSpec, A: np.ndarray, occs, C) -> np.ndarray:
     return S
 
 
+def _check_outcomes(family: str, Y: np.ndarray) -> None:
+    """The multiplicative family is defined for positive outcomes only."""
+    if family == "multiplicative" and np.any(Y <= 0):
+        raise EstimationError("multiplicative blip family requires positive outcomes")
+
+
 def _residual_outcome(family: str, Y: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Y blipped down by a total shift: Y + shift, or Y exp(shift) for positive Y."""
+    """Y blipped down by a total shift: Y + shift, or Y exp(shift) (positive Y,
+    see ``_check_outcomes``)."""
     if family == "additive":
         return Y + shift
-    if np.any(Y <= 0):
-        raise EstimationError("multiplicative blip family requires positive outcomes")
     return Y * np.exp(shift)
 
 
@@ -143,8 +158,7 @@ class BlipDownResult:
 def blip_down_arrays(spec: BlipSpec, L: np.ndarray, A: np.ndarray, Y: np.ndarray) -> BlipDownResult:
     psi = spec.require_psi()
     n, K1 = L.shape
-    if spec.family == "multiplicative" and np.any(Y <= 0):
-        raise EstimationError("multiplicative blip family requires positive outcomes")
+    _check_outcomes(spec.family, Y)
     per = np.empty((n, K1))
     h = np.asarray(Y, dtype=float).copy()
     log_jac = np.zeros(n)
@@ -189,6 +203,7 @@ class GEstimate:
     accepted: np.ndarray  # grid points not rejected at `level`
     resolution: tuple[int, ...]
     level: float
+    method: str  # how psi_hat was found: "closed-form", "bisection", "bounded", "nelder-mead"
     note: str = ""
 
     @property
@@ -218,6 +233,13 @@ class _ScoreEngine:
     ``weights`` they are score-tested with the model-based variance; with
     row weights they are divided by the weights and the variance is the
     within-subject-robust one.
+
+    For the additive family with the default q* the added columns are affine
+    in psi, Z(psi) = Z_0 + sum_j psi_j Z_j with Z_0 pairing Y and Z_j pairing
+    S_j with the cofactors.  The score U(psi) = a + B psi and its variance,
+    quadratic in psi, then come from the score and variance of the stacked
+    [Z_0, ..., Z_d], computed once (``affine``): ``stats`` scores a whole
+    batch of psi in O(q^2) per point and ``root`` solves B psi = -a.
     """
 
     def __init__(self, dataset: Dataset, blip_spec: BlipSpec, rows, occs, C, *,
@@ -229,6 +251,7 @@ class _ScoreEngine:
             raise EstimationError(
                 "g-estimation needs binary treatments at the pooled occasions"
             )
+        _check_outcomes(blip_spec.family, dataset.Y)
         self.dataset = dataset
         self.family = blip_spec.family
         self.occs = list(occs)
@@ -248,6 +271,27 @@ class _ScoreEngine:
             coef = self.fit.coef
         self.eps = self.resp - expit(self.X @ coef)
 
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The score blocks (d+1, q) and variance blocks (d+1, q, d+1, q) of
+        [Z_0, ..., Z_d]; None unless the family is additive with the default q*.
+        Built on first use, so engines that only ``report`` never pay for it."""
+        if self.family != "additive" or self.qstar is not None:
+            return None
+        d, q = self.S.shape[1], self.C[0].shape[1]
+        bases = [self.dataset.Y] + [self.S[:, j] for j in range(d)]
+        Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
+                       for b in bases])
+        if self.weights is None:
+            U, V = _added_moments(self.X, self.resp, Z, fit=self.fit, known_coef=self.known)
+        else:
+            U, V = _robust_moments(self.X, self.resp, Z, self.subj, fit=self.fit,
+                                   known_coef=self.known)
+        return U.reshape(d + 1, q), V.reshape(d + 1, q, d + 1, q)
+
+    def _weighted(self, Z: np.ndarray) -> np.ndarray:
+        return Z if self.weights is None else Z / self.weights[:, None]
+
     def h_of(self, psi: np.ndarray) -> np.ndarray:
         return _residual_outcome(self.family, self.dataset.Y, self.S @ psi)
 
@@ -260,8 +304,7 @@ class _ScoreEngine:
             blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
         else:
             blocks = [h[:, None] * C for C in self.C]
-        Z = np.vstack(blocks)
-        return Z if self.weights is None else Z / self.weights[:, None]
+        return self._weighted(np.vstack(blocks))
 
     def report(self, psi) -> TestReport:
         Z = self.zmat(np.atleast_1d(np.asarray(psi, dtype=float)))
@@ -272,6 +315,29 @@ class _ScoreEngine:
         return robust_score_test(self.X, self.resp, Z, self.subj, fit=self.fit,
                                  known_coef=self.known, level=self.level,
                                  note=self.note)
+
+    def stats(self, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Statistics and p-values at each row of ``psis``: one batched pass
+        for an affine score, else one ``report`` per row."""
+        if self.affine is None:
+            reps = [self.report(p) for p in psis]
+            return (np.array([r.statistic for r in reps]),
+                    np.array([r.p_value for r in reps]))
+        u, M = self.affine
+        c = np.column_stack([np.ones(len(psis)), psis])
+        V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=True)
+        stat, _, p = _quadratic_stats(c @ u, V)
+        return stat, p
+
+    def root(self) -> np.ndarray | None:
+        """The psi where an affine score vanishes, if its slope B is nonsingular."""
+        if self.affine is None:
+            return None
+        u = self.affine[0]
+        B = u[1:].T
+        if not np.linalg.cond(B) < _ROOT_COND_LIMIT:
+            return None
+        return np.linalg.solve(B, -u[0])
 
     def signed_score(self, psi_scalar: float) -> float:
         return float(self.zmat(np.array([psi_scalar]))[:, 0] @ self.eps)
@@ -330,12 +396,16 @@ def g_estimate(
     """g-estimation: psi values whose residual outcome looks randomized.
 
     For each candidate psi the residual outcome H(psi) is tested as an added
-    covariate in the pooled treatment model (score test); the estimate
-    minimizes the statistic and the confidence set collects grid points not
-    rejected at ``level``.  ``psi_box`` is (lo, hi) per component; the default
-    q* pairs H with each cofactor of the blip family.  ``occasions`` limits
-    both where the family acts and which treatments are score-tested; by
-    default the family covers every occasion.
+    covariate in the pooled treatment model (score test); the estimate is
+    the psi whose statistic is smallest and the confidence set collects grid
+    points not rejected at ``level``.  For the additive family with the
+    default q* the score is affine in psi, so the grid is scored in one
+    batch and the estimate is the score's root (Robins' closed-form
+    g-estimator); otherwise a numerical search finds it.  ``method`` on the
+    result says which path produced psi_hat.  ``psi_box`` is (lo, hi) per
+    component; the default q* pairs H with each cofactor of the blip family.
+    ``occasions`` limits both where the family acts and which treatments are
+    score-tested; by default the family covers every occasion.
     """
     box = np.atleast_2d(np.asarray(psi_box, dtype=float))
     if box.shape != (blip_spec.dim, 2):
@@ -349,20 +419,30 @@ def g_estimate(
 
 def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...],
             level: float) -> GEstimate:
-    """Grid the box, locate the score minimum, and invert the test."""
+    """Grid the box, locate the score minimum, and invert the test.
+
+    psi_hat is the root of an affine score (``_ScoreEngine.root``) when it
+    lies where the numerical search would look: within two grid steps of
+    the grid minimum in 1-D, inside the box otherwise.  Failing that, 1-D
+    bisects the signed score near the grid minimum, or else minimizes the
+    statistic between the minimum's grid neighbours; d >= 2 runs
+    Nelder-Mead from the five best grid points.
+    """
     grid, resolution = _grid(box, points)
     G = grid.shape[0]
-    stats_arr = np.empty(G)
-    pvals = np.empty(G)
-    for i in range(G):
-        rep = eng.report(grid[i])
-        stats_arr[i] = rep.statistic
-        pvals[i] = rep.p_value
+    stats_arr, pvals = eng.stats(grid)
     imin = int(np.argmin(stats_arr))
+    root = eng.root()
     boundary = False
     if dim == 1:
-        psi_hat = _refine_scalar(eng, grid[:, 0], imin)
+        window = grid[max(imin - 2, 0), 0], grid[min(imin + 2, G - 1), 0]
+        if root is not None and window[0] <= root[0] <= window[1]:
+            psi_hat, method = root, "closed-form"
+        else:
+            psi_hat, method = _refine_scalar(eng, grid[:, 0], imin), "bisection"
         if psi_hat is None:
+            import scipy.optimize
+
             lo_edge = imin in (0, G - 1)
             lo = grid[max(imin - 1, 0), 0]
             hi = grid[min(imin + 1, G - 1), 0]
@@ -370,9 +450,13 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
                 lambda v: eng.report([v]).statistic, bounds=(lo, hi),
                 method="bounded", options={"xatol": 1e-10},
             )
-            psi_hat = np.array([float(res.x)])
+            psi_hat, method = np.array([float(res.x)]), "bounded"
             boundary = lo_edge
+    elif root is not None and np.all((box[:, 0] <= root) & (root <= box[:, 1])):
+        psi_hat, method = root, "closed-form"
     else:
+        import scipy.optimize
+
         order = np.argsort(stats_arr)
         starts = [grid[i] for i in order[:5]]
         best, best_val = None, np.inf
@@ -384,9 +468,13 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
             )
             if res.fun < best_val:
                 best, best_val = np.clip(res.x, box[:, 0], box[:, 1]), res.fun
-        psi_hat = np.asarray(best, dtype=float)
+        psi_hat, method = np.asarray(best, dtype=float), "nelder-mead"
         edge = (np.abs(psi_hat - box[:, 0]) < 1e-9) | (np.abs(psi_hat - box[:, 1]) < 1e-9)
-        # 2 * gammaincinv(dim / 2, 0.5) is the median of chi-square(dim).
+        # A minimum clipped to the box edge is flagged only when the data
+        # still reject there more than a typical null draw would: the
+        # statistic exceeds the median of chi-square(dim), which is
+        # 2 * gammaincinv(dim / 2, 0.5).  A heuristic, not a test: an edge
+        # minimum with a smaller statistic is taken as a fit, not a boundary.
         boundary = bool(np.any(edge) and best_val > 2.0 * gammaincinv(dim / 2, 0.5))
     at_hat = eng.report(psi_hat)
     return GEstimate(
@@ -401,6 +489,7 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
         resolution=resolution,
         level=level,
         note=eng.note,
+        method=method,
     )
 
 
@@ -492,8 +581,7 @@ def sndm_mle(
     for m, terms in terms_by_m.items():
         _check_cov_terms(terms, m)
     sizes = [len(terms_by_m[m]) for m in modeled]
-    if blip_spec.family == "multiplicative" and np.any(Y <= 0):
-        raise EstimationError("multiplicative blip family requires positive outcomes")
+    _check_outcomes(blip_spec.family, Y)
 
     fixed = psi_fixed is not None
     psi_fix = np.atleast_1d(np.asarray(psi_fixed, dtype=float)) if fixed else None
@@ -543,6 +631,8 @@ def sndm_mle(
         k = d
     x0[k] = float(np.mean(Y))
     x0[k + 1] = float(np.log(np.std(Y) + 1e-8))
+    import scipy.optimize
+
     res = scipy.optimize.minimize(
         negll, x0, method="L-BFGS-B",
         options={"maxiter": maxiter, "maxfun": 5 * maxiter, "ftol": 1e-12, "gtol": 1e-9},

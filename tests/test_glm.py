@@ -221,6 +221,16 @@ class TestPValues:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # Only the numerical fallbacks of the g-estimation search and the
+        # SNDM likelihood fit use it; they import it when they run.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
 
 class TestScoreTestAdded:
     def test_zero_column_gives_zero(self):

@@ -4,13 +4,23 @@
 g-estimation) are the former per-analysis engines, kept here unchanged as
 oracles, together with the former per-point ``g_test_at`` scan of the naive
 direct-effect analysis.  The merged ``sndm._ScoreEngine`` must reproduce
-their statistics, p-values, signed scores and searches bit for bit.
+their statistics, p-values and signed scores bit for bit.
+
+``_ref_search`` is the former search: one score test per grid point, then
+bisection, a bounded scalar minimization or Nelder-Mead.  The closed-form
+search scores the grid in one batch and takes psi_hat from the root of the
+affine score, so it must agree with ``_ref_search`` to rounding: exactly on
+the grid, the accepted set and the flags, within 1e-10 on statistics,
+p-values and 1-D estimates, and within 1e-6 on estimates in d >= 2 with a
+statistic no larger than the former one.
 """
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincinv
 
 from gmethods import direct_effect, sndm
 from gmethods.direct_effect import (
@@ -43,13 +53,16 @@ from gmethods.scenarios import (
     sndm_scenario,
 )
 from gmethods.sndm import (
+    GEstimate,
     _g_engine,
+    _grid,
     _residual_outcome,
     _search,
     _stack_shifts,
     additive_blip,
     cofactor_matrix,
     g_estimate,
+    multiplicative_blip,
 )
 
 SNDM_TERMS = ("1", "lm", "a_prev")
@@ -191,6 +204,87 @@ class _RefDeEngine:
         return float(Z[:, 0] @ (self.resp - expit(self.X @ coef)))
 
 
+def _ref_search(eng, dim, box, points, level):
+    """Grid the box, locate the score minimum, and invert the test."""
+    grid, resolution = _grid(box, points)
+    G = grid.shape[0]
+    stats_arr = np.empty(G)
+    pvals = np.empty(G)
+    for i in range(G):
+        rep = eng.report(grid[i])
+        stats_arr[i] = rep.statistic
+        pvals[i] = rep.p_value
+    imin = int(np.argmin(stats_arr))
+    boundary = False
+    if dim == 1:
+        psi_hat, method = _ref_refine_scalar(eng, grid[:, 0], imin), "bisection"
+        if psi_hat is None:
+            lo_edge = imin in (0, G - 1)
+            lo = grid[max(imin - 1, 0), 0]
+            hi = grid[min(imin + 1, G - 1), 0]
+            res = scipy.optimize.minimize_scalar(
+                lambda v: eng.report([v]).statistic, bounds=(lo, hi),
+                method="bounded", options={"xatol": 1e-10},
+            )
+            psi_hat, method = np.array([float(res.x)]), "bounded"
+            boundary = lo_edge
+    else:
+        order = np.argsort(stats_arr)
+        starts = [grid[i] for i in order[:5]]
+        best, best_val = None, np.inf
+        for s in starts:
+            res = scipy.optimize.minimize(
+                lambda v: eng.report(np.clip(v, box[:, 0], box[:, 1])).statistic,
+                s, method="Nelder-Mead",
+                options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
+            )
+            if res.fun < best_val:
+                best, best_val = np.clip(res.x, box[:, 0], box[:, 1]), res.fun
+        psi_hat, method = np.asarray(best, dtype=float), "nelder-mead"
+        edge = (np.abs(psi_hat - box[:, 0]) < 1e-9) | (np.abs(psi_hat - box[:, 1]) < 1e-9)
+        boundary = bool(np.any(edge) and best_val > 2.0 * gammaincinv(dim / 2, 0.5))
+    at_hat = eng.report(psi_hat)
+    return GEstimate(
+        psi_hat=np.atleast_1d(psi_hat),
+        statistic_at_hat=at_hat.statistic,
+        p_at_hat=at_hat.p_value,
+        boundary=boundary,
+        grid=grid,
+        grid_stats=stats_arr,
+        grid_pvals=pvals,
+        accepted=pvals >= level,
+        resolution=resolution,
+        level=level,
+        note=eng.note,
+        method=method,
+    )
+
+
+def _ref_refine_scalar(eng, grid1d, imin):
+    """Bisection on the signed score if it changes sign near the grid minimum."""
+    G = len(grid1d)
+    candidates = []
+    for i in range(max(0, imin - 2), min(G - 1, imin + 2)):
+        candidates.append((i, i + 1))
+    for i, j in candidates:
+        si, sj = eng.signed_score(grid1d[i]), eng.signed_score(grid1d[j])
+        if si == 0.0:
+            return np.array([grid1d[i]])
+        if si * sj < 0:
+            lo, hi, slo = grid1d[i], grid1d[j], si
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                sm = eng.signed_score(mid)
+                if sm == 0.0 or (hi - lo) < 1e-12 * (1.0 + abs(mid)):
+                    return np.array([mid])
+                if slo * sm < 0:
+                    hi = mid
+                else:
+                    lo, slo = mid, sm
+            return np.array([0.5 * (lo + hi)])
+    return None
+
+
 def _ref_de_weights(dataset, split, z_laws, z_terms=("1", "lm", "a_prev")):
     if not split.z_occasions:
         return IpwWeights({}, "design")
@@ -209,7 +303,7 @@ def _ref_de_g_estimate(dataset, split, spec, *, psi_box, z_laws=None,
               else tuple(grid_points))
     weights = _ref_de_weights(dataset, split, z_laws)
     eng = _RefDeEngine(dataset, split, spec, weights, p_alpha_known, level)
-    return _search(eng, spec.blip.dim, box, points, level)
+    return _ref_search(eng, spec.blip.dim, box, points, level)
 
 
 def _ref_scan(dataset, grid, a1_alpha_known, level=0.05):
@@ -232,11 +326,22 @@ def _same_report(a, b):
         (b.statistic, b.df, b.reference, b.p_value, b.level, b.reject, b.note)
 
 
-def _same_estimate(a, b):
-    for field in ("psi_hat", "grid", "grid_stats", "grid_pvals", "accepted"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
-    assert (a.statistic_at_hat, a.p_at_hat, a.boundary, a.resolution, a.level, a.note) == \
-        (b.statistic_at_hat, b.p_at_hat, b.boundary, b.resolution, b.level, b.note)
+def _close_estimate(new, ref):
+    """``new`` agrees with the former search ``ref`` up to rounding."""
+    for field in ("grid", "accepted"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field), err_msg=field)
+    assert (new.boundary, new.resolution, new.level, new.note) == \
+        (ref.boundary, ref.resolution, ref.level, ref.note)
+    scale = np.maximum(1.0, np.abs(ref.grid_stats))
+    assert np.all(np.abs(new.grid_stats - ref.grid_stats) <= 1e-10 * scale)
+    np.testing.assert_allclose(new.grid_pvals, ref.grid_pvals, rtol=0, atol=1e-10)
+    if new.method != "closed-form":
+        assert new.method == ref.method
+    if new.psi_hat.size == 1:
+        np.testing.assert_allclose(new.psi_hat, ref.psi_hat, rtol=0, atol=1e-10)
+    else:
+        np.testing.assert_allclose(new.psi_hat, ref.psi_hat, rtol=0, atol=1e-6)
+        assert new.statistic_at_hat <= ref.statistic_at_hat + 1e-12
 
 
 def _qstar_cols(h, L, A, m):
@@ -298,7 +403,8 @@ def test_g_estimate_matches_the_former_search(known, points):
     est = g_estimate(ds, spec, treatment_terms=SNDM_TERMS, alpha_known=alpha,
                      psi_box=box, grid_points=points)
     ref = _RefGEngine(ds, spec, SNDM_TERMS, None, alpha, None, 0.05)
-    _same_estimate(est, _search(ref, dim, np.asarray(box), points, 0.05))
+    assert est.method == "closed-form"
+    _close_estimate(est, _ref_search(ref, dim, np.asarray(box), points, 0.05))
 
 
 @pytest.mark.parametrize("case", [
@@ -314,8 +420,9 @@ def test_direct_effect_g_estimate_matches_the_former_engine(case):
     spec = DeSndmSpec(additive_blip(*cofactors))
     box = ((0.0, 2.0), (-0.5, 1.5))[:len(cofactors)]
     kw = dict(psi_box=box, z_laws=z_laws, p_alpha_known=known, grid_points=points)
-    _same_estimate(direct_effect_g_estimate(ds, SPLIT01, spec, **kw),
-                   _ref_de_g_estimate(ds, SPLIT01, spec, **kw))
+    est = direct_effect_g_estimate(ds, SPLIT01, spec, **kw)
+    assert est.method == "closed-form"
+    _close_estimate(est, _ref_de_g_estimate(ds, SPLIT01, spec, **kw))
 
 
 @settings(max_examples=6, deadline=None)
@@ -354,5 +461,86 @@ def test_full_family_fit_matches_the_former_search():
     rep = naive_direct_effect_demo(ds, a1_alpha_known=alpha, fit_full=True)
     ref = _RefGEngine(ds, additive_blip("1", "a0", "lm", "a0*lm"), ("1", "lm", "a0"),
                       None, alpha, (1,), 0.05)
-    want = _search(ref, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, 0.05).psi_hat
-    np.testing.assert_array_equal(rep.psi_full, want)
+    want = _ref_search(ref, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, 0.05)
+    np.testing.assert_allclose(rep.psi_full, want.psi_hat, rtol=0, atol=1e-6)
+    got = ref.report(rep.psi_full).statistic
+    assert got <= want.statistic_at_hat + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The closed-form search against the former search, on the same engine.
+# ---------------------------------------------------------------------------
+
+
+def _engine_case(source, case, seed, n, dim, known):
+    """An engine, its box and its grid for one comparison.
+
+    ``case`` "inside" puts the score's root inside the box, "outside" puts
+    it beyond the box (the numerical fallbacks run), and "zero" adds an
+    all-zero cofactor, whose score and variance vanish: B is singular and V
+    rank-deficient.
+    """
+    if case == "zero":
+        # l0 is constant 0 in the direct-effect scenario.
+        ds = simulate(direct_effect_scenario(psi=(1.0, 0.5)), n, seed=seed)
+        cofactors = ("1", "l0")[2 - dim:]
+    elif source == "g":
+        cofactors = ("1", "a_prev")[:dim]
+        ds = simulate(sndm_scenario(cofactors=cofactors, psi=(1.0, 0.5)[:dim]), n, seed=seed)
+    else:
+        ds = simulate(direct_effect_scenario(psi=(1.0, 0.5)), n, seed=seed)
+        cofactors = ("1", "a1")[:dim]
+    box = ((0.0, 2.0), (-0.5, 1.5))[:dim] if case != "outside" else \
+        ((3.0, 5.0), (2.5, 4.5))[:dim]
+    points = (41,) if dim == 1 else (7, 7)
+    if source == "g":
+        eng = _g_engine(ds, additive_blip(*cofactors), SNDM_TERMS, None,
+                        SNDM_ALPHA if known else None, None, 0.05)
+    else:
+        weights = _ref_de_weights(ds, SPLIT01, None if seed % 2 else {1: DE_A1_LAW})
+        eng = _de_engine(ds, SPLIT01, DeSndmSpec(additive_blip(*cofactors)), weights,
+                         (0.0,) if known else None, 0.05)
+    return eng, np.asarray(box), points
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(150, 800), dim=st.sampled_from([1, 2]),
+       known=st.booleans(), source=st.sampled_from(["g", "de"]),
+       case=st.sampled_from(["inside", "outside", "zero"]))
+def test_closed_form_search_matches_the_former_search(seed, n, dim, known, source, case):
+    eng, box, points = _engine_case(source, case, seed, n, dim, known)
+    new = _search(eng, dim, box, points, 0.05)
+    _close_estimate(new, _ref_search(eng, dim, box, points, 0.05))
+    if case == "inside":
+        assert new.method == "closed-form"
+    if case == "zero" and dim == 2:
+        assert eng.root() is None
+        assert new.method == "nelder-mead"
+
+
+@pytest.mark.parametrize("source", ["g", "de"])
+@pytest.mark.parametrize("known", [True, False])
+def test_batched_statistics_match_per_point_reports(source, known):
+    eng = _engine_case(source, "inside", 11, 500, 2, known)[0]
+    psis = _grid(np.array([(-4.0, 6.0), (-3.0, 5.0)]), (9, 9))[0]
+    stat, p = eng.stats(psis)
+    reps = [eng.report(v) for v in psis]
+    want = np.array([r.statistic for r in reps])
+    assert np.all(np.abs(stat - want) <= 1e-10 * np.maximum(1.0, want))
+    np.testing.assert_allclose(p, [r.p_value for r in reps], rtol=0, atol=1e-10)
+    root = eng.root()
+    assert eng.report(root).statistic < 1e-12
+
+
+def test_qstar_and_multiplicative_engines_have_no_closed_form():
+    box = np.array([(0.0, 2.0)])
+    ds = simulate(sndm_scenario(), 300, seed=3)
+    eng = _g_engine(ds, additive_blip("1"), SNDM_TERMS, _qstar_row, None, None, 0.05)
+    assert eng.affine is None and eng.root() is None
+    est = _search(eng, 1, box, (21,), 0.05)
+    assert est.method == "bisection"
+    _close_estimate(est, _ref_search(eng, 1, box, (21,), 0.05))
+    ds = simulate(sndm_scenario(psi=(0.5,), family="multiplicative"), 300, seed=3)
+    eng = _g_engine(ds, multiplicative_blip("1"), SNDM_TERMS, None, None, None, 0.05)
+    assert eng.affine is None and eng.root() is None
+    _close_estimate(_search(eng, 1, box, (21,), 0.05), _ref_search(eng, 1, box, (21,), 0.05))

@@ -250,6 +250,42 @@ class TestGEstimation:
         assert rep.df == 2
         assert np.isfinite(rep.statistic)
 
+    def test_search_path_is_reported(self):
+        ds = simulate(sndm_scenario(psi=(1.0,)), 500, seed=8)
+        kw = dict(treatment_terms=SNDM_TERMS, alpha_known=SNDM_ALPHA, grid_points=21)
+        assert g_estimate(ds, additive_blip("1"), psi_box=((0.0, 2.0),), **kw).method \
+            == "closed-form"
+        # Root beyond the box: the statistic is minimized between grid points.
+        assert g_estimate(ds, additive_blip("1"), psi_box=((3.0, 5.0),), **kw).method \
+            == "bounded"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_recovers_multiplicative_psi(self, seed):
+        ds = simulate(sndm_scenario(psi=(0.5,), family="multiplicative"), 1500, seed=seed)
+        assert np.all(ds.Y > 0)
+        est = g_estimate(ds, multiplicative_blip("1"), treatment_terms=SNDM_TERMS,
+                         psi_box=((0.0, 1.0),), grid_points=21)
+        assert abs(est.psi_hat[0] - 0.5) < 0.05
+        assert est.method == "bisection"
+        assert est.statistic_at_hat < 1e-8
+
+    def test_multiplicative_positivity_is_checked_before_any_test(self, monkeypatch):
+        from gmethods import sndm
+
+        calls = []
+        for name in ("score_test_added", "fit_logistic"):
+            real = getattr(sndm, name)
+            monkeypatch.setattr(sndm, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        ds = simulate(sndm_scenario(psi=(1.0,)), 300, seed=9)
+        assert np.any(ds.Y <= 0)
+        spec = multiplicative_blip("1")
+        with pytest.raises(EstimationError, match="positive"):
+            g_test_at(ds, spec, (0.5,), treatment_terms=SNDM_TERMS)
+        with pytest.raises(EstimationError, match="positive"):
+            g_estimate(ds, spec, treatment_terms=SNDM_TERMS, psi_box=((0.0, 1.0),))
+        assert calls == []
+
 
 COV_TERMS = {0: ("1", "h"), 1: ("h", "a0", "l0")}
 
