@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import yaml
@@ -222,8 +223,13 @@ def cmd_study(args) -> int:
     print(f"study log: {log_path}")
     errored = [r for r in rows if r.error]
     if errored:
-        print(f"{len(errored)} replicate analysis run(s) errored; see the log",
-              file=sys.stderr)
+        kinds = Counter(r.error.split(":", 1)[0] for r in errored)
+        counts = ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
+        first = errored[0]
+        print(f"{len(errored)} replicate analysis run(s) errored ({counts}); "
+              "the log holds nan rows for them", file=sys.stderr)
+        print(f"first error: replicate {first.replicate}, analysis {first.analysis}: "
+              f"{first.error}", file=sys.stderr)
         return 1
     return 0
 

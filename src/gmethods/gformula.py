@@ -2,9 +2,12 @@
 
 The internal standard object is the survivor function S_g(y) = pr[Y_g > y]
 of the outcome under a regime g; CSV export converts to the distribution
-function F = 1 - S.  Exact evaluation consumes a JointTable (finite joint
-law of the observable record); Monte Carlo evaluation consumes conditional
-law objects and rolls trajectories forward under the regime.
+function F = 1 - S.  Exact, conditional and Monte Carlo evaluation all read
+the same conditional laws of a JointTable (finite joint law of the
+observable record; ``ConditionalLaws.from_table``).  The exact and
+conditional forms roll those laws forward under the regime one array of
+live histories per occasion; the Monte Carlo form draws trajectories from
+them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import History, Regime, Schema, apply_regime, regime_values
+from .data import History, Regime, Schema, regime_values
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import Cols
 from .glm import expit
@@ -175,116 +178,6 @@ class RegimeDistribution:
                     w.writerow([repr(float(v))])
 
 
-def _regime_prefix(table: JointTable, regime: Regime, l_prefix: tuple[float, ...]) -> list[float]:
-    """Treatments the regime assigns along an observed covariate prefix."""
-    out: list[float] = []
-    for j in range(len(l_prefix)):
-        hist = History(j, tuple(l_prefix[: j + 1]), tuple(out))
-        out.append(apply_regime(regime, hist))
-    return out
-
-
-def _terminal_survivor(table: JointTable, assign: dict[int, float]):
-    """Atoms and conditional probabilities of Y given a full (l, a) path."""
-    mask = table.match(assign)
-    denom = float(table.probs[mask].sum())
-    if denom < _POSITIVITY_EPS:
-        raise PositivityError(
-            "regime requires the outcome law at a history with zero probability"
-        )
-    y = table.cells[mask, -1]
-    p = table.probs[mask] / denom
-    return y, p
-
-
-def _accumulate_paths(
-    table: JointTable,
-    regime: Regime,
-    m: int,
-    l_prefix: list[float],
-    a_prefix: list[float],
-    weight: float,
-    out: dict[float, float],
-) -> None:
-    """Walk covariate paths from occasion m, all earlier values fixed."""
-    K = table.schema.K
-    if m > K:
-        assign = {}
-        for j in range(K + 1):
-            assign[table.l_col(j)] = l_prefix[j]
-            assign[table.a_col(j)] = a_prefix[j]
-        y, p = _terminal_survivor(table, assign)
-        for v, q in zip(y, p):
-            key = round(float(v), 12)
-            out[key] = out.get(key, 0.0) + weight * float(q)
-        return
-    # conditioning event for f(l_m | history): all earlier l's and a's
-    cond = {}
-    for j in range(m):
-        cond[table.l_col(j)] = l_prefix[j]
-        cond[table.a_col(j)] = a_prefix[j]
-    denom = table.prob(cond) if cond else 1.0
-    if denom < _POSITIVITY_EPS:
-        raise PositivityError(
-            f"conditioning event at occasion {m} has probability ~0 under the table"
-        )
-    for lv in table.covariate_support(m):
-        num = table.prob({**cond, table.l_col(m): float(lv)})
-        f = num / denom
-        if f <= 0.0:
-            continue
-        hist = History(m, tuple(l_prefix + [float(lv)]), tuple(a_prefix))
-        am = apply_regime(regime, hist)
-        _accumulate_paths(
-            table, regime, m + 1,
-            l_prefix + [float(lv)], a_prefix + [am],
-            weight * f, out,
-        )
-
-
-def g_formula_exact(table: JointTable, regime: Regime) -> RegimeDistribution:
-    """Exact standardized outcome law under the regime."""
-    out: dict[float, float] = {}
-    _accumulate_paths(table, regime, 0, [], [], 1.0, out)
-    atoms = np.array(sorted(out.keys()))
-    probs = np.array([out[k] for k in sorted(out.keys())])
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise EstimationError(f"path weights sum to {total!r}; table is inconsistent")
-    return RegimeDistribution.exact(atoms, probs / total, regime.name)
-
-
-def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> RegimeDistribution:
-    """Standardized law given covariate history l_bar_m, treatments by regime.
-
-    Treatments before hist.m are those the regime assigns along the observed
-    covariate prefix; from hist.m on, the regime continues and remaining
-    covariates are integrated out.
-    """
-    m = hist.m
-    a_prefix = _regime_prefix(table, regime, hist.l_bar[:m]) if m > 0 else []
-    cond = {}
-    for j in range(m + 1):
-        cond[table.l_col(j)] = hist.l_bar[j]
-    for j in range(m):
-        cond[table.a_col(j)] = a_prefix[j]
-    if table.prob(cond) < _POSITIVITY_EPS:
-        raise PositivityError("conditioning event of probability zero")
-    out: dict[float, float] = {}
-    am = apply_regime(regime, hist)
-    _accumulate_paths(
-        table, regime, m + 1,
-        list(hist.l_bar), a_prefix + [am],
-        1.0, out,
-    )
-    atoms = np.array(sorted(out.keys()))
-    probs = np.array([out[k] for k in sorted(out.keys())])
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise EstimationError(f"path weights sum to {total!r}; table is inconsistent")
-    return RegimeDistribution.exact(atoms, probs / total, regime.name)
-
-
 class _TableLaw:
     """Exact law of one table column given other columns, read off a JointTable.
 
@@ -308,19 +201,30 @@ class _TableLaw:
         live = self.mass > 0.0
         self.probs = np.zeros((G, V))
         self.probs[live] = joint[live] / self.mass[live, None]
-        self._cpt = {tuple(k): p for k, p, ok in zip(self.keys, self.probs, live) if ok}
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """``probs`` rows for the parent rows ``rows``: a (rows, values) matrix.
+
+        A parent row missing from the table, or with mass below
+        ``_POSITIVITY_EPS``, raises ``PositivityError`` naming its columns.
+        """
+        G = len(self.keys)
+        both, group = group_rows(np.vstack([self.keys, rows]))
+        key_of = np.full(len(both), -1)
+        key_of[group[:G]] = np.arange(G)
+        idx = key_of[group[G:]]
+        bad = (idx < 0) | (self.mass[idx] < _POSITIVITY_EPS)
+        if np.any(bad):
+            at = dict(zip(self.parent_names, map(float, rows[np.argmax(bad)])))
+            raise PositivityError(f"law of {self.name} required for an unsupported history {at}")
+        return self.probs[idx]
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         """Draw the column given each row's parent values in ``cols``."""
         parts = [cols[name] for name in self.parent_names]
         keys, inverse = group_rows(np.column_stack(parts) if parts else np.zeros((n, 0)))
         out = np.empty(n)
-        for g, key in enumerate(keys):
-            probs = self._cpt.get(tuple(key))
-            if probs is None:
-                raise PositivityError(
-                    f"law of {self.name} required for an unsupported history {tuple(key)}"
-                )
+        for g, probs in enumerate(self.lookup(keys)):
             sel = inverse == g
             out[sel] = rng.choice(self.values, size=int(sel.sum()), p=probs)
         return out
@@ -328,10 +232,12 @@ class _TableLaw:
 
 @dataclass(frozen=True)
 class ConditionalLaws:
-    """Conditional laws f(l_m | past) and f(y | path) for MC standardization.
+    """Conditional laws f(l_m | past) and f(y | path) for standardization.
 
     Law objects expose ``sample(rng, cols, n)``; covariate laws see columns
-    l0..l_{m-1}, a0..a_{m-1}, the outcome law sees the full path.
+    l0..l_{m-1}, a0..a_{m-1}, the outcome law sees the full path.  Built
+    from a table they are ``_TableLaw``s, whose ``lookup`` the exact and
+    conditional forms also use.
     """
 
     K: int
@@ -349,6 +255,66 @@ class ConditionalLaws:
             tuple(given_past(table.l_col(m)) for m in range(K + 1)),
             given_past(table.cells.shape[1] - 1),
         )
+
+
+def _path(L: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Interleave covariate and treatment prefixes as l0, a0, l1, a1, ..."""
+    P = np.empty((L.shape[0], 2 * L.shape[1]))
+    P[:, 0::2], P[:, 1::2] = L, A
+    return P
+
+
+def _roll_forward(table: JointTable, regime: Regime, L: np.ndarray,
+                  A: np.ndarray) -> RegimeDistribution:
+    """Outcome law under the regime, starting from the single (l, a) prefix
+    held as one row of L and one of A.
+
+    Each remaining occasion extends every live prefix by each covariate value
+    of positive conditional probability, and the regime assigns its
+    treatment; the outcome law is then mixed with the prefixes' weights.
+    """
+    laws = ConditionalLaws.from_table(table)
+    w = np.ones(1)
+    for m in range(L.shape[1], laws.K + 1):
+        f = laws.l_laws[m].lookup(_path(L, A))
+        i, j = np.nonzero(f > 0.0)
+        w = w[i] * f[i, j]
+        L = np.column_stack([L[i], laws.l_laws[m].values[j]])
+        A = np.column_stack([A[i], regime_values(regime, L, m)])
+    atoms, at = np.unique([round(float(v), 12) for v in laws.y_law.values],
+                          return_inverse=True)
+    probs = np.bincount(at, weights=w @ laws.y_law.lookup(_path(L, A)))
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise EstimationError(f"path weights sum to {total!r}; table is inconsistent")
+    keep = probs > 0.0
+    return RegimeDistribution.exact(atoms[keep], probs[keep] / total, regime.name)
+
+
+def g_formula_exact(table: JointTable, regime: Regime) -> RegimeDistribution:
+    """Exact standardized outcome law under the regime."""
+    empty = np.zeros((1, 0))
+    return _roll_forward(table, regime, empty, empty)
+
+
+def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> RegimeDistribution:
+    """Standardized law given covariate history l_bar_m, treatments by regime.
+
+    Treatments through hist.m are those the regime assigns along the observed
+    covariate prefix, and ``hist.a_bar_prev`` must equal them; from hist.m on,
+    the regime continues and remaining covariates are integrated out.
+    """
+    m = hist.m
+    if m > table.schema.K:
+        raise ConfigError(f"history at occasion {m} is past the table's last occasion")
+    L = np.array([hist.l_bar], dtype=float)
+    A = np.column_stack([regime_values(regime, L[:, : j + 1], j) for j in range(m + 1)])
+    if np.any(np.abs(A[0, :m] - np.asarray(hist.a_bar_prev, dtype=float)) > _MATCH_TOL):
+        raise ConfigError(
+            f"history treatments {hist.a_bar_prev} differ from the "
+            f"{tuple(float(a) for a in A[0, :m])} that {regime.name} assigns along {hist.l_bar}"
+        )
+    return _roll_forward(table, regime, L, A)
 
 
 def g_formula_mc(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Schema, constant, discrete
-from .errors import ConfigError, EstimationError, PositivityError
+from .errors import ConfigError, EstimationError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw, group_rows
 from .glm import (
@@ -283,10 +283,10 @@ def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> 
     and make this ``predicate_y_indep_a0``.  The weight conditions l0 on a0
     too, so this is the g-formula when A0 does not depend on L0 (as in
     ``random_sequential_table``, whose L0 is constant).  A covariate history
-    with mass but without some a1 value raises ``PositivityError``.
+    with mass but with (almost) none at some a1 value raises
+    ``PositivityError``.
     """
     law = _y_given(table, [0, 1, 2, 3])
-    row = {tuple(k): i for i, k in enumerate(law.keys) if law.mass[i] > 0.0}
     covs, of_cov = group_rows(table.cells[:, :3])
     cov_mass = np.bincount(of_cov, weights=table.probs)
     covs, cov_mass = covs[cov_mass > 0.0], cov_mass[cov_mass > 0.0]
@@ -295,13 +295,8 @@ def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> 
     a1s = np.unique(np.round(table.cells[table.probs > 0.0, 3], 9))
     curves = np.zeros((len(a1s), len(a0s), len(law.values)))
     for j, a1 in enumerate(a1s):
-        for cov, w, g in zip(covs, weights, of_a0):
-            i = row.get((*cov, a1))
-            if i is None:
-                raise PositivityError(
-                    f"no mass at a1 = {a1:g} given (l0, a0, l1) = {tuple(cov)}"
-                )
-            curves[j, g] += w * law.probs[i]
+        probs = law.lookup(np.column_stack([covs, np.full(len(covs), a1)]))
+        np.add.at(curves[j], of_a0, weights[:, None] * probs)
     return _rows_agree(curves.reshape(-1, len(law.values)),
                        np.repeat(a1s, len(a0s))[:, None], tol)
 

@@ -213,6 +213,17 @@ class TestStudy:
         # statistics with a blank reject field.
         assert lines[1] == "dag1b,150,0,pooled-g,nan,nan,,nan,nan,nan"
 
+    def test_errored_runs_are_named_on_stderr(self, tmp_path, capsys):
+        # The log has no error column, so stderr counts the errors by type
+        # and quotes the first one.
+        rc, _ = self.run(tmp_path, "st10", ["naive", "pooled-g"])
+        assert rc == 1
+        err = stderr_of(capsys).splitlines()
+        assert err[0] == ("2 replicate analysis run(s) errored (2 ConfigError); "
+                          "the log holds nan rows for them")
+        assert err[1] == ("first error: replicate 0, analysis pooled-g: ConfigError: "
+                          "pooled test needs binary treatments; A0 is not 0/1")
+
     def test_jobs_flag_leaves_the_log_unchanged(self, tmp_path):
         _, serial = self.run(tmp_path, "st8", ["naive"], n=120)
         _, par = self.run(tmp_path, "st9", ["naive"], extra=("--jobs", "2"),

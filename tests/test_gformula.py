@@ -223,6 +223,25 @@ class TestConditionalStandardization:
         marginal = g_formula_exact(t, reg)
         assert abs(total - marginal.mean()) < 1e-12
 
+    def test_history_treatments_must_follow_the_regime(self):
+        # The regime sets a0 = 1 along any covariate history, so a history
+        # that records a0 = 0 contradicts it instead of being ignored.
+        t = enumerate_joint(discrete_trial_scenario())
+        reg = Regime.static((1.0, 0.0))
+        g_formula_conditional(t, reg, History(1, (1.0, 0.0), (1.0,)))
+        with pytest.raises(ConfigError, match="differ"):
+            g_formula_conditional(t, reg, History(1, (1.0, 0.0), (0.0,)))
+        dyn = Regime.dynamic(lambda m, lbar: lbar[-1])
+        g_formula_conditional(t, dyn, History(1, (0.0, 1.0), (0.0,)))
+        with pytest.raises(ConfigError, match="differ"):
+            g_formula_conditional(t, dyn, History(1, (1.0, 1.0), (0.0,)))
+
+    def test_history_past_the_last_occasion_is_rejected(self):
+        t = enumerate_joint(discrete_trial_scenario())
+        with pytest.raises(ConfigError, match="past the table's last occasion"):
+            g_formula_conditional(t, Regime.dynamic(lambda m, lbar: 1.0),
+                                  History(2, (1.0, 0.0, 1.0), (1.0, 1.0)))
+
     def test_zero_probability_history_raises(self):
         schema = binary_schema(0)
         cells = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

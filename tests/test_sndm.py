@@ -230,6 +230,25 @@ class TestGEstimation:
         np.testing.assert_allclose(est.psi_hat, [1.0, 0.5], atol=0.3)
         assert est.p_at_hat > 0.5
 
+    @pytest.mark.parametrize("shift, flagged", [(0.02, False), (0.1, True)])
+    def test_clipped_minimum_is_flagged_by_its_statistic(self, shift, flagged):
+        # The box starts just beyond the root's first component, so
+        # Nelder-Mead ends on that edge.  The flag is raised only when the
+        # edge statistic exceeds the chi-square(2) median, 2 log 2.
+        cfg = sndm_scenario(cofactors=("1", "a_prev"), psi=(1.0, 0.5))
+        ds = simulate(cfg, 3000, seed=76)
+        kw = dict(treatment_terms=SNDM_TERMS, alpha_known=SNDM_ALPHA,
+                  grid_points=(13, 13))
+        root = g_estimate(ds, additive_blip("1", "a_prev"),
+                          psi_box=((0.0, 2.0), (-0.5, 1.5)), **kw).psi_hat
+        edge = root[0] + shift
+        est = g_estimate(ds, additive_blip("1", "a_prev"),
+                         psi_box=((edge, edge + 2.0), (-0.5, 1.5)), **kw)
+        assert est.method == "nelder-mead"
+        assert est.psi_hat[0] == pytest.approx(edge, abs=1e-9)
+        assert (est.statistic_at_hat > 2.0 * math.log(2.0)) is flagged
+        assert est.boundary is flagged
+
     def test_box_shape_checked(self):
         ds = simulate(sndm_scenario(), 200, seed=1)
         with pytest.raises(ConfigError, match="psi_box"):

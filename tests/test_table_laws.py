@@ -1,12 +1,13 @@
-"""The row group-by and the history-column builder against the per-module
-code they replaced, which is kept below as the reference."""
+"""The row group-by, the history-column builder and the forward pass over
+table laws against the code they replaced, which is kept below as the
+reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmethods.data import Regime
+from gmethods.data import History, Regime, apply_regime
 from gmethods.direct_effect import (
     DeSndmSpec,
     SplitSchema,
@@ -17,9 +18,12 @@ from gmethods.direct_effect import (
 from gmethods.errors import PositivityError
 from gmethods.features import eval_terms, history_cols
 from gmethods.gformula import (
+    _POSITIVITY_EPS,
     ConditionalLaws,
     JointTable,
     _TableLaw,
+    g_formula_conditional,
+    g_formula_exact,
     g_formula_mc,
     group_rows,
 )
@@ -195,6 +199,102 @@ def masked_moment_check(table, split, spec):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the recursive path walkers behind exact and conditional
+# standardization, one masked sum per path.
+# ---------------------------------------------------------------------------
+
+
+def _regime_prefix(table: JointTable, regime: Regime, l_prefix: tuple[float, ...]) -> list[float]:
+    """Treatments the regime assigns along an observed covariate prefix."""
+    out: list[float] = []
+    for j in range(len(l_prefix)):
+        hist = History(j, tuple(l_prefix[: j + 1]), tuple(out))
+        out.append(apply_regime(regime, hist))
+    return out
+
+
+def _terminal_survivor(table: JointTable, assign: dict[int, float]):
+    """Atoms and conditional probabilities of Y given a full (l, a) path."""
+    mask = table.match(assign)
+    denom = float(table.probs[mask].sum())
+    if denom < _POSITIVITY_EPS:
+        raise PositivityError(
+            "regime requires the outcome law at a history with zero probability"
+        )
+    y = table.cells[mask, -1]
+    p = table.probs[mask] / denom
+    return y, p
+
+
+def _accumulate_paths(
+    table: JointTable,
+    regime: Regime,
+    m: int,
+    l_prefix: list[float],
+    a_prefix: list[float],
+    weight: float,
+    out: dict[float, float],
+) -> None:
+    """Walk covariate paths from occasion m, all earlier values fixed."""
+    K = table.schema.K
+    if m > K:
+        assign = {}
+        for j in range(K + 1):
+            assign[table.l_col(j)] = l_prefix[j]
+            assign[table.a_col(j)] = a_prefix[j]
+        y, p = _terminal_survivor(table, assign)
+        for v, q in zip(y, p):
+            key = round(float(v), 12)
+            out[key] = out.get(key, 0.0) + weight * float(q)
+        return
+    # conditioning event for f(l_m | history): all earlier l's and a's
+    cond = {}
+    for j in range(m):
+        cond[table.l_col(j)] = l_prefix[j]
+        cond[table.a_col(j)] = a_prefix[j]
+    denom = table.prob(cond) if cond else 1.0
+    if denom < _POSITIVITY_EPS:
+        raise PositivityError(
+            f"conditioning event at occasion {m} has probability ~0 under the table"
+        )
+    for lv in table.covariate_support(m):
+        num = table.prob({**cond, table.l_col(m): float(lv)})
+        f = num / denom
+        if f <= 0.0:
+            continue
+        hist = History(m, tuple(l_prefix + [float(lv)]), tuple(a_prefix))
+        am = apply_regime(regime, hist)
+        _accumulate_paths(
+            table, regime, m + 1,
+            l_prefix + [float(lv)], a_prefix + [am],
+            weight * f, out,
+        )
+
+
+def walker_law(table, regime, hist=None) -> dict[float, float]:
+    """Atom -> probability as the walkers' g_formula_exact (no ``hist``) or
+    g_formula_conditional computed it, zero-probability atoms dropped.
+
+    The walkers listed an atom for every matching cell, including cells of
+    probability zero; the forward pass lists only atoms with positive mass.
+    """
+    out: dict[float, float] = {}
+    if hist is None:
+        _accumulate_paths(table, regime, 0, [], [], 1.0, out)
+    else:
+        m = hist.m
+        a_prefix = _regime_prefix(table, regime, hist.l_bar[:m]) if m > 0 else []
+        cond = {table.l_col(j): hist.l_bar[j] for j in range(m + 1)}
+        cond.update({table.a_col(j): a_prefix[j] for j in range(m)})
+        if table.prob(cond) < _POSITIVITY_EPS:
+            raise PositivityError("conditioning event of probability zero")
+        _accumulate_paths(table, regime, m + 1, list(hist.l_bar),
+                          a_prefix + [apply_regime(regime, hist)], 1.0, out)
+    total = sum(out.values())
+    return {k: v / total for k, v in sorted(out.items()) if v > 0.0}
+
+
+# ---------------------------------------------------------------------------
 # Reference: the per-module column builders.
 # ---------------------------------------------------------------------------
 
@@ -223,6 +323,52 @@ def _table(seed: int, y_levels: int) -> JointTable:
 
 def _threshold(m, l_bar):
     return 1.0 if l_bar[-1] >= 0.5 else 0.0
+
+
+def _alternating(m, l_bar):
+    return float((m + sum(l_bar)) % 2)
+
+
+def _hand_table() -> JointTable:
+    """K = 1 table that keeps its zero-probability cells: L1 = 1 never follows
+    (L0, A0) = (0, 1), A1 = 1 never follows (A0, L1) = (1, 1), and Y = 2 has
+    no mass when A1 = 0."""
+    cells, probs = [], []
+    for l0, a0, l1, a1, y in np.ndindex(2, 2, 2, 2, 3):
+        p_l1 = 0.0 if (l0, a0) == (0, 1) else 0.6
+        p_a1 = 0.0 if (a0, l1) == (1, 1) else 0.5
+        p_y = (0.5, 0.5, 0.0) if a1 == 0 else (0.2, 0.3, 0.5)
+        cells.append((l0, a0, l1, a1, y))
+        probs.append(0.5 * 0.5 * (p_l1 if l1 else 1.0 - p_l1)
+                     * (p_a1 if a1 else 1.0 - p_a1) * p_y[y])
+    return JointTable(sequential_trial_scenario(K=1).schema,
+                      np.array(cells, dtype=float), np.array(probs))
+
+
+def _oracle_table(kind: str, seed: int) -> JointTable:
+    rng = np.random.default_rng(seed)
+    if kind == "sequential":
+        K = int(rng.integers(1, 4))
+        effects = tuple(rng.uniform(-1.0, 1.0, K + 1))
+        if rng.random() < 0.5:
+            return enumerate_joint(sequential_trial_scenario(K=K, a_effects=effects),
+                                   y_bins=np.linspace(-2.0, 6.0, 7))
+        return enumerate_joint(sequential_trial_scenario(K=K, a_effects=effects,
+                                                         y_noise_sd=0.0))
+    if kind == "direct-effect":
+        psi = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0)))
+        return enumerate_joint(direct_effect_scenario(psi=psi))
+    if kind == "discrete-trial":
+        a0, a1 = rng.uniform(-1.0, 1.0, 2)
+        return enumerate_joint(discrete_trial_scenario(a0_effect=a0, a1_effect=a1))
+    if kind == "thinned":
+        # Zero whole (a0, l1, a1) histories and single cells.
+        t = random_sequential_table(rng, l_levels=3, y_levels=3)
+        a0, l1, a1 = (t.cells[:, c].astype(int) for c in (1, 2, 3))
+        drop = rng.random((2, 3, 2))[a0, l1, a1] < 0.2
+        probs = np.where(drop | (rng.random(t.probs.size) < 0.1), 0.0, t.probs)
+        return JointTable(t.schema, t.cells, probs / probs.sum())
+    return _hand_table()
 
 
 class TestGroupRows:
@@ -333,6 +479,60 @@ class TestReplacedPathsAreUnchanged:
                 worst = max(worst, max(means) - min(means))
         got = direct_effect_moment_check(ds, split, spec, z_laws=laws)
         assert got.per_occasion == {0: worst}
+
+
+class TestForwardPassOracle:
+    """Exact and conditional standardization against the path walkers: equal
+    atoms, probabilities within 1e-15, and PositivityError in the same cases."""
+
+    @staticmethod
+    def assert_same_law(table, regime, hist=None):
+        def run():
+            if hist is None:
+                return g_formula_exact(table, regime)
+            return g_formula_conditional(table, regime, hist)
+
+        try:
+            want = walker_law(table, regime, hist)
+        except PositivityError:
+            with pytest.raises(PositivityError):
+                run()
+            return
+        got = run()
+        np.testing.assert_array_equal(got.atoms, list(want))
+        np.testing.assert_allclose(got.atom_probs, list(want.values()), rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["sequential", "direct-effect", "discrete-trial",
+                                 "thinned", "hand"]),
+           seed=st.integers(0, 10**6),
+           plan=st.one_of(st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=4),
+                          st.sampled_from([_threshold, _alternating])))
+    def test_exact_and_conditional_laws_match_the_walkers(self, kind, seed, plan):
+        table = _oracle_table(kind, seed)
+        K = table.schema.K
+        regime = (Regime.static(plan[: K + 1]) if isinstance(plan, list)
+                  else Regime.dynamic(plan))
+        self.assert_same_law(table, regime)
+        for m in range(K + 1):
+            l_cols = [table.l_col(j) for j in range(m + 1)]
+            for l_bar in np.unique(table.cells[:, l_cols], axis=0):
+                l_bar = tuple(float(v) for v in l_bar)
+                a_prev = tuple(_regime_prefix(table, regime, l_bar[:m]))
+                self.assert_same_law(table, regime, History(m, l_bar, a_prev))
+
+    def test_hand_table_exercises_both_outcomes(self):
+        t = _hand_table()
+        # A0 = 1 then L1 = 1 (reachable from L0 = 1) leaves no mass at A1 = 1.
+        with pytest.raises(PositivityError, match="a1"):
+            g_formula_exact(t, Regime.static((1.0, 1.0)))
+        with pytest.raises(PositivityError):
+            walker_law(t, Regime.static((1.0, 1.0)))
+        # Y = 2 has zero-probability cells behind A1 = 0 but is not listed.
+        got = g_formula_exact(t, Regime.static((1.0, 0.0)))
+        np.testing.assert_array_equal(got.atoms, [0.0, 1.0])
+        self.assert_same_law(t, Regime.static((0.0, 1.0)))
+        self.assert_same_law(t, Regime.static((1.0, 0.0)))
 
 
 class TestContextKeys:
