@@ -26,7 +26,7 @@ from .direct_effect import (
     direct_effect_gnull_test,
 )
 from .errors import ConfigError, GmethodsError, ValidationError
-from .gformula import ConditionalLaws, g_formula_exact, g_formula_mc
+from .gformula import g_formula_exact, g_formula_mc
 from .reproduce import REPRODUCERS, run as run_reproduction
 from .scenarios import design_alpha, enumerate_joint, make_scenario, simulate
 from .sndm import BlipSpec, g_estimate
@@ -251,7 +251,7 @@ def cmd_g_formula(args) -> int:
     elif method == "mc":
         draws = int(cfg.get("draws", 100_000))
         seed = _seed_of(args, cfg)
-        dist = g_formula_mc(ConditionalLaws.from_table(table), regime, draws, seed)
+        dist = g_formula_mc(table.laws, regime, draws, seed)
     else:
         raise ConfigError("method must be 'exact' or 'mc'")
     out = _out_dir(args, cfg)

@@ -214,6 +214,28 @@ def validate(dataset: Dataset) -> None:
         raise ValidationError(f"row {i}, column Y: non-finite outcome")
 
 
+def group_rows(M: np.ndarray, decimals: int | None = 9) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of M, compared after rounding to ``decimals`` places
+    (exactly, with ``decimals=None``).
+
+    Returns the distinct (rounded) rows in lexicographic order and, for each
+    row of M, the index of its group.  A zero-width M is one group.
+    """
+    R = np.asarray(M, dtype=float)
+    if decimals is not None:
+        R = np.round(R, decimals)
+    n = R.shape[0]
+    if R.shape[1] == 0:
+        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    order = np.lexsort(R.T[::-1])
+    S = R[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
 @dataclass(frozen=True)
 class Regime:
     """A treatment plan: static values or a rule applied to covariate history."""
@@ -248,7 +270,13 @@ def apply_regime(regime: Regime, hist: History) -> float:
 
 
 def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized apply_regime over the rows of L_prefix (n, m+1)."""
+    """Vectorized apply_regime over the rows of L_prefix (n, m+1).
+
+    A dynamic rule must be a pure function of (m, l_bar): it is called once
+    per distinct covariate prefix, with that prefix's own values (rows are
+    grouped by exact equality), and its value is scattered back to every row
+    that shares the prefix.
+    """
     n = L_prefix.shape[0]
     if regime.kind == "static":
         if m >= len(regime.plan):
@@ -257,10 +285,11 @@ def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
                 f"for occasion {m}"
             )
         return np.full(n, float(regime.plan[m]))
-    assert regime.rule is not None
-    return np.array(
-        [float(regime.rule(m, tuple(L_prefix[i, : m + 1]))) for i in range(n)]
-    )
+    if regime.rule is None:
+        raise ConfigError("dynamic regime has no rule")
+    prefixes, inverse = group_rows(L_prefix[:, : m + 1], decimals=None)
+    values = np.array([float(regime.rule(m, tuple(p))) for p in prefixes], dtype=float)
+    return values[inverse]
 
 
 def write_csv(dataset: Dataset, path: str) -> None:

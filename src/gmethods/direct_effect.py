@@ -36,10 +36,10 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, group_rows
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols, term_bases
-from .gformula import JointTable, _TableLaw, group_rows
+from .gformula import JointTable, _TableLaw
 from .glm import (
     TestReport,
     _report,

@@ -4,20 +4,21 @@ The internal standard object is the survivor function S_g(y) = pr[Y_g > y]
 of the outcome under a regime g; CSV export converts to the distribution
 function F = 1 - S.  Exact, conditional and Monte Carlo evaluation all read
 the same conditional laws of a JointTable (finite joint law of the
-observable record; ``ConditionalLaws.from_table``).  The exact and
-conditional forms roll those laws forward under the regime one array of
-live histories per occasion; the Monte Carlo form draws trajectories from
-them.
+observable record; ``ConditionalLaws.from_table``, built once per table as
+``JointTable.laws``).  The exact and conditional forms roll those laws
+forward under the regime one array of live histories per occasion; the
+Monte Carlo form draws trajectories from them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import History, Regime, Schema, regime_values
+from .data import History, Regime, Schema, group_rows, regime_values
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import Cols
 from .glm import expit
@@ -25,25 +26,6 @@ from . import streams
 
 _MATCH_TOL = 1e-9
 _POSITIVITY_EPS = 1e-12
-
-
-def group_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of M, compared after rounding to 9 decimals.
-
-    Returns the distinct rounded rows in lexicographic order and, for each
-    row of M, the index of its group.  A zero-width M is one group.
-    """
-    R = np.round(np.asarray(M, dtype=float), 9)
-    n = R.shape[0]
-    if R.shape[1] == 0:
-        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
-    order = np.lexsort(R.T[::-1])
-    S = R[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return S[first], inverse
 
 
 @dataclass(frozen=True)
@@ -61,6 +43,8 @@ class JointTable:
             raise ConfigError("cell width does not match the schema")
         if probs.shape != (cells.shape[0],):
             raise ConfigError("one probability per support row required")
+        if not (np.all(np.isfinite(cells)) and np.all(np.isfinite(probs))):
+            raise ConfigError("non-finite cell value or probability")
         if np.any(probs < -1e-15):
             raise ConfigError("negative cell probability")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
@@ -71,6 +55,11 @@ class JointTable:
             arr.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "probs", probs)
+
+    @cached_property
+    def laws(self) -> "ConditionalLaws":
+        """The table's conditional laws, built on first use and then kept."""
+        return ConditionalLaws.from_table(self)
 
     @staticmethod
     def l_col(m: int) -> int:
@@ -273,7 +262,7 @@ def _roll_forward(table: JointTable, regime: Regime, L: np.ndarray,
     of positive conditional probability, and the regime assigns its
     treatment; the outcome law is then mixed with the prefixes' weights.
     """
-    laws = ConditionalLaws.from_table(table)
+    laws = table.laws
     w = np.ones(1)
     for m in range(L.shape[1], laws.K + 1):
         f = laws.l_laws[m].lookup(_path(L, A))

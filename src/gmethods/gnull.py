@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Schema, constant, discrete
+from .data import Dataset, Schema, constant, discrete, group_rows
 from .errors import ConfigError, EstimationError
 from .features import eval_terms, history_cols
-from .gformula import JointTable, _TableLaw, group_rows
+from .gformula import JointTable, _TableLaw
 from .glm import (
     ESTIMATED_DESIGN_NOTE,
     TestReport,

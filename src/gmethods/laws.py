@@ -2,8 +2,10 @@
 
 Each law exposes what the samplers and exact evaluators need: ``sample`` for
 vectorized draws given parent columns, ``pmf``/``density`` for likelihood
-evaluation, and a finite ``support`` where one exists.  Parent columns are
-passed as a name -> array mapping (see the features module for term names).
+evaluation, and a finite ``support`` where one exists.  Outcome laws also
+give their ``atoms`` or normal ``bin_probs`` as (n, k) arrays, one row per
+parent row.  Parent columns are passed as a name -> array mapping (see the
+features module for term names).
 """
 
 from __future__ import annotations
@@ -174,18 +176,21 @@ class LinearOutcome:
             out = out + self.noise.sample(rng, n)
         return out
 
-    def atoms(self, cols: Cols) -> list[tuple[float, float]]:
-        """(value, prob) pairs of Y given scalar parents; discrete noise only."""
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        """(values, probs), each (n, k): the k atoms of Y given each of n
+        parent rows; discrete noise or none only."""
         if self.noise_sd > 0.0:
             raise ConfigError("normal-noise outcome has no atoms; pass y_bins")
-        mu = float(self.mean(cols)[0])
+        mu = self.mean(cols)[:, None]
         if self.noise is None:
-            return [(mu, 1.0)]
-        return [(mu + float(v), float(p))
-                for v, p in zip(self.noise.values, self.noise.probs)]
+            return mu, np.ones_like(mu)
+        values = mu + np.asarray(self.noise.values, dtype=float)
+        return values, np.broadcast_to(np.asarray(self.noise.probs, dtype=float),
+                                       values.shape)
 
     def bin_probs(self, cols: Cols, edges: np.ndarray) -> np.ndarray:
-        """Mass of Y in [edge_j, edge_{j+1}) given scalar parents (normal noise)."""
-        mu = float(self.mean(cols)[0])
+        """(n, bins) mass of Y in [edge_j, edge_{j+1}) given each of n parent
+        rows (normal noise)."""
+        mu = self.mean(cols)[:, None]
         cdf = ndtr((np.asarray(edges, dtype=float) - mu) / self.noise_sd)
-        return np.diff(cdf)
+        return np.diff(cdf, axis=1)

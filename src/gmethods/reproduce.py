@@ -24,7 +24,6 @@ from .direct_effect import (
 )
 from .errors import ConfigError, PositivityError
 from .gformula import (
-    ConditionalLaws,
     g_formula_conditional,
     g_formula_exact,
     g_formula_mc,
@@ -329,7 +328,7 @@ def run_appendix29(seed: int | None = None) -> ReproduceReport:
     seed = SEEDS["appendix29"] if seed is None else seed
     cfg = discrete_trial_scenario()
     table = enumerate_joint(cfg)
-    laws = ConditionalLaws.from_table(table)
+    laws = table.laws
     draws = 100_000
     dkw = 3.0 * np.sqrt(np.log(2.0) / (2.0 * draws))
     lines = []

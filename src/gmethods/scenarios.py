@@ -26,6 +26,7 @@ from .data import (
     binary,
     constant,
     continuous,
+    group_rows,
     regime_values,
 )
 from .errors import ConfigError, EstimationError
@@ -67,10 +68,11 @@ class BlipOutcome:
         L, A = self._paths(cols)
         return blip_up(self.blip, np.asarray(cols["u"], dtype=float), L, A)
 
-    def atoms(self, cols: Cols) -> list[tuple[float, float]]:
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        """(values, probs), each (n, 1): the single atom per parent row."""
         L, A = self._paths(cols)
-        y = blip_up(self.blip, np.asarray(cols["u"], dtype=float), L, A)
-        return [(float(y[0]), 1.0)]
+        y = blip_up(self.blip, np.asarray(cols["u"], dtype=float), L, A)[:, None]
+        return y, np.ones_like(y)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,15 @@ def _law_support(law) -> tuple[float, ...]:
     return sup() if callable(sup) else tuple(sup)
 
 
+def _branch(P: np.ndarray, w: np.ndarray, law, cols: Cols):
+    """Extend every path (row of P, weight w) by each support value of law
+    with positive probability; rows stay in (path, support value) order."""
+    sup = np.asarray(_law_support(law), dtype=float)
+    p = np.column_stack([law.pmf(v, cols) for v in sup])
+    i, j = np.nonzero(p > 0.0)
+    return np.column_stack([P[i], sup[j]]), w[i] * p[i, j], i
+
+
 def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) -> JointTable:
     """Exact observable joint law, hidden cause summed out.
 
@@ -175,68 +186,48 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
     have atoms itself or, with normal noise, be discretized by the edge
     vector ``y_bins`` (bin mass is exact; the representative value is the
     bin midpoint, with tail mass folded into the end bins).
+
+    Every live (u, l0, a0, ..., l_m) path is one row of an array, so each
+    law's pmf is evaluated once per support value and occasion.  Rows stay
+    in depth-first order (u atom, then support order at each occasion), and
+    each cell sums its path masses in that order.
     """
     K = config.schema.K
-    if isinstance(config.u_law, (DiscreteMarginal,)):
-        u_atoms = list(zip(config.u_law.values, config.u_law.probs))
-    else:
+    if not isinstance(config.u_law, DiscreteMarginal):
         raise ConfigError("exact enumeration needs a finite-discrete hidden cause")
-    acc: dict[tuple, float] = {}
-
-    def scalar(v: float) -> np.ndarray:
-        return np.array([float(v)])
-
-    def walk_y(u: float, lvals: list[float], avals: list[float], w: float) -> None:
-        cols = history_cols(np.array([lvals]), np.array([avals]), K + 1, K + 1,
-                            extra={"u": scalar(u)})
-        if y_bins is None:
-            pairs = config.y_law.atoms(cols)
-        else:
-            edges = np.asarray(y_bins, dtype=float)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            mass = config.y_law.bin_probs(cols, edges).copy()
-            mu = float(config.y_law.mean(cols)[0])
-            sd = config.y_law.noise_sd
-            mass[0] += ndtr((edges[0] - mu) / sd)
-            mass[-1] += ndtr(-((edges[-1] - mu) / sd))
-            pairs = list(zip(mids, mass))
-        for y, py in pairs:
-            if py <= 0.0:
-                continue
-            key = tuple(
-                round(float(v), 12)
-                for pair in zip(lvals, avals)
-                for v in pair
-            ) + (round(float(y), 12),)
-            acc[key] = acc.get(key, 0.0) + w * float(py)
-
-    def walk(m: int, u: float, lvals: list[float], avals: list[float], w: float) -> None:
-        if m > K:
-            walk_y(u, lvals, avals, w)
-            return
-        Ap = np.array([avals])
-        lcols = history_cols(np.array([lvals]), Ap, m, m, m, extra={"u": scalar(u)})
-        for lv in _law_support(config.l_laws[m]):
-            pl = float(np.asarray(config.l_laws[m].pmf(lv, lcols))[0])
-            if pl <= 0.0:
-                continue
-            acols = history_cols(np.array([lvals + [lv]]), Ap, m + 1, m, m)
-            for av in _law_support(config.a_laws[m]):
-                pa = float(np.asarray(config.a_laws[m].pmf(av, acols))[0])
-                if pa <= 0.0:
-                    continue
-                walk(m + 1, u, lvals + [lv], avals + [av], w * pl * pa)
-
-    for u, pu in u_atoms:
-        if pu <= 0.0:
-            continue
-        walk(0, float(u), [], [], float(pu))
-
-    keys = sorted(acc.keys())
-    cells = np.array(keys, dtype=float)
-    probs = np.array([acc[k] for k in keys])
+    if y_bins is not None and not getattr(config.y_law, "noise_sd", 0.0) > 0.0:
+        raise ConfigError("y_bins discretizes normal outcome noise, and this outcome "
+                          "has none; enumerate its atoms without y_bins")
+    pu = np.asarray(config.u_law.probs, dtype=float)
+    U = np.asarray(config.u_law.values, dtype=float)[pu > 0.0]
+    w = pu[pu > 0.0]
+    P = np.zeros((U.size, 0))  # path columns l0, a0, l1, a1, ...
+    for m in range(K + 1):
+        lcols = history_cols(P[:, 0::2], P[:, 1::2], m, m, m, extra={"u": U})
+        P, w, i = _branch(P, w, config.l_laws[m], lcols)
+        U = U[i]
+        acols = history_cols(P[:, 0::2], P[:, 1::2], m + 1, m, m)
+        P, w, i = _branch(P, w, config.a_laws[m], acols)
+        U = U[i]
+    ycols = history_cols(P[:, 0::2], P[:, 1::2], K + 1, K + 1, extra={"u": U})
+    if y_bins is None:
+        y, py = config.y_law.atoms(ycols)
+    else:
+        edges = np.asarray(y_bins, dtype=float)
+        py = config.y_law.bin_probs(ycols, edges)
+        mu = config.y_law.mean(ycols)
+        sd = config.y_law.noise_sd
+        py[:, 0] += ndtr((edges[0] - mu) / sd)
+        py[:, -1] += ndtr(-((edges[-1] - mu) / sd))
+        y = np.broadcast_to(0.5 * (edges[:-1] + edges[1:]), py.shape)
+    i, j = np.nonzero(py > 0.0)
+    keys = np.column_stack([P[i], y[i, j]])
+    distinct, at = np.unique(keys, return_inverse=True)
+    rounded = np.array([round(float(v), 12) for v in distinct])
+    cells, cell = group_rows(rounded[at].reshape(keys.shape), decimals=None)
+    probs = np.bincount(cell, weights=w[i] * py[i, j], minlength=len(cells))
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise EstimationError(f"enumerated mass {total!r} is not 1; check the laws")
     return JointTable(config.schema, cells, probs / total)
 

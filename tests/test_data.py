@@ -118,6 +118,10 @@ class TestRegime:
         want = [apply_regime(reg, History(1, tuple(L[i]), (0.0,))) for i in range(3)]
         np.testing.assert_array_equal(got, want)
 
+    def test_dynamic_regime_without_rule(self):
+        with pytest.raises(ConfigError, match="no rule"):
+            regime_values(Regime("dynamic"), np.zeros((3, 1)), 0)
+
     def test_default_names(self):
         assert Regime.static((1.0, 0.0)).name == "static(1.0, 0.0)"
         assert Regime.dynamic(lambda m, l: 0.0).name == "dynamic"

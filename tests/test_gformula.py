@@ -49,6 +49,15 @@ class TestJointTable:
         with pytest.raises(ConfigError, match="cell width"):
             JointTable(binary_schema(1), np.zeros((2, 3)), np.full(2, 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_cells_and_probabilities(self, bad):
+        schema = binary_schema(0)
+        cells = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ConfigError, match="non-finite"):
+            JointTable(schema, np.where(cells == 1.0, bad, cells), np.full(2, 0.5))
+        with pytest.raises(ConfigError, match="non-finite"):
+            JointTable(schema, cells, np.array([0.5, bad]))
+
     def test_match_and_prob_arithmetic(self):
         t = one_occasion_table()
         # pr(L0=1) by construction
@@ -193,6 +202,27 @@ class TestExactStandardization:
         t = JointTable(schema, cells, np.array([0.3, 0.3, 0.4]))
         with pytest.raises(PositivityError):
             g_formula_exact(t, Regime.static((1.0,)))
+
+
+class TestTableLawsCache:
+    def test_exact_and_conditional_calls_build_the_laws_once(self, monkeypatch):
+        built = []
+        from_table = ConditionalLaws.from_table
+
+        def spy(table):
+            built.append(table)
+            return from_table(table)
+
+        monkeypatch.setattr(ConditionalLaws, "from_table", staticmethod(spy))
+        t = enumerate_joint(discrete_trial_scenario())
+        reg = Regime.dynamic(lambda m, l_bar: l_bar[-1], "follow-l")
+        g_formula_exact(t, reg)
+        for l0 in (0.0, 1.0):
+            g_formula_conditional(t, reg, History(0, (l0,), ()))
+            for l1 in (0.0, 1.0):
+                g_formula_conditional(t, reg, History(1, (l0, l1), (l0,)))
+        assert len(built) == 1 and built[0] is t
+        assert t.laws is t.laws
 
 
 class TestConditionalStandardization:

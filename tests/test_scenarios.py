@@ -16,6 +16,7 @@ from gmethods.scenarios import (
     dag1b_scenario,
     design_alpha,
     diagnostics,
+    direct_effect_scenario,
     discrete_trial_scenario,
     enumerate_joint,
     make_scenario,
@@ -129,6 +130,11 @@ class TestEnumerateJoint:
     def test_continuous_scenario_rejected(self):
         with pytest.raises(ConfigError):
             enumerate_joint(dag1b_scenario())
+
+    def test_bins_for_a_noiseless_outcome_rejected(self):
+        # Binning divides by the noise sd; without noise every mass is nan.
+        with pytest.raises(ConfigError, match="y_bins"):
+            enumerate_joint(direct_effect_scenario(), y_bins=np.linspace(-2, 6, 8))
 
 
 class TestCounterfactuals:

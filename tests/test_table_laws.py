@@ -1,13 +1,26 @@
-"""The row group-by, the history-column builder and the forward pass over
-table laws against the code they replaced, which is kept below as the
-reference."""
+"""The row group-by, the history-column builder, the forward pass over
+table laws, array-at-a-time enumeration and once-per-prefix regime rules
+against the code they replaced, which is kept below as the reference."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from gmethods.data import History, Regime, apply_regime
+from gmethods import scenarios
+from gmethods.data import (
+    History,
+    Regime,
+    Schema,
+    apply_regime,
+    binary,
+    continuous,
+    group_rows,
+    regime_values,
+)
 from gmethods.direct_effect import (
     DeSndmSpec,
     SplitSchema,
@@ -15,7 +28,7 @@ from gmethods.direct_effect import (
     direct_effect_moment_check,
     ipw_weights,
 )
-from gmethods.errors import PositivityError
+from gmethods.errors import ConfigError, EstimationError, PositivityError
 from gmethods.features import eval_terms, history_cols
 from gmethods.gformula import (
     _POSITIVITY_EPS,
@@ -25,10 +38,19 @@ from gmethods.gformula import (
     g_formula_conditional,
     g_formula_exact,
     g_formula_mc,
-    group_rows,
 )
 from gmethods.gnull import random_sequential_table
+from gmethods.laws import (
+    BernoulliLogit,
+    DiscreteMarginal,
+    LinearOutcome,
+    NormalLinear,
+)
 from gmethods.scenarios import (
+    BlipOutcome,
+    ScenarioConfig,
+    _law_support,
+    counterfactual_draws,
     direct_effect_scenario,
     discrete_trial_scenario,
     enumerate_joint,
@@ -36,7 +58,7 @@ from gmethods.scenarios import (
     simulate,
     sndm_scenario,
 )
-from gmethods.sndm import additive_blip
+from gmethods.sndm import BlipSpec, additive_blip
 
 _MATCH_TOL = 1e-9
 
@@ -295,6 +317,85 @@ def walker_law(table, regime, hist=None) -> dict[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Reference: the recursive enumeration, one path and one pmf call at a time.
+# Only the two outcome-law calls changed: the laws now answer for n parent
+# rows, and the walker reads row 0 of a one-row answer.
+# ---------------------------------------------------------------------------
+
+
+def recursive_enumerate_joint(config, y_bins=None) -> JointTable:
+    K = config.schema.K
+    if isinstance(config.u_law, (DiscreteMarginal,)):
+        u_atoms = list(zip(config.u_law.values, config.u_law.probs))
+    else:
+        raise ConfigError("exact enumeration needs a finite-discrete hidden cause")
+    acc: dict[tuple, float] = {}
+
+    def scalar(v: float) -> np.ndarray:
+        return np.array([float(v)])
+
+    def walk_y(u: float, lvals: list[float], avals: list[float], w: float) -> None:
+        cols = history_cols(np.array([lvals]), np.array([avals]), K + 1, K + 1,
+                            extra={"u": scalar(u)})
+        if y_bins is None:
+            pairs = zip(*(part[0] for part in config.y_law.atoms(cols)))
+        else:
+            edges = np.asarray(y_bins, dtype=float)
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            mass = config.y_law.bin_probs(cols, edges)[0].copy()
+            mu = float(config.y_law.mean(cols)[0])
+            sd = config.y_law.noise_sd
+            mass[0] += ndtr((edges[0] - mu) / sd)
+            mass[-1] += ndtr(-((edges[-1] - mu) / sd))
+            pairs = list(zip(mids, mass))
+        for y, py in pairs:
+            if py <= 0.0:
+                continue
+            key = tuple(
+                round(float(v), 12)
+                for pair in zip(lvals, avals)
+                for v in pair
+            ) + (round(float(y), 12),)
+            acc[key] = acc.get(key, 0.0) + w * float(py)
+
+    def walk(m: int, u: float, lvals: list[float], avals: list[float], w: float) -> None:
+        if m > K:
+            walk_y(u, lvals, avals, w)
+            return
+        Ap = np.array([avals])
+        lcols = history_cols(np.array([lvals]), Ap, m, m, m, extra={"u": scalar(u)})
+        for lv in _law_support(config.l_laws[m]):
+            pl = float(np.asarray(config.l_laws[m].pmf(lv, lcols))[0])
+            if pl <= 0.0:
+                continue
+            acols = history_cols(np.array([lvals + [lv]]), Ap, m + 1, m, m)
+            for av in _law_support(config.a_laws[m]):
+                pa = float(np.asarray(config.a_laws[m].pmf(av, acols))[0])
+                if pa <= 0.0:
+                    continue
+                walk(m + 1, u, lvals + [lv], avals + [av], w * pl * pa)
+
+    for u, pu in u_atoms:
+        if pu <= 0.0:
+            continue
+        walk(0, float(u), [], [], float(pu))
+
+    keys = sorted(acc.keys())
+    cells = np.array(keys, dtype=float)
+    probs = np.array([acc[k] for k in keys])
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise EstimationError(f"enumerated mass {total!r} is not 1; check the laws")
+    return JointTable(config.schema, cells, probs / total)
+
+
+def per_row_regime_values(regime, L_prefix, m):
+    """regime_values of a dynamic regime as it was: the rule once per row."""
+    return np.array([float(regime.rule(m, tuple(L_prefix[i, : m + 1])))
+                     for i in range(L_prefix.shape[0])])
+
+
+# ---------------------------------------------------------------------------
 # Reference: the per-module column builders.
 # ---------------------------------------------------------------------------
 
@@ -371,6 +472,80 @@ def _oracle_table(kind: str, seed: int) -> JointTable:
     return _hand_table()
 
 
+ENUMERATION_KINDS = ["sequential-binned", "sequential-noiseless", "direct-effect",
+                     "discrete-trial", "blip", "zero-branches"]
+
+
+def _enumeration_case(kind: str, seed: int):
+    """A scenario with random effects and the y_bins it is enumerated with."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("sequential"):
+        K = int(rng.integers(1, 4))
+        effects = tuple(float(v) for v in rng.uniform(-1.0, 1.0, K + 1))
+        u_effect = float(rng.uniform(0.0, 3.0))
+        if kind == "sequential-binned":
+            return (sequential_trial_scenario(K=K, a_effects=effects, u_effect=u_effect),
+                    np.linspace(-2.0, 6.0, 10))
+        return sequential_trial_scenario(K=K, a_effects=effects, u_effect=u_effect,
+                                         y_noise_sd=0.0), None
+    if kind == "direct-effect":
+        psi = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0)))
+        return direct_effect_scenario(psi=psi, u_effect=float(rng.uniform(0.0, 2.0)),
+                                      h_atoms=int(rng.integers(2, 10))), None
+    if kind == "discrete-trial":
+        a0, a1, u = (float(v) for v in rng.uniform(-1.0, 1.0, 3))
+        return discrete_trial_scenario(a0_effect=a0, a1_effect=a1, u_effect=u), None
+    if kind == "blip":
+        h_atoms = int(rng.integers(2, 10))
+        if rng.random() < 0.3:
+            return sndm_scenario(family="multiplicative", h_atoms=h_atoms,
+                                 psi=(float(rng.uniform(-0.5, 0.5)),)), None
+        cofactors = ("1",) if rng.random() < 0.5 else ("1", "lm")
+        psi = tuple(float(v) for v in rng.uniform(-1.0, 2.0, len(cofactors)))
+        return sndm_scenario(h_atoms=h_atoms, cofactors=cofactors, psi=psi), None
+    # A zero-probability hidden atom and noise atom, and A1 = 0 impossible
+    # after L1 = 0 (expit(40) rounds to 1).
+    config = discrete_trial_scenario(a1_effect=float(rng.uniform(-1.0, 1.0)))
+    noise = DiscreteMarginal((-1.0, 0.0, 1.0, 2.0), (0.25, 0.5, 0.25, 0.0))
+    return dataclasses.replace(
+        config,
+        u_law=DiscreteMarginal((0.0, 1.0, 2.0), (0.5, 0.0, 0.5)),
+        a_laws=(config.a_laws[0], BernoulliLogit(("1", "lm"), (40.0, -80.0))),
+        y_law=dataclasses.replace(config.y_law, noise=noise),
+    ), None
+
+
+def _continuous_covariate_scenario() -> ScenarioConfig:
+    schema = Schema((continuous(), continuous()), (binary(), binary()))
+    return ScenarioConfig(
+        name="continuous-covariates",
+        schema=schema,
+        u_law=DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),
+        l_laws=(NormalLinear(("1", "u"), (0.0, 1.0)),
+                NormalLinear(("u", "a0", "l0"), (1.0, 0.5, 0.3))),
+        a_laws=(BernoulliLogit(("1", "lm"), (0.0, 1.0)),
+                BernoulliLogit(("1", "lm", "a0"), (0.0, 1.0, -0.5))),
+        y_law=LinearOutcome(("1", "u", "a0", "a1", "l1"), (0.0, 1.0, 0.5, 0.5, 0.2),
+                            noise_sd=1.0),
+    )
+
+
+def _outcome_parents(n: int, seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    cols = {f"{v}{j}": rng.integers(0, 2, n).astype(float) for v in "la" for j in (0, 1)}
+    cols["u"] = rng.standard_normal(n)
+    return cols
+
+
+OUTCOME_LAWS = {
+    "noiseless": LinearOutcome(("1", "u", "a0", "a0*a1"), (0.3, 1.0, -0.7, 0.25)),
+    "discrete-noise": LinearOutcome(("u", "a0", "l1"), (1.0, 0.4, -0.3),
+                                    noise=DiscreteMarginal((-1.0, 0.0, 1.0),
+                                                           (0.25, 0.5, 0.25))),
+    "blip": BlipOutcome(BlipSpec("additive", ("1", "lm")).with_psi((1.0, 0.5))),
+}
+
+
 class TestGroupRows:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6),
@@ -392,6 +567,12 @@ class TestGroupRows:
         keys, inverse = group_rows(np.zeros((4, 0)))
         assert keys.shape == (1, 0)
         np.testing.assert_array_equal(inverse, np.zeros(4))
+
+    def test_exact_grouping_keeps_nearby_rows_apart(self):
+        keys, inverse = group_rows(np.array([[1.0], [1.0 + 1e-12], [0.5], [1.0]]),
+                                   decimals=None)
+        np.testing.assert_array_equal(keys, [[0.5], [1.0], [1.0 + 1e-12]])
+        np.testing.assert_array_equal(inverse, [1, 2, 0, 1])
 
 
 class TestTableLawOracle:
@@ -569,3 +750,106 @@ class TestContextKeys:
         L, A = np.array([[1.0, 0.0]]), np.array([[1.0]])
         assert set(history_cols(L, A, 1, 1, 1)) == old_covariate_keys(1)
         assert set(history_cols(L, A, 2, 1, 1)) == old_treatment_keys(1)
+
+
+class TestArrayEnumerationOracle:
+    """Array-at-a-time enumeration against the recursive walk: equal cells,
+    probabilities within 1e-15."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(ENUMERATION_KINDS), seed=st.integers(0, 10**6))
+    def test_tables_match_the_recursive_walk(self, kind, seed):
+        config, y_bins = _enumeration_case(kind, seed)
+        want = recursive_enumerate_joint(config, y_bins)
+        got = enumerate_joint(config, y_bins)
+        np.testing.assert_array_equal(got.cells, want.cells)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-15)
+
+    def test_zero_probability_branches_leave_no_cells(self):
+        config, _ = _enumeration_case("zero-branches", 0)
+        table = enumerate_joint(config)
+        assert np.all(table.probs > 0.0)
+        l1, a1 = table.cells[:, table.l_col(1)], table.cells[:, table.a_col(1)]
+        assert not np.any((l1 == 0.0) & (a1 == 0.0))
+        assert np.any((l1 == 1.0) & (a1 == 0.0))
+
+
+class TestOutcomeLawsPerRow:
+    """n-row atoms and bin masses equal n one-row calls."""
+
+    @staticmethod
+    def one_row(cols, i):
+        return {k: v[i : i + 1] for k, v in cols.items()}
+
+    @pytest.mark.parametrize("name", sorted(OUTCOME_LAWS))
+    def test_atoms(self, name):
+        law, cols = OUTCOME_LAWS[name], _outcome_parents(50, 1)
+        values, probs = law.atoms(cols)
+        assert values.shape == probs.shape and values.shape[0] == 50
+        for i in range(50):
+            v1, p1 = law.atoms(self.one_row(cols, i))
+            np.testing.assert_allclose(values[i], v1[0], rtol=1e-15, atol=1e-15)
+            np.testing.assert_array_equal(probs[i], p1[0])
+
+    def test_bin_probs(self):
+        law = LinearOutcome(("1", "u", "a1"), (0.5, 1.0, 0.8), noise_sd=0.7)
+        cols, edges = _outcome_parents(50, 2), np.linspace(-2.0, 3.0, 9)
+        mass = law.bin_probs(cols, edges)
+        assert mass.shape == (50, 8)
+        for i in range(50):
+            np.testing.assert_allclose(mass[i], law.bin_probs(self.one_row(cols, i), edges)[0],
+                                       rtol=1e-14, atol=1e-15)
+
+
+class TestRegimeRuleOncePerPrefix:
+    """regime_values calls a dynamic rule once per distinct (exactly equal)
+    covariate prefix and gives what one call per row gave."""
+
+    @staticmethod
+    def counted(rule):
+        calls = []
+
+        def wrapped(m, l_bar):
+            calls.append(l_bar)
+            return rule(m, l_bar)
+
+        return wrapped, calls
+
+    @staticmethod
+    def prefixes(kind: str, rng) -> np.ndarray:
+        if kind == "discrete":
+            return rng.integers(0, 3, size=(400, 3)).astype(float)
+        if kind == "continuous":
+            L = rng.standard_normal((40, 3))[rng.integers(0, 40, 400)]
+            L[:5] = L[5:10] + 1e-12  # rows that 9-decimal rounding would merge
+            return L
+        return np.zeros((0, 3))
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "empty"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_once_per_prefix_and_equal_to_per_row(self, kind, m):
+        L = self.prefixes(kind, np.random.default_rng(m))
+
+        def rule(m, l_bar):
+            return float(np.sin(1e9 * sum(l_bar)) + m)
+
+        counted, calls = self.counted(rule)
+        got = regime_values(Regime.dynamic(counted), L, m)
+        distinct = {tuple(row) for row in L[:, : m + 1]}
+        assert len(calls) == len(distinct)
+        assert set(calls) == distinct
+        assert got.shape == (L.shape[0],) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, per_row_regime_values(Regime.dynamic(rule), L, m))
+
+    def test_rollout_under_a_dynamic_regime_equals_per_row(self, monkeypatch):
+        # Continuous covariates: every prefix is distinct, so the rule runs
+        # once per row either way, and the draws must agree bit for bit.
+        config = _continuous_covariate_scenario()
+        counted, calls = self.counted(lambda m, l_bar: float(l_bar[-1] > np.mean(l_bar)))
+        regime = Regime.dynamic(counted, "above-mean")
+        got = counterfactual_draws(config, regime, 3000, seed=4)
+        grouped = len(calls)
+        monkeypatch.setattr(scenarios, "regime_values", per_row_regime_values)
+        want = counterfactual_draws(config, regime, 3000, seed=4)
+        np.testing.assert_array_equal(got, want)
+        assert 2 * grouped == len(calls)
