@@ -56,6 +56,7 @@ from .sndm import (
     _check_outcomes,
     _g_engine,
     _residual_outcome,
+    _grid_spec,
     _ScoreEngine,
     _search,
     _stack_shifts,
@@ -210,10 +211,8 @@ def direct_effect_gnull_test(
     if dataset.schema.K != 1:
         raise ConfigError("direct_effect_gnull_test expects a two-occasion dataset")
     split = SplitSchema((0,), (1,))
-    if a1_law is not None:
-        laws, source = {1: a1_law}, "design"
-    else:
-        laws, source = fit_z_laws(dataset, split, a1_terms)
+    laws, source = fit_z_laws(dataset, split, a1_terms,
+                              known=None if a1_law is None else {1: a1_law})
     w = ipw_weights(dataset, split, laws, source)
     w1 = w.factors[1]
     t1v = dataset.Y if t1 is None else np.asarray(t1(dataset.Y), dtype=float)
@@ -310,7 +309,7 @@ def naive_direct_effect_demo(
     psi_full = None
     spread = float("nan")
     if fit_full:
-        psi_full = _search(eng, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, level).psi_hat
+        psi_full = _search(eng, 4, *_grid_spec([(-3.0, 3.0)] * 4, 5, 4), level).psi_hat
         pl = expit(gfit.coef[0] + gfit.coef[1] * np.array([0.0, 1.0]))
         delta = (psi_full[0] + psi_full[1] * np.array([0.0, 1.0])
                  + (psi_full[2] + psi_full[3] * np.array([0.0, 1.0])) * pl)
@@ -427,22 +426,10 @@ def direct_effect_g_estimate(
     """
     spec.validate_for(split, dataset.schema.K)
     dim = spec.blip.dim
-    box = np.atleast_2d(np.asarray(psi_box, dtype=float))
-    if box.shape != (dim, 2):
-        raise ConfigError("psi_box must give (lo, hi) per blip component")
-    points = (grid_points,) * dim if isinstance(grid_points, int) else tuple(grid_points)
-    if split.z_occasions:
-        known = z_laws or {}
-        missing = [k for k in split.z_occasions if k not in known]
-        if missing:
-            fitted, source = fit_z_laws(dataset, split, z_terms, known=known)
-            laws = fitted
-        else:
-            laws, source = known, "design"
-        weights = ipw_weights(dataset, split, laws, source)
-    else:
-        weights = IpwWeights({}, "design")
-    eng = _de_engine(dataset, split, spec, weights, p_alpha_known, level)
+    box, points = _grid_spec(psi_box, grid_points, dim)
+    laws, source = fit_z_laws(dataset, split, z_terms, known=z_laws)
+    eng = _de_engine(dataset, split, spec, ipw_weights(dataset, split, laws, source),
+                     p_alpha_known, level)
     return _search(eng, dim, box, points, level)
 
 

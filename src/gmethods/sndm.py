@@ -17,6 +17,7 @@ psi is the truth — the moment condition behind g-estimation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -42,7 +43,6 @@ from .glm import (
     _quadratic_stats,
     _report,
     _robust_moments,
-    expit,
     fit_logistic,
     pooled_rows,
     robust_score_test,
@@ -203,7 +203,7 @@ class GEstimate:
     accepted: np.ndarray  # grid points not rejected at `level`
     resolution: tuple[int, ...]
     level: float
-    method: str  # how psi_hat was found: "closed-form", "bisection", "bounded", "nelder-mead"
+    method: str  # how psi_hat was found: "closed-form", "bounded", "nelder-mead"
     note: str = ""
 
     @property
@@ -264,12 +264,9 @@ class _ScoreEngine:
         if known_coef is not None:
             self.known = np.asarray(known_coef, dtype=float)
             self.fit: FittedGlm | None = None
-            coef = self.known
         else:
             self.known = None
             self.fit = fit_logistic(self.X, self.resp)
-            coef = self.fit.coef
-        self.eps = self.resp - expit(self.X @ coef)
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -339,9 +336,6 @@ class _ScoreEngine:
             return None
         return np.linalg.solve(B, -u[0])
 
-    def signed_score(self, psi_scalar: float) -> float:
-        return float(self.zmat(np.array([psi_scalar]))[:, 0] @ self.eps)
-
 
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
               qstar: Callable | None, alpha_known, occasions,
@@ -373,10 +367,34 @@ def g_test_at(
     return eng.report(psi)
 
 
+def _grid_spec(psi_box, grid_points, dim: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check a search box, (lo, hi) per blip component, and its grid counts
+    (one count for every axis, or one per axis); return the box as a (dim, 2)
+    array and the counts as a tuple."""
+    try:
+        box = np.atleast_2d(np.asarray(psi_box, dtype=float))
+    except (TypeError, ValueError):
+        box = None
+    if box is None or box.shape != (dim, 2):
+        raise ConfigError("psi_box must give (lo, hi) per blip component")
+    if not np.isfinite(box).all():
+        raise ConfigError("psi_box bounds must be finite")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise ConfigError("psi_box needs lo < hi for every component")
+    points = (grid_points,) * dim if np.ndim(grid_points) == 0 else tuple(grid_points)
+    try:
+        points = tuple(operator.index(p) for p in points)
+    except TypeError:
+        raise ConfigError("grid_points must be whole numbers") from None
+    if len(points) != dim:
+        raise ConfigError(f"grid_points must give one count per blip component ({dim})")
+    if min(points) < 2:
+        raise ConfigError("grid_points must be at least 2 per component")
+    return box, points
+
+
 def _grid(box, points) -> tuple[np.ndarray, tuple[int, ...]]:
     axes = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(box, points)]
-    if len(axes) == 1:
-        return axes[0][:, None], (points[0],)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh]), tuple(points)
 
@@ -397,21 +415,19 @@ def g_estimate(
 
     For each candidate psi the residual outcome H(psi) is tested as an added
     covariate in the pooled treatment model (score test); the estimate is
-    the psi whose statistic is smallest and the confidence set collects grid
-    points not rejected at ``level``.  For the additive family with the
-    default q* the score is affine in psi, so the grid is scored in one
-    batch and the estimate is the score's root (Robins' closed-form
-    g-estimator); otherwise a numerical search finds it.  ``method`` on the
-    result says which path produced psi_hat.  ``psi_box`` is (lo, hi) per
-    component; the default q* pairs H with each cofactor of the blip family.
-    ``occasions`` limits both where the family acts and which treatments are
-    score-tested; by default the family covers every occasion.
+    the psi in ``psi_box`` where the statistic is smallest, and the
+    confidence set collects grid points not rejected at ``level``.  For the
+    additive family with the default q* the score is affine in psi, so the
+    grid is scored in one batch and, when the score's root lies in the box,
+    the estimate is that root (Robins' closed-form g-estimator); otherwise a
+    numerical search minimizes the statistic (see ``_search``).  ``method``
+    on the result says which path produced psi_hat.  ``psi_box`` is (lo, hi)
+    per component; ``grid_points`` is one count (at least 2) for every axis
+    or one per axis; the default q* pairs H with each cofactor of the blip
+    family.  ``occasions`` limits both where the family acts and which
+    treatments are score-tested; by default the family covers every occasion.
     """
-    box = np.atleast_2d(np.asarray(psi_box, dtype=float))
-    if box.shape != (blip_spec.dim, 2):
-        raise ConfigError("psi_box must give (lo, hi) per blip component")
-    points = ((grid_points,) * blip_spec.dim
-              if isinstance(grid_points, int) else tuple(grid_points))
+    box, points = _grid_spec(psi_box, grid_points, blip_spec.dim)
     eng = _g_engine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
                     occasions, level)
     return _search(eng, blip_spec.dim, box, points, level)
@@ -419,64 +435,56 @@ def g_estimate(
 
 def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...],
             level: float) -> GEstimate:
-    """Grid the box, locate the score minimum, and invert the test.
+    """Grid the box, take psi_hat where the statistic is smallest, and invert
+    the test.
 
-    psi_hat is the root of an affine score (``_ScoreEngine.root``) when it
-    lies where the numerical search would look: within two grid steps of
-    the grid minimum in 1-D, inside the box otherwise.  Failing that, 1-D
-    bisects the signed score near the grid minimum, or else minimizes the
-    statistic between the minimum's grid neighbours; d >= 2 runs
-    Nelder-Mead from the five best grid points.
+    When the affine score's root (``_ScoreEngine.root``) lies in the box it
+    is psi_hat ("closed-form"): with the default q* the score has one column
+    per component, so the statistic is 0 there.  Otherwise the statistic is
+    minimized inside the box on ``_ScoreEngine.stats``: in 1-D by bounded
+    Brent between the grid minimum's neighbours ("bounded"), keeping the
+    grid minimum itself if Brent, which never evaluates the bracket ends,
+    does no better; in d >= 2 by Nelder-Mead from the five best grid points
+    ("nelder-mead").
     """
     grid, resolution = _grid(box, points)
-    G = grid.shape[0]
     stats_arr, pvals = eng.stats(grid)
-    imin = int(np.argmin(stats_arr))
+    lo, hi = box[:, 0], box[:, 1]
     root = eng.root()
-    boundary = False
-    if dim == 1:
-        window = grid[max(imin - 2, 0), 0], grid[min(imin + 2, G - 1), 0]
-        if root is not None and window[0] <= root[0] <= window[1]:
-            psi_hat, method = root, "closed-form"
-        else:
-            psi_hat, method = _refine_scalar(eng, grid[:, 0], imin), "bisection"
-        if psi_hat is None:
-            import scipy.optimize
-
-            lo_edge = imin in (0, G - 1)
-            lo = grid[max(imin - 1, 0), 0]
-            hi = grid[min(imin + 1, G - 1), 0]
-            res = scipy.optimize.minimize_scalar(
-                lambda v: eng.report([v]).statistic, bounds=(lo, hi),
-                method="bounded", options={"xatol": 1e-10},
-            )
-            psi_hat, method = np.array([float(res.x)]), "bounded"
-            boundary = lo_edge
-    elif root is not None and np.all((box[:, 0] <= root) & (root <= box[:, 1])):
+    if root is not None and np.all((lo <= root) & (root <= hi)):
         psi_hat, method = root, "closed-form"
     else:
         import scipy.optimize
 
+        def stat(v):
+            return float(eng.stats(np.clip(v, lo, hi)[None, :])[0][0])
+
         order = np.argsort(stats_arr)
-        starts = [grid[i] for i in order[:5]]
-        best, best_val = None, np.inf
-        for s in starts:
-            res = scipy.optimize.minimize(
-                lambda v: eng.report(np.clip(v, box[:, 0], box[:, 1])).statistic,
-                s, method="Nelder-Mead",
-                options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
-            )
-            if res.fun < best_val:
-                best, best_val = np.clip(res.x, box[:, 0], box[:, 1]), res.fun
-        psi_hat, method = np.asarray(best, dtype=float), "nelder-mead"
-        edge = (np.abs(psi_hat - box[:, 0]) < 1e-9) | (np.abs(psi_hat - box[:, 1]) < 1e-9)
-        # A minimum clipped to the box edge is flagged only when the data
-        # still reject there more than a typical null draw would: the
-        # statistic exceeds the median of chi-square(dim), which is
-        # 2 * gammaincinv(dim / 2, 0.5).  A heuristic, not a test: an edge
-        # minimum with a smaller statistic is taken as a fit, not a boundary.
-        boundary = bool(np.any(edge) and best_val > 2.0 * gammaincinv(dim / 2, 0.5))
+        if dim == 1:
+            imin = int(order[0])
+            bracket = grid[max(imin - 1, 0), 0], grid[min(imin + 1, len(grid) - 1), 0]
+            res = scipy.optimize.minimize_scalar(stat, bounds=bracket, method="bounded",
+                                                 options={"xatol": 1e-10})
+            psi_hat = np.array([float(res.x)]) if res.fun < stats_arr[imin] else grid[imin]
+            method = "bounded"
+        else:
+            best, best_val = None, np.inf
+            for i in order[:5]:
+                res = scipy.optimize.minimize(
+                    stat, grid[i], method="Nelder-Mead",
+                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
+                )
+                if res.fun < best_val:
+                    best, best_val = np.clip(res.x, lo, hi), res.fun
+            psi_hat, method = best, "nelder-mead"
     at_hat = eng.report(psi_hat)
+    edge = (np.abs(psi_hat - lo) < 1e-9) | (np.abs(psi_hat - hi) < 1e-9)
+    # A minimum on the box edge is flagged only when the data still reject
+    # there more than a typical null draw would: the statistic exceeds the
+    # median of chi-square(dim), which is 2 * gammaincinv(dim / 2, 0.5).  A
+    # heuristic, not a test: an edge minimum with a smaller statistic is
+    # taken as a fit, not a boundary.
+    boundary = bool(np.any(edge) and at_hat.statistic > 2.0 * gammaincinv(dim / 2, 0.5))
     return GEstimate(
         psi_hat=np.atleast_1d(psi_hat),
         statistic_at_hat=at_hat.statistic,
@@ -491,31 +499,6 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
         note=eng.note,
         method=method,
     )
-
-
-def _refine_scalar(eng: _ScoreEngine, grid1d, imin) -> np.ndarray | None:
-    """Bisection on the signed score if it changes sign near the grid minimum."""
-    G = len(grid1d)
-    candidates = []
-    for i in range(max(0, imin - 2), min(G - 1, imin + 2)):
-        candidates.append((i, i + 1))
-    for i, j in candidates:
-        si, sj = eng.signed_score(grid1d[i]), eng.signed_score(grid1d[j])
-        if si == 0.0:
-            return np.array([grid1d[i]])
-        if si * sj < 0:
-            lo, hi, slo = grid1d[i], grid1d[j], si
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                sm = eng.signed_score(mid)
-                if sm == 0.0 or (hi - lo) < 1e-12 * (1.0 + abs(mid)):
-                    return np.array([mid])
-                if slo * sm < 0:
-                    hi = mid
-                else:
-                    lo, slo = mid, sm
-            return np.array([0.5 * (lo + hi)])
-    return None
 
 
 @dataclass(frozen=True)

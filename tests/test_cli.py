@@ -367,6 +367,13 @@ class TestGEstimate:
         assert main(["g-estimate", "--config", path]) == 2
         assert "missing 'psi_box' key" in stderr_of(capsys)
 
+    def test_malformed_grid_is_a_config_error(self, tmp_path, capsys):
+        path = cfg_file(tmp_path, scenario="sndm-additive", n=100, seed=3,
+                        blip={"family": "additive", "cofactors": ["1"]},
+                        psi_box=[[-1.0, 1.0]], grid_points=1)
+        assert main(["g-estimate", "--config", path]) == 2
+        assert "grid_points must be at least 2" in stderr_of(capsys)
+
 
 class TestDirectEffect:
     """Weighted no-direct-effect test and the two-arm blip estimate."""

@@ -275,8 +275,8 @@ class TestDeGEstimation:
         np.testing.assert_allclose(h, hidden, atol=1e-12)
 
     def test_empty_fixed_arm_reduces_to_plain_g_estimation(self):
-        # With no Z occasions the weights vanish and the signed score is
-        # the unweighted one, so both searches find the same root.
+        # With no Z occasions the weights vanish and the score is the
+        # unweighted one, so both searches find the same root.
         ds = simulate(sndm_scenario(psi=(1.0,)), 2000, seed=69)
         alpha = (-0.1, 0.7, -0.3)
         terms = ("1", "lm", "a_prev")
@@ -304,6 +304,19 @@ class TestDeGEstimation:
         with pytest.raises(ConfigError, match="psi_box"):
             direct_effect_g_estimate(ds, SPLIT01, spec, psi_box=((0.0, 2.0),),
                                      z_laws={1: DE_A1_LAW})
+
+    def test_box_bounds_and_grid_counts_checked(self):
+        # The same checks as g_estimate: ordered finite bounds, at least two
+        # points per axis, one count per component.
+        ds = simulate(direct_effect_scenario(), 200, seed=1)
+        spec = DeSndmSpec(additive_blip("1", "a1"))
+        box = ((0.0, 2.0), (-0.5, 1.5))
+        for psi_box, points, match in [(((2.0, 0.0), (-0.5, 1.5)), 7, "lo < hi"),
+                                       (box, (7, 1), "at least 2"),
+                                       (box, (7,), "one count per")]:
+            with pytest.raises(ConfigError, match=match):
+                direct_effect_g_estimate(ds, SPLIT01, spec, psi_box=psi_box,
+                                         z_laws={1: DE_A1_LAW}, grid_points=points)
 
     def test_studied_arm_must_be_binary(self):
         ds = simulate(two_occasion_scenario(), 200, seed=1)

@@ -255,6 +255,25 @@ class TestGEstimation:
             g_estimate(ds, additive_blip("1"), treatment_terms=SNDM_TERMS,
                        psi_box=((0.0, 2.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("box, points, match", [
+        ([(2.0, 0.0), (-0.5, 1.5)], 7, "lo < hi"),
+        ([(0.0, 2.0), (-0.5, np.inf)], 7, "finite"),
+        ([(-np.inf, 2.0)], 7, "finite"),
+        ([(0.0, 2.0)], 1, "at least 2"),
+        ([(0.0, 2.0)], 0, "at least 2"),
+        ([(0.0, 2.0), (-0.5, 1.5)], (7, 1), "at least 2"),
+        ([(0.0, 2.0), (-0.5, 1.5)], (7, 7, 7), "one count per"),
+        ([(0.0, 2.0), (-0.5, 1.5)], (7,), "one count per"),
+        ([(0.0, 2.0)], 7.5, "whole numbers"),
+    ], ids=["reversed", "inf-hi", "inf-lo", "one-point", "no-points", "one-point-axis",
+            "too-many-counts", "too-few-counts", "fractional-count"])
+    def test_malformed_box_or_grid_is_a_config_error(self, box, points, match):
+        ds = simulate(sndm_scenario(), 200, seed=3)
+        spec = additive_blip(*("1", "a_prev")[:len(box)])
+        with pytest.raises(ConfigError, match=match):
+            g_estimate(ds, spec, treatment_terms=SNDM_TERMS, psi_box=box,
+                       grid_points=points)
+
     def test_binary_treatments_required(self):
         ds = simulate(two_occasion_scenario(), 200, seed=1)
         with pytest.raises(EstimationError, match="binary"):
@@ -274,9 +293,13 @@ class TestGEstimation:
         kw = dict(treatment_terms=SNDM_TERMS, alpha_known=SNDM_ALPHA, grid_points=21)
         assert g_estimate(ds, additive_blip("1"), psi_box=((0.0, 2.0),), **kw).method \
             == "closed-form"
-        # Root beyond the box: the statistic is minimized between grid points.
-        assert g_estimate(ds, additive_blip("1"), psi_box=((3.0, 5.0),), **kw).method \
-            == "bounded"
+        # Root beyond the box: the statistic is minimized between grid
+        # points.  Its minimum is the near edge, still rejecting, so it is
+        # flagged as a boundary.
+        est = g_estimate(ds, additive_blip("1"), psi_box=((3.0, 5.0),), **kw)
+        assert est.method == "bounded"
+        assert est.psi_hat[0] == 3.0
+        assert est.boundary
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_recovers_multiplicative_psi(self, seed):
@@ -285,7 +308,7 @@ class TestGEstimation:
         est = g_estimate(ds, multiplicative_blip("1"), treatment_terms=SNDM_TERMS,
                          psi_box=((0.0, 1.0),), grid_points=21)
         assert abs(est.psi_hat[0] - 0.5) < 0.05
-        assert est.method == "bisection"
+        assert est.method == "bounded"
         assert est.statistic_at_hat < 1e-8
 
     def test_multiplicative_positivity_is_checked_before_any_test(self, monkeypatch):
