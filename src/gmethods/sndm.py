@@ -465,7 +465,7 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
             bracket = grid[max(imin - 1, 0), 0], grid[min(imin + 1, len(grid) - 1), 0]
             res = scipy.optimize.minimize_scalar(stat, bounds=bracket, method="bounded",
                                                  options={"xatol": 1e-10})
-            psi_hat = np.array([float(res.x)]) if res.fun < stats_arr[imin] else grid[imin]
+            psi_hat = np.array([float(res.x)]) if res.fun < stats_arr[imin] else grid[imin].copy()
             method = "bounded"
         else:
             best, best_val = None, np.inf

@@ -300,6 +300,8 @@ class TestGEstimation:
         assert est.method == "bounded"
         assert est.psi_hat[0] == 3.0
         assert est.boundary
+        # The estimate is its own array, not a view of the grid.
+        assert not np.shares_memory(est.psi_hat, est.grid)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_recovers_multiplicative_psi(self, seed):
