@@ -129,8 +129,9 @@ import numpy as _np
 # of the heap exceeds twice the largest mmap-served block freed so far.  A
 # score test on a few thousand rows frees several 100-500 kB temporaries per
 # call, so without a larger freed block every call faults their pages back in
-# (about 7,700 minor faults per naive_direct_effect_demo on 5,000 rows).
-# Allocating and freeing one 4 MiB block raises that bound once.
+# (160-390 minor faults per naive_direct_effect_demo on 5,000 rows in
+# direct-effect-study units, against none with the block).  Allocating and
+# freeing one 4 MiB block raises that bound once.
 _np.empty(1 << 19)
 
 __version__ = "0.1.0"

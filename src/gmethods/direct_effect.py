@@ -16,7 +16,7 @@ Main entry points:
   from a covariate model and a covariate-free blip family; shows how it
   rejects a true null when treatment effects are heterogeneous in a
   hidden cause.  Its scan over the blip parameter builds one score-test
-  engine and evaluates it at every grid point.
+  engine and scores the whole grid in one batched pass along psi axis 0.
 * ``direct_effect_g_estimate`` — three-step weighted g-estimation of a
   direct-effect blip family, with within-subject-robust score tests.
 * ``direct_effect_moment_check`` — the population moment characterization
@@ -286,22 +286,24 @@ def naive_direct_effect_demo(
     Branch 1 tests "covariate independent of early treatment" (logistic
     slope).  Branch 2 asks whether ANY covariate-free blip y + a1*psi2 is
     compatible with the data, by profiling the 4-df residual-randomization
-    score over psi2 and keeping the largest p-value.  The naive analysis
-    declares a direct effect when both branches reject.  ``fit_full``
-    additionally fits the full 4-term family and evaluates how far the
-    implied standardized effect is from constant in a0.
+    score over psi2 and keeping the largest p-value.  The scan is the full
+    family's score engine moving along psi axis 0 with the other three
+    components at 0, so every grid point is scored in one batched pass.
+    ``psi2_grid`` must be a non-empty 1-D array of finite values.  The naive
+    analysis declares a direct effect when both branches reject.
+    ``fit_full`` additionally fits the full 4-term family and evaluates how
+    far the implied standardized effect is from constant in a0.
     """
     if dataset.schema.K != 1:
         raise ConfigError("naive_direct_effect_demo expects a two-occasion dataset")
-    grid = (np.linspace(-3.0, 3.0, 41) if psi2_grid is None
-            else np.asarray(psi2_grid, dtype=float))
+    grid = np.linspace(-3.0, 3.0, 41) if psi2_grid is None else _scan_grid(psi2_grid)
     Xg = np.column_stack([np.ones(dataset.n), dataset.A[:, 0]])
     gfit = fit_logistic(Xg, dataset.L[:, 1])
     covariate_test = wald_test(gfit, (1,), level=level,
                                note="covariate-vs-early-treatment dependence")
 
     eng = _g_engine(dataset, _FULL_FAMILY, a1_terms, None, a1_alpha_known, (1,), level)
-    pvals = np.array([eng.report([p2, 0.0, 0.0, 0.0]).p_value for p2 in grid])
+    pvals = eng.stats(grid[:, None], axes=(0,))[1]
     best = int(np.argmax(pvals))
     reduced_reject = bool(pvals[best] < level)
     naive_reject = bool(covariate_test.reject and reduced_reject)
@@ -327,6 +329,18 @@ def naive_direct_effect_demo(
         psi_full=psi_full,
         constancy_spread=spread,
     )
+
+
+def _scan_grid(psi2_grid) -> np.ndarray:
+    try:
+        grid = np.asarray(psi2_grid, dtype=float)
+    except (TypeError, ValueError):
+        grid = None
+    if grid is None or grid.ndim != 1 or grid.size == 0:
+        raise ConfigError("psi2_grid must be a non-empty 1-D array")
+    if not np.isfinite(grid).all():
+        raise ConfigError("psi2_grid values must be finite")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Linear and logistic maximum likelihood plus Wald / Rao score tests.
 
 Fits are computed from scratch: the linear model by normal-equation solve
-(Cholesky with a one-shot jitter retry), the logistic by Newton iteration
-with step-halving.  Score tests for added covariates are evaluated at the
-null fit, with the usual nuisance projection; a known-null variant skips the
-projection for designs whose treatment probabilities are known exactly.
+(numpy's Cholesky with a one-shot jitter retry), the logistic by Newton
+iteration with step-halving.  Score tests for added covariates are
+evaluated at the null fit, with the usual nuisance projection; a known-null
+variant skips the projection for designs whose treatment probabilities are
+known exactly.  Only ``numpy.linalg`` is used: importing ``scipy.linalg``
+would add about 6 MB of resident memory to every import of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import chdtrc, ndtr
 
 from .data import Dataset
@@ -98,16 +99,17 @@ def _report(statistic: float, df: int | None, reference: str, level: float,
 
 
 def _chol_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M, with jitter retry."""
+    """Solve M x = rhs for symmetric positive definite M through its lower
+    Cholesky factor, retrying once with a small ridge added to M."""
     try:
-        c = scipy.linalg.cho_factor(M, lower=True)
+        c = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         jitter = _JITTER * (np.trace(M) / M.shape[0] + 1.0)
         try:
-            c = scipy.linalg.cho_factor(M + jitter * np.eye(M.shape[0]), lower=True)
+            c = np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise EstimationError(f"singular normal equations: {exc}") from exc
-    return scipy.linalg.cho_solve(c, rhs)
+    return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
 def _check_condition(XtX: np.ndarray) -> None:

@@ -239,7 +239,9 @@ class _ScoreEngine:
     S_j with the cofactors.  The score U(psi) = a + B psi and its variance,
     quadratic in psi, then come from the score and variance of the stacked
     [Z_0, ..., Z_d], computed once (``affine``): ``stats`` scores a whole
-    batch of psi in O(q^2) per point and ``root`` solves B psi = -a.
+    batch of psi in O(q^2) per point and ``root`` solves B psi = -a.  A
+    batch that moves along some axes only, the other components at 0, needs
+    only the blocks of Z_0 and those axes' Z_j (``_blocks``).
     """
 
     def __init__(self, dataset: Dataset, blip_spec: BlipSpec, rows, occs, C, *,
@@ -268,15 +270,22 @@ class _ScoreEngine:
             self.known = None
             self.fit = fit_logistic(self.X, self.resp)
 
+    @property
+    def _is_affine(self) -> bool:
+        return self.family == "additive" and self.qstar is None
+
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The score blocks (d+1, q) and variance blocks (d+1, q, d+1, q) of
-        [Z_0, ..., Z_d]; None unless the family is additive with the default q*.
-        Built on first use, so engines that only ``report`` never pay for it."""
-        if self.family != "additive" or self.qstar is not None:
-            return None
-        d, q = self.S.shape[1], self.C[0].shape[1]
-        bases = [self.dataset.Y] + [self.S[:, j] for j in range(d)]
+        """``_blocks`` along every axis; None unless the family is additive
+        with the default q*.  Built on first use, so engines that only
+        ``report`` never pay for it."""
+        return self._blocks(range(self.S.shape[1])) if self._is_affine else None
+
+    def _blocks(self, axes) -> tuple[np.ndarray, np.ndarray]:
+        """The score blocks (k+1, q) and variance blocks (k+1, q, k+1, q) of
+        [Z_0] + [Z_j for j in axes], k = len(axes), for an affine score."""
+        q = self.C[0].shape[1]
+        bases = [self.dataset.Y] + [self.S[:, j] for j in axes]
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
         if self.weights is None:
@@ -284,7 +293,8 @@ class _ScoreEngine:
         else:
             U, V = _robust_moments(self.X, self.resp, Z, self.subj, fit=self.fit,
                                    known_coef=self.known)
-        return U.reshape(d + 1, q), V.reshape(d + 1, q, d + 1, q)
+        k = len(bases)
+        return U.reshape(k, q), V.reshape(k, q, k, q)
 
     def _weighted(self, Z: np.ndarray) -> np.ndarray:
         return Z if self.weights is None else Z / self.weights[:, None]
@@ -313,14 +323,20 @@ class _ScoreEngine:
                                  known_coef=self.known, level=self.level,
                                  note=self.note)
 
-    def stats(self, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def stats(self, psis: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
         """Statistics and p-values at each row of ``psis``: one batched pass
-        for an affine score, else one ``report`` per row."""
-        if self.affine is None:
+        for an affine score, else one ``report`` per row.  With ``axes`` a
+        row gives psi along those axes only, every other component 0."""
+        psis = np.asarray(psis, dtype=float)
+        if not self._is_affine:
+            if axes is not None:
+                full = np.zeros((len(psis), self.S.shape[1]))
+                full[:, list(axes)] = psis
+                psis = full
             reps = [self.report(p) for p in psis]
             return (np.array([r.statistic for r in reps]),
                     np.array([r.p_value for r in reps]))
-        u, M = self.affine
+        u, M = self.affine if axes is None else self._blocks(axes)
         c = np.column_stack([np.ones(len(psis)), psis])
         V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=True)
         stat, _, p = _quadratic_stats(c @ u, V)

@@ -210,6 +210,18 @@ class TestNaiveDemo:
         assert rep.scan_pvals.shape == (5,)
         assert rep.scan_best_psi in grid
 
+    @pytest.mark.parametrize("grid", [
+        [],
+        [[0.0, 1.0], [2.0, 3.0]],
+        [[0.0, 1.0], [2.0]],
+        [0.0, np.nan, 1.0],
+        [0.0, np.inf, 1.0],
+    ], ids=["empty", "2-d", "ragged", "nan", "inf"])
+    def test_malformed_scan_grid_is_a_config_error(self, grid):
+        ds = simulate(masked_interaction_scenario(), 200, seed=65)
+        with pytest.raises(ConfigError, match="psi2_grid"):
+            naive_direct_effect_demo(ds, psi2_grid=grid)
+
 
 class TestMomentCheck:
     def test_flat_at_the_true_parameter(self):

@@ -19,6 +19,7 @@ import gmethods
 from gmethods.data import Dataset, Schema, binary
 from gmethods.errors import EstimationError, SeparationError
 from gmethods.glm import (
+    _chol_solve,
     _report,
     expit,
     fit_linear,
@@ -214,22 +215,49 @@ class TestPValues:
                     == float(2.0 * stats.norm.sf(abs(z))))
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-        out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert _loaded_after_import("scipy.stats") == []
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # Only the numerical fallbacks of the g-estimation search and the
         # SNDM likelihood fit use it; they import it when they run.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert _loaded_after_import("scipy.optimize") == []
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # The normal equations are solved with numpy's Cholesky.
+        assert _loaded_after_import("scipy.linalg") == []
+
+
+def _loaded_after_import(prefix):
+    """Modules under ``prefix`` that a fresh ``import gmethods`` loads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
+            "print(*sorted(m for m in sys.modules if m.startswith(sys.argv[2])))")
+    out = subprocess.run([sys.executable, "-c", code, src, prefix], check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+class TestCholSolve:
+    def test_matches_a_general_solve_on_a_positive_definite_system(self):
+        rng = substream(7, "test-chol")
+        B = rng.standard_normal((6, 6))
+        M = B @ B.T + 6.0 * np.eye(6)
+        for rhs in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+            want = np.linalg.solve(M, rhs)
+            got = _chol_solve(M, rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_psd_system_takes_the_jitter_path(self):
+        M = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        # Every x with x0 + x1 = 1 solves it; the ridge picks the shortest.
+        np.testing.assert_allclose(_chol_solve(M, np.ones(2)), [0.5, 0.5],
+                                   rtol=0, atol=1e-9)
+
+    def test_negative_definite_system_raises(self):
+        with pytest.raises(EstimationError, match="singular normal equations"):
+            _chol_solve(-np.eye(3), np.ones(3))
 
 
 class TestScoreTestAdded:
