@@ -1,9 +1,11 @@
 """Command-line front end: simulation, replicate studies, and reports.
 
 Configuration is a single YAML file with a required ``config_version: 1``
-key; the subcommands read the sections they need.  Flags ``--seed``,
-``--out`` and ``--jobs`` override their config counterparts.  Exit codes:
-0 success, 1 analysis or threshold failure, 2 configuration error.
+key; the subcommands read the sections they need.  Flags ``--seed`` and
+``--out`` override their config counterparts, and so does ``--jobs`` on
+``simulate`` and ``study``, the two subcommands that run replicates in
+parallel.  Exit codes: 0 success, 1 analysis or threshold failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ def _alpha_from(cfg: dict, scenario, terms, occasions=None):
 # ---------------------------------------------------------------------------
 
 
-def _sim_one(scenario, n: int, seed: int):
-    return simulate(scenario, n, seed)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     scenario = _scenario_from(cfg)
@@ -169,7 +167,7 @@ def cmd_simulate(args) -> int:
     seeds = [replicate_seed(seed, i) for i in range(reps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            datasets = list(pool.map(_sim_one, [scenario] * reps, [n] * reps, seeds))
+            datasets = list(pool.map(simulate, [scenario] * reps, [n] * reps, seeds))
     else:
         datasets = [simulate(scenario, n, s) for s in seeds]
     files = []
@@ -353,18 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help="root seed (overrides the config)"):
+    def common(p, jobs=False):
         p.add_argument("--config", help="YAML configuration file")
-        p.add_argument("--seed", type=int, help=seed_help)
+        p.add_argument("--seed", type=int, help="root seed (overrides the config)")
         p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument("--jobs", type=int, help="worker processes")
+        if jobs:
+            p.add_argument("--jobs", type=int, help="worker processes")
 
     p = sub.add_parser("simulate", help="write replicate datasets and a manifest")
-    common(p)
+    common(p, jobs=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="run analyses over replicates; write a study log")
-    common(p)
+    common(p, jobs=True)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("reproduce", help="re-run a pinned-seed benchmark")

@@ -5,9 +5,11 @@ of the outcome under a regime g; CSV export converts to the distribution
 function F = 1 - S.  Exact, conditional and Monte Carlo evaluation all read
 the same conditional laws of a JointTable (finite joint law of the
 observable record; ``ConditionalLaws.from_table``, built once per table as
-``JointTable.laws``).  The exact and conditional forms roll those laws
-forward under the regime one array of live histories per occasion; the
-Monte Carlo form draws trajectories from them.
+``JointTable.laws``).  All three carry a history as its integer position
+in the current law's keys and advance it through one step,
+``_TableLaw.extend``: the exact and conditional forms extend every live
+history by each covariate value of positive probability, the Monte Carlo
+form each draw by the value it draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .data import History, Regime, Schema, group_rows, regime_values
 from .errors import ConfigError, EstimationError, PositivityError
-from .features import Cols
 from .glm import expit
 from . import streams
 
@@ -170,18 +171,22 @@ class RegimeDistribution:
 class _TableLaw:
     """Exact law of one table column given other columns, read off a JointTable.
 
-    ``keys`` are the distinct parent rows (see ``group_rows``), ``mass`` their
-    probabilities, ``values`` the distinct values of the column, and
-    ``probs[i, j]`` the probability of ``values[j]`` given ``keys[i]`` (a zero
-    row where the parent row has no mass).  ``row_key`` and ``row_value``
-    place each table row in ``keys`` and ``values``.
+    ``keys`` are the distinct parent rows (see ``group_rows``), each held as
+    its first table row's own values; ``mass`` their probabilities, ``values``
+    the distinct values of the column, and ``probs[i, j]`` the probability of
+    ``values[j]`` given ``keys[i]`` (a zero row where the parent row has no
+    mass).  ``row_key`` and ``row_value`` place each table row in ``keys`` and
+    ``values``.  ``draw`` and ``extend`` advance histories held as positions
+    in ``keys``.
     """
 
     def __init__(self, table: JointTable, column: int, parents: list[int]):
         names = table.schema.columns()
         self.name = names[column]
         self.parent_names = [names[c].lower() for c in parents]
-        self.keys, self.row_key = group_rows(table.cells[:, parents])
+        _, self.row_key = group_rows(table.cells[:, parents])
+        _, first = np.unique(self.row_key, return_index=True)
+        self.keys = table.cells[np.ix_(first, parents)]
         self.values, self.row_value = np.unique(table.cells[:, column], return_inverse=True)
         G, V = len(self.keys), len(self.values)
         self.mass = np.bincount(self.row_key, weights=table.probs, minlength=G)
@@ -191,8 +196,8 @@ class _TableLaw:
         self.probs = np.zeros((G, V))
         self.probs[live] = joint[live] / self.mass[live, None]
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """``probs`` rows for the parent rows ``rows``: a (rows, values) matrix.
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in ``keys`` of the parent rows ``rows``.
 
         A parent row missing from the table, or with mass below
         ``_POSITIVITY_EPS``, raises ``PositivityError`` naming its columns.
@@ -206,27 +211,39 @@ class _TableLaw:
         if np.any(bad):
             at = dict(zip(self.parent_names, map(float, rows[np.argmax(bad)])))
             raise PositivityError(f"law of {self.name} required for an unsupported history {at}")
-        return self.probs[idx]
+        return idx
 
-    def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        """Draw the column given each row's parent values in ``cols``."""
-        parts = [cols[name] for name in self.parent_names]
-        keys, inverse = group_rows(np.column_stack(parts) if parts else np.zeros((n, 0)))
-        out = np.empty(n)
-        for g, probs in enumerate(self.lookup(keys)):
-            sel = inverse == g
-            out[sel] = rng.choice(self.values, size=int(sel.sum()), p=probs)
+    def draw(self, rng: np.random.Generator, key: np.ndarray) -> np.ndarray:
+        """Positions in ``values`` drawn given each history ``key``: one
+        ``rng.choice`` per key present, in ascending key order."""
+        counts = np.bincount(key, minlength=len(self.keys))
+        order = np.argsort(key, kind="stable")
+        ends = np.cumsum(counts)
+        out = np.empty(len(key), dtype=np.intp)
+        for g in np.flatnonzero(counts):
+            out[order[ends[g] - counts[g] : ends[g]]] = rng.choice(
+                len(self.values), size=int(counts[g]), p=self.probs[g])
         return out
+
+    def extend(self, nxt: "_TableLaw", regime: Regime, m: int, key: np.ndarray,
+               j: np.ndarray) -> np.ndarray:
+        """Positions in ``nxt.keys`` of the histories ``keys[key]`` extended by
+        the covariate value ``values[j]`` at occasion m and the treatment the
+        regime assigns; each distinct (key, j) pair is built once."""
+        pairs, at = np.unique(key * len(self.values) + j, return_inverse=True)
+        k, v = np.divmod(pairs, len(self.values))
+        path = np.column_stack([self.keys[k], self.values[v]])
+        path = np.column_stack([path, regime_values(regime, path[:, 0::2], m)])
+        return nxt.index(path)[at]
 
 
 @dataclass(frozen=True)
 class ConditionalLaws:
     """Conditional laws f(l_m | past) and f(y | path) for standardization.
 
-    Law objects expose ``sample(rng, cols, n)``; covariate laws see columns
-    l0..l_{m-1}, a0..a_{m-1}, the outcome law sees the full path.  Built
-    from a table they are ``_TableLaw``s, whose ``lookup`` the exact and
-    conditional forms also use.
+    The covariate law at occasion m sees columns l0, a0, ..., l_{m-1},
+    a_{m-1}, the outcome law the full path; each is a ``_TableLaw``, and
+    each one's ``extend`` lands in the next one's ``keys``.
     """
 
     K: int
@@ -246,33 +263,26 @@ class ConditionalLaws:
         )
 
 
-def _path(L: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Interleave covariate and treatment prefixes as l0, a0, l1, a1, ..."""
-    P = np.empty((L.shape[0], 2 * L.shape[1]))
-    P[:, 0::2], P[:, 1::2] = L, A
-    return P
+def _roll_forward(table: JointTable, regime: Regime, path: np.ndarray) -> RegimeDistribution:
+    """Outcome law under the regime, starting from the single history held as
+    the one row (l0, a0, ..., l_{s-1}, a_{s-1}) of ``path``.
 
-
-def _roll_forward(table: JointTable, regime: Regime, L: np.ndarray,
-                  A: np.ndarray) -> RegimeDistribution:
-    """Outcome law under the regime, starting from the single (l, a) prefix
-    held as one row of L and one of A.
-
-    Each remaining occasion extends every live prefix by each covariate value
-    of positive conditional probability, and the regime assigns its
-    treatment; the outcome law is then mixed with the prefixes' weights.
+    Each remaining occasion extends every live history by each covariate
+    value of positive conditional probability, and the regime assigns its
+    treatment; the outcome law is then mixed with the histories' weights.
     """
     laws = table.laws
+    chain = laws.l_laws + (laws.y_law,)
+    start = path.shape[1] // 2
+    key = chain[start].index(path)
     w = np.ones(1)
-    for m in range(L.shape[1], laws.K + 1):
-        f = laws.l_laws[m].lookup(_path(L, A))
-        i, j = np.nonzero(f > 0.0)
-        w = w[i] * f[i, j]
-        L = np.column_stack([L[i], laws.l_laws[m].values[j]])
-        A = np.column_stack([A[i], regime_values(regime, L, m)])
+    for m in range(start, laws.K + 1):
+        i, j = np.nonzero(chain[m].probs[key] > 0.0)
+        w = w[i] * chain[m].probs[key[i], j]
+        key = chain[m].extend(chain[m + 1], regime, m, key[i], j)
     atoms, at = np.unique([round(float(v), 12) for v in laws.y_law.values],
                           return_inverse=True)
-    probs = np.bincount(at, weights=w @ laws.y_law.lookup(_path(L, A)))
+    probs = np.bincount(at, weights=w @ laws.y_law.probs[key])
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise EstimationError(f"path weights sum to {total!r}; table is inconsistent")
@@ -282,8 +292,7 @@ def _roll_forward(table: JointTable, regime: Regime, L: np.ndarray,
 
 def g_formula_exact(table: JointTable, regime: Regime) -> RegimeDistribution:
     """Exact standardized outcome law under the regime."""
-    empty = np.zeros((1, 0))
-    return _roll_forward(table, regime, empty, empty)
+    return _roll_forward(table, regime, np.zeros((1, 0)))
 
 
 def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> RegimeDistribution:
@@ -303,7 +312,7 @@ def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> R
             f"history treatments {hist.a_bar_prev} differ from the "
             f"{tuple(float(a) for a in A[0, :m])} that {regime.name} assigns along {hist.l_bar}"
         )
-    return _roll_forward(table, regime, L, A)
+    return _roll_forward(table, regime, np.dstack([L, A]).reshape(1, -1))
 
 
 def g_formula_mc(
@@ -312,30 +321,20 @@ def g_formula_mc(
     draws: int,
     seed: int,
 ) -> RegimeDistribution:
-    """Monte Carlo standardization: roll covariates forward under the regime."""
+    """Monte Carlo standardization: roll covariates forward under the regime,
+    each draw carried as its history's position in the current law."""
     if draws <= 0:
         raise ConfigError("draws must be positive")
-    K = laws.K
-    ys = np.empty(draws)
-    done = 0
+    chain = laws.l_laws + (laws.y_law,)
+    nb = streams.BLOCK
+    ys = np.empty(streams.block_count(draws) * nb)
     for b in range(streams.block_count(draws)):
         rng = streams.substream(seed, "g-formula-mc", regime.name, b)
-        nb = streams.BLOCK
-        L = np.zeros((nb, K + 1))
-        A = np.zeros((nb, K + 1))
-        cols: dict[str, np.ndarray] = {}
-        for m in range(K + 1):
-            L[:, m] = laws.l_laws[m].sample(rng, dict(cols), nb)
-            cols[f"l{m}"] = L[:, m]
-            A[:, m] = regime_values(regime, L[:, : m + 1], m)
-            cols[f"a{m}"] = A[:, m]
-        yb = laws.y_law.sample(rng, cols, nb)
-        take = min(nb, draws - done)
-        ys[done : done + take] = yb[:take]
-        done += take
-        if done >= draws:
-            break
-    return RegimeDistribution.from_samples(ys, regime.name)
+        key = np.zeros(nb, dtype=np.intp)
+        for m in range(laws.K + 1):
+            key = chain[m].extend(chain[m + 1], regime, m, key, chain[m].draw(rng, key))
+        ys[b * nb : (b + 1) * nb] = laws.y_law.values[laws.y_law.draw(rng, key)]
+    return RegimeDistribution.from_samples(ys[:draws], regime.name)
 
 
 def g_mean_plugin(theta, gamma, a0, a1):

@@ -295,7 +295,7 @@ def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> 
     a1s = np.unique(np.round(table.cells[table.probs > 0.0, 3], 9))
     curves = np.zeros((len(a1s), len(a0s), len(law.values)))
     for j, a1 in enumerate(a1s):
-        probs = law.lookup(np.column_stack([covs, np.full(len(covs), a1)]))
+        probs = law.probs[law.index(np.column_stack([covs, np.full(len(covs), a1)]))]
         np.add.at(curves[j], of_a0, weights[:, None] * probs)
     return _rows_agree(curves.reshape(-1, len(law.values)),
                        np.repeat(a1s, len(a0s))[:, None], tol)

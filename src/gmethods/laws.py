@@ -22,6 +22,13 @@ from .glm import expit
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
+def _linear(terms: tuple[str, ...], coefs: tuple[float, ...], cols: Cols) -> np.ndarray:
+    """coefs . terms(parents), summed a term column at a time: unlike a BLAS
+    ``X @ coefs``, a row's value does not depend on the rows evaluated with it."""
+    X = eval_terms(terms, cols)
+    return sum(X[:, k] * float(c) for k, c in enumerate(coefs))
+
+
 @dataclass(frozen=True)
 class DiscreteMarginal:
     """Finite-support marginal (for hidden causes and noise)."""
@@ -103,8 +110,7 @@ class BernoulliLogit:
         return (0.0, 1.0)
 
     def prob(self, cols: Cols) -> np.ndarray:
-        X = eval_terms(self.terms, cols)
-        return expit(X @ np.asarray(self.coefs, dtype=float))
+        return expit(_linear(self.terms, self.coefs, cols))
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         return (rng.random(n) < self.prob(cols)).astype(float)
@@ -134,8 +140,7 @@ class NormalLinear:
     discrete = False
 
     def mean(self, cols: Cols) -> np.ndarray:
-        X = eval_terms(self.terms, cols)
-        return X @ np.asarray(self.coefs, dtype=float)
+        return _linear(self.terms, self.coefs, cols)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         return self.mean(cols) + self.sd * rng.standard_normal(n)
@@ -165,8 +170,7 @@ class LinearOutcome:
         return self.noise_sd == 0.0
 
     def mean(self, cols: Cols) -> np.ndarray:
-        X = eval_terms(self.terms, cols)
-        return X @ np.asarray(self.coefs, dtype=float)
+        return _linear(self.terms, self.coefs, cols)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         out = self.mean(cols)

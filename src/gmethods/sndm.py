@@ -604,16 +604,11 @@ def sndm_mle(
         psi, mu, logsd, phis = unpack(x)
         sd = np.exp(logsd)
         total_shift = S @ psi
-        if blip_spec.family == "additive":
-            h = Y + total_shift
-            log_jac = 0.0
-        else:
-            h = Y * np.exp(total_shift)
-            log_jac = float(np.sum(total_shift)) if include_jacobian else 0.0
+        h = _residual_outcome(blip_spec.family, Y, total_shift)
         z = (h - mu) / sd
         ll = -0.5 * float(z @ z) - n * (logsd + 0.5 * np.log(2.0 * np.pi))
-        if include_jacobian:
-            ll += log_jac
+        if include_jacobian and blip_spec.family == "multiplicative":
+            ll += float(np.sum(total_shift))  # log dH/dY
         for m in modeled:
             cols = history_cols(L, A, m, m, m, extra={"h": h})
             X = eval_terms(terms_by_m[m], cols)
@@ -715,19 +710,21 @@ def mc_regime_draws(
         return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
     if len(covariate_models) != K + 1:
         raise ConfigError("one covariate model per occasion required")
-    L = np.empty((n, K + 1))
-    A = np.empty((n, K + 1))
-    done = 0
+    # Every block is drawn in full (h padded with zeros) and then cut to n
+    # draws, so a draw's covariates do not depend on the number of draws.
+    nb = streams.BLOCK
+    rows = streams.block_count(n) * nb
+    hp = np.pad(h, (0, rows - n))
+    L = np.empty((rows, K + 1))
+    A = np.empty((rows, K + 1))
     for b in range(streams.block_count(n)):
         rng = streams.substream(seed, "sndm-mc", regime.name, b)
-        nb = min(streams.BLOCK, n - done)
-        sl = slice(done, done + nb)
+        sl = slice(b * nb, (b + 1) * nb)
         for m in range(K + 1):
-            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": h[sl]})
+            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": hp[sl]})
             L[sl, m] = covariate_models[m].sample(rng, cols, nb)
             A[sl, m] = regime_values(regime, L[sl, : m + 1], m)
-        done += nb
-    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
+    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L[:n], A[:n]), regime.name)
 
 
 def empirical_static_survivor(

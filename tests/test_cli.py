@@ -290,6 +290,11 @@ class TestGFormula:
         dist.to_csv(str(want))
         assert (out / "g-formula-mc.csv").read_bytes() == want.read_bytes()
 
+    def test_jobs_is_not_a_g_formula_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["g-formula", "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_method_is_validated(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="discrete-trial", method="bogus",
                         regime={"kind": "static", "plan": [1, 1]})

@@ -202,6 +202,8 @@ class TestExactStandardization:
         t = JointTable(schema, cells, np.array([0.3, 0.3, 0.4]))
         with pytest.raises(PositivityError):
             g_formula_exact(t, Regime.static((1.0,)))
+        with pytest.raises(PositivityError, match="law of Y"):
+            g_formula_mc(t.laws, Regime.static((1.0,)), 100, seed=0)
 
 
 class TestTableLawsCache:

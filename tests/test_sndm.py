@@ -11,6 +11,7 @@ from gmethods.data import Dataset, Regime, Schema, binary, discrete
 from gmethods.errors import ConfigError, EstimationError
 from gmethods.features import eval_terms
 from gmethods.glm import fit_logistic
+from gmethods.laws import BernoulliLogit, NormalMarginal
 from gmethods.scenarios import simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (
     BlipSpec,
@@ -448,6 +449,21 @@ class TestRegimeDraws:
         plug = empirical_static_survivor(ds, spec, (1.0, 1.0))
         np.testing.assert_allclose(np.sort(plug.samples),
                                    np.sort(h - 1.6), atol=1e-12)
+
+    def test_draw_count_prefix_invariance(self):
+        # Covariates that depend on h: the first draws must not depend on
+        # how many are asked for, across a block boundary too.
+        spec = additive_blip("1", "lm", psi=(0.5, 0.2))
+        models = (BernoulliLogit(("1", "h"), (0.0, 0.5)),
+                  BernoulliLogit(("1", "h", "a0", "l0"), (-0.2, 0.5, 0.3, 0.4)))
+        regime = Regime.dynamic(lambda m, lbar: float(lbar[-1] >= 0.5), "treat-if-l")
+
+        def draws(count):
+            return mc_regime_draws(spec, regime, K=1, h_law=NormalMarginal(0.0, 1.0),
+                                   covariate_models=models, draws=count, seed=3).samples
+
+        np.testing.assert_array_equal(draws(200)[:100], draws(100))
+        np.testing.assert_array_equal(draws(20_000)[:9_000], draws(9_000))
 
     def test_draws_none_needs_samples(self):
         spec = additive_blip("1", psi=(0.5,))

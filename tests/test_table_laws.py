@@ -6,11 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from gmethods import scenarios
+from gmethods import scenarios, streams
 from gmethods.data import (
     History,
     Regime,
@@ -179,6 +179,30 @@ class MaskedOutcome:
             sel = inverse == gi
             out[sel] = rng.choice(atoms, size=int(sel.sum()), p=probs)
         return out
+
+
+def float_mc(l_laws, y_law, regime, draws, seed) -> np.ndarray:
+    """g_formula_mc as it was: float L and A columns, each law sampled given
+    a ``cols`` dict of the draws' parent values."""
+    K = len(l_laws) - 1
+    ys = np.empty(draws)
+    done = 0
+    for b in range(streams.block_count(draws)):
+        rng = streams.substream(seed, "g-formula-mc", regime.name, b)
+        nb = streams.BLOCK
+        L = np.zeros((nb, K + 1))
+        A = np.zeros((nb, K + 1))
+        cols = {}
+        for m in range(K + 1):
+            L[:, m] = l_laws[m].sample(rng, dict(cols), nb)
+            cols[f"l{m}"] = L[:, m]
+            A[:, m] = regime_values(regime, L[:, : m + 1], m)
+            cols[f"a{m}"] = A[:, m]
+        yb = y_law.sample(rng, cols, nb)
+        take = min(nb, draws - done)
+        ys[done : done + take] = yb[:take]
+        done += take
+    return ys
 
 
 def masked_moment_check(table, split, spec):
@@ -623,12 +647,38 @@ class TestReplacedPathsAreUnchanged:
     ], ids=["seq-K1", "seq-K2", "discrete", "direct-effect", "sndm"])
     def test_mc_draws_equal_the_masked_laws(self, table):
         K = table.schema.K
-        old = ConditionalLaws(K, tuple(MaskedConditional(table, m) for m in range(K + 1)),
-                              MaskedOutcome(table))
-        new = ConditionalLaws.from_table(table)
+        l_laws = [MaskedConditional(table, m) for m in range(K + 1)]
+        laws = ConditionalLaws.from_table(table)
         for plan in (Regime.static((1.0,) * (K + 1)), Regime.dynamic(_threshold)):
-            np.testing.assert_array_equal(g_formula_mc(new, plan, 3000, 5).samples,
-                                          g_formula_mc(old, plan, 3000, 5).samples)
+            np.testing.assert_array_equal(g_formula_mc(laws, plan, 3000, 5).samples,
+                                          float_mc(l_laws, MaskedOutcome(table), plan, 3000, 5))
+
+    def test_rules_see_the_tables_own_values(self):
+        # Levels 1/3 and 2/3 are not 9-decimal numbers: a rule handed rounded
+        # history keys would see 0.333333333 < 1/3 and withhold treatment.
+        third = 1.0 / 3.0
+        cells, probs = [], []
+        for l0, a0, l1, a1, y in np.ndindex(2, 2, 2, 2, 2):
+            p_y = 0.8 if a1 else 0.2
+            cells.append(((l0 + 1) * third, a0, (l1 + 1) * third, a1, y))
+            probs.append(p_y if y else 1.0 - p_y)
+        table = JointTable(sequential_trial_scenario(K=1).schema, np.array(cells),
+                           np.array(probs) / 16.0)
+        seen = set()
+
+        def rule(m, l_bar):
+            seen.update(l_bar)
+            return float(min(l_bar) >= third)
+
+        exact = g_formula_exact(table, Regime.dynamic(rule, "all-at-least-a-third"))
+        want = g_formula_exact(table, Regime.static((1.0, 1.0)))
+        np.testing.assert_array_equal(exact.atom_probs, want.atom_probs)
+        assert seen == {third, 2 * third}
+        seen.clear()
+        mc = g_formula_mc(table.laws, Regime.dynamic(rule, "treat"), 2000, 3)
+        always = g_formula_mc(table.laws, Regime.dynamic(lambda m, l_bar: 1.0, "treat"), 2000, 3)
+        np.testing.assert_array_equal(mc.samples, always.samples)
+        assert seen == {third, 2 * third}
 
     @settings(max_examples=20, deadline=None)
     @given(psi0=st.floats(0.0, 2.0), psi1=st.floats(-1.0, 1.0),
@@ -753,17 +803,18 @@ class TestContextKeys:
 
 
 class TestArrayEnumerationOracle:
-    """Array-at-a-time enumeration against the recursive walk: equal cells,
-    probabilities within 1e-15."""
+    """Array-at-a-time enumeration against the recursive walk: equal cells
+    and equal probabilities."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(ENUMERATION_KINDS), seed=st.integers(0, 10**6))
+    @example(kind="sequential-noiseless", seed=218635)
     def test_tables_match_the_recursive_walk(self, kind, seed):
         config, y_bins = _enumeration_case(kind, seed)
         want = recursive_enumerate_joint(config, y_bins)
         got = enumerate_joint(config, y_bins)
         np.testing.assert_array_equal(got.cells, want.cells)
-        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got.probs, want.probs)
 
     def test_zero_probability_branches_leave_no_cells(self):
         config, _ = _enumeration_case("zero-branches", 0)
@@ -772,6 +823,29 @@ class TestArrayEnumerationOracle:
         l1, a1 = table.cells[:, table.l_col(1)], table.cells[:, table.a_col(1)]
         assert not np.any((l1 == 0.0) & (a1 == 0.0))
         assert np.any((l1 == 1.0) & (a1 == 0.0))
+
+
+class TestLinearLawsPerRow:
+    """A law's value for a row is the same alone and inside a batch."""
+
+    LAWS = {
+        "logit": lambda law, cols: law.prob(cols),
+        "normal": lambda law, cols: law.mean(cols),
+        "outcome": lambda law, cols: law.mean(cols),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    def test_one_row_equals_its_row_in_a_batch(self, kind):
+        rng = np.random.default_rng(7)
+        terms = ("1", "l0", "a0", "l1", "a1", "u", "a0*l1")
+        coefs = tuple(rng.uniform(-2.0, 2.0, len(terms)))
+        law = {"logit": BernoulliLogit, "normal": NormalLinear,
+               "outcome": LinearOutcome}[kind](terms, coefs)
+        cols = {name: rng.standard_normal(512) for name in ("l0", "a0", "l1", "a1", "u")}
+        batch = self.LAWS[kind](law, cols)
+        alone = [self.LAWS[kind](law, {k: v[i : i + 1] for k, v in cols.items()})[0]
+                 for i in range(512)]
+        np.testing.assert_array_equal(batch, alone)
 
 
 class TestOutcomeLawsPerRow:
