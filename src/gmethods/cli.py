@@ -148,7 +148,10 @@ def _alpha_from(cfg: dict, scenario, terms, occasions=None):
                 f"not share a logistic model on terms {terms}"
             )
         return alpha
-    return tuple(float(v) for v in raw)
+    try:
+        return tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ConfigError("alpha_known must be 'design' or a list of numbers") from None
 
 
 # ---------------------------------------------------------------------------

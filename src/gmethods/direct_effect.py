@@ -356,6 +356,10 @@ class DeSndmSpec:
     cofactors may reference the fixed arm's treatments at ANY occasion
     (they are held fixed, so "future" Z values are legitimate effect
     modifiers) but only earlier studied-arm treatments and covariates.
+    ``qstar(h, L, A, m)``, when given, replaces the default added columns (H
+    paired with each cofactor) at studied-arm occasion m; it must return
+    finite values of shape (n,) or (n, k), with the same k at every
+    occasion, or the score engine raises ``ConfigError``.
     """
 
     blip: BlipSpec

@@ -11,9 +11,12 @@ Four testing routes live here:
   mean.
 * ``gnull_score_test`` — the randomization score test built from the known
   design means; valid regardless of the covariate process.
-* ``pooled_g_test`` — the general person-occasion logistic score test: each
-  subject contributes one Bernoulli row per occasion, and the test asks
-  whether a chosen function of the outcome and history predicts treatment.
+* ``pooled_g_test`` — the person-occasion logistic score test: each subject
+  contributes one Bernoulli row per occasion, and the test asks whether the
+  outcome predicts treatment.  "No treatment effect" is psi = 0 in a
+  structural nested model, so this is the g-estimation score engine
+  (``sndm``) for an intercept-only additive blip at psi = 0; a custom added
+  column is ``sndm.g_test_at(..., additive_blip("1"), 0.0, qstar=...)``.
 
 Also here: exact conditional-independence predicates on discrete joint
 tables, used to cross-check the two equivalent statements of the null, and
@@ -30,16 +33,9 @@ from .data import Dataset, Schema, constant, discrete, group_rows
 from .errors import ConfigError, EstimationError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw
-from .glm import (
-    ESTIMATED_DESIGN_NOTE,
-    TestReport,
-    _report,
-    fit_linear,
-    fit_logistic,
-    pooled_rows,
-    score_test_added,
-    wald_test,
-)
+from .glm import ESTIMATED_DESIGN_NOTE  # noqa: F401  (the fitted-design note, re-exported)
+from .glm import TestReport, _report, fit_linear, wald_test
+from .sndm import _g_engine, additive_blip
 
 
 # ---------------------------------------------------------------------------
@@ -178,68 +174,31 @@ class GTestSpec:
     """Configuration of the pooled test.
 
     ``treatment_terms`` define the per-occasion logistic model for A_m given
-    history.  ``q`` maps (y, cols, m) to the added regressor(s): any function
-    of the outcome and the history strictly before A_m.  ``alpha_known``
-    fixes the treatment-model coefficients (randomized designs); otherwise
-    they are estimated by maximum likelihood on the pooled rows.
+    history.  ``alpha_known`` fixes its coefficients (randomized designs);
+    otherwise they are estimated by maximum likelihood on the pooled rows.
+    ``occasions`` picks the tested treatments (default: all).
     """
 
     treatment_terms: tuple[str, ...]
-    q: object = None
     alpha_known: tuple[float, ...] | None = None
     occasions: tuple[int, ...] | None = None
-
-    def q_values(self, y: np.ndarray, cols: dict, m: int) -> np.ndarray:
-        if self.q is None:
-            return np.asarray(y, dtype=float)[:, None]
-        out = np.asarray(self.q(y, cols, m), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        if out.shape[0] != len(y):
-            raise ConfigError("q must return one row per subject")
-        return out
 
 
 def pooled_g_test(dataset: Dataset, spec: GTestSpec, level: float = 0.05) -> TestReport:
     """Score test of "the outcome does not predict treatment at any occasion".
 
-    Subjects are stacked as K+1 Bernoulli rows (one per occasion).  Under
-    the joint null and sequential randomization, the added column Q_m =
-    q(Y, history) has zero coefficient in the pooled treatment model, and
-    the Rao score test of that zero is valid — each row behaves as an
-    independent Bernoulli draw given its own history.
+    Subjects are stacked as one Bernoulli row per tested occasion.  Under
+    the joint null and sequential randomization, the outcome added as a
+    column has zero coefficient in the pooled treatment model, and the Rao
+    score test of that zero is valid — each row behaves as an independent
+    Bernoulli draw given its own history.  This is the g-estimation engine
+    of ``additive_blip("1")`` at psi = 0, whose residual outcome is Y; the
+    engine checks the inputs (binary treatments, ``alpha_known`` length).
     """
-    occs = list(spec.occasions) if spec.occasions is not None else list(
-        range(dataset.schema.K + 1))
-    for m in occs:
-        vals = np.unique(dataset.A[:, m])
-        if not np.isin(vals, (0.0, 1.0)).all():
-            raise ConfigError(f"pooled test needs binary treatments; A{m} is not 0/1")
-    X, resp, _, _ = pooled_rows(dataset, spec.treatment_terms, occs)
-    qs = []
-    for m in occs:
-        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
-        qs.append(spec.q_values(dataset.Y, cols, m))
-    Z = np.vstack(qs)
-    if not np.isfinite(Z).all():
-        raise ConfigError("q produced non-finite values")
-    for j in range(Z.shape[1]):
-        col = Z[:, j]
-        if np.ptp(col) == 0.0 and col[0] != 0.0:
-            raise EstimationError(
-                "added column Q is a nonzero constant; it is confounded with "
-                "the intercept and cannot be tested"
-            )
-    if spec.alpha_known is not None:
-        alpha = np.asarray(spec.alpha_known, dtype=float)
-        if alpha.shape != (X.shape[1],):
-            raise ConfigError("alpha_known must match the treatment terms")
-        return score_test_added(X, resp, Z, "binomial", known_coef=alpha,
-                                level=level,
-                                note="known randomization design")
-    fit = fit_logistic(X, resp)
-    return score_test_added(X, resp, Z, "binomial", fit=fit, level=level,
-                            note=ESTIMATED_DESIGN_NOTE)
+    eng = _g_engine(dataset, additive_blip("1"), spec.treatment_terms, None,
+                    spec.alpha_known, spec.occasions, level,
+                    known_note="known randomization design")
+    return eng.report(0.0)
 
 
 # ---------------------------------------------------------------------------

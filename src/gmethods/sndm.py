@@ -182,7 +182,9 @@ def blip_down(spec: BlipSpec, dataset: Dataset) -> BlipDownResult:
 def blip_up(spec: BlipSpec, h: np.ndarray, L: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Invert the full H-recursion: recover outcomes from residual outcomes."""
     psi = spec.require_psi()
-    total = shift_basis(spec, L, A) @ psi
+    S = shift_basis(spec, L, A)
+    # By column, as ``laws._linear``: a row's value does not depend on its batch.
+    total = sum(S[:, j] * float(p) for j, p in enumerate(psi))
     h = np.asarray(h, dtype=float)
     if spec.family == "additive":
         return h - total
@@ -234,6 +236,10 @@ class _ScoreEngine:
     row weights they are divided by the weights and the variance is the
     within-subject-robust one.
 
+    Every caller's inputs are checked here: 0/1 treatments, one ``known_coef``
+    per treatment term, a user q*'s shape and values (see ``g_estimate``), and
+    no nonzero-constant added column.
+
     For the additive family with the default q* the added columns are affine
     in psi, Z(psi) = Z_0 + sum_j psi_j Z_j with Z_0 pairing Y and Z_j pairing
     S_j with the cofactors.  The score U(psi) = a + B psi and its variance,
@@ -248,11 +254,10 @@ class _ScoreEngine:
                  qstar: Callable | None, known_coef, note: str, level: float,
                  weights: np.ndarray | None = None):
         self.X, self.resp, self.subj, _ = rows
-        bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
-        if np.any(bad):
-            raise EstimationError(
-                "g-estimation needs binary treatments at the pooled occasions"
-            )
+        for m in occs:
+            a = dataset.A[:, m]
+            if np.any((np.abs(a) > 1e-9) & (np.abs(a - 1.0) > 1e-9)):
+                raise EstimationError(f"score test needs binary treatments; A{m} is not 0/1")
         _check_outcomes(blip_spec.family, dataset.Y)
         self.dataset = dataset
         self.family = blip_spec.family
@@ -263,12 +268,14 @@ class _ScoreEngine:
         self.weights = weights
         self.note = note
         self.level = level
-        if known_coef is not None:
-            self.known = np.asarray(known_coef, dtype=float)
-            self.fit: FittedGlm | None = None
-        else:
-            self.known = None
-            self.fit = fit_logistic(self.X, self.resp)
+        try:
+            self.known = None if known_coef is None else np.asarray(known_coef, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("alpha_known must be a list of numbers") from None
+        if self.known is not None and self.known.shape != (self.X.shape[1],):
+            raise ConfigError("alpha_known must match the treatment terms")
+        self.fit: FittedGlm | None = (fit_logistic(self.X, self.resp)
+                                      if self.known is None else None)
 
     @property
     def _is_affine(self) -> bool:
@@ -304,14 +311,28 @@ class _ScoreEngine:
 
     def zmat(self, psi: np.ndarray) -> np.ndarray:
         h = self.h_of(psi)
-        L, A = self.dataset.L, self.dataset.A
-        if self.qstar is not None:
-            blocks = [np.atleast_2d(np.asarray(self.qstar(h, L, A, m), dtype=float))
-                      for m in self.occs]
-            blocks = [b if b.shape[0] == len(h) else b.T for b in blocks]
+        if self.qstar is None:
+            Z = np.vstack([h[:, None] * C for C in self.C])
         else:
-            blocks = [h[:, None] * C for C in self.C]
-        return self._weighted(np.vstack(blocks))
+            Z = self._qstar_columns(h)
+        if np.any((np.ptp(Z, axis=0) == 0.0) & (Z[0] != 0.0)):
+            raise EstimationError("added column Q is a nonzero constant; it is confounded "
+                                  "with the intercept and cannot be tested")
+        return self._weighted(Z)
+
+    def _qstar_columns(self, h: np.ndarray) -> np.ndarray:
+        """The user q*'s columns, stacked over the tested occasions."""
+        L, A = self.dataset.L, self.dataset.A
+        blocks = [np.asarray(self.qstar(h, L, A, m), dtype=float) for m in self.occs]
+        blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+        if any(b.ndim != 2 or b.shape[0] != len(h) for b in blocks) or \
+                len({b.shape[1] for b in blocks}) > 1:
+            raise ConfigError(f"q* must return one row per subject, (n,) or (n, k) with one "
+                              f"k at every occasion; got {[b.shape for b in blocks]}")
+        Z = np.vstack(blocks)
+        if not np.isfinite(Z).all():
+            raise ConfigError("q* produced non-finite values")
+        return Z
 
     def report(self, psi) -> TestReport:
         Z = self.zmat(np.atleast_1d(np.asarray(psi, dtype=float)))
@@ -355,12 +376,14 @@ class _ScoreEngine:
 
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
               qstar: Callable | None, alpha_known, occasions,
-              level: float) -> _ScoreEngine:
-    """The engine for ``g_test_at`` and ``g_estimate``: unweighted rows, the
-    family's cofactors at the tested occasions (default: all)."""
+              level: float, known_note: str = "") -> _ScoreEngine:
+    """The engine for ``g_test_at``, ``g_estimate`` and ``gnull.pooled_g_test``:
+    unweighted rows, the family's cofactors at the tested occasions (default:
+    all).  Reports carry ``known_note`` with ``alpha_known``, else
+    ``ESTIMATED_DESIGN_NOTE``."""
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
     C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in occs]
-    note = "" if alpha_known is not None else ESTIMATED_DESIGN_NOTE
+    note = known_note if alpha_known is not None else ESTIMATED_DESIGN_NOTE
     return _ScoreEngine(dataset, blip_spec, pooled_rows(dataset, treatment_terms, occs),
                         occs, C, qstar=qstar, known_coef=alpha_known, note=note,
                         level=level)
@@ -377,7 +400,8 @@ def g_test_at(
     occasions=None,
     level: float = 0.05,
 ) -> TestReport:
-    """Score test that psi is the true blip parameter."""
+    """Score test that psi is the true blip parameter (``qstar`` and
+    ``alpha_known`` as in ``g_estimate``)."""
     eng = _g_engine(dataset, blip_spec, treatment_terms, qstar, alpha_known,
                     occasions, level)
     return eng.report(psi)
@@ -442,6 +466,9 @@ def g_estimate(
     or one per axis; the default q* pairs H with each cofactor of the blip
     family.  ``occasions`` limits both where the family acts and which
     treatments are score-tested; by default the family covers every occasion.
+    A user ``qstar(h, L, A, m)`` returns occasion m's added columns from
+    H(psi) as finite (n,) or (n, k) values, one k at every occasion, and
+    ``alpha_known`` has one coefficient per treatment term; else ``ConfigError``.
     """
     box, points = _grid_spec(psi_box, grid_points, blip_spec.dim)
     eng = _g_engine(dataset, blip_spec, treatment_terms, qstar, alpha_known,

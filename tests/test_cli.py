@@ -219,10 +219,23 @@ class TestStudy:
         rc, _ = self.run(tmp_path, "st10", ["naive", "pooled-g"])
         assert rc == 1
         err = stderr_of(capsys).splitlines()
-        assert err[0] == ("2 replicate analysis run(s) errored (2 ConfigError); "
+        assert err[0] == ("2 replicate analysis run(s) errored (2 EstimationError); "
                           "the log holds nan rows for them")
-        assert err[1] == ("first error: replicate 0, analysis pooled-g: ConfigError: "
-                          "pooled test needs binary treatments; A0 is not 0/1")
+        assert err[1] == ("first error: replicate 0, analysis pooled-g: EstimationError: "
+                          "score test needs binary treatments; A0 is not 0/1")
+
+    def test_wrong_length_alpha_is_a_logged_config_error(self, tmp_path, capsys):
+        # Two coefficients for the three default treatment terms: each
+        # replicate logs a ConfigError row instead of crashing the study.
+        rc, log = self.run(tmp_path, "st11", [{"name": "g-estimate", "params": {
+            "alpha_known": [0.1, 0.2], "psi_box": [[0.0, 2.0]], "grid_points": 5}}],
+            scenario="sndm-additive")
+        assert rc == 1
+        err = stderr_of(capsys).splitlines()
+        assert err[0].startswith("2 replicate analysis run(s) errored (2 ConfigError)")
+        assert err[1].endswith("ConfigError: alpha_known must match the treatment terms")
+        assert log.read_text().splitlines()[1] == \
+            "sndm-additive,150,0,g-estimate,nan,nan,,nan,nan,nan"
 
     def test_jobs_flag_leaves_the_log_unchanged(self, tmp_path):
         _, serial = self.run(tmp_path, "st8", ["naive"], n=120)
@@ -351,6 +364,19 @@ class TestGEstimate:
         assert main(["g-estimate", "--config", path,
                      "--out", str(tmp_path / "ge2")]) == 0
         assert "psi_hat = (" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([0.1, 0.2], "alpha_known must match the treatment terms"),
+        (["a", "b", "c"], "alpha_known must be 'design' or a list of numbers"),
+    ])
+    def test_bad_alpha_vector_is_a_config_error(self, tmp_path, capsys, alpha, message):
+        path = cfg_file(tmp_path, scenario="sndm-additive", n=200, seed=3,
+                        alpha_known=alpha,
+                        blip={"family": "additive", "cofactors": ["1"]},
+                        psi_box=[[-1.0, 3.0]], grid_points=5)
+        assert main(["g-estimate", "--config", path,
+                     "--out", str(tmp_path / "ge3")]) == 2
+        assert message in stderr_of(capsys)
 
     def test_design_alpha_requires_a_shared_logistic_model(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="dag1b", n=100, seed=3,

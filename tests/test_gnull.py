@@ -31,6 +31,7 @@ from gmethods.scenarios import (
     simulate,
     two_occasion_scenario,
 )
+from gmethods.sndm import additive_blip, g_test_at
 
 
 def tiny_dataset(L, A, Y):
@@ -146,27 +147,30 @@ class TestParametricNullCheck:
 
 
 class TestPooledGTest:
+    # A custom added column is the engine's q* at psi = 0 of the
+    # intercept-only blip, through g_test_at.
+    @staticmethod
+    def _custom_column(ds, terms, qstar):
+        return g_test_at(ds, additive_blip("1"), 0.0, treatment_terms=terms, qstar=qstar)
+
     def test_zero_added_column_gives_zero_statistic(self):
         ds = simulate(binary_two_occasion_scenario(), 300, seed=5)
-        spec = GTestSpec(("1", "lm", "a_prev"),
-                         q=lambda y, cols, m: np.zeros_like(y))
-        rep = pooled_g_test(ds, spec)
+        rep = self._custom_column(ds, ("1", "lm", "a_prev"),
+                                  lambda h, L, A, m: np.zeros_like(h))
         assert rep.statistic == 0.0
         assert rep.p_value == 1.0
         assert not rep.reject
 
     def test_constant_added_column_rejected(self):
         ds = simulate(binary_two_occasion_scenario(), 300, seed=5)
-        spec = GTestSpec(("1", "lm", "a_prev"),
-                         q=lambda y, cols, m: np.ones_like(y))
         with pytest.raises(EstimationError, match="constant"):
-            pooled_g_test(ds, spec)
+            self._custom_column(ds, ("1", "lm", "a_prev"),
+                                lambda h, L, A, m: np.ones_like(h))
 
     def test_q_row_count_enforced(self):
         ds = simulate(binary_two_occasion_scenario(), 300, seed=5)
-        spec = GTestSpec(("1",), q=lambda y, cols, m: y[:-1])
         with pytest.raises(ConfigError, match="one row per subject"):
-            pooled_g_test(ds, spec)
+            self._custom_column(ds, ("1",), lambda h, L, A, m: h[:-1])
 
     def test_alpha_known_shape_checked(self):
         ds = simulate(binary_two_occasion_scenario(), 300, seed=5)
@@ -176,7 +180,7 @@ class TestPooledGTest:
 
     def test_continuous_treatments_rejected(self):
         ds = simulate(two_occasion_scenario(), 100, seed=5)
-        with pytest.raises(ConfigError, match="binary"):
+        with pytest.raises(EstimationError, match="binary treatments; A0 is not 0/1"):
             pooled_g_test(ds, GTestSpec(("1",)))
 
     def test_level_with_known_design(self):

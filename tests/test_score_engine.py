@@ -3,10 +3,13 @@
 ``_RefGEngine`` (g-estimation) and ``_RefDeEngine`` (direct-effect
 g-estimation) are the former per-analysis engines, kept here as oracles,
 together with the former per-point ``g_test_at`` scan of the naive
-direct-effect analysis.  The merged ``sndm._ScoreEngine`` must reproduce
-their per-point statistics and p-values bit for bit; the naive scan, now
-one batched pass, agrees with the per-point scan within 1e-12 and on every
-decision.
+direct-effect analysis and the former hand-written pooled g-null test
+(``_ref_pooled_g_test``).  The merged ``sndm._ScoreEngine`` must reproduce
+their per-point statistics and p-values bit for bit (``pooled_g_test`` is
+the engine at psi = 0); the naive scan, now one batched pass, agrees with
+the per-point scan within 1e-12 and on every decision.  The engine's input
+contract (binary treatments, ``alpha_known`` length, the shape and values of
+a user q*) is checked here for every caller.
 
 ``_ref_search`` is the former search: one score test per grid point, then
 bisection of the first score column's sign change, a bounded scalar
@@ -22,6 +25,8 @@ grid edge), else within 1e-6.  Where the former search's rules missed the
 minimum (a q* with more score columns than components), the statistic at
 psi_hat is checked against the grid instead.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -43,9 +48,11 @@ from gmethods.direct_effect import (
     ipw_weights,
     naive_direct_effect_demo,
 )
-from gmethods.errors import EstimationError
+from gmethods.errors import ConfigError, EstimationError
 from gmethods.features import eval_terms, history_cols
+from gmethods.gnull import GTestSpec, pooled_g_test
 from gmethods.glm import (
+    ESTIMATED_DESIGN_NOTE,
     expit,
     fit_logistic,
     pooled_rows,
@@ -57,6 +64,7 @@ from gmethods.scenarios import (
     design_alpha,
     direct_effect_scenario,
     masked_interaction_scenario,
+    sequential_trial_scenario,
     simulate,
     sndm_scenario,
 )
@@ -70,6 +78,7 @@ from gmethods.sndm import (
     additive_blip,
     cofactor_matrix,
     g_estimate,
+    g_test_at,
     multiplicative_blip,
 )
 
@@ -197,6 +206,61 @@ class _RefDeEngine:
                                      note=self.note)
         return robust_score_test(self.X, self.resp, Z, self.subj,
                                  fit=self.fit, level=self.level, note=self.note)
+
+
+@dataclass(frozen=True)
+class _RefGTestSpec:
+    """The former ``gnull.GTestSpec``, with its added-column function ``q``."""
+
+    treatment_terms: tuple[str, ...]
+    q: object = None
+    alpha_known: tuple[float, ...] | None = None
+    occasions: tuple[int, ...] | None = None
+
+    def q_values(self, y: np.ndarray, cols: dict, m: int) -> np.ndarray:
+        if self.q is None:
+            return np.asarray(y, dtype=float)[:, None]
+        out = np.asarray(self.q(y, cols, m), dtype=float)
+        if out.ndim == 1:
+            out = out[:, None]
+        if out.shape[0] != len(y):
+            raise ConfigError("q must return one row per subject")
+        return out
+
+
+def _ref_pooled_g_test(dataset, spec, level=0.05):
+    """The former ``gnull.pooled_g_test``: its own checks and score test."""
+    occs = list(spec.occasions) if spec.occasions is not None else list(
+        range(dataset.schema.K + 1))
+    for m in occs:
+        vals = np.unique(dataset.A[:, m])
+        if not np.isin(vals, (0.0, 1.0)).all():
+            raise ConfigError(f"pooled test needs binary treatments; A{m} is not 0/1")
+    X, resp, _, _ = pooled_rows(dataset, spec.treatment_terms, occs)
+    qs = []
+    for m in occs:
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
+        qs.append(spec.q_values(dataset.Y, cols, m))
+    Z = np.vstack(qs)
+    if not np.isfinite(Z).all():
+        raise ConfigError("q produced non-finite values")
+    for j in range(Z.shape[1]):
+        col = Z[:, j]
+        if np.ptp(col) == 0.0 and col[0] != 0.0:
+            raise EstimationError(
+                "added column Q is a nonzero constant; it is confounded with "
+                "the intercept and cannot be tested"
+            )
+    if spec.alpha_known is not None:
+        alpha = np.asarray(spec.alpha_known, dtype=float)
+        if alpha.shape != (X.shape[1],):
+            raise ConfigError("alpha_known must match the treatment terms")
+        return score_test_added(X, resp, Z, "binomial", known_coef=alpha,
+                                level=level,
+                                note="known randomization design")
+    fit = fit_logistic(X, resp)
+    return score_test_added(X, resp, Z, "binomial", fit=fit, level=level,
+                            note=ESTIMATED_DESIGN_NOTE)
 
 
 def _ref_search(eng, dim, box, points, level):
@@ -402,6 +466,95 @@ def test_de_engine_matches_the_former_engine(seed, n, dim, known, fitted_z, qsta
     new, ref = _de_engine(*args), _RefDeEngine(*args)
     for p in (psi[:dim], psi[1:1 + dim]):
         _same_report(new.report(p), ref.report(p))
+
+
+POOLED_TERMS = ("1", "lm", "a_prev")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(100, 800), K=st.sampled_from([1, 2]),
+       known=st.booleans(), occasions=st.sampled_from([None, (1,), (0, 2)]),
+       level=st.sampled_from([0.05, 0.2]))
+def test_pooled_g_test_matches_the_former_test(seed, n, K, known, occasions, level):
+    if occasions == (0, 2) and K < 2:
+        occasions = (0, 1)
+    trial = sequential_trial_scenario(K=K)
+    ds = simulate(trial, n, seed=seed)
+    alpha = design_alpha(trial, POOLED_TERMS) if known else None
+    new = pooled_g_test(ds, GTestSpec(POOLED_TERMS, alpha, occasions), level)
+    ref = _ref_pooled_g_test(ds, _RefGTestSpec(POOLED_TERMS, alpha_known=alpha,
+                                               occasions=occasions), level)
+    _same_report(new, ref)
+    assert new.note == ("known randomization design" if known else ESTIMATED_DESIGN_NOTE)
+
+
+# ---------------------------------------------------------------------------
+# The engine's input contract, for every caller.
+# ---------------------------------------------------------------------------
+
+
+def _contract_data():
+    return simulate(sndm_scenario(psi=(1.0,)), 200, seed=4)
+
+
+@pytest.mark.parametrize("qstar, message", [
+    (lambda h, L, A, m: h * np.nan, "non-finite"),
+    (lambda h, L, A, m: np.vstack([h, h]), "one row per subject"),
+    (lambda h, L, A, m: np.column_stack([h] * (m + 1)), "one k at every occasion"),
+    (lambda h, L, A, m: h[:-1], "one row per subject"),
+    (lambda h, L, A, m: 1.0, "one row per subject"),
+])
+def test_user_qstar_output_is_checked(qstar, message):
+    ds = _contract_data()
+    with pytest.raises(ConfigError, match=message):
+        g_test_at(ds, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS, qstar=qstar)
+    with pytest.raises(ConfigError, match=message):
+        g_estimate(ds, additive_blip("1"), treatment_terms=SNDM_TERMS, qstar=qstar,
+                   psi_box=((0.0, 2.0),), grid_points=5)
+
+
+def test_direct_effect_qstar_output_is_checked():
+    ds = simulate(direct_effect_scenario(psi=(1.0, 0.0)), 300, seed=4)
+    spec = DeSndmSpec(additive_blip("1"), qstar=lambda h, L, A, m: np.vstack([h, h]))
+    with pytest.raises(ConfigError, match="one row per subject"):
+        direct_effect_g_estimate(ds, SPLIT01, spec, psi_box=((0.0, 2.0),),
+                                 z_laws={1: DE_A1_LAW}, grid_points=5)
+
+
+def test_nonzero_constant_qstar_column_is_refused():
+    with pytest.raises(EstimationError, match="nonzero constant"):
+        g_test_at(_contract_data(), additive_blip("1"), 0.0, treatment_terms=SNDM_TERMS,
+                  qstar=lambda h, L, A, m: np.column_stack([h, np.full_like(h, 2.0)]))
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ((0.1, 0.2), "alpha_known must match the treatment terms"),
+    ((0.1, 0.2, 0.3, 0.4), "alpha_known must match the treatment terms"),
+    (("a", "b", "c"), "alpha_known must be a list of numbers"),
+])
+def test_alpha_known_is_checked(alpha, message):
+    ds = _contract_data()
+    with pytest.raises(ConfigError, match=message):
+        g_test_at(ds, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS, alpha_known=alpha)
+    with pytest.raises(ConfigError, match=message):
+        g_estimate(ds, additive_blip("1"), treatment_terms=SNDM_TERMS, alpha_known=alpha,
+                   psi_box=((0.0, 2.0),), grid_points=5)
+    de = simulate(direct_effect_scenario(psi=(1.0, 0.0)), 300, seed=4)
+    with pytest.raises(ConfigError, match=message):
+        direct_effect_g_estimate(de, SPLIT01, DeSndmSpec(additive_blip("1")),
+                                 psi_box=((0.0, 2.0),), z_laws={1: DE_A1_LAW},
+                                 p_alpha_known=alpha, grid_points=5)
+
+
+def test_non_binary_treatment_is_named():
+    ds = _contract_data()
+    A = ds.A.copy()
+    A[3, 1] = 0.5
+    bad = type(ds)(ds.schema, ds.L, A, ds.Y)
+    with pytest.raises(EstimationError, match="binary treatments; A1 is not 0/1"):
+        g_test_at(bad, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS)
+    # Only the tested occasions are checked.
+    g_test_at(bad, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS, occasions=(0,))
 
 
 @pytest.mark.parametrize("known", [True, False])

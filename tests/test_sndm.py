@@ -12,7 +12,7 @@ from gmethods.errors import ConfigError, EstimationError
 from gmethods.features import eval_terms
 from gmethods.glm import fit_logistic
 from gmethods.laws import BernoulliLogit, NormalMarginal
-from gmethods.scenarios import simulate, sndm_scenario, two_occasion_scenario
+from gmethods.scenarios import BlipOutcome, simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (
     BlipSpec,
     additive_blip,
@@ -151,6 +151,34 @@ class TestHRecursion:
         spec = multiplicative_blip("1", "lm", "a_prev", psi=psi)
         back = blip_up(spec, blip_down_arrays(spec, L, A, Y).h, L, A)
         np.testing.assert_allclose(back, Y, rtol=1e-10)
+
+    @pytest.mark.parametrize("family", ["additive", "multiplicative"])
+    def test_blip_up_row_does_not_depend_on_the_batch(self, family):
+        # A row restored alone equals its row in a 512-row call, bit for
+        # bit, directly and through the scenario outcome law's atoms.
+        rng = np.random.default_rng(5)
+        n, K = 512, 2
+        L = rng.normal(size=(n, K + 1))
+        A = rng.integers(0, 2, size=(n, K + 1)).astype(float)
+        h = np.exp(rng.normal(size=n))
+        spec = BlipSpec(family, ("1", "lm"), psi=tuple(rng.uniform(-1.0, 1.0, 2)))
+        batch = blip_up(spec, h, L, A)
+        alone = np.concatenate([blip_up(spec, h[i:i + 1], L[i:i + 1], A[i:i + 1])
+                                for i in range(n)])
+        np.testing.assert_array_equal(alone, batch)
+
+        law = BlipOutcome(spec)
+
+        def cols(rows):
+            out = {f"l{j}": L[rows, j] for j in range(K + 1)}
+            out.update({f"a{j}": A[rows, j] for j in range(K + 1)})
+            out["u"] = h[rows]
+            return out
+
+        atoms = law.atoms(cols(slice(None)))[0][:, 0]
+        alone = np.array([law.atoms(cols(slice(i, i + 1)))[0][0, 0] for i in range(n)])
+        np.testing.assert_array_equal(alone, atoms)
+        np.testing.assert_array_equal(atoms, batch)
 
     def test_dataset_wrapper_matches_arrays(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 300, seed=6)

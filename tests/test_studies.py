@@ -87,7 +87,7 @@ class TestRunStudy:
         pooled = [r for r in rows if r.analysis == "pooled-g"]
         naive = [r for r in rows if r.analysis == "naive"]
         assert len(pooled) == 2 and len(naive) == 2
-        assert all("ConfigError" in r.error for r in pooled)
+        assert all("EstimationError" in r.error for r in pooled)
         assert all(np.isnan(r.statistic) for r in pooled)
         assert all(r.error == "" for r in naive)
 
