@@ -2,10 +2,12 @@
 
 Fits are computed from scratch: the linear model by normal-equation solve
 (numpy's Cholesky with a one-shot jitter retry), the logistic by Newton
-iteration with step-halving.  Score tests for added covariates are
-evaluated at the null fit, with the usual nuisance projection; a known-null
-variant skips the projection for designs whose treatment probabilities are
-known exactly.  Only ``numpy.linalg`` is used: importing ``scipy.linalg``
+iteration with step-halving.  Score tests of added covariates are for a
+logistic null: evaluated at the null fit with the usual nuisance
+projection, or at known coefficients without it, for designs whose
+treatment probabilities are known exactly.  One moments function,
+``_score_moments``, serves both the model-based and the subject-robust
+variance.  Only ``numpy.linalg`` is used: importing ``scipy.linalg``
 would add about 6 MB of resident memory to every import of the package.
 """
 
@@ -36,11 +38,8 @@ ESTIMATED_DESIGN_NOTE = (
 def expit(b):
     """Inverse logit, overflow-safe over the whole float range."""
     b = np.asarray(b, dtype=float)
-    out = np.empty_like(b)
-    pos = b >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
-    eb = np.exp(b[~pos])
-    out[~pos] = eb / (1.0 + eb)
+    e = np.exp(-np.abs(b))
+    out = np.where(b >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -73,10 +72,6 @@ class TestReport:
     level: float
     reject: bool
     note: str = ""
-
-    @property
-    def reject_at_05(self) -> bool:
-        return self.p_value < 0.05
 
     def recomputed_p(self) -> float:
         return _tail_p(self.statistic, self.df, self.reference)
@@ -189,9 +184,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
             lam *= 0.5
         coef, eta = trial, eta_t
         if abs(ll_t - ll) < _LOGLIK_TOL * (abs(ll) + 1.0):
-            ll = ll_t
-            prob = expit(eta)
-            score = X.T @ (y - prob)
             if np.max(np.abs(coef)) > _SEP_LIMIT:
                 raise SeparationError(
                     "separation detected: coefficient magnitude exceeded "
@@ -222,65 +214,61 @@ def wald_test(fit: FittedGlm, idx: list[int] | tuple[int, ...],
     return _report(stat, len(idx), "chi2", level, note)
 
 
-def score_test_added(
-    X: np.ndarray,
-    y: np.ndarray,
-    Z: np.ndarray,
-    family: str = "binomial",
-    *,
-    fit: FittedGlm | None = None,
-    known_coef: np.ndarray | None = None,
-    level: float = 0.05,
-    note: str = "",
-) -> TestReport:
-    """Rao score test that the added columns Z enter with zero coefficient.
-
-    Evaluated at the null fit of y on X.  With ``known_coef`` the null
-    probabilities are taken as exactly known (no nuisance projection) —
-    appropriate when treatment assignment probabilities come from a known
-    randomization design.
-    """
-    U, V = _added_moments(X, y, Z, family, fit=fit, known_coef=known_coef)
+def score_test_added(X: np.ndarray, y: np.ndarray, Z: np.ndarray, *,
+                     fit: FittedGlm | None = None, known_coef: np.ndarray | None = None,
+                     level: float = 0.05, note: str = "") -> TestReport:
+    """Rao score test that the added columns Z enter the logistic null model
+    of y on X with zero coefficient, with the model-based variance."""
+    U, V = _score_moments(X, y, Z, fit=fit, known_coef=known_coef)
     return _quadratic_report(U, V, level, note)
 
 
-def _added_moments(X, y, Z, family: str = "binomial", *, fit: FittedGlm | None = None,
-                   known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Score U of the added columns Z at the null fit and its model-based variance V.
+def robust_score_test(X: np.ndarray, y: np.ndarray, Z: np.ndarray, subjects: np.ndarray, *,
+                      fit: FittedGlm | None = None, known_coef: np.ndarray | None = None,
+                      level: float = 0.05, note: str = "") -> TestReport:
+    """As ``score_test_added``, with the within-subject-robust variance for
+    stacked rows that are dependent within subject."""
+    U, V = _score_moments(X, y, Z, subjects, fit=fit, known_coef=known_coef)
+    return _quadratic_report(U, V, level, note)
 
-    Both are linear in Z's columns, so for Z = [Z_0, ..., Z_d] the blocks of
-    U and V give the score and variance of every combination of the Z_j.
+
+def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
+                   known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Score U of the added columns Z at the logistic null and its variance V.
+
+    The null probabilities come from ``known_coef`` when given (a known
+    randomization design: no nuisance projection) and from ``fit``, or a fit
+    of y on X, otherwise.  Without ``subjects`` V is the model-based
+    variance; with them it is P'P over the per-subject score pieces P, with
+    Z projected on the null's score when the null is fitted.  U and V are
+    linear in Z's columns, so for Z = [Z_0, ..., Z_d] their blocks give the
+    score and variance of every combination of the Z_j.
     """
+    X = _as_matrix(X)
     Z = _as_matrix(Z)
     y = np.asarray(y, dtype=float)
-    X = _as_matrix(X)
-    if family == "normal":
-        if known_coef is not None:
-            raise EstimationError("known-null score test is for binomial designs")
-        nullfit = fit or fit_linear(X, y)
-        resid = y - X @ nullfit.coef
-        sigma2 = nullfit.dispersion
-        # Relative guard: an exact null fit leaves only solver rounding in
-        # the residuals, and the statistic degenerates to 0/0.
-        if sigma2 <= 1e-24 * (float(np.mean(y * y)) + 1.0):
-            raise EstimationError("zero residual variance in the null fit")
-        U = Z.T @ resid / sigma2
-        XtX = X.T @ X
-        V = (Z.T @ Z - Z.T @ X @ _chol_solve(XtX, X.T @ Z)) / sigma2
-    elif known_coef is not None:
-        prob = expit(X @ np.asarray(known_coef, dtype=float))
-        w = prob * (1.0 - prob)
-        U = Z.T @ (y - prob)
-        V = Z.T @ (Z * w[:, None])
-    else:
-        nullfit = fit or fit_logistic(X, y)
-        prob = expit(X @ nullfit.coef)
-        w = prob * (1.0 - prob)
-        U = Z.T @ (y - prob)
-        XtWX = X.T @ (X * w[:, None])
-        XtWZ = X.T @ (Z * w[:, None])
-        V = Z.T @ (Z * w[:, None]) - XtWZ.T @ _chol_solve(XtWX, XtWZ)
-    return U, V
+    coef = (fit or fit_logistic(X, y)).coef if known_coef is None else known_coef
+    prob = expit(X @ np.asarray(coef, dtype=float))
+    w = prob * (1.0 - prob)
+    eps = y - prob
+    U = Z.T @ eps
+    if subjects is None:
+        Zw = Z * w[:, None]
+        V = Z.T @ Zw
+        if known_coef is None:
+            XtWZ = X.T @ Zw
+            V = V - XtWZ.T @ _chol_solve(X.T @ (X * w[:, None]), XtWZ)
+        return U, V
+    adj = Z
+    if known_coef is None:
+        Xw = X * w[:, None]
+        adj = Z - X @ _chol_solve(X.T @ Xw, (Z.T @ Xw).T)
+    subjects = np.asarray(subjects, dtype=int)
+    nsub = int(subjects.max()) + 1
+    pieces = np.zeros((nsub, Z.shape[1]))
+    for j in range(Z.shape[1]):
+        pieces[:, j] = np.bincount(subjects, weights=adj[:, j] * eps, minlength=nsub)
+    return U, pieces.T @ pieces
 
 
 def _quadratic_report(U: np.ndarray, V: np.ndarray, level: float, note: str) -> TestReport:
@@ -312,65 +300,6 @@ def _quadratic_stats(U: np.ndarray, V: np.ndarray):
     df = np.where(empty, q, rank)
     # As in ``_tail_p``: a statistic on 0 df (a V of NaNs) gets p = 1.
     return stat, df, np.where(df > 0, chdtrc(df, stat), 1.0)
-
-
-def robust_score_test(
-    X: np.ndarray,
-    y: np.ndarray,
-    Z: np.ndarray,
-    subjects: np.ndarray,
-    *,
-    fit: FittedGlm | None = None,
-    known_coef: np.ndarray | None = None,
-    level: float = 0.05,
-    note: str = "",
-) -> TestReport:
-    """Score test of added columns with empirical within-subject covariance.
-
-    For stacked per-occasion rows that are dependent within subject: the
-    added-covariate score is projected against the null-model estimating
-    equations, then its variance is estimated from per-subject score pieces
-    rather than from the model.  Logistic null model.  With ``known_coef``
-    the null probabilities are fixed (randomization design) and no nuisance
-    projection is applied.
-    """
-    U, V = _robust_moments(X, y, Z, subjects, fit=fit, known_coef=known_coef)
-    return _quadratic_report(U, V, level, note)
-
-
-def _robust_moments(X, y, Z, subjects, *, fit: FittedGlm | None = None,
-                    known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Score U of the added columns Z and its within-subject-robust variance V.
-
-    V = P'P over the per-subject score pieces P, which are linear in Z's
-    columns, so (like ``_added_moments``) it carries the cross blocks of
-    stacked Z.
-    """
-    X = _as_matrix(X)
-    Z = _as_matrix(Z)
-    y = np.asarray(y, dtype=float)
-    subjects = np.asarray(subjects, dtype=int)
-    if known_coef is not None:
-        prob = expit(X @ np.asarray(known_coef, dtype=float))
-        eps = y - prob
-        adj = Z
-    else:
-        nullfit = fit or fit_logistic(X, y)
-        prob = expit(X @ nullfit.coef)
-        w = prob * (1.0 - prob)
-        eps = y - prob
-        A = X.T @ (X * w[:, None])
-        C = Z.T @ (X * w[:, None])
-        B = _chol_solve(A, C.T).T  # q x p: projection of Z-score on X-score
-        adj = Z - (X @ B.T)
-    nsub = int(subjects.max()) + 1
-    q = Z.shape[1]
-    pieces = np.zeros((nsub, q))
-    for j in range(q):
-        pieces[:, j] = np.bincount(subjects, weights=adj[:, j] * eps, minlength=nsub)
-    U = Z.T @ eps
-    V = pieces.T @ pieces
-    return U, V
 
 
 def pooled_rows(

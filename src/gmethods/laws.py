@@ -42,8 +42,6 @@ class DiscreteMarginal:
         if abs(sum(self.probs) - 1.0) > 1e-12 or min(self.probs) < 0:
             raise ConfigError("probs must be non-negative and sum to 1")
 
-    discrete = True
-
     def support(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.values)
 
@@ -63,8 +61,6 @@ class NormalMarginal:
     mean: float
     sd: float
 
-    discrete = False
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + self.sd * rng.standard_normal(n)
 
@@ -78,8 +74,6 @@ class ConstantLaw:
     """Degenerate law (e.g. an absent covariate pinned at 0)."""
 
     value: float = 0.0
-
-    discrete = True
 
     def support(self) -> tuple[float, ...]:
         return (float(self.value),)
@@ -103,8 +97,6 @@ class BernoulliLogit:
     def __post_init__(self) -> None:
         if len(self.terms) != len(self.coefs):
             raise ConfigError("terms and coefs must align")
-
-    discrete = True
 
     def support(self) -> tuple[float, ...]:
         return (0.0, 1.0)
@@ -137,8 +129,6 @@ class NormalLinear:
         if self.sd <= 0:
             raise ConfigError("sd must be positive")
 
-    discrete = False
-
     def mean(self, cols: Cols) -> np.ndarray:
         return _linear(self.terms, self.coefs, cols)
 
@@ -164,10 +154,6 @@ class LinearOutcome:
             raise ConfigError("terms and coefs must align")
         if self.noise is not None and self.noise_sd != 0.0:
             raise ConfigError("choose normal or discrete noise, not both")
-
-    @property
-    def discrete(self) -> bool:
-        return self.noise_sd == 0.0
 
     def mean(self, cols: Cols) -> np.ndarray:
         return _linear(self.terms, self.coefs, cols)

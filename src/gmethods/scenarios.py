@@ -56,8 +56,6 @@ class BlipOutcome:
     def __post_init__(self) -> None:
         self.blip.require_psi()
 
-    discrete = True
-
     def _paths(self, cols: Cols):
         K = max(int(k[1:]) for k in cols if k.startswith("l") and k[1:].isdigit())
         L = np.column_stack([cols[f"l{j}"] for j in range(K + 1)])

@@ -39,10 +39,9 @@ from .glm import (
     ESTIMATED_DESIGN_NOTE,
     FittedGlm,
     TestReport,
-    _added_moments,
     _quadratic_stats,
     _report,
-    _robust_moments,
+    _score_moments,
     fit_logistic,
     pooled_rows,
     robust_score_test,
@@ -237,8 +236,8 @@ class _ScoreEngine:
     within-subject-robust one.
 
     Every caller's inputs are checked here: 0/1 treatments, one ``known_coef``
-    per treatment term, a user q*'s shape and values (see ``g_estimate``), and
-    no nonzero-constant added column.
+    per treatment term, a user q*'s shape and values (see ``g_estimate``), and,
+    when the null is fitted, no nonzero-constant added column.
 
     For the additive family with the default q* the added columns are affine
     in psi, Z(psi) = Z_0 + sum_j psi_j Z_j with Z_0 pairing Y and Z_j pairing
@@ -295,11 +294,8 @@ class _ScoreEngine:
         bases = [self.dataset.Y] + [self.S[:, j] for j in axes]
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
-        if self.weights is None:
-            U, V = _added_moments(self.X, self.resp, Z, fit=self.fit, known_coef=self.known)
-        else:
-            U, V = _robust_moments(self.X, self.resp, Z, self.subj, fit=self.fit,
-                                   known_coef=self.known)
+        U, V = _score_moments(self.X, self.resp, Z, None if self.weights is None else self.subj,
+                              fit=self.fit, known_coef=self.known)
         k = len(bases)
         return U.reshape(k, q), V.reshape(k, q, k, q)
 
@@ -315,7 +311,7 @@ class _ScoreEngine:
             Z = np.vstack([h[:, None] * C for C in self.C])
         else:
             Z = self._qstar_columns(h)
-        if np.any((np.ptp(Z, axis=0) == 0.0) & (Z[0] != 0.0)):
+        if self.known is None and np.any((np.ptp(Z, axis=0) == 0.0) & (Z[0] != 0.0)):
             raise EstimationError("added column Q is a nonzero constant; it is confounded "
                                   "with the intercept and cannot be tested")
         return self._weighted(Z)
@@ -337,9 +333,8 @@ class _ScoreEngine:
     def report(self, psi) -> TestReport:
         Z = self.zmat(np.atleast_1d(np.asarray(psi, dtype=float)))
         if self.weights is None:
-            return score_test_added(self.X, self.resp, Z, "binomial", fit=self.fit,
-                                    known_coef=self.known, level=self.level,
-                                    note=self.note)
+            return score_test_added(self.X, self.resp, Z, fit=self.fit, known_coef=self.known,
+                                    level=self.level, note=self.note)
         return robust_score_test(self.X, self.resp, Z, self.subj, fit=self.fit,
                                  known_coef=self.known, level=self.level,
                                  note=self.note)
@@ -578,7 +573,6 @@ def sndm_mle(
     covariate_terms,
     psi_fixed=None,
     include_jacobian: bool = True,
-    x0_psi=None,
     maxiter: int = 1000,
 ) -> SndmMle:
     """Maximize the reparameterized likelihood over (psi, eta, phi).
@@ -645,11 +639,7 @@ def sndm_mle(
 
     n_free = (0 if fixed else d) + 2 + sum(sizes)
     x0 = np.zeros(n_free)
-    k = 0
-    if not fixed:
-        if x0_psi is not None:
-            x0[:d] = np.atleast_1d(np.asarray(x0_psi, dtype=float))
-        k = d
+    k = 0 if fixed else d
     x0[k] = float(np.mean(Y))
     x0[k + 1] = float(np.log(np.std(Y) + 1e-8))
     import scipy.optimize

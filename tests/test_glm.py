@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import gmethods
@@ -19,8 +21,10 @@ import gmethods
 from gmethods.data import Dataset, Schema, binary
 from gmethods.errors import EstimationError, SeparationError
 from gmethods.glm import (
+    _as_matrix,
     _chol_solve,
     _report,
+    _score_moments,
     expit,
     fit_linear,
     fit_logistic,
@@ -52,7 +56,30 @@ def solve_by_elimination(M, b):
     return x
 
 
+def _ref_expit(b):
+    """The former masked ``expit`` body (oracle for the branch-free one)."""
+    b = np.asarray(b, dtype=float)
+    out = np.empty_like(b)
+    pos = b >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
+    eb = np.exp(b[~pos])
+    out[~pos] = eb / (1.0 + eb)
+    return out if out.ndim else float(out)
+
+
+_FLOAT_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 36.8, -36.8,
+                   709.8, -709.8, 745.2, -745.2, 1e308, -1e308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, np.inf, -np.inf]
+
+
 class TestExpit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_matches_the_former_masked_body_bit_for_bit(self, values):
+        b = np.array(values + _FLOAT_EXTREMES)
+        assert expit(b).tobytes() == _ref_expit(b).tobytes()
+        assert np.float64(expit(b[0])).tobytes() == np.float64(_ref_expit(b[0])).tobytes()
+
     def test_center(self):
         assert expit(0.0) == 0.5
 
@@ -265,7 +292,7 @@ class TestScoreTestAdded:
         rng = substream(314, "glm", "score-zero")
         X = np.ones((50, 1))
         y = (rng.random(50) < 0.5).astype(float)
-        rep = score_test_added(X, y, np.zeros((50, 1)), "binomial")
+        rep = score_test_added(X, y, np.zeros((50, 1)))
         assert rep.statistic == 0.0
 
     def test_duplicated_regressor_gives_zero(self):
@@ -273,7 +300,7 @@ class TestScoreTestAdded:
         x = rng.normal(size=200)
         X = np.column_stack([np.ones(200), x])
         y = (rng.random(200) < expit(0.2 + 0.5 * x)).astype(float)
-        rep = score_test_added(X, y, x.copy(), "binomial")
+        rep = score_test_added(X, y, x.copy())
         assert rep.statistic < 1e-8
 
     def test_matches_likelihood_ratio_on_local_alternative(self):
@@ -285,7 +312,7 @@ class TestScoreTestAdded:
         z = rng.normal(size=n)
         y = (rng.random(n) < expit(0.3 * x + 1.5 / np.sqrt(n) * z)).astype(float)
         X = np.column_stack([np.ones(n), x])
-        score = score_test_added(X, y, z, "binomial").statistic
+        score = score_test_added(X, y, z).statistic
         null = fit_logistic(X, y)
         full = fit_logistic(np.column_stack([X, z]), y)
         lr = 2.0 * (full.loglik - null.loglik)
@@ -300,27 +327,89 @@ class TestScoreTestAdded:
         X = np.column_stack([np.ones(n), x])
         y = (rng.random(n) < expit(0.4 * x)).astype(float)
         z = rng.normal(size=n) + x
-        est = score_test_added(X, y, z, "binomial", fit=fit_logistic(X, y))
-        known = score_test_added(X, y, z, "binomial", known_coef=np.array([0.0, 0.4]))
+        est = score_test_added(X, y, z, fit=fit_logistic(X, y))
+        known = score_test_added(X, y, z, known_coef=np.array([0.0, 0.4]))
         assert est.df == known.df == 1
         assert known.statistic <= est.statistic * 1.5 + 1.0  # same scale, no blowup
 
-    def test_normal_family_score(self):
-        rng = substream(314, "glm", "score-normal")
-        n = 300
-        x = rng.normal(size=n)
-        z = rng.normal(size=n)
-        y = 1.0 + 0.5 * x + rng.normal(size=n)
-        X = np.column_stack([np.ones(n), x])
-        rep = score_test_added(X, y, z, "normal")
-        assert rep.reference == "chi2" and rep.df == 1
-        assert rep.statistic < stats.chi2.ppf(0.9999, 1)
 
-    def test_zero_residual_variance_rejected(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        y = 2.0 + 3.0 * np.arange(10.0)  # exact fit
-        with pytest.raises(EstimationError, match="residual variance"):
-            score_test_added(X, y, np.random.default_rng(0).normal(size=10), "normal")
+def _ref_added_moments(X, y, Z, *, fit=None, known_coef=None):
+    """The former binomial ``glm._added_moments`` body (oracle)."""
+    Z = _as_matrix(Z)
+    y = np.asarray(y, dtype=float)
+    X = _as_matrix(X)
+    if known_coef is not None:
+        prob = _ref_expit(X @ np.asarray(known_coef, dtype=float))
+        w = prob * (1.0 - prob)
+        U = Z.T @ (y - prob)
+        V = Z.T @ (Z * w[:, None])
+    else:
+        nullfit = fit or fit_logistic(X, y)
+        prob = _ref_expit(X @ nullfit.coef)
+        w = prob * (1.0 - prob)
+        U = Z.T @ (y - prob)
+        XtWX = X.T @ (X * w[:, None])
+        XtWZ = X.T @ (Z * w[:, None])
+        V = Z.T @ (Z * w[:, None]) - XtWZ.T @ _chol_solve(XtWX, XtWZ)
+    return U, V
+
+
+def _ref_robust_moments(X, y, Z, subjects, *, fit=None, known_coef=None):
+    """The former ``glm._robust_moments`` body (oracle)."""
+    X = _as_matrix(X)
+    Z = _as_matrix(Z)
+    y = np.asarray(y, dtype=float)
+    subjects = np.asarray(subjects, dtype=int)
+    if known_coef is not None:
+        prob = _ref_expit(X @ np.asarray(known_coef, dtype=float))
+        eps = y - prob
+        adj = Z
+    else:
+        nullfit = fit or fit_logistic(X, y)
+        prob = _ref_expit(X @ nullfit.coef)
+        w = prob * (1.0 - prob)
+        eps = y - prob
+        A = X.T @ (X * w[:, None])
+        C = Z.T @ (X * w[:, None])
+        B = _chol_solve(A, C.T).T  # q x p: projection of Z-score on X-score
+        adj = Z - (X @ B.T)
+    nsub = int(subjects.max()) + 1
+    q = Z.shape[1]
+    pieces = np.zeros((nsub, q))
+    for j in range(q):
+        pieces[:, j] = np.bincount(subjects, weights=adj[:, j] * eps, minlength=nsub)
+    U = Z.T @ eps
+    V = pieces.T @ pieces
+    return U, V
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(40, 400), p=st.integers(1, 3),
+       q=st.integers(1, 4), zero_column=st.booleans(),
+       null=st.sampled_from(["known", "fitted", "fitted here"]),
+       subjects=st.sampled_from([None, "one per row", "pairs", "occasion-major"]))
+def test_score_moments_match_the_former_bodies(seed, n, p, q, zero_column, null, subjects):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    coef = rng.normal(scale=0.5, size=p)
+    y = (rng.random(n) < expit(X @ coef)).astype(float)
+    Z = rng.normal(size=(n, q)) * rng.choice([0.1, 1.0, 10.0], size=q)
+    if zero_column:
+        Z[:, rng.integers(q)] = 0.0
+    if q == 1 and rng.random() < 0.5:
+        Z = Z[:, 0]
+    subj = {None: None, "one per row": np.arange(n), "pairs": np.arange(n) // 2,
+            "occasion-major": np.arange(n) % -(-n // 3)}[subjects]
+    kw = {"known": dict(known_coef=coef), "fitted": dict(fit=fit_logistic(X, y)),
+          "fitted here": {}}[null]
+    U, V = _score_moments(X, y, Z, subj, **kw)
+    if subj is None:
+        U_ref, V_ref = _ref_added_moments(X, y, Z, **kw)
+    else:
+        U_ref, V_ref = _ref_robust_moments(X, y, Z, subj, **kw)
+    assert U.shape == U_ref.shape and V.shape == V_ref.shape
+    assert U.tobytes() == U_ref.tobytes()
+    assert V.tobytes() == V_ref.tobytes()
 
 
 class TestRobustScore:

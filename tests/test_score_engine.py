@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincinv
 
 from gmethods import direct_effect, sndm
+from gmethods.data import Dataset
 from gmethods.direct_effect import (
     CONSERVATIVE_NOTE,
     DeSndmSpec,
@@ -139,11 +140,10 @@ class _RefGEngine:
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
         Z = self.zmat(psi)
         if self.known is not None:
-            return score_test_added(self.X, self.resp, Z, "binomial",
-                                    known_coef=self.known, level=self.level,
-                                    note=self.note)
-        return score_test_added(self.X, self.resp, Z, "binomial",
-                                fit=self.fit, level=self.level, note=self.note)
+            return score_test_added(self.X, self.resp, Z, known_coef=self.known,
+                                    level=self.level, note=self.note)
+        return score_test_added(self.X, self.resp, Z, fit=self.fit, level=self.level,
+                                note=self.note)
 
 
 class _RefDeEngine:
@@ -255,11 +255,10 @@ def _ref_pooled_g_test(dataset, spec, level=0.05):
         alpha = np.asarray(spec.alpha_known, dtype=float)
         if alpha.shape != (X.shape[1],):
             raise ConfigError("alpha_known must match the treatment terms")
-        return score_test_added(X, resp, Z, "binomial", known_coef=alpha,
-                                level=level,
+        return score_test_added(X, resp, Z, known_coef=alpha, level=level,
                                 note="known randomization design")
     fit = fit_logistic(X, resp)
-    return score_test_added(X, resp, Z, "binomial", fit=fit, level=level,
+    return score_test_added(X, resp, Z, fit=fit, level=level,
                             note=ESTIMATED_DESIGN_NOTE)
 
 
@@ -525,6 +524,21 @@ def test_nonzero_constant_qstar_column_is_refused():
     with pytest.raises(EstimationError, match="nonzero constant"):
         g_test_at(_contract_data(), additive_blip("1"), 0.0, treatment_terms=SNDM_TERMS,
                   qstar=lambda h, L, A, m: np.column_stack([h, np.full_like(h, 2.0)]))
+
+
+def test_constant_column_is_tested_under_a_known_design():
+    # With a known design nothing is fitted, so a constant added column is a
+    # valid test; only a fitted null, with its intercept, is confounded with it.
+    trial = sequential_trial_scenario(K=2)
+    ds = simulate(trial, 1000, seed=3)
+    known = GTestSpec(POOLED_TERMS, design_alpha(trial, POOLED_TERMS))
+    flat = Dataset(ds.schema, ds.L, ds.A, np.full(ds.n, 2.0))
+    nudged = Dataset(ds.schema, ds.L, ds.A, 2.0 + 1e-9 * np.arange(ds.n))
+    rep = pooled_g_test(flat, known)
+    assert rep.statistic == pytest.approx(pooled_g_test(nudged, known).statistic, rel=1e-5)
+    assert rep.df == 1 and 0.0 < rep.p_value < 1.0
+    with pytest.raises(EstimationError, match="nonzero constant"):
+        pooled_g_test(flat, GTestSpec(POOLED_TERMS))
 
 
 @pytest.mark.parametrize("alpha, message", [
