@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import Dataset, group_rows
 from .errors import ConfigError, EstimationError, PositivityError
-from .features import eval_terms, history_cols, term_bases
+from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw
 from .glm import (
     TestReport,
@@ -352,10 +352,11 @@ def _scan_grid(psi2_grid) -> np.ndarray:
 class DeSndmSpec:
     """Direct-effect blip family plus the studied-arm mean model.
 
-    The blip shifts the outcome per unit of the studied-arm treatment; its
-    cofactors may reference the fixed arm's treatments at ANY occasion
-    (they are held fixed, so "future" Z values are legitimate effect
-    modifiers) but only earlier studied-arm treatments and covariates.
+    The blip shifts the outcome per unit of the studied-arm treatment.  At
+    studied-arm occasion m its cofactors may use covariates through L_m,
+    earlier treatments and the fixed arm's treatments at ANY occasion (held
+    fixed, so "future" Z values are legitimate effect modifiers): the
+    context of ``_de_cofactors``, in which ``validate_for`` evaluates them.
     ``qstar(h, L, A, m)``, when given, replaces the default added columns (H
     paired with each cofactor) at studied-arm occasion m; it must return
     finite values of shape (n,) or (n, k), with the same k at every
@@ -368,38 +369,25 @@ class DeSndmSpec:
 
     def validate_for(self, split: SplitSchema, K: int) -> None:
         split.validate_for(K)
-        zset = set(split.z_occasions)
-        for m in split.p_occasions:
-            for base in term_bases(self.blip.cofactors):
-                if base.startswith("l") and base != "lm" and int(base[1:]) <= m:
-                    continue
-                if base == "lm" or base == "a_prev":
-                    continue
-                if base.startswith("a") and base[1:].isdigit():
-                    j = int(base[1:])
-                    if j in zset or j < m:
-                        continue
-                raise ConfigError(
-                    f"cofactor base {base!r} is not available at studied-arm "
-                    f"occasion {m}: only covariates up to {m}, earlier "
-                    f"treatments, and fixed-arm treatments are allowed"
-                )
+        _de_cofactors(self, split, np.zeros((1, K + 1)), np.zeros((1, K + 1)))
 
 
-def _de_cofactors(spec: DeSndmSpec, L: np.ndarray, A: np.ndarray, occs) -> list[np.ndarray]:
-    """Cofactor rows at each studied-arm occasion m, evaluated over the whole
-    trajectory plus "lm" and "a_prev"; ``DeSndmSpec.validate_for`` says which
-    of those columns a family may use."""
-    K1 = L.shape[1]
-    return [eval_terms(spec.blip.cofactors, history_cols(L, A, K1, K1, m)) for m in occs]
+def _de_cofactors(spec: DeSndmSpec, split: SplitSchema, L: np.ndarray,
+                  A: np.ndarray) -> list[np.ndarray]:
+    """Cofactor rows at each studied-arm occasion m, from l0..lm, "lm",
+    a0..a(m-1), "a_prev" and the fixed arm's treatments after m; a term
+    naming any other column is a ``ConfigError``."""
+    return [eval_terms(spec.blip.cofactors,
+                       history_cols(L, A, m + 1, m, m, extra={
+                           f"a{k}": A[:, k] for k in split.z_occasions if k > m}))
+            for m in split.p_occasions]
 
 
 def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.ndarray:
     """Residual outcome H: observed Y with every studied-arm shift removed."""
-    occs = split.p_occasions
     _check_outcomes(spec.blip.family, dataset.Y)
-    C = _de_cofactors(spec, dataset.L, dataset.A, occs)
-    S = _stack_shifts(spec.blip, dataset.A, occs, C)
+    C = _de_cofactors(spec, split, dataset.L, dataset.A)
+    S = _stack_shifts(spec.blip, dataset.A, split.p_occasions, C)
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
 
 
@@ -413,7 +401,7 @@ def _de_engine(dataset: Dataset, split: SplitSchema, spec: DeSndmSpec,
             and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
     return _ScoreEngine(
         dataset, spec.blip, pooled_rows(dataset, spec.mean_terms, occs), occs,
-        _de_cofactors(spec, dataset.L, dataset.A, occs), qstar=spec.qstar,
+        _de_cofactors(spec, split, dataset.L, dataset.A), qstar=spec.qstar,
         known_coef=p_alpha_known, note=note, level=level,
         weights=np.concatenate([weights.w_from(m + 1, dataset.n) for m in occs]),
     )

@@ -2,16 +2,17 @@
 
 A term is a string naming one regressor column: either a base column ("1",
 "u", "h", "y", "l0", "a2", "lm", "a_prev") or a product of bases joined with
-"*" ("a0*l1").  Which bases are available depends on the calling context,
-and ``history_cols`` builds every context from how many covariates and
-treatments are observed:
+"*" ("a0*l1").  The bases a term may use are exactly its context's columns
+(any other is a ``ConfigError``), and ``history_cols`` builds every context
+from how many covariates and treatments are observed:
 
 * covariate law at occasion m — l0..l(m-1), a0..a(m-1), "a_prev", plus the
   hidden cause "u" (scenarios) or the residual outcome "h" (blip models);
 * treatment law and blip cofactors at occasion m — l0..lm, a0..a(m-1),
   "lm", "a_prev";
 * outcome law — every l and a, plus "u";
-* direct-effect cofactors at occasion m — every l and a, "lm", "a_prev".
+* direct-effect cofactors at studied-arm occasion m — l0..lm, a0..a(m-1),
+  "lm", "a_prev", plus the fixed arm's treatments after m.
 
 "lm" is the current covariate at the context's occasion, "a_prev" the
 previous treatment (zero at occasion 0).

@@ -552,20 +552,6 @@ class SndmMle:
     n_params: int
 
 
-def _check_cov_terms(terms, m: int) -> None:
-    for base in term_bases(terms):
-        if base in ("h", "a_prev"):
-            continue
-        if base.startswith("l") and base != "lm" and int(base[1:]) < m:
-            continue
-        if base.startswith("a") and base != "a_prev" and base[1:].isdigit() and int(base[1:]) < m:
-            continue
-        raise ConfigError(
-            f"covariate model at occasion {m} may only use strictly earlier "
-            f"history and 'h'; got {base!r}"
-        )
-
-
 def sndm_mle(
     dataset: Dataset,
     blip_spec: BlipSpec,
@@ -573,22 +559,26 @@ def sndm_mle(
     covariate_terms,
     psi_fixed=None,
     include_jacobian: bool = True,
-    maxiter: int = 1000,
 ) -> SndmMle:
-    """Maximize the reparameterized likelihood over (psi, eta, phi).
+    """Maximize the reparameterized likelihood, profiled over psi.
 
     The likelihood is the product of the residual-outcome density (normal,
     parameters eta), the change-of-variables factor dH/dY, and a logistic
-    model per non-degenerate covariate occasion with terms over strictly
-    earlier history plus the residual outcome 'h'.  ``covariate_terms`` is a
-    dict occasion -> term tuple, or one tuple shared by all occasions.
+    model per non-degenerate covariate occasion m with parameters phi.  The
+    factors share no parameter, so at a given psi eta is the mean and
+    standard deviation (ddof 0) of H and each phi is ``fit_logistic`` on its
+    terms, evaluated in ``history_cols(L, A, m, m, m, extra={"h": h})``:
+    strictly earlier history, "a_prev" and the residual outcome 'h'; any
+    other base is a ``ConfigError``.  Only psi is searched (L-BFGS-B), and
+    with ``psi_fixed`` nothing is.  ``covariate_terms`` is a dict occasion ->
+    term tuple, or one tuple shared by all occasions.  A constant H raises
+    ``EstimationError`` and separated covariate data ``SeparationError``.
     ``include_jacobian=False`` drops the dH/dY factor (diagnostic only: it
     biases the multiplicative family's fit).
     """
     L, A, Y = dataset.L, dataset.A, dataset.Y
     n, K1 = L.shape
-    d = blip_spec.dim
-    S = shift_basis(blip_spec, dataset.L, dataset.A)
+    S = shift_basis(blip_spec, L, A)
     modeled = [m for m in range(K1) if np.ptp(L[:, m]) > 0]
     for m in modeled:
         col = L[:, m]
@@ -598,67 +588,48 @@ def sndm_mle(
         terms_by_m = {m: tuple(covariate_terms[m]) for m in modeled}
     else:
         terms_by_m = {m: tuple(covariate_terms) for m in modeled}
-    for m, terms in terms_by_m.items():
-        _check_cov_terms(terms, m)
-    sizes = [len(terms_by_m[m]) for m in modeled]
     _check_outcomes(blip_spec.family, Y)
 
-    fixed = psi_fixed is not None
-    psi_fix = np.atleast_1d(np.asarray(psi_fixed, dtype=float)) if fixed else None
-
-    def unpack(x):
-        k = 0
-        if fixed:
-            psi = psi_fix
-        else:
-            psi = x[:d]
-            k = d
-        mu, logsd = x[k], x[k + 1]
-        k += 2
-        phis = {}
-        for m, sz in zip(modeled, sizes):
-            phis[m] = x[k : k + sz]
-            k += sz
-        return psi, mu, logsd, phis
-
-    def negll(x):
-        psi, mu, logsd, phis = unpack(x)
-        sd = np.exp(logsd)
-        total_shift = S @ psi
-        h = _residual_outcome(blip_spec.family, Y, total_shift)
-        z = (h - mu) / sd
-        ll = -0.5 * float(z @ z) - n * (logsd + 0.5 * np.log(2.0 * np.pi))
+    def profile(psi):
+        """Log-likelihood at psi with eta and phi at their maximizers."""
+        shift = S @ psi
+        h = _residual_outcome(blip_spec.family, Y, shift)
+        mu, sd = float(np.mean(h)), float(np.std(h))
+        if not sd > 0.0:
+            raise EstimationError("residual outcome H is constant; its likelihood is unbounded")
+        ll = -n * (np.log(sd) + 0.5 * np.log(2.0 * np.pi) + 0.5)
         if include_jacobian and blip_spec.family == "multiplicative":
-            ll += float(np.sum(total_shift))  # log dH/dY
+            ll += float(np.sum(shift))  # log dH/dY
+        phis = {}
         for m in modeled:
-            cols = history_cols(L, A, m, m, m, extra={"h": h})
-            X = eval_terms(terms_by_m[m], cols)
-            eta = X @ phis[m]
-            ll += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
-        return -ll
+            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"h": h}))
+            fit = fit_logistic(X, L[:, m])
+            phis[m] = fit.coef
+            ll += fit.loglik
+        return float(ll), mu, sd, phis
 
-    n_free = (0 if fixed else d) + 2 + sum(sizes)
-    x0 = np.zeros(n_free)
-    k = 0 if fixed else d
-    x0[k] = float(np.mean(Y))
-    x0[k + 1] = float(np.log(np.std(Y) + 1e-8))
-    import scipy.optimize
+    if psi_fixed is not None:
+        psi, converged = np.atleast_1d(np.asarray(psi_fixed, dtype=float)), True
+    else:
+        import scipy.optimize
 
-    res = scipy.optimize.minimize(
-        negll, x0, method="L-BFGS-B",
-        options={"maxiter": maxiter, "maxfun": 5 * maxiter, "ftol": 1e-12, "gtol": 1e-9},
-    )
-    if not res.success and "ABNORMAL" not in str(res.message):
-        raise ConvergenceError(f"likelihood maximization failed: {res.message}")
-    psi, mu, logsd, phis = unpack(res.x)
+        res = scipy.optimize.minimize(
+            lambda x: -profile(x)[0], np.zeros(blip_spec.dim), method="L-BFGS-B",
+            options={"maxiter": 1000, "maxfun": 5000, "ftol": 1e-12, "gtol": 1e-9},
+        )
+        if not res.success and "ABNORMAL" not in str(res.message):
+            raise ConvergenceError(f"likelihood maximization failed: {res.message}")
+        psi, converged = res.x, bool(res.success)
+    ll, mu, sd, phis = profile(psi)
     return SndmMle(
         psi=np.asarray(psi, dtype=float),
-        h_mean=float(mu),
-        h_sd=float(np.exp(logsd)),
-        phi={m: np.asarray(v, dtype=float) for m, v in phis.items()},
-        loglik=-float(res.fun),
-        converged=bool(res.success),
-        n_params=n_free,
+        h_mean=mu,
+        h_sd=sd,
+        phi=phis,
+        loglik=ll,
+        converged=converged,
+        n_params=((0 if psi_fixed is not None else blip_spec.dim) + 2
+                  + sum(len(t) for t in terms_by_m.values())),
     )
 
 

@@ -117,7 +117,7 @@ def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, params: dict) -> di
         alpha = design_alpha(config, terms)
     est = g_estimate(dataset, blip, treatment_terms=terms, psi_box=box,
                      alpha_known=alpha,
-                     grid_points=int(params.get("grid_points", 201)),
+                     grid_points=params.get("grid_points", 201),
                      level=params.get("level", 0.05))
     out = {"statistic": est.statistic_at_hat, "p": est.p_at_hat,
            "reject": None, "estimate": float(est.psi_hat[0])}

@@ -237,6 +237,25 @@ class TestStudy:
         assert log.read_text().splitlines()[1] == \
             "sndm-additive,150,0,g-estimate,nan,nan,,nan,nan,nan"
 
+    def test_grid_points_list_is_accepted(self, tmp_path, capsys):
+        # g-estimate takes one count per blip component as a list, as the
+        # g-estimate subcommand does.
+        rc, log = self.run(tmp_path, "st12", [{"name": "g-estimate", "params": {
+            "psi_box": [[0.0, 2.0]], "grid_points": [11]}}], scenario="sndm-additive")
+        assert rc == 0
+        assert stderr_of(capsys) == ""
+        assert len(log.read_text().splitlines()) == 3
+
+    def test_bad_grid_points_are_logged_config_errors(self, tmp_path, capsys):
+        rc, log = self.run(tmp_path, "st13", [{"name": "g-estimate", "params": {
+            "psi_box": [[0.0, 2.0]], "grid_points": [1]}}], scenario="sndm-additive")
+        assert rc == 1
+        err = stderr_of(capsys).splitlines()
+        assert err[0].startswith("2 replicate analysis run(s) errored (2 ConfigError)")
+        assert err[1].endswith("ConfigError: grid_points must be at least 2 per component")
+        assert log.read_text().splitlines()[1] == \
+            "sndm-additive,150,0,g-estimate,nan,nan,,nan,nan,nan"
+
     def test_jobs_flag_leaves_the_log_unchanged(self, tmp_path):
         _, serial = self.run(tmp_path, "st8", ["naive"], n=120)
         _, par = self.run(tmp_path, "st9", ["naive"], extra=("--jobs", "2"),
@@ -449,6 +468,14 @@ class TestDirectEffect:
                           split={"p": [0], "z": [1]}, **base)
         assert main(["direct-effect", "--config", no_box]) == 2
         assert "missing 'psi_box' key" in stderr_of(capsys)
+
+    def test_unknown_cofactor_is_a_config_error(self, tmp_path, capsys):
+        path = cfg_file(tmp_path, scenario="direct-effect-discrete", n=100, seed=1,
+                        mode="estimate", split={"p": [0], "z": [1]},
+                        blip={"family": "additive", "cofactors": ["1", "lx"]},
+                        psi_box=[[0.0, 2.0], [-0.5, 1.5]], grid_points=5)
+        assert main(["direct-effect", "--config", path]) == 2
+        assert stderr_of(capsys).startswith("config error: unknown feature term 'lx'")
 
     def test_mode_is_validated(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="dag1b", n=50, seed=1, mode="nope")

@@ -307,8 +307,25 @@ class TestDeGEstimation:
         # not when it is part of the studied arm itself.
         spec = DeSndmSpec(additive_blip("1", "a1"))
         spec.validate_for(SPLIT01, 1)  # no error
-        with pytest.raises(ConfigError, match="not available"):
+        with pytest.raises(ConfigError, match="unknown feature term"):
             spec.validate_for(SplitSchema((0, 1), ()), 1)
+
+    @pytest.mark.parametrize("term", ["l", "lx", "l_prev"])
+    def test_malformed_cofactor_names_are_config_errors(self, term):
+        spec = DeSndmSpec(additive_blip("1", term))
+        with pytest.raises(ConfigError, match="unknown feature term"):
+            spec.validate_for(SPLIT01, 1)
+
+    def test_cofactor_context_follows_the_split(self):
+        # At studied occasion 0: l0 and "lm" yes, l1 no; a1 only while
+        # occasion 1 belongs to the fixed arm.
+        ok = DeSndmSpec(additive_blip("1", "l0*a1", "lm", "a_prev"))
+        ok.validate_for(SPLIT01, 1)
+        for spec, split in [(DeSndmSpec(additive_blip("1", "l1")), SPLIT01),
+                            (DeSndmSpec(additive_blip("1", "a0")), SPLIT01),
+                            (ok, SplitSchema((0, 1), ()))]:
+            with pytest.raises(ConfigError, match="unknown feature term"):
+                spec.validate_for(split, 1)
 
     def test_box_shape_checked(self):
         ds = simulate(direct_effect_scenario(), 200, seed=1)

@@ -117,7 +117,8 @@ class TestRegimeDistribution:
         d = RegimeDistribution.exact(np.array([0.0, 2.0]), np.array([0.25, 0.75]))
         path = str(tmp_path / "law.csv")
         d.to_csv(path)
-        lines = open(path).read().strip().splitlines()
+        with open(path) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "y,F"
         ys = [float(ln.split(",")[0]) for ln in lines[1:]]
         Fs = [float(ln.split(",")[1]) for ln in lines[1:]]

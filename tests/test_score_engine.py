@@ -170,7 +170,7 @@ class _RefDeEngine:
         bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
         if np.any(bad):
             raise EstimationError("studied-arm treatments must be binary")
-        self.C = _de_cofactors(spec, dataset.L, dataset.A, occs)
+        self.C = _de_cofactors(spec, split, dataset.L, dataset.A)
         self.S = _stack_shifts(spec.blip, dataset.A, occs, self.C)
         self.occs = occs
         if p_alpha_known is not None:

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmethods.data import Dataset, Regime, Schema, binary, discrete
-from gmethods.errors import ConfigError, EstimationError
-from gmethods.features import eval_terms
+from gmethods.errors import ConfigError, ConvergenceError, EstimationError, SeparationError
+from gmethods.features import eval_terms, history_cols
 from gmethods.glm import fit_logistic
 from gmethods.laws import BernoulliLogit, NormalMarginal
 from gmethods.scenarios import BlipOutcome, simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (
     BlipSpec,
+    _residual_outcome,
     additive_blip,
     blip_down,
     blip_down_arrays,
@@ -363,14 +364,62 @@ class TestGEstimation:
 COV_TERMS = {0: ("1", "h"), 1: ("h", "a0", "l0")}
 
 
+def joint_mle_reference(dataset, blip_spec, *, covariate_terms, maxiter=1000):
+    """The joint fit the profile likelihood replaced: one L-BFGS-B over
+    (psi, mu, log sd, every phi).  Kept as an oracle: the profile fit's
+    log-likelihood must never be lower."""
+    import scipy.optimize
+
+    L, A, Y = dataset.L, dataset.A, dataset.Y
+    n, K1 = L.shape
+    d = blip_spec.dim
+    S = shift_basis(blip_spec, L, A)
+    modeled = [m for m in range(K1) if np.ptp(L[:, m]) > 0]
+    terms_by_m = {m: tuple(covariate_terms[m]) for m in modeled}
+    sizes = [len(terms_by_m[m]) for m in modeled]
+
+    def unpack(x):
+        psi, mu, logsd = x[:d], x[d], x[d + 1]
+        phis, k = {}, d + 2
+        for m, sz in zip(modeled, sizes):
+            phis[m] = x[k:k + sz]
+            k += sz
+        return psi, mu, logsd, phis
+
+    def negll(x):
+        psi, mu, logsd, phis = unpack(x)
+        total_shift = S @ psi
+        h = _residual_outcome(blip_spec.family, Y, total_shift)
+        z = (h - mu) / np.exp(logsd)
+        ll = -0.5 * float(z @ z) - n * (logsd + 0.5 * np.log(2.0 * np.pi))
+        if blip_spec.family == "multiplicative":
+            ll += float(np.sum(total_shift))  # log dH/dY
+        for m in modeled:
+            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"h": h}))
+            eta = X @ phis[m]
+            ll += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
+        return -ll
+
+    x0 = np.zeros(d + 2 + sum(sizes))
+    x0[d] = float(np.mean(Y))
+    x0[d + 1] = float(np.log(np.std(Y) + 1e-8))
+    res = scipy.optimize.minimize(
+        negll, x0, method="L-BFGS-B",
+        options={"maxiter": maxiter, "maxfun": 5 * maxiter, "ftol": 1e-12, "gtol": 1e-9},
+    )
+    if not res.success and "ABNORMAL" not in str(res.message):
+        raise ConvergenceError(f"likelihood maximization failed: {res.message}")
+    return unpack(res.x)[0], -float(res.fun)
+
+
 class TestSndmMle:
     def test_eta_is_moment_pair_of_h_at_fixed_psi(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 800, seed=42)
         spec = additive_blip("1")
         fit = sndm_mle(ds, spec, covariate_terms=COV_TERMS, psi_fixed=(0.7,))
         h = ds.Y + shift_basis(spec, ds.L, ds.A) @ np.array([0.7])
-        assert abs(fit.h_mean - float(np.mean(h))) < 2e-5
-        assert abs(fit.h_sd - float(np.std(h))) < 2e-5
+        assert abs(fit.h_mean - float(np.mean(h))) < 1e-12
+        assert abs(fit.h_sd - float(np.std(h))) < 1e-12
 
     def test_loglik_decomposition(self):
         # Reassemble the reported log likelihood from the returned
@@ -398,7 +447,7 @@ class TestSndmMle:
         h = ds.Y + shift_basis(spec, ds.L, ds.A) @ np.array([1.0])
         X0 = eval_terms(COV_TERMS[0], {"h": h})
         sep = fit_logistic(X0, ds.L[:, 0])
-        np.testing.assert_allclose(fit.phi[0], sep.coef, atol=1e-4)
+        np.testing.assert_allclose(fit.phi[0], sep.coef, atol=1e-12)
 
     def test_free_psi_recovery(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 3000, seed=45)
@@ -432,7 +481,7 @@ class TestSndmMle:
 
     def test_covariate_terms_restricted_to_earlier_history(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)
-        with pytest.raises(ConfigError, match="strictly earlier"):
+        with pytest.raises(ConfigError, match="unknown feature term"):
             sndm_mle(ds, additive_blip("1"), covariate_terms=("l1",),
                      psi_fixed=(0.0,))
 
@@ -445,6 +494,49 @@ class TestSndmMle:
         ds = Dataset(schema, L, A, rng.normal(size=50))
         with pytest.raises(EstimationError, match="binary"):
             sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "h"),
+                     psi_fixed=(0.0,))
+
+    @pytest.mark.parametrize("family,cofactors,psi,n,seed", [
+        ("additive", ("1",), (1.0,), 800, 50),
+        ("additive", ("1", "lm"), (1.0, -0.5), 2000, 51),
+        ("multiplicative", ("1",), (0.4,), 800, 52),
+        ("multiplicative", ("1", "lm"), (0.4, -0.2), 2000, 53),
+    ])
+    def test_profile_fit_matches_the_joint_reference(self, family, cofactors, psi, n, seed):
+        ds = simulate(sndm_scenario(family=family, cofactors=cofactors, psi=psi), n, seed=seed)
+        spec = BlipSpec(family, cofactors)
+        fit = sndm_mle(ds, spec, covariate_terms=COV_TERMS)
+        ref_psi, ref_ll = joint_mle_reference(ds, spec, covariate_terms=COV_TERMS)
+        assert fit.loglik >= ref_ll - 1e-9
+        np.testing.assert_allclose(fit.psi, ref_psi, atol=1e-4)
+
+    def test_separated_covariate_raises(self):
+        # L1 equals A0, so its logistic model on ("1", "a0") has no MLE.
+        rng = np.random.default_rng(12)
+        n = 400
+        A = rng.integers(0, 2, size=(n, 2)).astype(float)
+        L = np.column_stack([rng.integers(0, 2, n), A[:, 0]]).astype(float)
+        schema = Schema((binary(), binary()), (binary(), binary()))
+        ds = Dataset(schema, L, A, rng.normal(size=n) + A.sum(axis=1))
+        with pytest.raises(SeparationError):
+            sndm_mle(ds, additive_blip("1"),
+                     covariate_terms={0: ("1", "h"), 1: ("1", "a0")})
+
+    def test_constant_residual_outcome_raises(self):
+        schema = Schema((binary(), binary()), (binary(), binary()))
+        rng = np.random.default_rng(13)
+        L = rng.integers(0, 2, size=(60, 2)).astype(float)
+        A = rng.integers(0, 2, size=(60, 2)).astype(float)
+        ds = Dataset(schema, L, A, 2.0 - 0.5 * A.sum(axis=1))
+        with pytest.raises(EstimationError, match="constant"):
+            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "h"),
+                     psi_fixed=(0.5,))
+
+    @pytest.mark.parametrize("term", ["l", "lx", "l_prev"])
+    def test_malformed_covariate_terms_are_config_errors(self, term):
+        ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)
+        with pytest.raises(ConfigError, match="unknown feature term"):
+            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", term),
                      psi_fixed=(0.0,))
 
     def test_likelihood_ratio_test(self):

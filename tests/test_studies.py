@@ -32,7 +32,8 @@ def small_config(replicates=3, seed=77):
 def log_text(rows, tmp_path, name="log.csv"):
     path = str(tmp_path / name)
     write_study_log(path, rows)
-    return open(path).read()
+    with open(path) as fh:
+        return fh.read()
 
 
 class TestStudyConfig:
