@@ -83,7 +83,6 @@ from .laws import (
     DiscreteMarginal,
     LinearOutcome,
     NormalLinear,
-    NormalMarginal,
 )
 from .reproduce import REPRODUCERS, CheckLine, ReproduceReport
 from .scenarios import (
@@ -161,7 +160,6 @@ __all__ = [
     "LinearOutcome",
     "NaiveDirectEffectReport",
     "NormalLinear",
-    "NormalMarginal",
     "PositivityError",
     "Regime",
     "RegimeDistribution",

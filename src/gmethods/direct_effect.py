@@ -49,7 +49,7 @@ from .glm import (
     pooled_rows,
     wald_test,
 )
-from .laws import BernoulliLogit, NormalLinear, NormalMarginal
+from .laws import BernoulliLogit, NormalLinear
 from .sndm import (
     BlipSpec,
     GEstimate,
@@ -172,13 +172,10 @@ def ipw_weights(dataset: Dataset, split: SplitSchema, z_laws: dict[int, object],
     for k in split.z_occasions:
         law = z_laws[k]
         cols = history_cols(dataset.L, dataset.A, k + 1, k, k)
-        a = dataset.A[:, k]
-        if hasattr(law, "pmf"):
-            factors[k] = np.asarray(law.pmf(a, cols), dtype=float)
-        elif hasattr(law, "density"):
-            factors[k] = np.asarray(law.density(a, cols), dtype=float)
-        else:
-            raise ConfigError(f"law for occasion {k} has neither pmf nor density")
+        density = getattr(law, "density", None)
+        if density is None:
+            raise ConfigError(f"law for occasion {k} has no density")
+        factors[k] = np.asarray(density(dataset.A[:, k], cols), dtype=float)
     return IpwWeights(factors, source)
 
 
@@ -218,7 +215,8 @@ def direct_effect_gnull_test(
     t1v = dataset.Y if t1 is None else np.asarray(t1(dataset.Y), dtype=float)
     a1 = dataset.A[:, 1]
     if t2 is None:
-        t2v = NormalMarginal(0.0, 1.0).density(a1)
+        root = history_cols(dataset.L, dataset.A, 0, 0, 0)
+        t2v = NormalLinear(("1",), (0.0,)).density(a1, root)
     else:
         t2v = np.asarray(t2(a1), dtype=float)
     script = t1v * t2v / w1
@@ -502,10 +500,6 @@ def direct_effect_moment_check(
         w = np.ones(int(live.sum()))
         for k, f in factors.items():
             if k >= m + 1:
-                if np.any(f[live] <= 0.0):
-                    raise PositivityError(
-                        f"zero conditional assignment probability at occasion {k}"
-                    )
                 w = w * f[live]
         keys = np.column_stack([data.L[live, : m + 1], data.A[live, : m + 1]])
         per[m], counted[m] = _moment_spread(keys, (mass * tv)[live] / w, mass[live])

@@ -6,6 +6,9 @@ A term is a string naming one regressor column: either a base column ("1",
 (any other is a ``ConfigError``), and ``history_cols`` builds every context
 from how many covariates and treatments are observed:
 
+* root law (hidden cause "u", or the residual outcome "h" of Monte Carlo
+  standardization) — only "a_prev" = 0, the occasion-0 context
+  ``history_cols(L, A, 0, 0, 0)``, which gives the row count;
 * covariate law at occasion m — l0..l(m-1), a0..a(m-1), "a_prev", plus the
   hidden cause "u" (scenarios) or the residual outcome "h" (blip models);
 * treatment law and blip cofactors at occasion m — l0..lm, a0..a(m-1),

@@ -306,27 +306,16 @@ def pooled_rows(
     dataset: Dataset,
     terms: tuple[str, ...] | list[str],
     occasions: list[int] | None = None,
-    extra: dict[str, np.ndarray] | None = None,
 ):
     """Stack person-occasions into one design.
 
-    Returns (X, response, subjects, occasions_per_row).  Row order is
-    occasion-major: all subjects at the first occasion, then the next.
-    ``extra`` maps a column name to an (n,) array available at every
-    occasion (e.g. a residual outcome ``h``).
+    Returns (X, response, subjects).  Row order is occasion-major: all
+    subjects at the first occasion, then the next.
     """
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
-    blocks, resp, subj, occ_ix = [], [], [], []
-    n = dataset.n
+    blocks, resp = [], []
     for m in occs:
-        cols = history_cols(dataset.L, dataset.A, m + 1, m, m, extra=extra)
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
         blocks.append(eval_terms(tuple(terms), cols))
         resp.append(dataset.A[:, m])
-        subj.append(np.arange(n))
-        occ_ix.append(np.full(n, m))
-    return (
-        np.vstack(blocks),
-        np.concatenate(resp),
-        np.concatenate(subj),
-        np.concatenate(occ_ix),
-    )
+    return np.vstack(blocks), np.concatenate(resp), np.tile(np.arange(dataset.n), len(occs))

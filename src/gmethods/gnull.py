@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, Schema, constant, discrete, group_rows
 from .errors import ConfigError, EstimationError
-from .features import eval_terms, history_cols
+from .features import history_cols
 from .gformula import JointTable, _TableLaw
 from .glm import ESTIMATED_DESIGN_NOTE  # noqa: F401  (the fitted-design note, re-exported)
 from .glm import TestReport, _report, fit_linear, wald_test
@@ -103,10 +103,9 @@ def parametric_null_check(
 class GnullScoreInputs:
     """Known design means of the two treatments in a randomized study.
 
-    ``pi1`` is the (unconditional) design mean of A0.  ``pi2`` gives the
-    design mean of A1 as a function of the observed past; it is either a
-    law object exposing ``mean(cols)`` or ``prob(cols)``, or a
-    (terms, coefs) pair defining a linear mean.
+    ``pi1`` is the (unconditional) design mean of A0.  ``pi2`` is the
+    assignment law of A1, whose ``mean(cols)`` gives its design mean as a
+    function of the observed past.
     """
 
     pi1: float
@@ -114,12 +113,7 @@ class GnullScoreInputs:
 
     def pi2_values(self, dataset: Dataset) -> np.ndarray:
         cols = history_cols(dataset.L, dataset.A, 2, 1, 1)
-        if hasattr(self.pi2, "mean"):
-            return np.asarray(self.pi2.mean(cols), dtype=float)
-        if hasattr(self.pi2, "prob"):
-            return np.asarray(self.pi2.prob(cols), dtype=float)
-        terms, coefs = self.pi2
-        return eval_terms(tuple(terms), cols) @ np.asarray(coefs, dtype=float)
+        return np.asarray(self.pi2.mean(cols), dtype=float)
 
     @classmethod
     def from_scenario(cls, config) -> "GnullScoreInputs":
@@ -129,15 +123,9 @@ class GnullScoreInputs:
         is only exact when baseline covariates are degenerate at zero —
         true for every built-in two-occasion scenario.
         """
-        a0_law, a1_law = config.a_laws[0], config.a_laws[1]
-        zero = {k: np.zeros(1) for k in ("l0", "lm", "a_prev")}
-        if hasattr(a0_law, "mean"):
-            pi1 = float(a0_law.mean(zero)[0])
-        elif hasattr(a0_law, "prob"):
-            pi1 = float(a0_law.prob(zero)[0])
-        else:
-            raise ConfigError("cannot read a design mean off the A0 law")
-        return cls(pi1=pi1, pi2=a1_law)
+        zero = np.zeros((1, 1))
+        pi1 = float(config.a_laws[0].mean(history_cols(zero, zero, 1, 0, 0))[0])
+        return cls(pi1=pi1, pi2=config.a_laws[1])
 
 
 def gnull_score_test(

@@ -38,7 +38,6 @@ from .laws import (
     DiscreteMarginal,
     LinearOutcome,
     NormalLinear,
-    NormalMarginal,
 )
 from .sndm import BlipSpec, blip_up
 
@@ -106,9 +105,9 @@ def _rollout(
     for b in range(streams.block_count(n)):
         rng = streams.substream(seed, config.name, "subjects", b)
         nb = streams.BLOCK
-        u = config.u_law.sample(rng, nb)
         Lb = np.empty((nb, K + 1))
         Ab = np.empty((nb, K + 1))
+        u = config.u_law.sample(rng, history_cols(Lb, Ab, 0, 0, 0), nb)
         for m in range(K + 1):
             lcols = history_cols(Lb, Ab, m, m, m, extra={"u": u})
             Lb[:, m] = config.l_laws[m].sample(rng, lcols, nb)
@@ -165,14 +164,14 @@ def _law_support(law) -> tuple[float, ...]:
             f"{type(law).__name__} has no finite support; exact enumeration "
             "needs discrete laws everywhere"
         )
-    return sup() if callable(sup) else tuple(sup)
+    return sup()
 
 
 def _branch(P: np.ndarray, w: np.ndarray, law, cols: Cols):
     """Extend every path (row of P, weight w) by each support value of law
     with positive probability; rows stay in (path, support value) order."""
     sup = np.asarray(_law_support(law), dtype=float)
-    p = np.column_stack([law.pmf(v, cols) for v in sup])
+    p = np.column_stack([law.density(v, cols) for v in sup])
     i, j = np.nonzero(p > 0.0)
     return np.column_stack([P[i], sup[j]]), w[i] * p[i, j], i
 
@@ -186,20 +185,18 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
     bin midpoint, with tail mass folded into the end bins).
 
     Every live (u, l0, a0, ..., l_m) path is one row of an array, so each
-    law's pmf is evaluated once per support value and occasion.  Rows stay
-    in depth-first order (u atom, then support order at each occasion), and
-    each cell sums its path masses in that order.
+    law's density is evaluated once per support value and occasion; the
+    hidden cause branches first, from the one-row occasion-0 context.  Rows
+    stay in depth-first order (u atom, then support order at each occasion),
+    and each cell sums its path masses in that order.
     """
     K = config.schema.K
-    if not isinstance(config.u_law, DiscreteMarginal):
-        raise ConfigError("exact enumeration needs a finite-discrete hidden cause")
     if y_bins is not None and not getattr(config.y_law, "noise_sd", 0.0) > 0.0:
         raise ConfigError("y_bins discretizes normal outcome noise, and this outcome "
                           "has none; enumerate its atoms without y_bins")
-    pu = np.asarray(config.u_law.probs, dtype=float)
-    U = np.asarray(config.u_law.values, dtype=float)[pu > 0.0]
-    w = pu[pu > 0.0]
-    P = np.zeros((U.size, 0))  # path columns l0, a0, l1, a1, ...
+    root = np.zeros((1, 0))
+    P, w, _ = _branch(root, np.ones(1), config.u_law, history_cols(root, root, 0, 0, 0))
+    U, P = P[:, 0], P[:, 1:]  # path columns l0, a0, l1, a1, ...
     for m in range(K + 1):
         lcols = history_cols(P[:, 0::2], P[:, 1::2], m, m, m, extra={"u": U})
         P, w, i = _branch(P, w, config.l_laws[m], lcols)
@@ -497,7 +494,7 @@ def sndm_scenario(
         u_law = DiscreteMarginal(tuple(float(np.exp(0.5 * v)) for v in atoms.values),
                                  atoms.probs)
     else:
-        u_law = _discretized_normal(h_atoms) if h_atoms else NormalMarginal(0.0, 1.0)
+        u_law = _discretized_normal(h_atoms) if h_atoms else NormalLinear(("1",), (0.0,))
     # Both occasions share one assignment law on pooled-history terms, so the
     # pooled treatment model with alpha = (-0.1, 0.7, -0.3) is exactly right.
     assign = BernoulliLogit(("1", "lm", "a_prev"), (-0.1, 0.7, -0.3))

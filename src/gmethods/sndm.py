@@ -252,7 +252,7 @@ class _ScoreEngine:
     def __init__(self, dataset: Dataset, blip_spec: BlipSpec, rows, occs, C, *,
                  qstar: Callable | None, known_coef, note: str, level: float,
                  weights: np.ndarray | None = None):
-        self.X, self.resp, self.subj, _ = rows
+        self.X, self.resp, self.subj = rows
         for m in occs:
             a = dataset.A[:, m]
             if np.any((np.abs(a) > 1e-9) & (np.abs(a - 1.0) > 1e-9)):
@@ -558,7 +558,6 @@ def sndm_mle(
     *,
     covariate_terms,
     psi_fixed=None,
-    include_jacobian: bool = True,
 ) -> SndmMle:
     """Maximize the reparameterized likelihood, profiled over psi.
 
@@ -573,8 +572,6 @@ def sndm_mle(
     with ``psi_fixed`` nothing is.  ``covariate_terms`` is a dict occasion ->
     term tuple, or one tuple shared by all occasions.  A constant H raises
     ``EstimationError`` and separated covariate data ``SeparationError``.
-    ``include_jacobian=False`` drops the dH/dY factor (diagnostic only: it
-    biases the multiplicative family's fit).
     """
     L, A, Y = dataset.L, dataset.A, dataset.Y
     n, K1 = L.shape
@@ -598,7 +595,7 @@ def sndm_mle(
         if not sd > 0.0:
             raise EstimationError("residual outcome H is constant; its likelihood is unbounded")
         ll = -n * (np.log(sd) + 0.5 * np.log(2.0 * np.pi) + 0.5)
-        if include_jacobian and blip_spec.family == "multiplicative":
+        if blip_spec.family == "multiplicative":
             ll += float(np.sum(shift))  # log dH/dY
         phis = {}
         for m in modeled:
@@ -681,7 +678,8 @@ def mc_regime_draws(
         if h_samples is not None:
             h = rng.choice(np.asarray(h_samples, dtype=float), size=draws)
         elif h_law is not None:
-            h = h_law.sample(rng, draws)
+            root = np.zeros((draws, 0))
+            h = h_law.sample(rng, history_cols(root, root, 0, 0, 0), draws)
         else:
             raise ConfigError("need h_samples or h_law")
     n = h.size

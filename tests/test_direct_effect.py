@@ -97,7 +97,7 @@ class TestWeights:
 
     def test_law_without_density_rejected(self):
         ds = simulate(direct_effect_scenario(), 100, seed=1)
-        with pytest.raises(ConfigError, match="pmf nor density"):
+        with pytest.raises(ConfigError, match="has no density"):
             ipw_weights(ds, SPLIT01, {1: object()}, "design")
 
 

@@ -442,7 +442,7 @@ class TestPooledRows:
                      [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                      [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
                      [5.0, 6.0, 7.0])
-        X, resp, subj, occ = pooled_rows(ds, ("1", "lm", "a_prev"))
+        X, resp, subj = pooled_rows(ds, ("1", "lm", "a_prev"))
         assert X.shape == (6, 3)
         # occasion 0 block: lm = L0, a_prev = 0
         np.testing.assert_array_equal(X[:3, 1], ds.L[:, 0])
@@ -453,11 +453,3 @@ class TestPooledRows:
         np.testing.assert_array_equal(X[3:, 2], ds.A[:, 0])
         np.testing.assert_array_equal(resp[3:], ds.A[:, 1])
         np.testing.assert_array_equal(subj, [0, 1, 2, 0, 1, 2])
-        np.testing.assert_array_equal(occ, [0, 0, 0, 1, 1, 1])
-
-    def test_extra_column_broadcasts_to_every_occasion(self):
-        schema = Schema((binary(), binary()), (binary(), binary()))
-        ds = Dataset(schema, [[1.0, 0.0]], [[1.0, 0.0]], [5.0])
-        h = np.array([9.0])
-        X, _, _, _ = pooled_rows(ds, ("h",), extra={"h": h})
-        np.testing.assert_array_equal(X[:, 0], [9.0, 9.0])

@@ -25,6 +25,7 @@ from gmethods.gnull import (
     random_sequential_table,
 )
 from gmethods.glm import expit
+from gmethods.laws import NormalLinear
 from gmethods.scenarios import (
     binary_two_occasion_scenario,
     dag1b_scenario,
@@ -46,7 +47,7 @@ class TestRandomizationScore:
         # U2 = 2*(0-0.3) + 2*(0-0.5) = -1.6
         # chi = (1.2 - 1.6) / sqrt(1.44 + 2.56) = -0.2
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [1.0, 2.0])
-        inputs = GnullScoreInputs(pi1=0.5, pi2=(("1",), (0.3,)))
+        inputs = GnullScoreInputs(pi1=0.5, pi2=NormalLinear(("1",), (0.3,)))
         rep = gnull_score_test(ds, inputs)
         assert abs(rep.statistic - (-0.2)) < 1e-15
         assert abs(rep.p_value - 2.0 * stats.norm.sf(0.2)) < 1e-12
@@ -54,7 +55,7 @@ class TestRandomizationScore:
 
     def test_degenerate_outcome_rejected(self):
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [0.0, 0.0])
-        inputs = GnullScoreInputs(pi1=0.5, pi2=(("1",), (0.3,)))
+        inputs = GnullScoreInputs(pi1=0.5, pi2=NormalLinear(("1",), (0.3,)))
         with pytest.raises(EstimationError, match="degenerate"):
             gnull_score_test(ds, inputs)
 

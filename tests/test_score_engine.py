@@ -103,7 +103,7 @@ class _RefGEngine:
         self.spec = blip_spec
         self.level = level
         self.occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
-        self.X, self.resp, self.subj, _ = pooled_rows(dataset, treatment_terms, self.occs)
+        self.X, self.resp, self.subj = pooled_rows(dataset, treatment_terms, self.occs)
         bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
         if np.any(bad):
             raise EstimationError(
@@ -236,7 +236,7 @@ def _ref_pooled_g_test(dataset, spec, level=0.05):
         vals = np.unique(dataset.A[:, m])
         if not np.isin(vals, (0.0, 1.0)).all():
             raise ConfigError(f"pooled test needs binary treatments; A{m} is not 0/1")
-    X, resp, _, _ = pooled_rows(dataset, spec.treatment_terms, occs)
+    X, resp, _ = pooled_rows(dataset, spec.treatment_terms, occs)
     qs = []
     for m in occs:
         cols = history_cols(dataset.L, dataset.A, m + 1, m, m)

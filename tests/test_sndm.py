@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gmethods.data import Dataset, Regime, Schema, binary, discrete
 from gmethods.errors import ConfigError, ConvergenceError, EstimationError, SeparationError
 from gmethods.features import eval_terms, history_cols
 from gmethods.glm import fit_logistic
-from gmethods.laws import BernoulliLogit, NormalMarginal
+from gmethods.laws import BernoulliLogit, NormalLinear
 from gmethods.scenarios import BlipOutcome, simulate, sndm_scenario, two_occasion_scenario
 from gmethods.sndm import (
     BlipSpec,
@@ -459,9 +460,10 @@ class TestSndmMle:
         assert abs(fit.h_sd - 1.0) < 0.1
 
     def test_jacobian_term_is_the_total_shift(self):
-        # For a fixed psi the only difference the change-of-variables
-        # factor makes to the multiplicative fit is the constant
-        # sum-of-shifts term.
+        # At a fixed psi the multiplicative fit's log likelihood is the
+        # normal part of H, plus the change-of-variables term log dH/dY
+        # (the sum of the shifts), plus one logistic part per covariate
+        # occasion, each summed here on its own.
         rng = np.random.default_rng(8)
         n = 400
         L = rng.integers(0, 2, size=(n, 2)).astype(float)
@@ -472,12 +474,15 @@ class TestSndmMle:
         assert np.all(Y > 0)
         schema = Schema((binary(), binary()), (binary(), binary()))
         ds = Dataset(schema, L, A, Y)
-        with_j = sndm_mle(ds, spec, covariate_terms=("1", "h"),
-                          psi_fixed=(0.3,), include_jacobian=True)
-        without = sndm_mle(ds, spec, covariate_terms=("1", "h"),
-                           psi_fixed=(0.3,), include_jacobian=False)
-        total = float(np.sum(shift_basis(spec, L, A) @ np.array([0.3])))
-        assert abs((with_j.loglik - without.loglik) - total) < 1e-5
+        fit = sndm_mle(ds, spec, covariate_terms=("1", "h"), psi_fixed=(0.3,))
+        shift = shift_basis(spec, L, A) @ np.array([0.3])
+        h = Y * np.exp(shift)
+        normal = float(np.sum(stats.norm.logpdf(h, np.mean(h), np.std(h))))
+        covariates = 0.0
+        for m in (0, 1):
+            eta = np.column_stack([np.ones(n), h]) @ fit.phi[m]
+            covariates += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
+        assert abs(fit.loglik - (normal + float(np.sum(shift)) + covariates)) < 1e-8
 
     def test_covariate_terms_restricted_to_earlier_history(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)
@@ -579,7 +584,7 @@ class TestRegimeDraws:
         regime = Regime.dynamic(lambda m, lbar: float(lbar[-1] >= 0.5), "treat-if-l")
 
         def draws(count):
-            return mc_regime_draws(spec, regime, K=1, h_law=NormalMarginal(0.0, 1.0),
+            return mc_regime_draws(spec, regime, K=1, h_law=NormalLinear(("1",), (0.0,)),
                                    covariate_models=models, draws=count, seed=3).samples
 
         np.testing.assert_array_equal(draws(200)[:100], draws(100))

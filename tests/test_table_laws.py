@@ -341,7 +341,7 @@ def walker_law(table, regime, hist=None) -> dict[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the recursive enumeration, one path and one pmf call at a time.
+# Reference: the recursive enumeration, one path and one density call at a time.
 # Only the two outcome-law calls changed: the laws now answer for n parent
 # rows, and the walker reads row 0 of a one-row answer.
 # ---------------------------------------------------------------------------
@@ -389,12 +389,12 @@ def recursive_enumerate_joint(config, y_bins=None) -> JointTable:
         Ap = np.array([avals])
         lcols = history_cols(np.array([lvals]), Ap, m, m, m, extra={"u": scalar(u)})
         for lv in _law_support(config.l_laws[m]):
-            pl = float(np.asarray(config.l_laws[m].pmf(lv, lcols))[0])
+            pl = float(np.asarray(config.l_laws[m].density(lv, lcols))[0])
             if pl <= 0.0:
                 continue
             acols = history_cols(np.array([lvals + [lv]]), Ap, m + 1, m, m)
             for av in _law_support(config.a_laws[m]):
-                pa = float(np.asarray(config.a_laws[m].pmf(av, acols))[0])
+                pa = float(np.asarray(config.a_laws[m].density(av, acols))[0])
                 if pa <= 0.0:
                     continue
                 walk(m + 1, u, lvals + [lv], avals + [av], w * pl * pa)
@@ -829,7 +829,7 @@ class TestLinearLawsPerRow:
     """A law's value for a row is the same alone and inside a batch."""
 
     LAWS = {
-        "logit": lambda law, cols: law.prob(cols),
+        "logit": lambda law, cols: law.mean(cols),
         "normal": lambda law, cols: law.mean(cols),
         "outcome": lambda law, cols: law.mean(cols),
     }
