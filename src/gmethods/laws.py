@@ -4,7 +4,9 @@ Every law answers the same calls, given its parent columns ``cols`` (a
 name -> array mapping, one row per parent row; see the features module for
 term names):
 
-* ``sample(rng, cols, n)`` — n draws, one per parent row;
+* ``sample(rng, cols, n)`` — consumes the stream of n draws and returns
+  one value per parent row, ``len(cols) <= n`` values: a block rollout
+  draws its full variate count and evaluates only the rows it keeps;
 * ``density(values, cols)`` — the density of ``values`` (a scalar or one
   value per row) given each parent row; a finite law's density is its pmf;
 * ``mean(cols)`` — the mean given each parent row;
@@ -37,9 +39,23 @@ def _linear(terms: tuple[str, ...], coefs: tuple[float, ...], cols: Cols) -> np.
     return sum(X[:, k] * float(c) for k, c in enumerate(coefs))
 
 
+def _rows(cols: Cols) -> int:
+    """The number of parent rows."""
+    return len(next(iter(cols.values())))
+
+
 def _ones(cols: Cols) -> np.ndarray:
     """A column of ones, one per parent row."""
-    return np.ones(len(next(iter(cols.values()))))
+    return np.ones(_rows(cols))
+
+
+def _skip(rng: np.random.Generator, k: int) -> None:
+    """Consume k float64 draws unseen.  On PCG64 (every ``streams`` generator)
+    each float64 takes exactly one 64-bit output, so advancing is exact."""
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        rng.bit_generator.advance(k)
+    elif k > 0:
+        rng.random(k)
 
 
 def _finite_density(values, support, probs) -> np.ndarray:
@@ -62,6 +78,10 @@ class DiscreteMarginal:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # Any sequence or 1-D array is stored as a float tuple, so the law
+        # stays frozen and hashable.
+        for name in ("values", "probs"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if len(self.values) != len(self.probs) or not self.values:
             raise ConfigError("values and probs must align and be non-empty")
         if np.min(np.diff(np.sort(self.values)), initial=np.inf) <= 1e-9:
@@ -70,11 +90,11 @@ class DiscreteMarginal:
             raise ConfigError("probs must be non-negative and sum to 1")
 
     def support(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
+        return self.values
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.values, dtype=float), size=n,
-                          p=np.asarray(self.probs, dtype=float))
+        return rng.choice(np.asarray(self.values), size=n,
+                          p=np.asarray(self.probs))[: _rows(cols)]
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _finite_density(values, self.values, self.probs) * _ones(cols)
@@ -93,7 +113,7 @@ class ConstantLaw:
         return (float(self.value),)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return np.full(n, float(self.value))
+        return np.full(_rows(cols), float(self.value))
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _finite_density(values, self.support(), 1.0) * _ones(cols)
@@ -120,7 +140,10 @@ class BernoulliLogit:
         return expit(_linear(self.terms, self.coefs, cols))
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return (rng.random(n) < self.mean(cols)).astype(float)
+        p = self.mean(cols)
+        u = rng.random(len(p))
+        _skip(rng, n - len(p))
+        return (u < p).astype(float)
 
     def density(self, values, cols: Cols) -> np.ndarray:
         p = self.mean(cols)
@@ -148,7 +171,8 @@ class NormalLinear:
         return _linear(self.terms, self.coefs, cols)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return self.mean(cols) + self.sd * rng.standard_normal(n)
+        mu = self.mean(cols)
+        return mu + self.sd * rng.standard_normal(n)[: len(mu)]
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _normal_density(values, self.mean(cols), self.sd)
@@ -161,7 +185,7 @@ class LinearOutcome:
     terms: tuple[str, ...]
     coefs: tuple[float, ...]
     noise_sd: float = 0.0
-    noise: DiscreteMarginal | None = None
+    noise: object = None  # a finite law, e.g. DiscreteMarginal
 
     def __post_init__(self) -> None:
         if len(self.terms) != len(self.coefs):
@@ -176,7 +200,7 @@ class LinearOutcome:
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         out = _linear(self.terms, self.coefs, cols)
         if self.noise_sd > 0.0:
-            out = out + self.noise_sd * rng.standard_normal(n)
+            out = out + self.noise_sd * rng.standard_normal(n)[: len(out)]
         elif self.noise is not None:
             out = out + self.noise.sample(rng, cols, n)
         return out
@@ -197,9 +221,9 @@ class LinearOutcome:
         mu = _linear(self.terms, self.coefs, cols)[:, None]
         if self.noise is None:
             return mu, np.ones_like(mu)
-        values = mu + np.asarray(self.noise.values, dtype=float)
-        return values, np.broadcast_to(np.asarray(self.noise.probs, dtype=float),
-                                       values.shape)
+        sup = self.noise.support()
+        probs = np.column_stack([self.noise.density(v, cols) for v in sup])
+        return mu + np.asarray(sup, dtype=float), probs
 
     def bin_probs(self, cols: Cols, edges: np.ndarray) -> np.ndarray:
         """(n, bins) mass of Y in [edge_j, edge_{j+1}) given each of n parent

@@ -95,19 +95,22 @@ def _rollout(
     seed: int,
     regime: Regime | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample n subjects; treatments come from the laws or from a regime."""
+    """Sample n subjects; treatments come from the laws or from a regime.
+
+    Each block's laws consume a full block of draws but are evaluated on the
+    rows the block keeps only (see the streams module)."""
     K = config.schema.K
+    nb = streams.BLOCK
     U = np.empty(n)
     L = np.empty((n, K + 1))
     A = np.empty((n, K + 1))
     Y = np.empty(n)
-    done = 0
     for b in range(streams.block_count(n)):
         rng = streams.substream(seed, config.name, "subjects", b)
-        nb = streams.BLOCK
-        Lb = np.empty((nb, K + 1))
-        Ab = np.empty((nb, K + 1))
-        u = config.u_law.sample(rng, history_cols(Lb, Ab, 0, 0, 0), nb)
+        sl = slice(b * nb, min(n, (b + 1) * nb))
+        Lb, Ab = L[sl], A[sl]
+        U[sl] = config.u_law.sample(rng, history_cols(Lb, Ab, 0, 0, 0), nb)
+        u = U[sl]
         for m in range(K + 1):
             lcols = history_cols(Lb, Ab, m, m, m, extra={"u": u})
             Lb[:, m] = config.l_laws[m].sample(rng, lcols, nb)
@@ -117,16 +120,7 @@ def _rollout(
             else:
                 Ab[:, m] = regime_values(regime, Lb[:, : m + 1], m)
         ycols = history_cols(Lb, Ab, K + 1, K + 1, extra={"u": u})
-        yb = config.y_law.sample(rng, ycols, nb)
-        take = min(nb, n - done)
-        sl = slice(done, done + take)
-        U[sl] = u[:take]
-        L[sl] = Lb[:take]
-        A[sl] = Ab[:take]
-        Y[sl] = yb[:take]
-        done += take
-        if done >= n:
-            break
+        Y[sl] = config.y_law.sample(rng, ycols, nb)
     return U, L, A, Y
 
 

@@ -696,21 +696,20 @@ def mc_regime_draws(
         return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
     if len(covariate_models) != K + 1:
         raise ConfigError("one covariate model per occasion required")
-    # Every block is drawn in full (h padded with zeros) and then cut to n
-    # draws, so a draw's covariates do not depend on the number of draws.
+    # Every block consumes a full block of draws per model and evaluates the
+    # draws it keeps only, so a draw's covariates do not depend on the number
+    # of draws.
     nb = streams.BLOCK
-    rows = streams.block_count(n) * nb
-    hp = np.pad(h, (0, rows - n))
-    L = np.empty((rows, K + 1))
-    A = np.empty((rows, K + 1))
+    L = np.empty((n, K + 1))
+    A = np.empty((n, K + 1))
     for b in range(streams.block_count(n)):
         rng = streams.substream(seed, "sndm-mc", regime.name, b)
-        sl = slice(b * nb, (b + 1) * nb)
+        sl = slice(b * nb, min(n, (b + 1) * nb))
         for m in range(K + 1):
-            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": hp[sl]})
+            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": h[sl]})
             L[sl, m] = covariate_models[m].sample(rng, cols, nb)
             A[sl, m] = regime_values(regime, L[sl, : m + 1], m)
-    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L[:n], A[:n]), regime.name)
+    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
 
 
 def empirical_static_survivor(

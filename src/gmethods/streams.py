@@ -5,8 +5,9 @@ Every stochastic routine in the package draws from a generator obtained via
 stream, independent of call order, total sample size, or worker parallelism.
 
 Subject-level draws use fixed-size blocks: block ``b`` of a simulation is
-generated from ``substream(seed, ..., b)`` with a fixed draw layout, and the
-final block is generated in full then truncated.  Subject ``j``'s values are
+generated from ``substream(seed, ..., b)`` with a fixed draw layout.  Every
+law of a block consumes its full ``BLOCK`` draws, the final block's too, but
+is evaluated only on the rows the block keeps.  Subject ``j``'s values are
 therefore a pure function of (seed, names, j).
 """
 

@@ -141,3 +141,53 @@ class TestOneProtocolForEveryConsumer:
         cfg = replace(discrete_trial_scenario(), u_law=NormalLinear(("1",), (0.0,)))
         with pytest.raises(ConfigError, match="no finite support"):
             enumerate_joint(cfg)
+
+    def test_constant_noise_outcome_enumerates(self):
+        base = discrete_trial_scenario()
+        y_law = base.y_law
+
+        def with_noise(noise):
+            return enumerate_joint(replace(base, y_law=replace(y_law, noise=noise)))
+
+        got, want = with_noise(ConstantLaw(1.0)), with_noise(DiscreteMarginal((1.0,), (1.0,)))
+        np.testing.assert_array_equal(got.cells, want.cells)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
+
+def test_constant_noise_outcome_has_one_atom():
+    law = LinearOutcome(("1",), (0.5,), noise=ConstantLaw(1.0))
+    values, probs = law.atoms(parents())
+    np.testing.assert_array_equal(values, np.full((N, 1), 1.5))
+    np.testing.assert_array_equal(probs, np.ones((N, 1)))
+
+
+class TestDiscreteMarginalInput:
+    def test_arrays_become_float_tuples(self):
+        law = DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        assert law.values == (0.0, 1.0) and law.probs == (0.5, 0.5)
+        assert all(type(v) is float for v in law.values + law.probs)
+        assert law == DiscreteMarginal((0, 1), (0.5, 0.5))
+        assert hash(law) == hash(DiscreteMarginal((0.0, 1.0), (0.5, 0.5)))
+
+    @pytest.mark.parametrize("values, probs", [((), ()), (np.array([]), np.array([]))])
+    def test_empty_is_refused(self, values, probs):
+        with pytest.raises(ConfigError, match="non-empty"):
+            DiscreteMarginal(values, probs)
+
+    def test_duplicate_array_values_are_refused(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            DiscreteMarginal(np.array([0.0, 1.0, 0.0]), np.array([0.25, 0.5, 0.25]))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("name", sorted({**ATOMS, **CONTINUOUS}))
+def test_fewer_rows_than_draws_gives_the_leading_draws(name, bit_generator):
+    # A block rollout passes the rows it keeps and its full draw count: the
+    # values are the full call's leading rows, and the stream ends where the
+    # full call leaves it (BernoulliLogit skips its unkept uniforms).
+    law, cols = {**ATOMS, **CONTINUOUS}[name], parents(9)
+    full_rng, lean_rng = (np.random.Generator(bit_generator(10)) for _ in range(2))
+    full = law.sample(full_rng, cols, N)
+    lean = law.sample(lean_rng, {k: v[:150] for k, v in cols.items()}, N)
+    np.testing.assert_array_equal(lean, full[:150])
+    np.testing.assert_array_equal(lean_rng.random(4), full_rng.random(4))
