@@ -6,7 +6,8 @@ term names):
 
 * ``sample(rng, cols, n)`` — consumes the stream of n draws and returns
   one value per parent row, ``len(cols) <= n`` values: a block rollout
-  draws its full variate count and evaluates only the rows it keeps;
+  draws its full variate count and evaluates only the rows it keeps (a law
+  that draws refuses fewer draws than rows);
 * ``density(values, cols)`` — the density of ``values`` (a scalar or one
   value per row) given each parent row; a finite law's density is its pmf;
 * ``mean(cols)`` — the mean given each parent row;
@@ -49,13 +50,12 @@ def _ones(cols: Cols) -> np.ndarray:
     return np.ones(_rows(cols))
 
 
-def _skip(rng: np.random.Generator, k: int) -> None:
-    """Consume k float64 draws unseen.  On PCG64 (every ``streams`` generator)
-    each float64 takes exactly one 64-bit output, so advancing is exact."""
-    if isinstance(rng.bit_generator, np.random.PCG64):
-        rng.bit_generator.advance(k)
-    elif k > 0:
-        rng.random(k)
+def _kept(draws: np.ndarray, cols: Cols) -> np.ndarray:
+    """The leading draws, one per parent row; refuses fewer draws than rows."""
+    rows = _rows(cols)
+    if rows > len(draws):
+        raise ConfigError(f"{rows} parent rows but only {len(draws)} draws")
+    return draws[:rows]
 
 
 def _finite_density(values, support, probs) -> np.ndarray:
@@ -93,8 +93,8 @@ class DiscreteMarginal:
         return self.values
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return rng.choice(np.asarray(self.values), size=n,
-                          p=np.asarray(self.probs))[: _rows(cols)]
+        return _kept(rng.choice(np.asarray(self.values), size=n,
+                                p=np.asarray(self.probs)), cols)
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _finite_density(values, self.values, self.probs) * _ones(cols)
@@ -140,10 +140,7 @@ class BernoulliLogit:
         return expit(_linear(self.terms, self.coefs, cols))
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        p = self.mean(cols)
-        u = rng.random(len(p))
-        _skip(rng, n - len(p))
-        return (u < p).astype(float)
+        return (_kept(rng.random(n), cols) < self.mean(cols)).astype(float)
 
     def density(self, values, cols: Cols) -> np.ndarray:
         p = self.mean(cols)
@@ -171,8 +168,7 @@ class NormalLinear:
         return _linear(self.terms, self.coefs, cols)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        mu = self.mean(cols)
-        return mu + self.sd * rng.standard_normal(n)[: len(mu)]
+        return self.mean(cols) + self.sd * _kept(rng.standard_normal(n), cols)
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _normal_density(values, self.mean(cols), self.sd)
@@ -185,7 +181,7 @@ class LinearOutcome:
     terms: tuple[str, ...]
     coefs: tuple[float, ...]
     noise_sd: float = 0.0
-    noise: object = None  # a finite law, e.g. DiscreteMarginal
+    noise: DiscreteMarginal | ConstantLaw | None = None
 
     def __post_init__(self) -> None:
         if len(self.terms) != len(self.coefs):
@@ -200,7 +196,7 @@ class LinearOutcome:
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         out = _linear(self.terms, self.coefs, cols)
         if self.noise_sd > 0.0:
-            out = out + self.noise_sd * rng.standard_normal(n)[: len(out)]
+            out = out + self.noise_sd * _kept(rng.standard_normal(n), cols)
         elif self.noise is not None:
             out = out + self.noise.sample(rng, cols, n)
         return out

@@ -184,10 +184,20 @@ class TestDiscreteMarginalInput:
 def test_fewer_rows_than_draws_gives_the_leading_draws(name, bit_generator):
     # A block rollout passes the rows it keeps and its full draw count: the
     # values are the full call's leading rows, and the stream ends where the
-    # full call leaves it (BernoulliLogit skips its unkept uniforms).
+    # full call leaves it.
     law, cols = {**ATOMS, **CONTINUOUS}[name], parents(9)
     full_rng, lean_rng = (np.random.Generator(bit_generator(10)) for _ in range(2))
     full = law.sample(full_rng, cols, N)
     lean = law.sample(lean_rng, {k: v[:150] for k, v in cols.items()}, N)
     np.testing.assert_array_equal(lean, full[:150])
     np.testing.assert_array_equal(lean_rng.random(4), full_rng.random(4))
+
+
+@pytest.mark.parametrize("n", [1, 149])
+@pytest.mark.parametrize("name", sorted(set({**ATOMS, **CONTINUOUS}) - {"constant"}))
+def test_fewer_draws_than_rows_are_refused(name, n):
+    # Fewer draws than parent rows cannot give one value per row; n = 1
+    # would otherwise broadcast one draw over every row.
+    law, cols = {**ATOMS, **CONTINUOUS}[name], parents(9)
+    with pytest.raises(ConfigError, match="150 parent rows but only"):
+        law.sample(np.random.default_rng(3), {k: v[:150] for k, v in cols.items()}, n)
