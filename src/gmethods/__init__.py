@@ -14,7 +14,6 @@ from .data import (
     History,
     Regime,
     Schema,
-    Trajectory,
     VarKind,
     apply_regime,
     binary,
@@ -61,7 +60,6 @@ from .glm import (
     expit,
     fit_linear,
     fit_logistic,
-    logit,
     pooled_rows,
     robust_score_test,
     score_test_added,
@@ -89,7 +87,6 @@ from .scenarios import (
     SCENARIOS,
     ScenarioConfig,
     counterfactual_draws,
-    diagnostics,
     enumerate_joint,
     make_scenario,
     simulate,
@@ -174,7 +171,6 @@ __all__ = [
     "StudyConfig",
     "StudyRow",
     "TestReport",
-    "Trajectory",
     "ValidationError",
     "VarKind",
     "additive_blip",
@@ -185,7 +181,6 @@ __all__ = [
     "constant",
     "continuous",
     "counterfactual_draws",
-    "diagnostics",
     "direct_effect_g_estimate",
     "direct_effect_gnull_test",
     "direct_effect_moment_check",
@@ -205,7 +200,6 @@ __all__ = [
     "gnull_score_test",
     "gnull_table_check",
     "ipw_weights",
-    "logit",
     "make_scenario",
     "mc_regime_draws",
     "multiplicative_blip",

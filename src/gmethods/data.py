@@ -1,4 +1,4 @@
-"""Data containers: schemas, trajectories, datasets, regimes, histories.
+"""Data containers: schemas, datasets, regimes, histories.
 
 Occasions are indexed 0..K.  A subject's record is the time-ordered vector
 (L_0, A_0, L_1, A_1, ..., L_K, A_K, Y); the virtual pre-study treatment
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -111,15 +111,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One subject's complete record."""
-
-    l: tuple[float, ...]
-    a: tuple[float, ...]
-    y: float
-
-
-@dataclass(frozen=True)
 class History:
     """What is observable at occasion m just before A_m is assigned."""
 
@@ -161,17 +152,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.L.shape[0]
-
-    def rows(self) -> Iterator[Trajectory]:
-        for i in range(self.n):
-            yield Trajectory(tuple(self.L[i]), tuple(self.A[i]), float(self.Y[i]))
-
-    @staticmethod
-    def from_rows(schema: Schema, rows: list[Trajectory]) -> "Dataset":
-        L = np.array([r.l for r in rows], dtype=float)
-        A = np.array([r.a for r in rows], dtype=float)
-        Y = np.array([r.y for r in rows], dtype=float)
-        return Dataset(schema, L, A, Y)
 
 
 def _check_levels(tag: str, values: np.ndarray, kind: VarKind) -> None:

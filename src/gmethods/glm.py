@@ -43,12 +43,6 @@ def expit(b):
     return out if out.ndim else float(out)
 
 
-def logit(p):
-    p = np.asarray(p, dtype=float)
-    out = np.log(p) - np.log1p(-p)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class FittedGlm:
     family: str  # "normal" | "binomial"

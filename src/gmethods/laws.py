@@ -11,12 +11,12 @@ term names):
 * ``density(values, cols)`` — the density of ``values`` (a scalar or one
   value per row) given each parent row; a finite law's density is its pmf;
 * ``mean(cols)`` — the mean given each parent row;
-* ``support()`` — the support, on finite laws only.
+* ``atoms(cols)`` — on finite laws only, (values, probs), each (n, k): the
+  k atoms of the law and their masses given each of n parent rows.
 
 A root law (the hidden cause) has no parents.  It receives the occasion-0
 context ``history_cols(L, A, 0, 0, 0)``, which holds only "a_prev" = 0 and
-so gives the row count.  Outcome laws also give their ``atoms`` or normal
-``bin_probs`` as (n, k) arrays, one row per parent row.
+so gives the row count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .features import Cols, eval_terms
@@ -89,8 +88,9 @@ class DiscreteMarginal:
         if abs(sum(self.probs) - 1.0) > 1e-12 or min(self.probs) < 0:
             raise ConfigError("probs must be non-negative and sum to 1")
 
-    def support(self) -> tuple[float, ...]:
-        return self.values
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        shape = (_rows(cols), len(self.values))
+        return np.broadcast_to(self.values, shape), np.broadcast_to(self.probs, shape)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         return _kept(rng.choice(np.asarray(self.values), size=n,
@@ -109,14 +109,14 @@ class ConstantLaw:
 
     value: float = 0.0
 
-    def support(self) -> tuple[float, ...]:
-        return (float(self.value),)
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        return np.full((_rows(cols), 1), float(self.value)), np.ones((_rows(cols), 1))
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
         return np.full(_rows(cols), float(self.value))
 
     def density(self, values, cols: Cols) -> np.ndarray:
-        return _finite_density(values, self.support(), 1.0) * _ones(cols)
+        return _finite_density(values, (float(self.value),), 1.0) * _ones(cols)
 
     def mean(self, cols: Cols) -> np.ndarray:
         return float(self.value) * _ones(cols)
@@ -133,8 +133,10 @@ class BernoulliLogit:
         if len(self.terms) != len(self.coefs):
             raise ConfigError("terms and coefs must align")
 
-    def support(self) -> tuple[float, ...]:
-        return (0.0, 1.0)
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        p = self.mean(cols)
+        probs = np.column_stack([1.0 - p, p])
+        return np.broadcast_to((0.0, 1.0), probs.shape), probs
 
     def mean(self, cols: Cols) -> np.ndarray:
         return expit(_linear(self.terms, self.coefs, cols))
@@ -210,20 +212,9 @@ class LinearOutcome:
                                                      cols)
 
     def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
-        """(values, probs), each (n, k): the k atoms of Y given each of n
-        parent rows; discrete noise or none only."""
+        """The noise law's atoms shifted by the linear part; discrete noise
+        or none only."""
         if self.noise_sd > 0.0:
             raise ConfigError("normal-noise outcome has no atoms; pass y_bins")
-        mu = _linear(self.terms, self.coefs, cols)[:, None]
-        if self.noise is None:
-            return mu, np.ones_like(mu)
-        sup = self.noise.support()
-        probs = np.column_stack([self.noise.density(v, cols) for v in sup])
-        return mu + np.asarray(sup, dtype=float), probs
-
-    def bin_probs(self, cols: Cols, edges: np.ndarray) -> np.ndarray:
-        """(n, bins) mass of Y in [edge_j, edge_{j+1}) given each of n parent
-        rows (normal noise)."""
-        mu = self.mean(cols)[:, None]
-        cdf = ndtr((np.asarray(edges, dtype=float) - mu) / self.noise_sd)
-        return np.diff(cdf, axis=1)
+        values, probs = (self.noise or ConstantLaw()).atoms(cols)
+        return _linear(self.terms, self.coefs, cols)[:, None] + values, probs

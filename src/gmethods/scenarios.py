@@ -151,43 +151,58 @@ def counterfactual_draws(
     return Y
 
 
-def _law_support(law) -> tuple[float, ...]:
-    sup = getattr(law, "support", None)
-    if sup is None:
+class _BinnedOutcome:
+    """A normal-noise outcome discretized by bin edges: the atoms are the bin
+    midpoints, with exact bin mass and the tail mass folded into the end bins."""
+
+    def __init__(self, law, y_bins) -> None:
+        if not getattr(law, "noise_sd", 0.0) > 0.0:
+            raise ConfigError("y_bins discretizes normal outcome noise, and this outcome "
+                              "has none; enumerate its atoms without y_bins")
+        edges = np.asarray(y_bins, dtype=float)
+        if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+                or not np.all(np.diff(edges) > 0.0)):
+            raise ConfigError("y_bins must be at least two finite, strictly increasing edges")
+        self.law, self.edges = law, edges
+
+    def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
+        z = (self.edges - self.law.mean(cols)[:, None]) / self.law.noise_sd
+        cdf = ndtr(z)
+        probs = np.diff(cdf, axis=1)
+        probs[:, 0] += cdf[:, 0]
+        probs[:, -1] += ndtr(-z[:, -1])
+        return np.broadcast_to(0.5 * (self.edges[:-1] + self.edges[1:]), probs.shape), probs
+
+
+def _branch(P: np.ndarray, w: np.ndarray, law, cols: Cols):
+    """Extend every path (row of P, weight w) by each atom of law with
+    positive probability; rows stay in (path, atom) order."""
+    if not hasattr(law, "atoms"):
         raise ConfigError(
             f"{type(law).__name__} has no finite support; exact enumeration "
             "needs discrete laws everywhere"
         )
-    return sup()
-
-
-def _branch(P: np.ndarray, w: np.ndarray, law, cols: Cols):
-    """Extend every path (row of P, weight w) by each support value of law
-    with positive probability; rows stay in (path, support value) order."""
-    sup = np.asarray(_law_support(law), dtype=float)
-    p = np.column_stack([law.density(v, cols) for v in sup])
+    values, p = law.atoms(cols)
     i, j = np.nonzero(p > 0.0)
-    return np.column_stack([P[i], sup[j]]), w[i] * p[i, j], i
+    return np.column_stack([P[i], values[i, j]]), w[i] * p[i, j], i
 
 
 def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) -> JointTable:
     """Exact observable joint law, hidden cause summed out.
 
     All of U, L_m, A_m must be finite-discrete.  The outcome must either
-    have atoms itself or, with normal noise, be discretized by the edge
-    vector ``y_bins`` (bin mass is exact; the representative value is the
-    bin midpoint, with tail mass folded into the end bins).
+    have atoms itself or, with normal noise, be discretized by the strictly
+    increasing edge vector ``y_bins`` (bin mass is exact; the representative
+    value is the bin midpoint, with tail mass folded into the end bins).
 
-    Every live (u, l0, a0, ..., l_m) path is one row of an array, so each
-    law's density is evaluated once per support value and occasion; the
-    hidden cause branches first, from the one-row occasion-0 context.  Rows
-    stay in depth-first order (u atom, then support order at each occasion),
-    and each cell sums its path masses in that order.
+    Every live (u, l0, a0, ..., l_m) path is one row of an array, and every
+    variable, the outcome included, extends the paths by one ``atoms`` call
+    on all of them; the hidden cause branches first, from the one-row
+    occasion-0 context.  Rows stay in depth-first order (u atom, then atom
+    order at each step), and each cell sums its path masses in that order.
     """
     K = config.schema.K
-    if y_bins is not None and not getattr(config.y_law, "noise_sd", 0.0) > 0.0:
-        raise ConfigError("y_bins discretizes normal outcome noise, and this outcome "
-                          "has none; enumerate its atoms without y_bins")
+    y_law = config.y_law if y_bins is None else _BinnedOutcome(config.y_law, y_bins)
     root = np.zeros((1, 0))
     P, w, _ = _branch(root, np.ones(1), config.u_law, history_cols(root, root, 0, 0, 0))
     U, P = P[:, 0], P[:, 1:]  # path columns l0, a0, l1, a1, ...
@@ -199,97 +214,15 @@ def enumerate_joint(config: ScenarioConfig, y_bins: np.ndarray | None = None) ->
         P, w, i = _branch(P, w, config.a_laws[m], acols)
         U = U[i]
     ycols = history_cols(P[:, 0::2], P[:, 1::2], K + 1, K + 1, extra={"u": U})
-    if y_bins is None:
-        y, py = config.y_law.atoms(ycols)
-    else:
-        edges = np.asarray(y_bins, dtype=float)
-        py = config.y_law.bin_probs(ycols, edges)
-        mu = config.y_law.mean(ycols)
-        sd = config.y_law.noise_sd
-        py[:, 0] += ndtr((edges[0] - mu) / sd)
-        py[:, -1] += ndtr(-((edges[-1] - mu) / sd))
-        y = np.broadcast_to(0.5 * (edges[:-1] + edges[1:]), py.shape)
-    i, j = np.nonzero(py > 0.0)
-    keys = np.column_stack([P[i], y[i, j]])
+    keys, w, _ = _branch(P, w, y_law, ycols)
     distinct, at = np.unique(keys, return_inverse=True)
     rounded = np.array([round(float(v), 12) for v in distinct])
     cells, cell = group_rows(rounded[at].reshape(keys.shape), decimals=None)
-    probs = np.bincount(cell, weights=w[i] * py[i, j], minlength=len(cells))
+    probs = np.bincount(cell, weights=w, minlength=len(cells))
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise EstimationError(f"enumerated mass {total!r} is not 1; check the laws")
     return JointTable(config.schema, cells, probs / total)
-
-
-@dataclass(frozen=True)
-class FaithfulnessDiagnostics:
-    """Sample moments that reveal which arrows are active."""
-
-    cov_y_l: float
-    cov_y_a0: float
-    cov_y_a1: float
-    cov_l_a0: float
-    partials: dict[str, float]
-    n: int
-
-
-def _column(dataset: Dataset, name: str) -> np.ndarray:
-    name = name.lower()
-    if name == "y":
-        return dataset.Y
-    if name == "l":
-        return dataset.L[:, min(1, dataset.schema.K)]
-    if name.startswith("l"):
-        return dataset.L[:, int(name[1:])]
-    if name.startswith("a"):
-        return dataset.A[:, int(name[1:])]
-    raise ConfigError(f"unknown diagnostic column {name!r}")
-
-
-def _partial_corr(x: np.ndarray, y: np.ndarray, given: list[np.ndarray]) -> float:
-    X = np.column_stack([np.ones(len(x))] + given)
-    bx, *_ = np.linalg.lstsq(X, x, rcond=None)
-    by, *_ = np.linalg.lstsq(X, y, rcond=None)
-    rx = x - X @ bx
-    ry = y - X @ by
-    sx, sy = np.std(rx), np.std(ry)
-    if sx == 0.0 or sy == 0.0:
-        raise EstimationError("zero-variance column: partial correlation undefined")
-    return float(np.mean(rx * ry) / (sx * sy))
-
-
-def diagnostics(dataset: Dataset, partials=()) -> FaithfulnessDiagnostics:
-    """Covariances among (Y, L, A0, A1) plus requested partial correlations.
-
-    ``partials`` entries are (x, y, (given, ...)) column-name triples.
-    """
-    if dataset.n < 3:
-        raise EstimationError("diagnostics need at least 3 rows")
-    if dataset.schema.K < 1:
-        raise ConfigError("diagnostics expect a two-occasion (K=1) dataset")
-    Y = dataset.Y
-    Lc = _column(dataset, "l")
-    A0 = dataset.A[:, 0]
-    A1 = dataset.A[:, 1]
-
-    def cov(a, b) -> float:
-        return float(np.mean((a - a.mean()) * (b - b.mean())))
-
-    out: dict[str, float] = {}
-    for x, y, given in partials:
-        key = f"{x}~{y}|{','.join(given)}"
-        out[key] = _partial_corr(
-            _column(dataset, x), _column(dataset, y),
-            [_column(dataset, g) for g in given],
-        )
-    return FaithfulnessDiagnostics(
-        cov_y_l=cov(Y, Lc),
-        cov_y_a0=cov(Y, A0),
-        cov_y_a1=cov(Y, A1),
-        cov_l_a0=cov(Lc, A0),
-        partials=out,
-        n=dataset.n,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from gmethods.data import (
     History,
     Regime,
     Schema,
-    Trajectory,
     apply_regime,
     binary,
     constant,
@@ -81,15 +80,6 @@ class TestDatasetValidation:
         ds = Dataset(k1_schema(), [[0.0, 1.0]], [[1.0, 0.0]], [2.5])
         with pytest.raises(ValueError):
             ds.Y[0] = 7.0
-
-    def test_rows_round_trip(self):
-        ds = Dataset(k1_schema(), [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
-                     [2.5, -1.0])
-        back = Dataset.from_rows(ds.schema, list(ds.rows()))
-        np.testing.assert_array_equal(back.L, ds.L)
-        np.testing.assert_array_equal(back.A, ds.A)
-        np.testing.assert_array_equal(back.Y, ds.Y)
-        assert list(ds.rows())[1] == Trajectory((1.0, 0.0), (0.0, 0.0), -1.0)
 
 
 class TestRegime:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logit
 
 from gmethods import streams
 from gmethods.data import Dataset, Schema, binary, constant
@@ -19,7 +20,6 @@ from gmethods.direct_effect import (
     ipw_weights,
     naive_direct_effect_demo,
 )
-from gmethods.glm import expit, logit
 from gmethods.laws import BernoulliLogit, NormalLinear
 from gmethods.scenarios import (
     dag1a_scenario,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logit
 
 import gmethods
 
@@ -28,7 +29,6 @@ from gmethods.glm import (
     expit,
     fit_linear,
     fit_logistic,
-    logit,
     pooled_rows,
     robust_score_test,
     score_test_added,

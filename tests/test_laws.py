@@ -1,4 +1,5 @@
-"""Every conditional law answers sample, density, mean and support() alike."""
+"""Every conditional law answers sample, density and mean alike, and every
+finite law its atoms."""
 
 from dataclasses import replace
 
@@ -44,6 +45,7 @@ CONTINUOUS = {
 ATOMS = dict(FINITE, outcome=LinearOutcome(
     TERMS, (1.0, 0.5, -0.5, 0.2),
     noise=DiscreteMarginal((-1.0, 0.0, 3.0), (0.5, 0.25, 0.25))))
+EVERY_FINITE = dict(ATOMS, **{"outcome-noiseless": LinearOutcome(TERMS, (1.0, 0.5, -0.5, 0.2))})
 
 
 @pytest.mark.parametrize("name", sorted({**ATOMS, **CONTINUOUS}))
@@ -54,15 +56,18 @@ def test_sample_gives_one_draw_per_row(name):
     assert np.isfinite(draws).all()
 
 
-@pytest.mark.parametrize("name", sorted(FINITE))
+@pytest.mark.parametrize("name", sorted(EVERY_FINITE))
 def test_finite_density_sums_to_one_and_gives_the_mean(name):
-    law, cols = FINITE[name], parents(2)
-    dens = np.column_stack([law.density(v, cols) for v in law.support()])
-    assert dens.shape == (N, len(law.support()))
-    np.testing.assert_allclose(dens.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(law.mean(cols), dens @ np.asarray(law.support()),
+    # The atoms enumeration branches on are the values IPW reads densities at.
+    law, cols = EVERY_FINITE[name], parents(2)
+    values, probs = law.atoms(cols)
+    assert values.shape == probs.shape and probs.shape[0] == N
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(law.mean(cols), (values * probs).sum(axis=1),
                                rtol=0, atol=1e-12)
-    assert np.all(law.density(7.25, cols) == 0.0)
+    for k in range(values.shape[1]):
+        np.testing.assert_array_equal(law.density(values[:, k], cols), probs[:, k])
+    assert np.all(law.density(values.max(axis=1) + 0.125, cols) == 0.0)
 
 
 def test_outcome_atoms_carry_its_density_and_mean():
@@ -76,9 +81,10 @@ def test_outcome_atoms_carry_its_density_and_mean():
 @pytest.mark.parametrize("name", sorted(FINITE))
 def test_density_takes_one_value_per_row(name):
     law, cols = FINITE[name], parents(4)
-    values = np.random.default_rng(5).choice(law.support(), size=N)
+    atoms = law.atoms(cols)[0][0]  # the same atoms on every row
+    values = np.random.default_rng(5).choice(atoms, size=N)
     per_row = law.density(values, cols)
-    for v in law.support():
+    for v in atoms:
         at = values == v
         np.testing.assert_array_equal(per_row[at], law.density(v, cols)[at])
 

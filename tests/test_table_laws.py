@@ -49,7 +49,6 @@ from gmethods.laws import (
 from gmethods.scenarios import (
     BlipOutcome,
     ScenarioConfig,
-    _law_support,
     counterfactual_draws,
     direct_effect_scenario,
     discrete_trial_scenario,
@@ -342,8 +341,8 @@ def walker_law(table, regime, hist=None) -> dict[float, float]:
 
 # ---------------------------------------------------------------------------
 # Reference: the recursive enumeration, one path and one density call at a time.
-# Only the two outcome-law calls changed: the laws now answer for n parent
-# rows, and the walker reads row 0 of a one-row answer.
+# The laws now answer for n parent rows: the walker reads row 0 of a one-row
+# answer for the atoms of each variable, and computes bin mass itself.
 # ---------------------------------------------------------------------------
 
 
@@ -366,9 +365,9 @@ def recursive_enumerate_joint(config, y_bins=None) -> JointTable:
         else:
             edges = np.asarray(y_bins, dtype=float)
             mids = 0.5 * (edges[:-1] + edges[1:])
-            mass = config.y_law.bin_probs(cols, edges)[0].copy()
             mu = float(config.y_law.mean(cols)[0])
             sd = config.y_law.noise_sd
+            mass = np.diff(ndtr((edges - mu) / sd))
             mass[0] += ndtr((edges[0] - mu) / sd)
             mass[-1] += ndtr(-((edges[-1] - mu) / sd))
             pairs = list(zip(mids, mass))
@@ -388,12 +387,12 @@ def recursive_enumerate_joint(config, y_bins=None) -> JointTable:
             return
         Ap = np.array([avals])
         lcols = history_cols(np.array([lvals]), Ap, m, m, m, extra={"u": scalar(u)})
-        for lv in _law_support(config.l_laws[m]):
+        for lv in config.l_laws[m].atoms(lcols)[0][0]:
             pl = float(np.asarray(config.l_laws[m].density(lv, lcols))[0])
             if pl <= 0.0:
                 continue
             acols = history_cols(np.array([lvals + [lv]]), Ap, m + 1, m, m)
-            for av in _law_support(config.a_laws[m]):
+            for av in config.a_laws[m].atoms(acols)[0][0]:
                 pa = float(np.asarray(config.a_laws[m].density(av, acols))[0])
                 if pa <= 0.0:
                     continue
@@ -849,7 +848,7 @@ class TestLinearLawsPerRow:
 
 
 class TestOutcomeLawsPerRow:
-    """n-row atoms and bin masses equal n one-row calls."""
+    """n-row atoms, binned ones included, equal n one-row calls."""
 
     @staticmethod
     def one_row(cols, i):
@@ -866,13 +865,17 @@ class TestOutcomeLawsPerRow:
             np.testing.assert_array_equal(probs[i], p1[0])
 
     def test_bin_probs(self):
-        law = LinearOutcome(("1", "u", "a1"), (0.5, 1.0, 0.8), noise_sd=0.7)
-        cols, edges = _outcome_parents(50, 2), np.linspace(-2.0, 3.0, 9)
-        mass = law.bin_probs(cols, edges)
-        assert mass.shape == (50, 8)
+        law = scenarios._BinnedOutcome(
+            LinearOutcome(("1", "u", "a1"), (0.5, 1.0, 0.8), noise_sd=0.7),
+            np.linspace(-2.0, 3.0, 9))
+        cols = _outcome_parents(50, 2)
+        values, probs = law.atoms(cols)
+        assert values.shape == probs.shape == (50, 8)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         for i in range(50):
-            np.testing.assert_allclose(mass[i], law.bin_probs(self.one_row(cols, i), edges)[0],
-                                       rtol=1e-14, atol=1e-15)
+            v1, p1 = law.atoms(self.one_row(cols, i))
+            np.testing.assert_array_equal(values[i], v1[0])
+            np.testing.assert_array_equal(probs[i], p1[0])
 
 
 class TestRegimeRuleOncePerPrefix:
