@@ -9,7 +9,7 @@ carried by kind metadata, not dtype.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -11,12 +11,14 @@ Main entry points:
 
 * ``direct_effect_gnull_test`` — two-occasion weighted independence test:
   under "A0 has no direct effect with A1 held fixed", the weighted
-  transform t1(Y) t2(A1) / f(A1 | L, A0) is mean-independent of A0.
+  transform Y phi(A1) / f(A1 | L, A0), phi the standard normal density, is
+  mean-independent of A0.
 * ``naive_direct_effect_demo`` — the regression-flavored alternative built
   from a covariate model and a covariate-free blip family; shows how it
   rejects a true null when treatment effects are heterogeneous in a
-  hidden cause.  Its scan over the blip parameter builds one score-test
-  engine and scores the whole grid in one batched pass along psi axis 0.
+  hidden cause.  Its scan over the blip parameter (41 points on [-3, 3])
+  builds one score-test engine and scores the whole grid in one batched
+  pass along psi axis 0.
 * ``direct_effect_g_estimate`` — three-step weighted g-estimation of a
   direct-effect blip family, with within-subject-robust score tests.
 * ``direct_effect_moment_check`` — the population moment characterization
@@ -43,7 +45,6 @@ from .gformula import JointTable, _TableLaw
 from .glm import (
     TestReport,
     _report,
-    expit,
     fit_linear,
     fit_logistic,
     pooled_rows,
@@ -188,38 +189,30 @@ def direct_effect_gnull_test(
     dataset: Dataset,
     *,
     a1_law: object | None = None,
-    a1_terms: tuple[str, ...] = ("1", "lm", "a0"),
-    t1: Callable[[np.ndarray], np.ndarray] | None = None,
-    t2: Callable[[np.ndarray], np.ndarray] | None = None,
     level: float = 0.05,
 ) -> TestReport:
     """Weighted independence test of the early treatment's direct effect.
 
-    Forms script-W = t1(Y) t2(A1) / f(A1 | L, A0) and score-tests the A0
-    slope in a linear model for script-W.  Weighting by the late-treatment
-    assignment density removes the dependence that conditioning on A1
-    would otherwise induce; any t2 with finite weighted expectation works
-    (the default is the standard normal density, integrable for continuous
-    A1).  The score is self-normalized (per-subject squared summands) —
-    the weight ratio makes the variance of script-W depend on A0, so a
-    homoskedastic variance would not hold the level.  With an estimated
-    assignment law the test is conservative.
+    Forms script-W = Y phi(A1) / f(A1 | L, A0), phi the standard normal
+    density, and score-tests the A0 slope in a linear model for script-W.
+    Weighting by the late-treatment assignment density removes the
+    dependence that conditioning on A1 would otherwise induce; phi has a
+    finite weighted expectation for continuous A1.  Without ``a1_law`` the
+    assignment law is fitted on ("1", "lm", "a0").  The score is
+    self-normalized (per-subject squared summands) — the weight ratio makes
+    the variance of script-W depend on A0, so a homoskedastic variance
+    would not hold the level.  With an estimated assignment law the test is
+    conservative.
     """
     if dataset.schema.K != 1:
         raise ConfigError("direct_effect_gnull_test expects a two-occasion dataset")
     split = SplitSchema((0,), (1,))
-    laws, source = fit_z_laws(dataset, split, a1_terms,
+    laws, source = fit_z_laws(dataset, split, ("1", "lm", "a0"),
                               known=None if a1_law is None else {1: a1_law})
-    w = ipw_weights(dataset, split, laws, source)
-    w1 = w.factors[1]
-    t1v = dataset.Y if t1 is None else np.asarray(t1(dataset.Y), dtype=float)
-    a1 = dataset.A[:, 1]
-    if t2 is None:
-        root = history_cols(dataset.L, dataset.A, 0, 0, 0)
-        t2v = NormalLinear(("1",), (0.0,)).density(a1, root)
-    else:
-        t2v = np.asarray(t2(a1), dtype=float)
-    script = t1v * t2v / w1
+    w1 = ipw_weights(dataset, split, laws, source).factors[1]
+    root = history_cols(dataset.L, dataset.A, 0, 0, 0)
+    phi = NormalLinear(("1",), (0.0,)).density(dataset.A[:, 1], root)
+    script = dataset.Y * phi / w1
     if not np.isfinite(script).all():
         raise EstimationError("weighted transform is non-finite")
     note = "known randomization design" if source == "design" else CONSERVATIVE_NOTE
@@ -263,8 +256,6 @@ class NaiveDirectEffectReport:
     reduced_family_reject: bool
     naive_reject: bool
     level: float
-    psi_full: np.ndarray | None = None
-    constancy_spread: float = float("nan")
 
 
 _FULL_FAMILY = BlipSpec("additive", ("1", "a0", "lm", "a0*lm"))
@@ -273,47 +264,35 @@ _FULL_FAMILY = BlipSpec("additive", ("1", "a0", "lm", "a0*lm"))
 def naive_direct_effect_demo(
     dataset: Dataset,
     *,
-    psi2_grid: np.ndarray | None = None,
     a1_alpha_known: tuple[float, ...] | None = None,
-    a1_terms: tuple[str, ...] = ("1", "lm", "a0"),
     level: float = 0.05,
-    fit_full: bool = False,
 ) -> NaiveDirectEffectReport:
     """Run the naive direct-effect analysis and report what it concludes.
 
     Branch 1 tests "covariate independent of early treatment" (logistic
     slope).  Branch 2 asks whether ANY covariate-free blip y + a1*psi2 is
     compatible with the data, by profiling the 4-df residual-randomization
-    score over psi2 and keeping the largest p-value.  The scan is the full
-    family's score engine moving along psi axis 0 with the other three
-    components at 0, so every grid point is scored in one batched pass.
-    ``psi2_grid`` must be a non-empty 1-D array of finite values.  The naive
-    analysis declares a direct effect when both branches reject.
-    ``fit_full`` additionally fits the full 4-term family and evaluates how
-    far the implied standardized effect is from constant in a0.
+    score over 41 points of psi2 in [-3, 3] and keeping the largest p-value.
+    The scan is the full family's score engine moving along psi axis 0 with
+    the other three components at 0, so every grid point is scored in one
+    batched pass.  The late treatment's model has the terms ("1", "lm",
+    "a0"); ``a1_alpha_known`` gives its coefficients, else it is fitted.
+    The naive analysis declares a direct effect when both branches reject.
     """
     if dataset.schema.K != 1:
         raise ConfigError("naive_direct_effect_demo expects a two-occasion dataset")
-    grid = np.linspace(-3.0, 3.0, 41) if psi2_grid is None else _scan_grid(psi2_grid)
+    grid = np.linspace(-3.0, 3.0, 41)
     Xg = np.column_stack([np.ones(dataset.n), dataset.A[:, 0]])
     gfit = fit_logistic(Xg, dataset.L[:, 1])
     covariate_test = wald_test(gfit, (1,), level=level,
                                note="covariate-vs-early-treatment dependence")
 
-    eng = _g_engine(dataset, _FULL_FAMILY, a1_terms, None, a1_alpha_known, (1,), level)
+    eng = _g_engine(dataset, _FULL_FAMILY, ("1", "lm", "a0"), None, a1_alpha_known,
+                    (1,), level)
     pvals = eng.stats(grid[:, None], axes=(0,))[1]
     best = int(np.argmax(pvals))
     reduced_reject = bool(pvals[best] < level)
     naive_reject = bool(covariate_test.reject and reduced_reject)
-
-    psi_full = None
-    spread = float("nan")
-    if fit_full:
-        psi_full = _search(eng, 4, *_grid_spec([(-3.0, 3.0)] * 4, 5, 4), level).psi_hat
-        pl = expit(gfit.coef[0] + gfit.coef[1] * np.array([0.0, 1.0]))
-        delta = (psi_full[0] + psi_full[1] * np.array([0.0, 1.0])
-                 + (psi_full[2] + psi_full[3] * np.array([0.0, 1.0])) * pl)
-        spread = float(abs(delta[1] - delta[0]))
     return NaiveDirectEffectReport(
         covariate_test=covariate_test,
         gamma1_hat=float(gfit.coef[1]),
@@ -324,21 +303,7 @@ def naive_direct_effect_demo(
         reduced_family_reject=reduced_reject,
         naive_reject=naive_reject,
         level=level,
-        psi_full=psi_full,
-        constancy_spread=spread,
     )
-
-
-def _scan_grid(psi2_grid) -> np.ndarray:
-    try:
-        grid = np.asarray(psi2_grid, dtype=float)
-    except (TypeError, ValueError):
-        grid = None
-    if grid is None or grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("psi2_grid must be a non-empty 1-D array")
-    if not np.isfinite(grid).all():
-        raise ConfigError("psi2_grid values must be finite")
-    return grid
 
 
 # ---------------------------------------------------------------------------

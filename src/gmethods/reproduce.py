@@ -9,20 +9,15 @@ runners, so the registry names are a stable interface.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import streams
 from .data import History, Regime
-from .direct_effect import (
-    DeSndmSpec,
-    SplitSchema,
-    direct_effect_gnull_test,
-    direct_effect_moment_check,
-    naive_direct_effect_demo,
-)
-from .errors import ConfigError, PositivityError
+from .direct_effect import DeSndmSpec, SplitSchema, direct_effect_moment_check
+from .errors import ConfigError
 from .gformula import (
     g_formula_conditional,
     g_formula_exact,
@@ -30,15 +25,7 @@ from .gformula import (
     g_mean_plugin,
 )
 from .glm import expit, fit_linear, fit_logistic
-from .gnull import (
-    GnullScoreInputs,
-    GTestSpec,
-    gnull_score_test,
-    gnull_table_check,
-    naive_test,
-    pooled_g_test,
-    random_sequential_table,
-)
+from .gnull import gnull_table_check, random_sequential_table
 from .scenarios import (
     counterfactual_draws,
     dag1a_scenario,
@@ -65,7 +52,7 @@ from .sndm import (
     multiplicative_blip,
     shift_basis,
 )
-from .studies import replicate_seed
+from .studies import StudyConfig, replicate_seed, run_study
 
 SEEDS = {
     "theorem2": 11201,
@@ -111,13 +98,41 @@ def _derive(seed: int, *labels) -> int:
 
 def _rate(label: str, hits: int, total: int, lo: float, hi: float,
           extra: str = "") -> CheckLine:
-    r = hits / total
-    obs = f"{hits}/{total} = {r:.3f}{extra}"
+    # With no decided replicate r is nan, every comparison is False and the
+    # line fails as "0/0".
+    r = hits / total if total else float("nan")
+    obs = f"{hits}/{total}" + (f" = {r:.3f}" if total else "") + extra
     if lo <= 0.0:
         return CheckLine(label, obs, f"rate <= {hi:g}", r <= hi)
     if hi >= 1.0:
         return CheckLine(label, obs, f"rate >= {lo:g}", r >= lo)
     return CheckLine(label, obs, f"rate in [{lo:g}, {hi:g}]", lo <= r <= hi)
+
+
+def _rejections(cfg, n: int, reps: int, seed: int, *checks) -> list[CheckLine]:
+    """One ``run_study`` of the analyses; a rejection-rate line per check.
+
+    Each check is (analysis, label, lo, hi).  Replicate i is
+    ``simulate(cfg, n, replicate_seed(seed, i))``, shared by every analysis.
+    Only replicates without an error are counted.  Those that raised
+    ``PositivityError`` are named on the line; any other error is named
+    too, by type, and fails the line.
+    """
+    rows = run_study(StudyConfig(cfg, n, reps, seed, tuple((c[0], {}) for c in checks)))
+    lines = []
+    for j, (_, label, lo, hi) in enumerate(checks):
+        mine = rows[j::len(checks)]
+        kinds = Counter(r.error.split(":", 1)[0] for r in mine if r.error)
+        floor = kinds.pop("PositivityError", 0)
+        extra = f" ({floor} replicates at the positivity floor)" if floor else ""
+        if kinds:
+            extra += " (errored: " + ", ".join(
+                f"{k} {kind}" for kind, k in sorted(kinds.items())) + ")"
+        decided = [r for r in mine if not r.error]
+        line = _rate(label, sum(bool(r.reject) for r in decided), len(decided),
+                     lo, hi, extra)
+        lines.append(replace(line, ok=line.ok and not kinds))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +164,10 @@ def _plugin_grid_mc(th, ga, points, draws: int, seed: int):
 def run_theorem2(seed: int | None = None) -> ReproduceReport:
     seed = SEEDS["theorem2"] if seed is None else seed
     cfg = dag1b_scenario()
-    n, reps = 2000, 200
-    inputs = GnullScoreInputs.from_scenario(cfg)
-    naive_rej = score_rej = 0
-    for i in range(reps):
-        ds = simulate(cfg, n, replicate_seed(seed, i))
-        naive_rej += int(naive_test(ds).reject)
-        score_rej += int(gnull_score_test(ds, inputs).reject)
-    lines = [
-        _rate("regression-adjusted test rejects the true null",
-              naive_rej, reps, 0.90, 1.0),
-        _rate("randomization score test holds its level",
-              score_rej, reps, 0.02, 0.08),
-    ]
+    lines = _rejections(
+        cfg, 2000, 200, seed,
+        ("naive", "regression-adjusted test rejects the true null", 0.90, 1.0),
+        ("gnull-score", "randomization score test holds its level", 0.02, 0.08))
 
     big = simulate(cfg, 100_000, _derive(seed, "mechanism"))
     ones = np.ones(big.n)
@@ -211,26 +217,12 @@ def run_gnull_level(seed: int | None = None) -> ReproduceReport:
         "standardized and marginal forms of the null agree on random tables",
         f"{agree}/100 tables", "all 100", agree == 100)]
 
-    cfg = dag1b_scenario()
-    inputs = GnullScoreInputs.from_scenario(cfg)
-    root = _derive(seed, "score-level")
-    rej = 0
-    for i in range(200):
-        ds = simulate(cfg, 2000, replicate_seed(root, i))
-        rej += int(gnull_score_test(ds, inputs).reject)
-    lines.append(_rate("randomization score test level (two occasions)",
-                       rej, 200, 0.02, 0.08))
-
-    trial = sequential_trial_scenario(K=2)
-    terms = ("1", "lm", "a_prev")
-    spec = GTestSpec(treatment_terms=terms, alpha_known=design_alpha(trial, terms))
-    root = _derive(seed, "pooled-level")
-    rej = 0
-    for i in range(200):
-        ds = simulate(trial, 1000, replicate_seed(root, i))
-        rej += int(pooled_g_test(ds, spec).reject)
-    lines.append(_rate("pooled occasion-level test level (three occasions)",
-                       rej, 200, 0.02, 0.08))
+    lines += _rejections(
+        dag1b_scenario(), 2000, 200, _derive(seed, "score-level"),
+        ("gnull-score", "randomization score test level (two occasions)", 0.02, 0.08))
+    lines += _rejections(
+        sequential_trial_scenario(K=2), 1000, 200, _derive(seed, "pooled-level"),
+        ("pooled-g", "pooled occasion-level test level (three occasions)", 0.02, 0.08))
     return ReproduceReport("gnull-level", seed, tuple(lines))
 
 
@@ -402,21 +394,10 @@ def run_appendix29(seed: int | None = None) -> ReproduceReport:
 
 def run_lemma2(seed: int | None = None) -> ReproduceReport:
     seed = SEEDS["lemma2"] if seed is None else seed
-    cfg = masked_interaction_scenario()
-    alpha1 = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,))
-    root = _derive(seed, "masked")
-    reps = 100
-    naive = de_rej = 0
-    for i in range(reps):
-        ds = simulate(cfg, 5000, replicate_seed(root, i))
-        rep = naive_direct_effect_demo(ds, a1_alpha_known=alpha1)
-        naive += int(rep.naive_reject)
-        de_rej += int(direct_effect_gnull_test(ds, a1_law=cfg.a_laws[1]).reject)
-    lines = [
-        _rate("naive analysis claims a direct effect under the null",
-              naive, reps, 0.5, 1.0),
-        _rate("weighted independence test stays at level", de_rej, reps, 0.0, 0.10),
-    ]
+    lines = _rejections(
+        masked_interaction_scenario(), 5000, 100, _derive(seed, "masked"),
+        ("naive-de", "naive analysis claims a direct effect under the null", 0.5, 1.0),
+        ("de-gnull", "weighted independence test stays at level", 0.0, 0.10))
     return ReproduceReport("lemma2", seed, tuple(lines))
 
 
@@ -426,27 +407,14 @@ def run_lemma2(seed: int | None = None) -> ReproduceReport:
 # ---------------------------------------------------------------------------
 
 
-def _de_rates(cfg, seed: int, reps: int, n: int) -> tuple[int, int]:
-    rej = errs = 0
-    for i in range(reps):
-        ds = simulate(cfg, n, replicate_seed(seed, i))
-        try:
-            rej += int(direct_effect_gnull_test(ds, a1_law=cfg.a_laws[1]).reject)
-        except PositivityError:
-            errs += 1
-    return rej, errs
-
-
 def run_direct_effect_level(seed: int | None = None) -> ReproduceReport:
     seed = SEEDS["direct-effect-level"] if seed is None else seed
-    rej, errs = _de_rates(dag1c_scenario(), _derive(seed, "level"), 200, 2000)
-    extra = f" ({errs} replicates at the positivity floor)" if errs else ""
-    lines = [_rate("level when only the late treatment acts",
-                   rej, 200 - errs, 0.02, 0.08, extra)]
-    rej, errs = _de_rates(dag1a_scenario(), _derive(seed, "power"), 200, 2000)
-    extra = f" ({errs} replicates at the positivity floor)" if errs else ""
-    lines.append(_rate("power when the early treatment acts",
-                       rej, 200 - errs, 0.8, 1.0, extra))
+    lines = _rejections(
+        dag1c_scenario(), 2000, 200, _derive(seed, "level"),
+        ("de-gnull", "level when only the late treatment acts", 0.02, 0.08))
+    lines += _rejections(
+        dag1a_scenario(), 2000, 200, _derive(seed, "power"),
+        ("de-gnull", "power when the early treatment acts", 0.8, 1.0))
 
     cfg = direct_effect_scenario(psi=(1.0, 0.5))
     table = enumerate_joint(cfg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,13 @@ class StudyConfig:
             raise ConfigError("replicates must be >= 1")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        for name, _ in self.analyses:
+        for name, params in self.analyses:
             if name not in ANALYSES:
                 raise ConfigError(
                     f"unknown analysis {name!r}; registered: {sorted(ANALYSES)}"
                 )
+            if not isinstance(params, dict):
+                raise ConfigError(f"params of analysis {name!r} must be a mapping")
 
 
 def replicate_seed(root_seed: int, index: int) -> int:

@@ -201,6 +201,11 @@ class TestStudy:
         assert rc == 2
         assert "config error" in stderr_of(capsys)
 
+    def test_params_must_be_a_mapping(self, tmp_path, capsys):
+        rc, _ = self.run(tmp_path, "st14", [{"name": "naive", "params": [1, 2]}])
+        assert rc == 2
+        assert "params of analysis 'naive' must be a mapping" in stderr_of(capsys)
+
     def test_errored_analyses_flip_the_exit_code(self, tmp_path, capsys):
         # pooled-g needs binary treatments; dag1b's are continuous, so every
         # replicate errors, the rows are logged, and the command exits 1.

@@ -637,9 +637,8 @@ def test_stats_along_one_axis_equals_stats_at_full_psi(qstar):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("fit_full", [False, True])
 @pytest.mark.parametrize("known", [True, False])
-def test_naive_analysis_builds_one_engine(monkeypatch, known, fit_full):
+def test_naive_analysis_builds_one_engine(monkeypatch, known):
     built = []
     init = sndm._ScoreEngine.__init__
 
@@ -651,21 +650,24 @@ def test_naive_analysis_builds_one_engine(monkeypatch, known, fit_full):
     cfg = masked_interaction_scenario()
     ds = simulate(cfg, 400, seed=5)
     alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,)) if known else None
-    direct_effect.naive_direct_effect_demo(ds, a1_alpha_known=alpha, fit_full=fit_full)
+    direct_effect.naive_direct_effect_demo(ds, a1_alpha_known=alpha)
     assert len(built) == 1
 
 
 def test_full_family_fit_matches_the_former_search():
+    # The naive analysis's 4-cofactor engine on occasion 1, searched over a
+    # 5^4 grid, against the former search's Nelder-Mead in d = 4.
     cfg = masked_interaction_scenario()
     ds = simulate(cfg, 600, seed=64)
     alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,))
-    rep = naive_direct_effect_demo(ds, a1_alpha_known=alpha, fit_full=True)
-    ref = _RefGEngine(ds, additive_blip("1", "a0", "lm", "a0*lm"), ("1", "lm", "a0"),
-                      None, alpha, (1,), 0.05)
-    want = _ref_search(ref, 4, np.array([(-3.0, 3.0)] * 4), (5,) * 4, 0.05)
-    np.testing.assert_allclose(rep.psi_full, want.psi_hat, rtol=0, atol=1e-6)
-    got = ref.report(rep.psi_full).statistic
-    assert got <= want.statistic_at_hat + 1e-12
+    family = additive_blip("1", "a0", "lm", "a0*lm")
+    eng = _g_engine(ds, family, ("1", "lm", "a0"), None, alpha, (1,), 0.05)
+    box = np.array([(-3.0, 3.0)] * 4)
+    got = sndm._search(eng, 4, box, (5,) * 4, 0.05)
+    ref = _RefGEngine(ds, family, ("1", "lm", "a0"), None, alpha, (1,), 0.05)
+    want = _ref_search(ref, 4, box, (5,) * 4, 0.05)
+    np.testing.assert_allclose(got.psi_hat, want.psi_hat, rtol=0, atol=1e-6)
+    assert ref.report(got.psi_hat).statistic <= want.statistic_at_hat + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Replicate studies: scheduling, logging, and summaries."""
 
+import re
+from itertools import count
+
 import numpy as np
 import pytest
 
-from gmethods.errors import ConfigError
-from gmethods.scenarios import dag1b_scenario, sndm_scenario
+from gmethods import reproduce, studies
+from gmethods.errors import ConfigError, EstimationError, PositivityError
+from gmethods.gnull import naive_test
+from gmethods.scenarios import dag1b_scenario, simulate, sndm_scenario
 from gmethods.studies import (
     ANALYSES,
     StudyConfig,
@@ -159,3 +164,49 @@ class TestSummaries:
         text = format_summary(summarize(rows))
         assert "naive" in text and "gnull-score" in text
         assert text.splitlines()[0].startswith("analysis")
+
+
+class TestReproducerRejections:
+    """``reproduce._rejections``: the reproducers' rejection rates come from
+    ``run_study`` rows, and an errored replicate never counts as a
+    non-rejection."""
+
+    CHECKS = (("naive", "naive rate", 0.0, 1.0), ("gnull-score", "score rate", 0.0, 1.0))
+
+    @staticmethod
+    def fail_naive(monkeypatch, replicates, error=EstimationError):
+        """Make "naive" raise ``error`` on the given replicates (serial order)."""
+        calls = count()
+        naive = studies.ANALYSES["naive"]
+
+        def flaky(dataset, config, params):
+            if next(calls) in replicates:
+                raise error("no fit")
+            return naive(dataset, config, params)
+
+        monkeypatch.setitem(studies.ANALYSES, "naive", flaky)
+
+    def test_errored_replicates_leave_the_count_and_fail_the_line(self, monkeypatch):
+        self.fail_naive(monkeypatch, {1, 3})
+        cfg = dag1b_scenario()
+        naive, score = reproduce._rejections(cfg, 50, 4, 9, *self.CHECKS)
+        hits = sum(naive_test(simulate(cfg, 50, replicate_seed(9, i))).reject
+                   for i in (0, 2))
+        assert naive.observed == (f"{hits}/2 = {hits / 2:.3f} "
+                                  "(errored: 2 EstimationError)")
+        assert not naive.ok
+        assert re.fullmatch(r"\d/4 = \d\.\d{3}", score.observed)
+        assert score.ok
+
+    def test_all_errored_fails_as_zero_of_zero(self, monkeypatch):
+        self.fail_naive(monkeypatch, {0, 1, 2, 3})
+        naive, _ = reproduce._rejections(dag1b_scenario(), 50, 4, 9, *self.CHECKS)
+        assert naive.observed == "0/0 (errored: 4 EstimationError)"
+        assert not naive.ok
+
+    def test_positivity_floor_is_named_and_leaves_the_count(self, monkeypatch):
+        self.fail_naive(monkeypatch, {2}, PositivityError)
+        naive, _ = reproduce._rejections(dag1b_scenario(), 50, 4, 9, *self.CHECKS)
+        assert naive.observed.startswith(tuple(f"{h}/3 = " for h in range(4)))
+        assert naive.observed.endswith(" (1 replicates at the positivity floor)")
+        assert naive.ok
