@@ -204,6 +204,8 @@ def cmd_study(args) -> int:
         if isinstance(item, str):
             analyses.append((item, {}))
             continue
+        if not isinstance(item, dict):
+            raise ConfigError(f"analysis entry {item!r} must be a name or a mapping")
         name = item.get("name")
         if name is None:
             raise ConfigError("each analysis needs a 'name' key")

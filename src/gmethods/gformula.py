@@ -23,6 +23,7 @@ import numpy as np
 from .data import History, Regime, Schema, group_rows, regime_values
 from .errors import ConfigError, EstimationError, PositivityError
 from .glm import expit
+from .laws import _choice_cdf, _invert_cdf
 from . import streams
 
 _MATCH_TOL = 1e-9
@@ -52,6 +53,7 @@ class JointTable:
             raise ConfigError(
                 f"cell probabilities sum to {probs.sum()!r}, not 1 within 1e-12"
             )
+        probs = np.maximum(probs, 0.0)  # roundoff negatives admitted above
         for arr in (cells, probs):
             arr.setflags(write=False)
         object.__setattr__(self, "cells", cells)
@@ -175,9 +177,9 @@ class _TableLaw:
     its first table row's own values; ``mass`` their probabilities, ``values``
     the distinct values of the column, and ``probs[i, j]`` the probability of
     ``values[j]`` given ``keys[i]`` (a zero row where the parent row has no
-    mass).  ``row_key`` and ``row_value`` place each table row in ``keys`` and
-    ``values``.  ``draw`` and ``extend`` advance histories held as positions
-    in ``keys``.
+    mass; ``cdf`` holds the rows' CDFs).  ``row_key`` and ``row_value`` place
+    each table row in ``keys`` and ``values``.  ``draw`` and ``extend`` advance
+    histories held as positions in ``keys``.
     """
 
     def __init__(self, table: JointTable, column: int, parents: list[int]):
@@ -195,6 +197,7 @@ class _TableLaw:
         live = self.mass > 0.0
         self.probs = np.zeros((G, V))
         self.probs[live] = joint[live] / self.mass[live, None]
+        self.cdf = _choice_cdf(self.probs)
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """Positions in ``keys`` of the parent rows ``rows``.
@@ -214,27 +217,25 @@ class _TableLaw:
         return idx
 
     def draw(self, rng: np.random.Generator, key: np.ndarray) -> np.ndarray:
-        """Positions in ``values`` drawn given each history ``key``: one
-        ``rng.choice`` per key present, in ascending key order."""
-        counts = np.bincount(key, minlength=len(self.keys))
-        order = np.argsort(key, kind="stable")
-        ends = np.cumsum(counts)
-        out = np.empty(len(key), dtype=np.intp)
-        for g in np.flatnonzero(counts):
-            out[order[ends[g] - counts[g] : ends[g]]] = rng.choice(
-                len(self.values), size=int(counts[g]), p=self.probs[g])
-        return out
+        """Positions in ``values`` drawn given each history ``key``, the same as
+        one ``rng.choice`` per key present in ascending key order: each draw's
+        uniform, handed out in stable key order, inverts its key's CDF."""
+        order = np.argsort(key.astype(np.min_scalar_type(len(self.keys) - 1)), kind="stable")
+        u = np.empty(len(key))
+        u[order] = rng.random(len(key))
+        return _invert_cdf(self.cdf, u, key)
 
     def extend(self, nxt: "_TableLaw", regime: Regime, m: int, key: np.ndarray,
                j: np.ndarray) -> np.ndarray:
         """Positions in ``nxt.keys`` of the histories ``keys[key]`` extended by
         the covariate value ``values[j]`` at occasion m and the treatment the
         regime assigns; each distinct (key, j) pair is built once."""
-        pairs, at = np.unique(key * len(self.values) + j, return_inverse=True)
-        k, v = np.divmod(pairs, len(self.values))
+        code = key * len(self.values) + j
+        seen = np.bincount(code, minlength=len(self.keys) * len(self.values)) > 0
+        k, v = np.divmod(np.flatnonzero(seen), len(self.values))
         path = np.column_stack([self.keys[k], self.values[v]])
         path = np.column_stack([path, regime_values(regime, path[:, 0::2], m)])
-        return nxt.index(path)[at]
+        return nxt.index(path)[np.cumsum(seen)[code] - 1]
 
 
 @dataclass(frozen=True)

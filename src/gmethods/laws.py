@@ -57,6 +57,20 @@ def _kept(draws: np.ndarray, cols: Cols) -> np.ndarray:
     return draws[:rows]
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Each row's CDF as ``Generator.choice`` computes it (the cumsum over its
+    last entry; a zero row stays zero), kept as the V - 1 leading columns."""
+    cdf = np.cumsum(probs, axis=1)
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0.0)
+    return cdf[:, :-1].T.copy()
+
+
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray, key) -> np.ndarray:
+    """Positions drawn at the uniforms ``u`` from the ``_choice_cdf`` rows ``key``:
+    the count of entries <= u, ``Generator.choice``'s searchsorted(side="right")."""
+    return sum((col[key] <= u for col in cdf), np.zeros(len(u), dtype=np.intp))
+
+
 def _finite_density(values, support, probs) -> np.ndarray:
     """Mass of ``values`` on atoms ``support`` with ``probs``."""
     v = np.asarray(values, dtype=float)[..., None]
@@ -93,8 +107,8 @@ class DiscreteMarginal:
         return np.broadcast_to(self.values, shape), np.broadcast_to(self.probs, shape)
 
     def sample(self, rng: np.random.Generator, cols: Cols, n: int) -> np.ndarray:
-        return _kept(rng.choice(np.asarray(self.values), size=n,
-                                p=np.asarray(self.probs)), cols)
+        u = _kept(rng.random(n), cols)
+        return np.asarray(self.values)[_invert_cdf(_choice_cdf(np.array([self.probs])), u, 0)]
 
     def density(self, values, cols: Cols) -> np.ndarray:
         return _finite_density(values, self.values, self.probs) * _ones(cols)

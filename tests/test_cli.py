@@ -206,6 +206,12 @@ class TestStudy:
         assert rc == 2
         assert "params of analysis 'naive' must be a mapping" in stderr_of(capsys)
 
+    @pytest.mark.parametrize("entry", [["naive", 1], 3])
+    def test_each_analysis_is_a_name_or_a_mapping(self, tmp_path, capsys, entry):
+        rc, _ = self.run(tmp_path, "st15", [entry])
+        assert rc == 2
+        assert "must be a name or a mapping" in stderr_of(capsys)
+
     def test_errored_analyses_flip_the_exit_code(self, tmp_path, capsys):
         # pooled-g needs binary treatments; dag1b's are continuous, so every
         # replicate errors, the rows are logged, and the command exits 1.

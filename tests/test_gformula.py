@@ -14,7 +14,11 @@ from gmethods.gformula import (
     g_formula_mc,
     g_mean_plugin,
 )
-from gmethods.scenarios import discrete_trial_scenario, enumerate_joint
+from gmethods.scenarios import (
+    discrete_trial_scenario,
+    enumerate_joint,
+    sequential_trial_scenario,
+)
 
 
 def binary_schema(K):
@@ -38,6 +42,21 @@ def one_occasion_table():
     return JointTable(binary_schema(0), np.array(rows), np.array(probs))
 
 
+def roundoff_negative_tables():
+    """A K=1 table with one treated cell at 0, its mass moved to the next
+    treated cell, and the same table with that cell at -1e-16."""
+    t = enumerate_joint(sequential_trial_scenario(K=1), y_bins=np.linspace(-2, 6, 6))
+    treated = np.flatnonzero((t.cells[:, t.a_col(0)] == 1.0)
+                             & (t.cells[:, t.a_col(1)] == 1.0) & (t.probs > 0.0))
+    i, k = treated[:2]
+    zero = t.probs.copy()
+    zero[k] += zero[i]
+    zero[i] = 0.0
+    tiny = zero.copy()
+    tiny[i] = -1e-16
+    return JointTable(t.schema, t.cells, zero), JointTable(t.schema, t.cells, tiny)
+
+
 class TestJointTable:
     def test_rejects_unnormalized_probabilities(self):
         schema = binary_schema(0)
@@ -57,6 +76,10 @@ class TestJointTable:
             JointTable(schema, np.where(cells == 1.0, bad, cells), np.full(2, 0.5))
         with pytest.raises(ConfigError, match="non-finite"):
             JointTable(schema, cells, np.array([0.5, bad]))
+
+    def test_roundoff_negative_cells_are_stored_as_zero(self):
+        zero, tiny = roundoff_negative_tables()
+        np.testing.assert_array_equal(tiny.probs, zero.probs)
 
     def test_match_and_prob_arithmetic(self):
         t = one_occasion_table()
@@ -191,6 +214,12 @@ class TestExactStandardization:
         d = g_formula_exact(t, Regime.static((0.0, 1.0)))
         assert abs(float(d.atom_probs.sum()) - 1.0) < 1e-12
 
+    def test_roundoff_negative_cell_weighs_as_zero(self):
+        zero, tiny = roundoff_negative_tables()
+        got, want = (g_formula_exact(t, Regime.static((1.0, 1.0))) for t in (tiny, zero))
+        np.testing.assert_array_equal(got.atom_probs, want.atom_probs)
+        assert got.mean() == want.mean()
+
     def test_missing_history_raises_positivity(self):
         # The (L0=1, A0=1) row is absent, so do(A0=1) needs an outcome law
         # that the table cannot provide.
@@ -312,6 +341,14 @@ class TestMonteCarloStandardization:
         small = g_formula_mc(laws, reg, 1_000, seed=21)
         large = g_formula_mc(laws, reg, 9_000, seed=21)
         np.testing.assert_array_equal(large.samples[:1_000], small.samples)
+
+    def test_roundoff_negative_cell_draws_as_zero(self):
+        # A cell admitted at -1e-16 once reached rng.choice as a negative
+        # probability and raised numpy's ValueError.
+        zero, tiny = roundoff_negative_tables()
+        plan = Regime.static((1.0, 1.0))
+        np.testing.assert_array_equal(g_formula_mc(tiny.laws, plan, 20_000, 5).samples,
+                                      g_formula_mc(zero.laws, plan, 20_000, 5).samples)
 
     def test_rejects_nonpositive_draws(self):
         t = enumerate_joint(discrete_trial_scenario())

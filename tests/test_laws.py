@@ -199,6 +199,24 @@ def test_fewer_rows_than_draws_gives_the_leading_draws(name, bit_generator):
     np.testing.assert_array_equal(lean_rng.random(4), full_rng.random(4))
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("values, probs", [
+    ((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+    ((-1.0, 0.5, 2.0), (0.3, 0.0, 0.7)),
+    ((-1.0, 0.5, 2.0), (0.6, 0.4, 0.0)),
+    ((1.0,), (1.0,)),
+])
+def test_discrete_sample_equals_generator_choice(values, probs, bit_generator):
+    # The inverse CDF is computed here, not by numpy; Generator.choice over
+    # the full draw count is the reference for the kept rows and the stream.
+    law = DiscreteMarginal(values, probs)
+    got_rng, want_rng = (np.random.Generator(bit_generator(4)) for _ in range(2))
+    got = law.sample(got_rng, {"a_prev": np.zeros(150)}, 8192)
+    want = want_rng.choice(np.asarray(values), size=8192, p=np.asarray(probs))
+    np.testing.assert_array_equal(got, want[:150])
+    np.testing.assert_array_equal(got_rng.random(4), want_rng.random(4))
+
+
 @pytest.mark.parametrize("n", [1, 149])
 @pytest.mark.parametrize("name", sorted(set({**ATOMS, **CONTINUOUS}) - {"constant"}))
 def test_fewer_draws_than_rows_are_refused(name, n):

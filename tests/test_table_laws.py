@@ -204,6 +204,28 @@ def float_mc(l_laws, y_law, regime, draws, seed) -> np.ndarray:
     return ys
 
 
+def per_key_draw(law, rng, key) -> np.ndarray:
+    """_TableLaw.draw as it was: one ``rng.choice`` per key present, in
+    ascending key order."""
+    counts = np.bincount(key, minlength=len(law.keys))
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(counts)
+    out = np.empty(len(key), dtype=np.intp)
+    for g in np.flatnonzero(counts):
+        out[order[ends[g] - counts[g] : ends[g]]] = rng.choice(
+            len(law.values), size=int(counts[g]), p=law.probs[g])
+    return out
+
+
+def unique_extend(law, nxt, regime, m, key, j) -> np.ndarray:
+    """_TableLaw.extend as it was: the distinct (key, j) pairs by np.unique."""
+    pairs, at = np.unique(key * len(law.values) + j, return_inverse=True)
+    k, v = np.divmod(pairs, len(law.values))
+    path = np.column_stack([law.keys[k], law.values[v]])
+    path = np.column_stack([path, regime_values(regime, path[:, 0::2], m)])
+    return nxt.index(path)[at]
+
+
 def masked_moment_check(table, split, spec):
     """Max within-cell spread of the weighted moment, by masked cell loops."""
     K = table.schema.K
@@ -643,14 +665,36 @@ class TestReplacedPathsAreUnchanged:
         enumerate_joint(discrete_trial_scenario()),
         enumerate_joint(direct_effect_scenario()),
         enumerate_joint(sndm_scenario(h_atoms=5)),
-    ], ids=["seq-K1", "seq-K2", "discrete", "direct-effect", "sndm"])
+        # 1,024 outcome keys: draws are ordered by 16-bit keys.
+        enumerate_joint(sequential_trial_scenario(K=4), y_bins=np.linspace(-2, 6, 6)),
+    ], ids=["seq-K1", "seq-K2", "discrete", "direct-effect", "sndm", "seq-K4"])
     def test_mc_draws_equal_the_masked_laws(self, table):
         K = table.schema.K
         l_laws = [MaskedConditional(table, m) for m in range(K + 1)]
         laws = ConditionalLaws.from_table(table)
         for plan in (Regime.static((1.0,) * (K + 1)), Regime.dynamic(_threshold)):
-            np.testing.assert_array_equal(g_formula_mc(laws, plan, 3000, 5).samples,
-                                          float_mc(l_laws, MaskedOutcome(table), plan, 3000, 5))
+            for draws in (3000, 9000):  # one block, and past one
+                np.testing.assert_array_equal(
+                    g_formula_mc(laws, plan, draws, 5).samples,
+                    float_mc(l_laws, MaskedOutcome(table), plan, draws, 5))
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_draw_and_extend_equal_the_per_key_forms(self, K):
+        table = enumerate_joint(sequential_trial_scenario(K=K), y_bins=np.linspace(-2, 6, 6))
+        laws = table.laws
+        chain = laws.l_laws + (laws.y_law,)
+        plan = Regime.dynamic(_threshold)
+        rng = np.random.default_rng(K)
+        for m, law in enumerate(chain):
+            key = rng.choice(np.flatnonzero(law.mass > 0.0), size=5000)  # shuffled keys
+            got, want = streams.substream(3, "draw", m), streams.substream(3, "draw", m)
+            j = law.draw(got, key)
+            np.testing.assert_array_equal(j, per_key_draw(law, want, key))
+            assert got.random() == want.random()
+            if m <= K:
+                np.testing.assert_array_equal(
+                    law.extend(chain[m + 1], plan, m, key, j),
+                    unique_extend(law, chain[m + 1], plan, m, key, j))
 
     def test_rules_see_the_tables_own_values(self):
         # Levels 1/3 and 2/3 are not 9-decimal numbers: a rule handed rounded
