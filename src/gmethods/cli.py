@@ -252,9 +252,8 @@ def cmd_g_formula(args) -> int:
     if method == "exact":
         dist = g_formula_exact(table, regime)
     elif method == "mc":
-        draws = int(cfg.get("draws", 100_000))
         seed = _seed_of(args, cfg)
-        dist = g_formula_mc(table.laws, regime, draws, seed)
+        dist = g_formula_mc(table.laws, regime, cfg.get("draws", 100_000), seed)
     else:
         raise ConfigError("method must be 'exact' or 'mc'")
     out = _out_dir(args, cfg)

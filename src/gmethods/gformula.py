@@ -4,12 +4,16 @@ The internal standard object is the survivor function S_g(y) = pr[Y_g > y]
 of the outcome under a regime g; CSV export converts to the distribution
 function F = 1 - S.  Exact, conditional and Monte Carlo evaluation all read
 the same conditional laws of a JointTable (finite joint law of the
-observable record; ``ConditionalLaws.from_table``, built once per table as
-``JointTable.laws``).  All three carry a history as its integer position
-in the current law's keys and advance it through one step,
-``_TableLaw.extend``: the exact and conditional forms extend every live
-history by each covariate value of positive probability, the Monte Carlo
-form each draw by the value it draws.
+observable record), built once per table as ``JointTable.laws``, which
+``ConditionalLaws.from_table`` returns.  Building them links each
+covariate law to the next one through a child map (see ``_TableLaw``).
+All three forms carry a history as its integer position in the current
+law's keys and advance it through one step, ``_TableLaw.extend``, a lookup
+in that map: the exact and conditional forms extend every live history by
+each covariate value of positive probability, the Monte Carlo form each
+draw by the value it draws.  Matching a history against a law's keys by
+sorting (``_TableLaw.index``) is left to the one start row of a forward
+pass and to callers outside the chain.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -62,7 +67,7 @@ class JointTable:
     @cached_property
     def laws(self) -> "ConditionalLaws":
         """The table's conditional laws, built on first use and then kept."""
-        return ConditionalLaws.from_table(self)
+        return ConditionalLaws._build(self)
 
     @staticmethod
     def l_col(m: int) -> int:
@@ -180,6 +185,17 @@ class _TableLaw:
     mass; ``cdf`` holds the rows' CDFs).  ``row_key`` and ``row_value`` place
     each table row in ``keys`` and ``values``.  ``draw`` and ``extend`` advance
     histories held as positions in ``keys``.
+
+    A covariate law of ``ConditionalLaws`` is linked to the next law when
+    the laws are built (``link``): ``child[k, v, t]`` is the position in the
+    next law's keys of ``keys[k]`` extended by ``values[v]`` and
+    ``treatments[t]``, the t-th distinct treatment of the occasion, or -1
+    where the table has no such history or its mass is below
+    ``_POSITIVITY_EPS``.  It is filled by one scatter over the table's rows,
+    with values and treatments compared after rounding to 9 decimals, as
+    ``group_rows`` compares them; so ``extend`` finds what ``index`` would
+    find for the extended rows.  ``index`` is left to rows that no link
+    reaches: the start of a forward pass, and laws outside the chain.
     """
 
     def __init__(self, table: JointTable, column: int, parents: list[int]):
@@ -199,6 +215,20 @@ class _TableLaw:
         self.probs[live] = joint[live] / self.mass[live, None]
         self.cdf = _choice_cdf(self.probs)
 
+    def link(self, nxt: "_TableLaw", treatment: np.ndarray) -> None:
+        """Store ``treatments`` and ``child`` for extending into ``nxt``, whose
+        parents are this law's parents, its column and the table column
+        ``treatment``.  The last treatment slot, all -1, takes a treatment
+        the table does not hold."""
+        self.treatments, row_t = np.unique(np.round(treatment, 9), return_inverse=True)
+        _, same = np.unique(np.round(self.values, 9), return_inverse=True)
+        child = np.full((len(self.keys), same.max() + 1, len(self.treatments) + 1), -1,
+                        dtype=np.min_scalar_type(-len(nxt.keys)))
+        child[self.row_key, same[self.row_value], row_t] = nxt.row_key
+        supported = np.append(nxt.mass >= _POSITIVITY_EPS, False)  # -1 reads the False
+        child[~supported[child]] = -1
+        self.child = child[:, same]
+
     def index(self, rows: np.ndarray) -> np.ndarray:
         """Positions in ``keys`` of the parent rows ``rows``.
 
@@ -212,9 +242,13 @@ class _TableLaw:
         idx = key_of[group[G:]]
         bad = (idx < 0) | (self.mass[idx] < _POSITIVITY_EPS)
         if np.any(bad):
-            at = dict(zip(self.parent_names, map(float, rows[np.argmax(bad)])))
-            raise PositivityError(f"law of {self.name} required for an unsupported history {at}")
+            _unsupported(self, rows[np.argmax(bad)])
         return idx
+
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values at 12 decimals, and each value's position among them."""
+        return np.unique([round(float(v), 12) for v in self.values], return_inverse=True)
 
     def draw(self, rng: np.random.Generator, key: np.ndarray) -> np.ndarray:
         """Positions in ``values`` drawn given each history ``key``, the same as
@@ -229,13 +263,25 @@ class _TableLaw:
                j: np.ndarray) -> np.ndarray:
         """Positions in ``nxt.keys`` of the histories ``keys[key]`` extended by
         the covariate value ``values[j]`` at occasion m and the treatment the
-        regime assigns; each distinct (key, j) pair is built once."""
+        regime assigns, read from ``child``; the regime sees each distinct
+        (key, j) pair once, with the table's own values."""
         code = key * len(self.values) + j
         seen = np.bincount(code, minlength=len(self.keys) * len(self.values)) > 0
         k, v = np.divmod(np.flatnonzero(seen), len(self.values))
-        path = np.column_stack([self.keys[k], self.values[v]])
-        path = np.column_stack([path, regime_values(regime, path[:, 0::2], m)])
-        return nxt.index(path)[np.cumsum(seen)[code] - 1]
+        a = regime_values(regime, np.column_stack([self.keys[k, 0::2], self.values[v]]), m)
+        held, T = np.round(a, 9), len(self.treatments)
+        t = np.searchsorted(self.treatments, held)
+        t[self.treatments[np.minimum(t, T - 1)] != held] = T
+        idx = self.child[k, v, t].astype(np.intp)
+        if np.any(idx < 0):
+            b = np.argmax(idx < 0)
+            _unsupported(nxt, np.concatenate([self.keys[k[b]], [self.values[v[b]], a[b]]]))
+        return idx[np.cumsum(seen)[code] - 1]
+
+
+def _unsupported(law: _TableLaw, row: np.ndarray) -> NoReturn:
+    at = dict(zip(law.parent_names, map(float, row)))
+    raise PositivityError(f"law of {law.name} required for an unsupported history {at}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +290,8 @@ class ConditionalLaws:
 
     The covariate law at occasion m sees columns l0, a0, ..., l_{m-1},
     a_{m-1}, the outcome law the full path; each is a ``_TableLaw``, and
-    each one's ``extend`` lands in the next one's ``keys``.
+    each covariate law is linked to the next, so its ``extend`` lands in
+    the next one's ``keys``.
     """
 
     K: int
@@ -253,15 +300,20 @@ class ConditionalLaws:
 
     @staticmethod
     def from_table(table: JointTable) -> "ConditionalLaws":
+        """The table's laws, ``table.laws``: built on first use and then kept."""
+        return table.laws
+
+    @staticmethod
+    def _build(table: JointTable) -> "ConditionalLaws":
         def given_past(col: int) -> _TableLaw:
             return _TableLaw(table, col, list(range(col)))
 
         K = table.schema.K
-        return ConditionalLaws(
-            K,
-            tuple(given_past(table.l_col(m)) for m in range(K + 1)),
-            given_past(table.cells.shape[1] - 1),
-        )
+        chain = [given_past(table.l_col(m)) for m in range(K + 1)]
+        chain.append(given_past(table.cells.shape[1] - 1))
+        for m in range(K + 1):
+            chain[m].link(chain[m + 1], table.cells[:, table.a_col(m)])
+        return ConditionalLaws(K, tuple(chain[:-1]), chain[-1])
 
 
 def _roll_forward(table: JointTable, regime: Regime, path: np.ndarray) -> RegimeDistribution:
@@ -281,8 +333,7 @@ def _roll_forward(table: JointTable, regime: Regime, path: np.ndarray) -> Regime
         i, j = np.nonzero(chain[m].probs[key] > 0.0)
         w = w[i] * chain[m].probs[key[i], j]
         key = chain[m].extend(chain[m + 1], regime, m, key[i], j)
-    atoms, at = np.unique([round(float(v), 12) for v in laws.y_law.values],
-                          return_inverse=True)
+    atoms, at = laws.y_law.atoms
     probs = np.bincount(at, weights=w @ laws.y_law.probs[key])
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
@@ -324,8 +375,8 @@ def g_formula_mc(
 ) -> RegimeDistribution:
     """Monte Carlo standardization: roll covariates forward under the regime,
     each draw carried as its history's position in the current law."""
-    if draws <= 0:
-        raise ConfigError("draws must be positive")
+    if isinstance(draws, bool) or not isinstance(draws, (int, np.integer)) or draws <= 0:
+        raise ConfigError(f"draws must be a positive integer, not {draws!r}")
     chain = laws.l_laws + (laws.y_law,)
     nb = streams.BLOCK
     ys = np.empty(streams.block_count(draws) * nb)

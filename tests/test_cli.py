@@ -333,6 +333,14 @@ class TestGFormula:
         dist.to_csv(str(want))
         assert (out / "g-formula-mc.csv").read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("draws", [2.5, "many", True])
+    def test_draws_must_be_a_positive_integer(self, tmp_path, capsys, draws):
+        # Once 2.5 ran 2 draws, "many" ended in a ValueError and true ran 1 draw.
+        path = cfg_file(tmp_path, scenario="discrete-trial", method="mc",
+                        draws=draws, seed=9, regime={"kind": "static", "plan": [1, 1]})
+        assert main(["g-formula", "--config", path, "--out", str(tmp_path / "gf")]) == 2
+        assert "draws must be a positive integer" in stderr_of(capsys)
+
     def test_jobs_is_not_a_g_formula_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["g-formula", "--jobs", "2"])

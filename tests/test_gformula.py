@@ -239,13 +239,13 @@ class TestExactStandardization:
 class TestTableLawsCache:
     def test_exact_and_conditional_calls_build_the_laws_once(self, monkeypatch):
         built = []
-        from_table = ConditionalLaws.from_table
+        build = ConditionalLaws._build
 
         def spy(table):
             built.append(table)
-            return from_table(table)
+            return build(table)
 
-        monkeypatch.setattr(ConditionalLaws, "from_table", staticmethod(spy))
+        monkeypatch.setattr(ConditionalLaws, "_build", staticmethod(spy))
         t = enumerate_joint(discrete_trial_scenario())
         reg = Regime.dynamic(lambda m, l_bar: l_bar[-1], "follow-l")
         g_formula_exact(t, reg)
@@ -253,6 +253,7 @@ class TestTableLawsCache:
             g_formula_conditional(t, reg, History(0, (l0,), ()))
             for l1 in (0.0, 1.0):
                 g_formula_conditional(t, reg, History(1, (l0, l1), (l0,)))
+        assert ConditionalLaws.from_table(t) is t.laws
         assert len(built) == 1 and built[0] is t
         assert t.laws is t.laws
 
@@ -355,6 +356,19 @@ class TestMonteCarloStandardization:
         laws = ConditionalLaws.from_table(t)
         with pytest.raises(ConfigError):
             g_formula_mc(laws, Regime.static((0.0, 0.0)), 0, seed=1)
+
+    @pytest.mark.parametrize("draws", [2.5, True, "many"])
+    def test_draws_must_be_a_positive_integer(self, draws):
+        # 2.5 once died in a slice with TypeError, and True ran one draw.
+        laws = enumerate_joint(discrete_trial_scenario()).laws
+        with pytest.raises(ConfigError, match="draws must be a positive integer"):
+            g_formula_mc(laws, Regime.static((0.0, 0.0)), draws, seed=1)
+
+    def test_numpy_integer_draws_are_accepted(self):
+        laws = enumerate_joint(discrete_trial_scenario()).laws
+        plan = Regime.static((1.0, 1.0))
+        np.testing.assert_array_equal(g_formula_mc(laws, plan, np.int64(300), 2).samples,
+                                      g_formula_mc(laws, plan, 300, 2).samples)
 
 
 class TestPluginMean:

@@ -226,6 +226,23 @@ def unique_extend(law, nxt, regime, m, key, j) -> np.ndarray:
     return nxt.index(path)[at]
 
 
+def extend_outcome(extend, *args):
+    """The keys an extend returns, or the PositivityError it raises."""
+    try:
+        return ("keys", extend(*args).tolist())
+    except PositivityError as exc:
+        return ("PositivityError", str(exc))
+
+
+def hand_table(cell, weight) -> JointTable:
+    """A K = 1 table with one row per binary index (l0, a0, l1, a1, y): the row
+    holds ``cell(*index)`` and the unnormalized mass ``weight(*index)``."""
+    index = list(np.ndindex(2, 2, 2, 2, 2))
+    w = np.array([weight(*i) for i in index], dtype=float)
+    return JointTable(sequential_trial_scenario(K=1).schema,
+                      np.array([cell(*i) for i in index], dtype=float), w / w.sum())
+
+
 def masked_moment_check(table, split, spec):
     """Max within-cell spread of the weighted moment, by masked cell loops."""
     K = table.schema.K
@@ -722,6 +739,50 @@ class TestReplacedPathsAreUnchanged:
         always = g_formula_mc(table.laws, Regime.dynamic(lambda m, l_bar: 1.0, "treat"), 2000, 3)
         np.testing.assert_array_equal(mc.samples, always.samples)
         assert seen == {third, 2 * third}
+
+    # (table, plans, whether some extension is unsupported)
+    LINK_CASES = {
+        # Treatments 7.0 and 0.5 are outside every occasion's support {0, 1}.
+        "outside-support": lambda: (
+            enumerate_joint(sequential_trial_scenario(K=2), y_bins=np.linspace(-2, 6, 6)),
+            (Regime.static((7.0, 7.0, 7.0)),
+             Regime.dynamic(lambda m, l_bar: 0.5 if l_bar[-1] else 1.0, "half-if-l")),
+            True),
+        # The history (l0, a0) = (1, 1) has rows, all of zero mass.
+        "zero-mass": lambda: (
+            hand_table(lambda *i: i, lambda l0, a0, l1, a1, y: 0.0 if l0 and a0 else 1.0),
+            (Regime.static((1.0, 1.0)), Regime.dynamic(_threshold)),
+            True),
+        # Levels 1/3 and 2/3 are not 9-decimal numbers.
+        "thirds": lambda: (
+            hand_table(lambda l0, a0, l1, a1, y: ((l0 + 1) / 3, a0, (l1 + 1) / 3, a1, y),
+                       lambda l0, a0, l1, a1, y: 0.8 if y == a1 else 0.2),
+            (Regime.static((1.0, 1.0)),
+             Regime.dynamic(lambda m, l_bar: float(min(l_bar) >= 1 / 3))),
+            False),
+        # L1 = 0.1 + 0.2 next to a1 = 0 and 0.3 next to a1 = 1: one value at 9
+        # decimals, two exactly.
+        "near-levels": lambda: (
+            hand_table(lambda l0, a0, l1, a1, y: (l0, a0, (0.3 if a1 else 0.1 + 0.2) * l1, a1, y),
+                       lambda l0, a0, l1, a1, y: 1.0 + l0 + y),
+            (Regime.static((1.0, 1.0)), Regime.static((0.0, 0.0)), Regime.dynamic(_threshold)),
+            False),
+    }
+
+    @pytest.mark.parametrize("case", list(LINK_CASES))
+    def test_linked_extend_equals_the_index_form(self, case):
+        table, plans, unsupported = self.LINK_CASES[case]()
+        laws = table.laws
+        chain = laws.l_laws + (laws.y_law,)
+        wants = []
+        for plan in plans:
+            for m in range(laws.K + 1):
+                law = chain[m]
+                key, j = np.nonzero(law.probs > 0.0)  # every live history and value
+                want = extend_outcome(unique_extend, law, chain[m + 1], plan, m, key, j)
+                assert extend_outcome(law.extend, chain[m + 1], plan, m, key, j) == want
+                wants.append(want[0])
+        assert ("PositivityError" in wants) == unsupported
 
     @settings(max_examples=20, deadline=None)
     @given(psi0=st.floats(0.0, 2.0), psi1=st.floats(-1.0, 1.0),
