@@ -15,7 +15,6 @@ from .data import (
     Regime,
     Schema,
     VarKind,
-    apply_regime,
     binary,
     constant,
     continuous,
@@ -89,6 +88,7 @@ from .scenarios import (
     counterfactual_draws,
     enumerate_joint,
     make_scenario,
+    mc_regime_draws,
     simulate,
 )
 from .sndm import (
@@ -101,7 +101,6 @@ from .sndm import (
     empirical_static_survivor,
     g_estimate,
     g_test_at,
-    mc_regime_draws,
     multiplicative_blip,
     shift_basis,
     sndm_lr_test,
@@ -174,7 +173,6 @@ __all__ = [
     "ValidationError",
     "VarKind",
     "additive_blip",
-    "apply_regime",
     "binary",
     "blip_down",
     "blip_up",

@@ -27,7 +27,7 @@ from .direct_effect import (
     direct_effect_g_estimate,
     direct_effect_gnull_test,
 )
-from .errors import ConfigError, GmethodsError, ValidationError
+from .errors import ConfigError, GmethodsError, ValidationError, _count
 from .gformula import g_formula_exact, g_formula_mc
 from .reproduce import REPRODUCERS, run as run_reproduction
 from .scenarios import design_alpha, enumerate_joint, make_scenario, simulate
@@ -88,9 +88,7 @@ def _require(cfg: dict, key: str):
 
 
 def _seed_of(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(_require(cfg, "seed"))
+    return _count("seed", args.seed if args.seed is not None else _require(cfg, "seed"), 0)
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -100,10 +98,7 @@ def _out_dir(args, cfg: dict) -> str:
 
 
 def _jobs_of(args, cfg: dict) -> int:
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", 1))
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-    return jobs
+    return _count("jobs", args.jobs if args.jobs is not None else cfg.get("jobs", 1))
 
 
 def _threshold_rule(m: int, l_bar: tuple[float, ...], cutoff: float) -> float:
@@ -162,8 +157,8 @@ def _alpha_from(cfg: dict, scenario, terms, occasions=None):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     scenario = _scenario_from(cfg)
-    n = int(_require(cfg, "n"))
-    reps = int(cfg.get("replicates", 1))
+    n = _count("n", _require(cfg, "n"))
+    reps = _count("replicates", cfg.get("replicates", 1))
     seed = _seed_of(args, cfg)
     jobs = _jobs_of(args, cfg)
     out = _out_dir(args, cfg)
@@ -212,8 +207,8 @@ def cmd_study(args) -> int:
         analyses.append((name, _tuplify(item.get("params", {}) or {})))
     study = StudyConfig(
         scenario=scenario,
-        n=int(_require(cfg, "n")),
-        replicates=int(_require(cfg, "replicates")),
+        n=_count("n", _require(cfg, "n")),
+        replicates=_count("replicates", _require(cfg, "replicates")),
         seed=_seed_of(args, cfg),
         analyses=tuple(analyses),
     )
@@ -267,7 +262,7 @@ def cmd_g_formula(args) -> int:
 def cmd_g_estimate(args) -> int:
     cfg = _load_config(args.config)
     scenario = _scenario_from(cfg)
-    n = int(_require(cfg, "n"))
+    n = _count("n", _require(cfg, "n"))
     seed = _seed_of(args, cfg)
     ds = simulate(scenario, n, seed)
     blip = _blip_from(cfg.get("blip"))
@@ -302,7 +297,7 @@ def cmd_g_estimate(args) -> int:
 def cmd_direct_effect(args) -> int:
     cfg = _load_config(args.config)
     scenario = _scenario_from(cfg)
-    n = int(_require(cfg, "n"))
+    n = _count("n", _require(cfg, "n"))
     seed = _seed_of(args, cfg)
     ds = simulate(scenario, n, seed)
     mode = cfg.get("mode", "test")
@@ -318,8 +313,9 @@ def cmd_direct_effect(args) -> int:
         return 0
     if mode == "estimate":
         split_cfg = _require(cfg, "split")
-        split = SplitSchema(tuple(int(v) for v in split_cfg.get("p", ())),
-                            tuple(int(v) for v in split_cfg.get("z", ())))
+        p, z = (tuple(_count(f"split {key}", v, 0) for v in split_cfg.get(key, ()))
+                for key in ("p", "z"))
+        split = SplitSchema(p, z)
         spec = DeSndmSpec(_blip_from(cfg.get("blip")),
                           mean_terms=tuple(cfg.get("mean_terms", ("1",))))
         z_terms = tuple(cfg.get("z_terms", ("1", "lm", "a_prev")))

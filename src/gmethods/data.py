@@ -235,22 +235,9 @@ class Regime:
         return Regime("dynamic", (), rule, name or "dynamic")
 
 
-def apply_regime(regime: Regime, hist: History) -> float:
-    """Treatment the regime assigns at hist.m given covariate history."""
-    if regime.kind == "static":
-        if hist.m >= len(regime.plan):
-            raise ConfigError(
-                f"static plan of length {len(regime.plan)} has no entry "
-                f"for occasion {hist.m}"
-            )
-        return float(regime.plan[hist.m])
-    if regime.rule is None:
-        raise ConfigError("dynamic regime has no rule")
-    return float(regime.rule(hist.m, hist.l_bar))
-
-
 def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized apply_regime over the rows of L_prefix (n, m+1).
+    """Treatment the regime assigns at occasion m to each row of L_prefix,
+    the covariate history (n, m+1).
 
     A dynamic rule must be a pure function of (m, l_bar): it is called once
     per distinct covariate prefix, with that prefix's own values (rows are

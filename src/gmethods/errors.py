@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of config counts."""
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class GmethodsError(Exception):
@@ -29,3 +31,17 @@ class ConvergenceError(GmethodsError):
 
 class EstimationError(GmethodsError):
     """An estimator or test cannot be formed from the given inputs."""
+
+
+def _count(key: str, value, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``.
+
+    Python and numpy integers pass.  A bool, a non-integral number or a
+    string is a ``ConfigError``, never truncated by ``int()``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        kind = "a positive" if minimum > 0 else "a non-negative"
+        raise ConfigError(f"{key} must be {kind} integer, not {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, not {value!r}")
+    return int(value)

@@ -1,16 +1,17 @@
 """Token-based feature terms.
 
 A term is a string naming one regressor column: either a base column ("1",
-"u", "h", "y", "l0", "a2", "lm", "a_prev") or a product of bases joined with
+"u", "y", "l0", "a2", "lm", "a_prev") or a product of bases joined with
 "*" ("a0*l1").  The bases a term may use are exactly its context's columns
 (any other is a ``ConfigError``), and ``history_cols`` builds every context
 from how many covariates and treatments are observed:
 
-* root law (hidden cause "u", or the residual outcome "h" of Monte Carlo
-  standardization) — only "a_prev" = 0, the occasion-0 context
-  ``history_cols(L, A, 0, 0, 0)``, which gives the row count;
+* root law, whose value is the root column "u" (a scenario's hidden cause,
+  or the residual outcome H of a blip model) — only "a_prev" = 0, the
+  occasion-0 context ``history_cols(L, A, 0, 0, 0)``, which gives the row
+  count;
 * covariate law at occasion m — l0..l(m-1), a0..a(m-1), "a_prev", plus the
-  hidden cause "u" (scenarios) or the residual outcome "h" (blip models);
+  root column "u";
 * treatment law and blip cofactors at occasion m — l0..lm, a0..a(m-1),
   "lm", "a_prev";
 * outcome law — every l and a, plus "u";
@@ -45,7 +46,7 @@ def history_cols(
 
     With an occasion ``m`` the context also holds "a_prev" (A_{m-1}, zero at
     m = 0) and, once L_m is observed (``n_l > m``), "lm".  ``extra`` adds
-    columns from outside the trajectory, such as "u", "h" or "y".
+    columns from outside the trajectory, such as "u" or "y".
     """
     cols = {f"l{j}": L[:, j] for j in range(n_l)}
     cols.update({f"a{j}": A[:, j] for j in range(n_a)})

@@ -26,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from .data import History, Regime, Schema, group_rows, regime_values
-from .errors import ConfigError, EstimationError, PositivityError
+from .errors import ConfigError, EstimationError, PositivityError, _count
 from .glm import expit
 from .laws import _choice_cdf, _invert_cdf
 from . import streams
@@ -375,8 +375,7 @@ def g_formula_mc(
 ) -> RegimeDistribution:
     """Monte Carlo standardization: roll covariates forward under the regime,
     each draw carried as its history's position in the current law."""
-    if isinstance(draws, bool) or not isinstance(draws, (int, np.integer)) or draws <= 0:
-        raise ConfigError(f"draws must be a positive integer, not {draws!r}")
+    draws = _count("draws", draws)
     chain = laws.l_laws + (laws.y_law,)
     nb = streams.BLOCK
     ys = np.empty(streams.block_count(draws) * nb)

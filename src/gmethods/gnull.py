@@ -101,31 +101,25 @@ def parametric_null_check(
 
 @dataclass(frozen=True)
 class GnullScoreInputs:
-    """Known design means of the two treatments in a randomized study.
+    """Known design of the two treatments in a randomized study.
 
-    ``pi1`` is the (unconditional) design mean of A0.  ``pi2`` is the
-    assignment law of A1, whose ``mean(cols)`` gives its design mean as a
-    function of the observed past.
+    ``pi1`` and ``pi2`` are the assignment laws of A0 and A1, whose
+    ``mean(cols)`` gives each treatment's design mean as a function of the
+    observed past.
     """
 
-    pi1: float
+    pi1: object
     pi2: object
 
-    def pi2_values(self, dataset: Dataset) -> np.ndarray:
-        cols = history_cols(dataset.L, dataset.A, 2, 1, 1)
-        return np.asarray(self.pi2.mean(cols), dtype=float)
+    def design_mean(self, m: int, dataset: Dataset) -> np.ndarray:
+        """Each subject's design mean of A_m, at its history up to L_m."""
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
+        return np.asarray((self.pi1, self.pi2)[m].mean(cols), dtype=float)
 
     @classmethod
     def from_scenario(cls, config) -> "GnullScoreInputs":
-        """Pull the design means out of a scenario's treatment laws.
-
-        The A0 mean is evaluated at an all-zero baseline history, so this
-        is only exact when baseline covariates are degenerate at zero —
-        true for every built-in two-occasion scenario.
-        """
-        zero = np.zeros((1, 1))
-        pi1 = float(config.a_laws[0].mean(history_cols(zero, zero, 1, 0, 0))[0])
-        return cls(pi1=pi1, pi2=config.a_laws[1])
+        """The design is the scenario's two treatment laws."""
+        return cls(pi1=config.a_laws[0], pi2=config.a_laws[1])
 
 
 def gnull_score_test(
@@ -133,7 +127,7 @@ def gnull_score_test(
 ) -> TestReport:
     """Score test of the joint null from the summands
 
-        U_i = Y_i (A1_i - pi2(A0_i, L_i)) + Y_i (A0_i - pi1).
+        U_i = Y_i (A1_i - pi2(L0_i, A0_i, L1_i)) + Y_i (A0_i - pi1(L0_i)).
 
     Each summand has mean zero under the null because the treatment
     residuals are mean-zero given everything that precedes them; no model
@@ -142,8 +136,8 @@ def gnull_score_test(
     """
     if dataset.schema.K != 1:
         raise ConfigError("gnull_score_test expects a two-occasion dataset")
-    p2 = inputs.pi2_values(dataset)
-    U = dataset.Y * (dataset.A[:, 1] - p2) + dataset.Y * (dataset.A[:, 0] - inputs.pi1)
+    p1, p2 = inputs.design_mean(0, dataset), inputs.design_mean(1, dataset)
+    U = dataset.Y * (dataset.A[:, 1] - p2) + dataset.Y * (dataset.A[:, 0] - p1)
     ss = float(np.sum(U * U))
     if ss <= 0.0:
         raise EstimationError("sum of squared summands is zero (degenerate data)")

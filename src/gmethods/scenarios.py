@@ -8,7 +8,9 @@ history by construction), then the outcome law (which may see U).
 The same config drives three things: observational sampling (U discarded),
 counterfactual sampling under a manipulated treatment plan (the ground
 truth for standardization), and exact enumeration of the observable joint
-law when every law is finite-discrete.
+law when every law is finite-discrete.  A fitted blip model is a scenario
+too, with the residual outcome as its hidden cause, so its standardized law
+(``mc_regime_draws``) is the same counterfactual sampling.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .data import (
     group_rows,
     regime_values,
 )
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, _count
 from .features import Cols, history_cols
-from .gformula import JointTable
+from .gformula import JointTable, RegimeDistribution
 from .laws import (
     BernoulliLogit,
     ConstantLaw,
@@ -99,6 +101,7 @@ def _rollout(
 
     Each block's laws consume a full block of draws but are evaluated on the
     rows the block keeps only (see the streams module)."""
+    n = _count("n", n)
     K = config.schema.K
     nb = streams.BLOCK
     U = np.empty(n)
@@ -127,8 +130,6 @@ def _rollout(
 def simulate(config: ScenarioConfig, n: int, seed: int,
              return_hidden: bool = False):
     """Observational draw; the hidden cause is discarded unless asked for."""
-    if n <= 0:
-        raise ConfigError("n must be positive")
     U, L, A, Y = _rollout(config, n, seed, regime=None)
     ds = Dataset(config.schema, L, A, Y)
     return (ds, U) if return_hidden else ds
@@ -145,10 +146,39 @@ def counterfactual_draws(
     With regime=None the treatment laws run untouched, which reproduces the
     observational outcome stream draw for draw at equal seed.
     """
-    if n <= 0:
-        raise ConfigError("n must be positive")
     _, _, _, Y = _rollout(config, n, seed, regime=regime)
     return Y
+
+
+def mc_regime_draws(
+    blip_spec: BlipSpec,
+    regime: Regime,
+    *,
+    h_law,
+    covariate_models: tuple,
+    draws: int,
+    seed: int = 0,
+) -> RegimeDistribution:
+    """Monte Carlo standardized outcome law implied by a blip model.
+
+    The model is a scenario: its hidden cause "u" is the residual outcome H
+    (``h_law``), its covariate laws are ``covariate_models`` (one per
+    occasion, free to use "u"), and its outcome pushes H up through the
+    blip.  The law under ``regime`` is that scenario's counterfactual draws;
+    its treatment laws are never read.  The streams do not depend on the
+    regime, so with psi = 0 every regime gives the same draws.
+    """
+    K1 = len(covariate_models)
+    config = ScenarioConfig(
+        name="sndm-mc",
+        schema=Schema((continuous(),) * K1, (continuous(),) * K1),
+        u_law=h_law,
+        l_laws=tuple(covariate_models),
+        a_laws=(None,) * K1,
+        y_law=BlipOutcome(blip_spec),
+    )
+    y = counterfactual_draws(config, regime, draws, seed)
+    return RegimeDistribution.from_samples(y, regime.name)
 
 
 class _BinnedOutcome:

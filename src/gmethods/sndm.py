@@ -29,8 +29,7 @@ from scipy.special import gammaincinv
 # only: it adds about 17 MB and 0.2 s to every import of the package, and
 # the closed-form path never needs it.
 
-from . import streams
-from .data import Dataset, Regime, regime_values
+from .data import Dataset
 from .errors import ConfigError, ConvergenceError, EstimationError
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
@@ -566,8 +565,8 @@ def sndm_mle(
     model per non-degenerate covariate occasion m with parameters phi.  The
     factors share no parameter, so at a given psi eta is the mean and
     standard deviation (ddof 0) of H and each phi is ``fit_logistic`` on its
-    terms, evaluated in ``history_cols(L, A, m, m, m, extra={"h": h})``:
-    strictly earlier history, "a_prev" and the residual outcome 'h'; any
+    terms, evaluated in ``history_cols(L, A, m, m, m, extra={"u": h})``:
+    strictly earlier history, "a_prev" and the residual outcome "u"; any
     other base is a ``ConfigError``.  Only psi is searched (L-BFGS-B), and
     with ``psi_fixed`` nothing is.  ``covariate_terms`` is a dict occasion ->
     term tuple, or one tuple shared by all occasions.  A constant H raises
@@ -599,7 +598,7 @@ def sndm_mle(
             ll += float(np.sum(shift))  # log dH/dY
         phis = {}
         for m in modeled:
-            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"h": h}))
+            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"u": h}))
             fit = fit_logistic(X, L[:, m])
             phis[m] = fit.coef
             ll += fit.loglik
@@ -646,70 +645,6 @@ def sndm_lr_test(
                     psi_fixed=psi_null)
     lr = max(0.0, 2.0 * (free.loglik - null.loglik))
     return _report(lr, d, "chi2", level)
-
-
-def mc_regime_draws(
-    blip_spec: BlipSpec,
-    regime: Regime,
-    *,
-    K: int,
-    h_samples: np.ndarray | None = None,
-    h_law=None,
-    covariate_models: tuple | None = None,
-    draws: int | None = None,
-    seed: int = 0,
-) -> RegimeDistribution:
-    """Monte Carlo standardized outcome law implied by a fitted blip model.
-
-    Draw a residual outcome (step 1: the given empirical samples, or
-    ``h_law``), roll covariates forward under the regime with models that may
-    depend on 'h' (steps 2-4), then invert the H-recursion (step 5).  With
-    ``draws=None`` the empirical h samples are used once each, in order.
-    For a covariate-free blip under a static regime the covariate steps drop
-    out and ``covariate_models`` may be omitted.
-    """
-    psi = blip_spec.require_psi()  # noqa: F841  (validates psi is attached)
-    if draws is None:
-        if h_samples is None:
-            raise ConfigError("draws=None requires explicit h_samples")
-        h = np.asarray(h_samples, dtype=float)
-    else:
-        rng = streams.substream(seed, "sndm-mc", regime.name, "h")
-        if h_samples is not None:
-            h = rng.choice(np.asarray(h_samples, dtype=float), size=draws)
-        elif h_law is not None:
-            root = np.zeros((draws, 0))
-            h = h_law.sample(rng, history_cols(root, root, 0, 0, 0), draws)
-        else:
-            raise ConfigError("need h_samples or h_law")
-    n = h.size
-    if covariate_models is None:
-        if blip_spec.uses_covariates:
-            raise ConfigError(
-                "blip cofactors reference covariate history; covariate models "
-                "are required"
-            )
-        if regime.kind != "static":
-            raise ConfigError("dynamic regimes require covariate models")
-        L = np.zeros((n, K + 1))
-        A = np.tile(np.asarray(regime.plan[: K + 1], dtype=float), (n, 1))
-        return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
-    if len(covariate_models) != K + 1:
-        raise ConfigError("one covariate model per occasion required")
-    # Every block consumes a full block of draws per model and evaluates the
-    # draws it keeps only, so a draw's covariates do not depend on the number
-    # of draws.
-    nb = streams.BLOCK
-    L = np.empty((n, K + 1))
-    A = np.empty((n, K + 1))
-    for b in range(streams.block_count(n)):
-        rng = streams.substream(seed, "sndm-mc", regime.name, b)
-        sl = slice(b * nb, min(n, (b + 1) * nb))
-        for m in range(K + 1):
-            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": h[sl]})
-            L[sl, m] = covariate_models[m].sample(rng, cols, nb)
-            A[sl, m] = regime_values(regime, L[sl, : m + 1], m)
-    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L, A), regime.name)
 
 
 def empirical_static_survivor(

@@ -93,6 +93,57 @@ class TestConfigLoading:
         assert rc == 0
 
 
+class TestConfigCounts:
+    """Every count key is read by one rule: an integer of at least its minimum
+    (0 for seed and split occasions, 1 otherwise), never truncated."""
+
+    BAD = [2.5, "many", True]
+    BASE = {
+        "simulate": dict(scenario="dag1b", n=10, seed=1),
+        "study": dict(scenario="dag1b", n=10, replicates=1, seed=1, analyses=["naive"]),
+        "g-estimate": dict(scenario="sndm-additive", n=10, seed=1, psi_box=[[-1.0, 1.0]],
+                           blip={"family": "additive", "cofactors": ["1"]}),
+        "direct-effect": dict(scenario="direct-effect-discrete", n=10, seed=1,
+                              mode="estimate", split={"p": [0], "z": [1]},
+                              psi_box=[[0.0, 2.0]],
+                              blip={"family": "additive", "cofactors": ["1"]}),
+    }
+
+    def refused(self, tmp_path, capsys, command, key, **changes):
+        sections = {**self.BASE[command], **changes}
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg_file(tmp_path, **sections), "--out", str(out)])
+        assert rc == 2
+        assert stderr_of(capsys).startswith(f"config error: {key} must be")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", BAD + [-1])
+    def test_seed(self, tmp_path, capsys, value):
+        self.refused(tmp_path, capsys, "simulate", "seed", seed=value)
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    @pytest.mark.parametrize("value", BAD + [0])
+    def test_n(self, tmp_path, capsys, command, value):
+        # n: 2.5 once wrote a 2-row dataset with "n": 2 in its manifest.
+        self.refused(tmp_path, capsys, command, "n", n=value)
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    @pytest.mark.parametrize("value", BAD + [0])
+    def test_replicates(self, tmp_path, capsys, command, value):
+        self.refused(tmp_path, capsys, command, "replicates", replicates=value)
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    @pytest.mark.parametrize("value", BAD + [0])
+    def test_jobs(self, tmp_path, capsys, command, value):
+        self.refused(tmp_path, capsys, command, "jobs", jobs=value)
+
+    @pytest.mark.parametrize("key", ["p", "z"])
+    @pytest.mark.parametrize("value", BAD + [-1])
+    def test_split_occasions(self, tmp_path, capsys, key, value):
+        split = {"p": [0], "z": [1], key: [value]}
+        self.refused(tmp_path, capsys, "direct-effect", f"split {key}", split=split)
+
+
 class TestSimulate:
     """Replicate files plus a manifest, reproducible from config + seed."""
 

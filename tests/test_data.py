@@ -8,7 +8,6 @@ from gmethods.data import (
     History,
     Regime,
     Schema,
-    apply_regime,
     binary,
     constant,
     continuous,
@@ -85,28 +84,35 @@ class TestDatasetValidation:
 class TestRegime:
     def test_static_ignores_history(self):
         reg = Regime.static((1.0, 0.0))
-        assert apply_regime(reg, History(1, (0.0, 1.0), (1.0,))) == 0.0
-        assert apply_regime(reg, History(1, (1.0, 1.0), (0.0,))) == 0.0
-        assert apply_regime(reg, History(0, (0.0,), ())) == 1.0
+        np.testing.assert_array_equal(regime_values(reg, np.array([[0.0, 1.0], [1.0, 1.0]]), 1),
+                                      [0.0, 0.0])
+        np.testing.assert_array_equal(regime_values(reg, np.array([[0.0]]), 0), [1.0])
 
     def test_zero_plan(self):
-        assert apply_regime(Regime.static((0.0, 0.0)), History(0, (1.0,), ())) == 0.0
+        np.testing.assert_array_equal(
+            regime_values(Regime.static((0.0, 0.0)), np.array([[1.0]]), 0), [0.0])
 
     def test_dynamic_rule_sees_current_covariate(self):
         reg = Regime.dynamic(lambda m, l_bar: float(l_bar[-1]))
-        assert apply_regime(reg, History(1, (0.0, 1.0), (0.0,))) == 1.0
-        assert apply_regime(reg, History(1, (1.0, 0.0), (0.0,))) == 0.0
+        np.testing.assert_array_equal(regime_values(reg, np.array([[0.0, 1.0], [1.0, 0.0]]), 1),
+                                      [1.0, 0.0])
 
     def test_static_plan_too_short(self):
         with pytest.raises(ConfigError):
-            apply_regime(Regime.static((1.0,)), History(1, (0.0, 0.0), (1.0,)))
+            regime_values(Regime.static((1.0,)), np.zeros((1, 2)), 1)
 
     def test_regime_values_matches_scalar_application(self):
-        reg = Regime.dynamic(lambda m, l_bar: 1.0 if sum(l_bar) >= 1 else 0.0)
-        L = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        got = regime_values(reg, L, 1)
-        want = [apply_regime(reg, History(1, tuple(L[i]), (0.0,))) for i in range(3)]
-        np.testing.assert_array_equal(got, want)
+        # The rule runs once per distinct prefix; every row gets its prefix's value.
+        calls = []
+
+        def rule(m, l_bar):
+            calls.append(l_bar)
+            return 1.0 if sum(l_bar) >= 1 else 0.0
+
+        L = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        got = regime_values(Regime.dynamic(rule), L, 1)
+        np.testing.assert_array_equal(got, [0.0, 1.0, 1.0, 1.0])
+        assert sorted(calls) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
     def test_dynamic_regime_without_rule(self):
         with pytest.raises(ConfigError, match="no rule"):

@@ -29,10 +29,12 @@ from gmethods.laws import NormalLinear
 from gmethods.scenarios import (
     binary_two_occasion_scenario,
     dag1b_scenario,
+    discrete_trial_scenario,
     simulate,
     two_occasion_scenario,
 )
 from gmethods.sndm import additive_blip, g_test_at
+from gmethods.studies import replicate_seed
 
 
 def tiny_dataset(L, A, Y):
@@ -47,7 +49,8 @@ class TestRandomizationScore:
         # U2 = 2*(0-0.3) + 2*(0-0.5) = -1.6
         # chi = (1.2 - 1.6) / sqrt(1.44 + 2.56) = -0.2
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [1.0, 2.0])
-        inputs = GnullScoreInputs(pi1=0.5, pi2=NormalLinear(("1",), (0.3,)))
+        inputs = GnullScoreInputs(pi1=NormalLinear(("1",), (0.5,)),
+                                  pi2=NormalLinear(("1",), (0.3,)))
         rep = gnull_score_test(ds, inputs)
         assert abs(rep.statistic - (-0.2)) < 1e-15
         assert abs(rep.p_value - 2.0 * stats.norm.sf(0.2)) < 1e-12
@@ -55,16 +58,17 @@ class TestRandomizationScore:
 
     def test_degenerate_outcome_rejected(self):
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [0.0, 0.0])
-        inputs = GnullScoreInputs(pi1=0.5, pi2=NormalLinear(("1",), (0.3,)))
+        inputs = GnullScoreInputs(pi1=NormalLinear(("1",), (0.5,)),
+                                  pi2=NormalLinear(("1",), (0.3,)))
         with pytest.raises(EstimationError, match="degenerate"):
             gnull_score_test(ds, inputs)
 
     def test_inputs_read_off_scenario(self):
         cfg = binary_two_occasion_scenario()
         inputs = GnullScoreInputs.from_scenario(cfg)
-        assert abs(inputs.pi1 - 0.5) < 1e-15
         ds = simulate(cfg, 200, seed=31)
-        got = inputs.pi2_values(ds)
+        np.testing.assert_allclose(inputs.design_mean(0, ds), 0.5, rtol=0, atol=1e-15)
+        got = inputs.design_mean(1, ds)
         want = expit(-0.3 + 0.8 * ds.L[:, 1] + 0.4 * ds.A[:, 0])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -78,6 +82,18 @@ class TestRandomizationScore:
         for r in range(reps):
             ds = simulate(cfg, 500, seed=streams.substream(808, r).integers(2**31))
             rejects += gnull_score_test(ds, inputs).reject
+        assert 0.01 <= rejects / reps <= 0.10
+
+    def test_level_when_early_treatment_follows_a_baseline_covariate(self):
+        # In discrete-trial A0 depends on L0, so its design mean is a
+        # per-subject value; a mean taken at L0 = 0 rejected the true null
+        # in nearly every replicate.
+        cfg = discrete_trial_scenario(a0_effect=0.0, a1_effect=0.0)
+        inputs = GnullScoreInputs.from_scenario(cfg)
+        reps = 200
+        rejects = sum(
+            gnull_score_test(simulate(cfg, 2000, seed=replicate_seed(717, r)), inputs).reject
+            for r in range(reps))
         assert 0.01 <= rejects / reps <= 0.10
 
 

@@ -1,8 +1,8 @@
 """The lean block rollouts against the full-block code they replaced.
 
-``simulate``, ``counterfactual_draws`` and ``mc_regime_draws`` evaluate each
-law on the rows a block keeps only, while still consuming the block's full
-draw count.  The reference copies below evaluate every law on all
+``simulate``, ``counterfactual_draws`` and ``mc_regime_draws`` (the
+counterfactual draws of a blip model's scenario) evaluate each law on the
+rows a block keeps only, while still consuming the block's full draw count.  The reference copies below evaluate every law on all
 ``streams.BLOCK`` rows of every block and then cut to n, as the package did
 before; every output must agree bit for bit.
 """
@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 
 from gmethods import streams
-from gmethods.data import Regime, regime_values
+from gmethods.data import Regime, Schema, continuous, regime_values
 from gmethods.features import history_cols
 from gmethods.laws import BernoulliLogit, DiscreteMarginal, NormalLinear
-from gmethods.scenarios import SCENARIOS, counterfactual_draws, simulate
-from gmethods.sndm import RegimeDistribution, additive_blip, blip_up, mc_regime_draws
+from gmethods.scenarios import (
+    SCENARIOS,
+    BlipOutcome,
+    ScenarioConfig,
+    counterfactual_draws,
+    mc_regime_draws,
+    simulate,
+)
+from gmethods.sndm import additive_blip
 
 SIZES = (1, 999, 8191, 8192, 8193, 20_000)
 
@@ -54,29 +61,6 @@ def full_block_rollout(config, n, seed, regime):
     return U, L, A, Y
 
 
-def full_block_mc_regime_draws(blip_spec, regime, *, K, h_law, covariate_models,
-                               draws, seed):
-    """mc_regime_draws as it was, covariate-model path: h padded with zeros
-    to whole blocks and every block evaluated in full, then cut to n."""
-    rng = streams.substream(seed, "sndm-mc", regime.name, "h")
-    root = np.zeros((draws, 0))
-    h = h_law.sample(rng, history_cols(root, root, 0, 0, 0), draws)
-    n = h.size
-    nb = streams.BLOCK
-    rows = streams.block_count(n) * nb
-    hp = np.pad(h, (0, rows - n))
-    L = np.empty((rows, K + 1))
-    A = np.empty((rows, K + 1))
-    for b in range(streams.block_count(n)):
-        rng = streams.substream(seed, "sndm-mc", regime.name, b)
-        sl = slice(b * nb, (b + 1) * nb)
-        for m in range(K + 1):
-            cols = history_cols(L[sl], A[sl], m, m, m, extra={"h": hp[sl]})
-            L[sl, m] = covariate_models[m].sample(rng, cols, nb)
-            A[sl, m] = regime_values(regime, L[sl, : m + 1], m)
-    return RegimeDistribution.from_samples(blip_up(blip_spec, h, L[:n], A[:n]), regime.name)
-
-
 def _threshold(m, l_bar):
     return float(l_bar[-1] > 0.3)
 
@@ -100,13 +84,21 @@ def test_rollouts_equal_the_full_block_rollout(name, n):
 
 
 MC_MODELS = {
-    "logit": (BernoulliLogit(("1", "h"), (0.0, 0.5)),
-              BernoulliLogit(("1", "h", "a0", "l0"), (-0.2, 0.5, 0.3, 0.4))),
-    "normal": (NormalLinear(("1", "h"), (0.1, 0.7), 0.9),
-               NormalLinear(("1", "h", "l0", "a0*l0"), (0.0, 0.4, 0.5, -0.3), 1.2)),
+    "logit": (BernoulliLogit(("1", "u"), (0.0, 0.5)),
+              BernoulliLogit(("1", "u", "a0", "l0"), (-0.2, 0.5, 0.3, 0.4))),
+    "normal": (NormalLinear(("1", "u"), (0.1, 0.7), 0.9),
+               NormalLinear(("1", "u", "l0", "a0*l0"), (0.0, 0.4, 0.5, -0.3), 1.2)),
     "mixed": (DiscreteMarginal((0.0, 1.0, 2.0), (0.3, 0.3, 0.4)),
-              BernoulliLogit(("1", "h", "l0"), (0.2, -0.4, 0.3))),
+              BernoulliLogit(("1", "u", "l0"), (0.2, -0.4, 0.3))),
 }
+
+
+def blip_model_config(spec, h_law, covariate_models):
+    """The scenario a blip model is: H as the hidden cause, the covariate
+    models as covariate laws, the blip as the outcome; no treatment law."""
+    kinds = (continuous(),) * len(covariate_models)
+    return ScenarioConfig("sndm-mc", Schema(kinds, kinds), h_law, covariate_models,
+                          (None,) * len(covariate_models), BlipOutcome(spec))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -115,8 +107,9 @@ MC_MODELS = {
 def test_mc_regime_draws_equal_the_full_block_draws(kind, models, n):
     spec = additive_blip("1", "lm", psi=(0.5, 0.2))
     regime = _regimes(1)[kind]
-    kw = dict(K=1, h_law=NormalLinear(("1",), (0.0,)),
-              covariate_models=MC_MODELS[models], draws=n, seed=3)
-    got = mc_regime_draws(spec, regime, **kw)
-    want = full_block_mc_regime_draws(spec, regime, **kw)
-    assert np.array_equal(got.samples, want.samples)
+    h_law = NormalLinear(("1",), (0.0,))
+    got = mc_regime_draws(spec, regime, h_law=h_law, covariate_models=MC_MODELS[models],
+                          draws=n, seed=3)
+    want = full_block_rollout(blip_model_config(spec, h_law, MC_MODELS[models]), n, 3, regime)
+    assert np.array_equal(got.samples, want[3])
+    assert got.regime_name == regime.name

@@ -33,6 +33,14 @@ def table_cov(table, col_i, col_j):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("n", [0, 2.5, True, "10"])
+    def test_n_must_be_a_positive_integer(self, n):
+        # 2.5 once died in np.empty with a TypeError, and True drew one row.
+        with pytest.raises(ConfigError, match="n must be"):
+            simulate(dag1b_scenario(), n, seed=1)
+        with pytest.raises(ConfigError, match="n must be"):
+            counterfactual_draws(dag1b_scenario(), Regime.static((1.0, 1.0)), n, seed=1)
+
     def test_deterministic_given_seed(self):
         cfg = dag1b_scenario()
         a = simulate(cfg, 1000, seed=7)

@@ -13,7 +13,13 @@ from gmethods.errors import ConfigError, ConvergenceError, EstimationError, Sepa
 from gmethods.features import eval_terms, history_cols
 from gmethods.glm import fit_logistic
 from gmethods.laws import BernoulliLogit, NormalLinear
-from gmethods.scenarios import BlipOutcome, simulate, sndm_scenario, two_occasion_scenario
+from gmethods.scenarios import (
+    BlipOutcome,
+    mc_regime_draws,
+    simulate,
+    sndm_scenario,
+    two_occasion_scenario,
+)
 from gmethods.sndm import (
     BlipSpec,
     _residual_outcome,
@@ -25,7 +31,6 @@ from gmethods.sndm import (
     empirical_static_survivor,
     g_estimate,
     g_test_at,
-    mc_regime_draws,
     multiplicative_blip,
     shift_basis,
     sndm_lr_test,
@@ -362,7 +367,7 @@ class TestGEstimation:
         assert calls == []
 
 
-COV_TERMS = {0: ("1", "h"), 1: ("h", "a0", "l0")}
+COV_TERMS = {0: ("1", "u"), 1: ("u", "a0", "l0")}
 
 
 def joint_mle_reference(dataset, blip_spec, *, covariate_terms, maxiter=1000):
@@ -396,7 +401,7 @@ def joint_mle_reference(dataset, blip_spec, *, covariate_terms, maxiter=1000):
         if blip_spec.family == "multiplicative":
             ll += float(np.sum(total_shift))  # log dH/dY
         for m in modeled:
-            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"h": h}))
+            X = eval_terms(terms_by_m[m], history_cols(L, A, m, m, m, extra={"u": h}))
             eta = X @ phis[m]
             ll += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
         return -ll
@@ -434,7 +439,7 @@ class TestSndmMle:
         z = (h - fit.h_mean) / fit.h_sd
         ll = -0.5 * float(z @ z) - n * (math.log(fit.h_sd)
                                         + 0.5 * math.log(2.0 * math.pi))
-        cols = {0: {"h": h}, 1: {"h": h, "a0": ds.A[:, 0], "l0": ds.L[:, 0]}}
+        cols = {0: {"u": h}, 1: {"u": h, "a0": ds.A[:, 0], "l0": ds.L[:, 0]}}
         for m in (0, 1):
             X = eval_terms(COV_TERMS[m], cols[m])
             eta = X @ fit.phi[m]
@@ -446,7 +451,7 @@ class TestSndmMle:
         spec = additive_blip("1")
         fit = sndm_mle(ds, spec, covariate_terms=COV_TERMS, psi_fixed=(1.0,))
         h = ds.Y + shift_basis(spec, ds.L, ds.A) @ np.array([1.0])
-        X0 = eval_terms(COV_TERMS[0], {"h": h})
+        X0 = eval_terms(COV_TERMS[0], {"u": h})
         sep = fit_logistic(X0, ds.L[:, 0])
         np.testing.assert_allclose(fit.phi[0], sep.coef, atol=1e-12)
 
@@ -474,7 +479,7 @@ class TestSndmMle:
         assert np.all(Y > 0)
         schema = Schema((binary(), binary()), (binary(), binary()))
         ds = Dataset(schema, L, A, Y)
-        fit = sndm_mle(ds, spec, covariate_terms=("1", "h"), psi_fixed=(0.3,))
+        fit = sndm_mle(ds, spec, covariate_terms=("1", "u"), psi_fixed=(0.3,))
         shift = shift_basis(spec, L, A) @ np.array([0.3])
         h = Y * np.exp(shift)
         normal = float(np.sum(stats.norm.logpdf(h, np.mean(h), np.std(h))))
@@ -498,7 +503,7 @@ class TestSndmMle:
         A = rng.integers(0, 2, size=(50, 2)).astype(float)
         ds = Dataset(schema, L, A, rng.normal(size=50))
         with pytest.raises(EstimationError, match="binary"):
-            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "h"),
+            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "u"),
                      psi_fixed=(0.0,))
 
     @pytest.mark.parametrize("family,cofactors,psi,n,seed", [
@@ -525,7 +530,7 @@ class TestSndmMle:
         ds = Dataset(schema, L, A, rng.normal(size=n) + A.sum(axis=1))
         with pytest.raises(SeparationError):
             sndm_mle(ds, additive_blip("1"),
-                     covariate_terms={0: ("1", "h"), 1: ("1", "a0")})
+                     covariate_terms={0: ("1", "u"), 1: ("1", "a0")})
 
     def test_constant_residual_outcome_raises(self):
         schema = Schema((binary(), binary()), (binary(), binary()))
@@ -534,10 +539,10 @@ class TestSndmMle:
         A = rng.integers(0, 2, size=(60, 2)).astype(float)
         ds = Dataset(schema, L, A, 2.0 - 0.5 * A.sum(axis=1))
         with pytest.raises(EstimationError, match="constant"):
-            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "h"),
+            sndm_mle(ds, additive_blip("1"), covariate_terms=("1", "u"),
                      psi_fixed=(0.5,))
 
-    @pytest.mark.parametrize("term", ["l", "lx", "l_prev"])
+    @pytest.mark.parametrize("term", ["l", "lx", "l_prev", "h"])
     def test_malformed_covariate_terms_are_config_errors(self, term):
         ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)
         with pytest.raises(ConfigError, match="unknown feature term"):
@@ -555,17 +560,6 @@ class TestSndmMle:
 
 
 class TestRegimeDraws:
-    def test_plugin_and_mc_with_given_samples_coincide(self):
-        ds = simulate(sndm_scenario(psi=(0.8,)), 500, seed=9)
-        spec = additive_blip("1", psi=(0.8,))
-        h = blip_down(spec, ds).h
-        plan = (1.0, 1.0)
-        plug = empirical_static_survivor(ds, spec, plan)
-        mc = mc_regime_draws(spec, Regime.static(plan), K=1,
-                             h_samples=h, draws=None)
-        np.testing.assert_array_equal(np.sort(plug.samples),
-                                      np.sort(mc.samples))
-
     def test_plugin_is_shifted_h(self):
         # Covariate-free additive blip under plan (1,1): y = h - 2 psi.
         ds = simulate(sndm_scenario(psi=(0.8,)), 300, seed=10)
@@ -575,37 +569,41 @@ class TestRegimeDraws:
         np.testing.assert_allclose(np.sort(plug.samples),
                                    np.sort(h - 1.6), atol=1e-12)
 
+    MODELS = (BernoulliLogit(("1", "u"), (0.0, 0.5)),
+              BernoulliLogit(("1", "u", "a0", "l0"), (-0.2, 0.5, 0.3, 0.4)))
+
+    def draws(self, spec, regime, count=2_000):
+        return mc_regime_draws(spec, regime, h_law=NormalLinear(("1",), (0.0,)),
+                               covariate_models=self.MODELS, draws=count, seed=3).samples
+
     def test_draw_count_prefix_invariance(self):
         # Covariates that depend on h: the first draws must not depend on
         # how many are asked for, across a block boundary too.
         spec = additive_blip("1", "lm", psi=(0.5, 0.2))
-        models = (BernoulliLogit(("1", "h"), (0.0, 0.5)),
-                  BernoulliLogit(("1", "h", "a0", "l0"), (-0.2, 0.5, 0.3, 0.4)))
         regime = Regime.dynamic(lambda m, lbar: float(lbar[-1] >= 0.5), "treat-if-l")
+        np.testing.assert_array_equal(self.draws(spec, regime, 200)[:100],
+                                      self.draws(spec, regime, 100))
+        np.testing.assert_array_equal(self.draws(spec, regime, 20_000)[:9_000],
+                                      self.draws(spec, regime, 9_000))
 
-        def draws(count):
-            return mc_regime_draws(spec, regime, K=1, h_law=NormalLinear(("1",), (0.0,)),
-                                   covariate_models=models, draws=count, seed=3).samples
+    REGIMES = (Regime.static((0.0, 0.0)), Regime.static((1.0, 1.0)),
+               Regime.dynamic(lambda m, lbar: float(lbar[-1] >= 0.5), "treat-if-l"))
 
-        np.testing.assert_array_equal(draws(200)[:100], draws(100))
-        np.testing.assert_array_equal(draws(20_000)[:9_000], draws(9_000))
+    def test_g_null_gives_the_same_draws_under_every_regime(self):
+        # psi = 0: the blip is the identity, and the streams do not depend
+        # on the regime, so never-treat, always-treat and a threshold plan
+        # share their draws exactly.
+        spec = additive_blip("1", "lm", psi=(0.0, 0.0))
+        never, always, threshold = (self.draws(spec, r) for r in self.REGIMES)
+        np.testing.assert_array_equal(never, always)
+        np.testing.assert_array_equal(never, threshold)
 
-    def test_draws_none_needs_samples(self):
-        spec = additive_blip("1", psi=(0.5,))
-        with pytest.raises(ConfigError, match="h_samples"):
-            mc_regime_draws(spec, Regime.static((1.0, 1.0)), K=1, draws=None)
-
-    def test_covariate_blip_needs_models(self):
+    def test_nonzero_psi_separates_the_regimes(self):
         spec = additive_blip("1", "lm", psi=(0.5, 0.2))
-        with pytest.raises(ConfigError, match="covariate models"):
-            mc_regime_draws(spec, Regime.static((1.0, 1.0)), K=1,
-                            h_samples=np.zeros(10), draws=None)
-
-    def test_dynamic_regime_needs_models(self):
-        spec = additive_blip("1", psi=(0.5,))
-        with pytest.raises(ConfigError, match="dynamic"):
-            mc_regime_draws(spec, Regime.dynamic(lambda m, lbar: 1.0), K=1,
-                            h_samples=np.zeros(10), draws=None)
+        never, always, threshold = (self.draws(spec, r) for r in self.REGIMES)
+        assert not np.array_equal(never, always)
+        assert not np.array_equal(never, threshold)
+        assert not np.array_equal(always, threshold)
 
     def test_plugin_rejects_covariate_blips(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 100, seed=2)

@@ -15,7 +15,6 @@ from gmethods.data import (
     History,
     Regime,
     Schema,
-    apply_regime,
     binary,
     continuous,
     group_rows,
@@ -288,13 +287,14 @@ def masked_moment_check(table, split, spec):
 # ---------------------------------------------------------------------------
 
 
+def _assign(regime: Regime, l_bar) -> float:
+    """Treatment the regime assigns after the covariate history l_bar."""
+    return float(regime_values(regime, np.array([l_bar], dtype=float), len(l_bar) - 1)[0])
+
+
 def _regime_prefix(table: JointTable, regime: Regime, l_prefix: tuple[float, ...]) -> list[float]:
     """Treatments the regime assigns along an observed covariate prefix."""
-    out: list[float] = []
-    for j in range(len(l_prefix)):
-        hist = History(j, tuple(l_prefix[: j + 1]), tuple(out))
-        out.append(apply_regime(regime, hist))
-    return out
+    return [_assign(regime, l_prefix[: j + 1]) for j in range(len(l_prefix))]
 
 
 def _terminal_survivor(table: JointTable, assign: dict[int, float]):
@@ -346,8 +346,7 @@ def _accumulate_paths(
         f = num / denom
         if f <= 0.0:
             continue
-        hist = History(m, tuple(l_prefix + [float(lv)]), tuple(a_prefix))
-        am = apply_regime(regime, hist)
+        am = _assign(regime, l_prefix + [float(lv)])
         _accumulate_paths(
             table, regime, m + 1,
             l_prefix + [float(lv)], a_prefix + [am],
@@ -373,7 +372,7 @@ def walker_law(table, regime, hist=None) -> dict[float, float]:
         if table.prob(cond) < _POSITIVITY_EPS:
             raise PositivityError("conditioning event of probability zero")
         _accumulate_paths(table, regime, m + 1, list(hist.l_bar),
-                          a_prefix + [apply_regime(regime, hist)], 1.0, out)
+                          a_prefix + [_assign(regime, hist.l_bar)], 1.0, out)
     total = sum(out.values())
     return {k: v / total for k, v in sorted(out.items()) if v > 0.0}
 
