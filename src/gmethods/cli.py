@@ -27,7 +27,7 @@ from .direct_effect import (
     direct_effect_g_estimate,
     direct_effect_gnull_test,
 )
-from .errors import ConfigError, GmethodsError, ValidationError, _count
+from .errors import ConfigError, GmethodsError, ValidationError, _count, _typed
 from .gformula import g_formula_exact, g_formula_mc
 from .reproduce import REPRODUCERS, run as run_reproduction
 from .scenarios import design_alpha, enumerate_joint, make_scenario, simulate
@@ -52,9 +52,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a mapping of sections")
-    version = cfg.get("config_version")
+    version = _typed("config", cfg, "mapping").get("config_version")
     if version != 1:
         raise ConfigError("config_version must be present and equal to 1")
     return cfg
@@ -75,7 +73,7 @@ def _scenario_from(cfg: dict):
         raise ConfigError("missing 'scenario' section")
     if isinstance(sect, str):
         return make_scenario(sect)
-    name = sect.get("name")
+    name = _typed("scenario", sect, "mapping").get("name")
     if name is None:
         raise ConfigError("missing 'scenario.name' key")
     return make_scenario(name, _tuplify(sect.get("params", {}) or {}))
@@ -97,6 +95,11 @@ def _out_dir(args, cfg: dict) -> str:
     return out
 
 
+def _terms(key: str, value) -> tuple[str, ...]:
+    """A config list of feature terms; YAML reads an unquoted 1 as a number."""
+    return tuple(str(t) for t in _typed(key, value, "list"))
+
+
 def _jobs_of(args, cfg: dict) -> int:
     return _count("jobs", args.jobs if args.jobs is not None else cfg.get("jobs", 1))
 
@@ -108,14 +111,15 @@ def _threshold_rule(m: int, l_bar: tuple[float, ...], cutoff: float) -> float:
 def _regime_from(sect) -> Regime:
     if sect is None:
         raise ConfigError("missing 'regime' section")
-    kind = sect.get("kind")
+    kind = _typed("regime", sect, "mapping").get("kind")
     if kind == "static":
         plan = sect.get("plan")
         if plan is None:
             raise ConfigError("static regime needs a 'plan' list")
-        return Regime.static(tuple(float(v) for v in plan))
+        return Regime.static(tuple(_typed("regime plan", v, "number")
+                                   for v in _typed("regime plan", plan, "list")))
     if kind == "threshold":
-        cutoff = float(sect.get("cutoff", 0.5))
+        cutoff = _typed("regime cutoff", sect.get("cutoff", 0.5), "number")
         rule = functools.partial(_threshold_rule, cutoff=cutoff)
         return Regime.dynamic(rule, name=f"treat-if-covariate>={cutoff:g}")
     raise ConfigError("regime.kind must be 'static' or 'threshold'")
@@ -124,11 +128,11 @@ def _regime_from(sect) -> Regime:
 def _blip_from(sect) -> BlipSpec:
     if sect is None:
         raise ConfigError("missing 'blip' section")
-    family = sect.get("family", "additive")
-    cofactors = sect.get("cofactors")
+    family = _typed("blip", sect, "mapping").get("family", "additive")
+    cofactors = _terms("blip cofactors", sect.get("cofactors", ()))
     if not cofactors:
         raise ConfigError("blip needs a non-empty 'cofactors' list")
-    return BlipSpec(family, tuple(str(c) for c in cofactors))
+    return BlipSpec(family, cofactors)
 
 
 def _alpha_from(cfg: dict, scenario, terms, occasions=None):
@@ -197,8 +201,7 @@ def cmd_study(args) -> int:
     analyses = []
     for item in analyses_cfg:
         if isinstance(item, str):
-            analyses.append((item, {}))
-            continue
+            item = {"name": item}
         if not isinstance(item, dict):
             raise ConfigError(f"analysis entry {item!r} must be a name or a mapping")
         name = item.get("name")
@@ -266,7 +269,7 @@ def cmd_g_estimate(args) -> int:
     seed = _seed_of(args, cfg)
     ds = simulate(scenario, n, seed)
     blip = _blip_from(cfg.get("blip"))
-    terms = tuple(cfg.get("treatment_terms", ("1", "lm", "a_prev")))
+    terms = _terms("treatment_terms", cfg.get("treatment_terms", ("1", "lm", "a_prev")))
     box = _require(cfg, "psi_box")
     alpha = _alpha_from(cfg, scenario, terms)
     est = g_estimate(
@@ -312,13 +315,14 @@ def cmd_direct_effect(args) -> int:
             print(f"note: {rep.note}")
         return 0
     if mode == "estimate":
-        split_cfg = _require(cfg, "split")
-        p, z = (tuple(_count(f"split {key}", v, 0) for v in split_cfg.get(key, ()))
+        split_cfg = _typed("split", _require(cfg, "split"), "mapping")
+        p, z = (tuple(_count(f"split {key}", v, 0)
+                      for v in _typed(f"split {key}", split_cfg.get(key, ()), "list"))
                 for key in ("p", "z"))
         split = SplitSchema(p, z)
         spec = DeSndmSpec(_blip_from(cfg.get("blip")),
-                          mean_terms=tuple(cfg.get("mean_terms", ("1",))))
-        z_terms = tuple(cfg.get("z_terms", ("1", "lm", "a_prev")))
+                          mean_terms=_terms("mean_terms", cfg.get("mean_terms", ("1",))))
+        z_terms = _terms("z_terms", cfg.get("z_terms", ("1", "lm", "a_prev")))
         if cfg.get("known_design", False):
             z_laws = {k: scenario.a_laws[k] for k in split.z_occasions}
             p_alpha = design_alpha(scenario, z_terms, occasions=split.p_occasions)

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one reader of config counts."""
+"""Exception types shared across the package, and the readers of config values."""
 
 from __future__ import annotations
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class GmethodsError(Exception):
@@ -45,3 +46,16 @@ def _count(key: str, value, minimum: int = 1) -> int:
     if value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, not {value!r}")
     return int(value)
+
+
+def _typed(key: str, value, kind: str):
+    """``value`` as a config ``kind``: a "number" (a finite float; a bool is
+    not one), a "list" (a tuple; a string is not one) or a "mapping".
+    Anything else is a ``ConfigError``."""
+    if kind == "number":
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    else:
+        ok = isinstance(value, {"list": (list, tuple), "mapping": dict}[kind])
+    if not ok:
+        raise ConfigError(f"{key} must be a {kind}, not {value!r}")
+    return float(value) if kind == "number" else tuple(value) if kind == "list" else value

@@ -7,13 +7,13 @@ the same conditional laws of a JointTable (finite joint law of the
 observable record), built once per table as ``JointTable.laws``, which
 ``ConditionalLaws.from_table`` returns.  Building them links each
 covariate law to the next one through a child map (see ``_TableLaw``).
-All three forms carry a history as its integer position in the current
-law's keys and advance it through one step, ``_TableLaw.extend``, a lookup
-in that map: the exact and conditional forms extend every live history by
-each covariate value of positive probability, the Monte Carlo form each
-draw by the value it draws.  Matching a history against a law's keys by
-sorting (``_TableLaw.index``) is left to the one start row of a forward
-pass and to callers outside the chain.
+All three forms start at the root law's one history and carry a history
+as its integer position in the current law's keys, advanced through one
+step, ``_TableLaw.extend``, a lookup in that map: the conditional form
+extends by each observed covariate value of its history, then it and the
+exact form extend every live history by each covariate value of positive
+probability, and the Monte Carlo form extends each draw by the value it
+draws.  No history is ever matched against a law's keys by sorting.
 """
 
 from __future__ import annotations
@@ -152,8 +152,7 @@ class RegimeDistribution:
         return out if np.ndim(y) else float(out[0])
 
     def cdf(self, y) -> np.ndarray | float:
-        s = self.survivor(y)
-        return 1.0 - s
+        return 1.0 - self.survivor(y)
 
     def mean(self) -> float:
         if self.kind == "exact":
@@ -193,9 +192,8 @@ class _TableLaw:
     where the table has no such history or its mass is below
     ``_POSITIVITY_EPS``.  It is filled by one scatter over the table's rows,
     with values and treatments compared after rounding to 9 decimals, as
-    ``group_rows`` compares them; so ``extend`` finds what ``index`` would
-    find for the extended rows.  ``index`` is left to rows that no link
-    reaches: the start of a forward pass, and laws outside the chain.
+    ``group_rows`` compares them.  A forward pass starts at the root law's
+    one key, 0, so every history it holds was reached through a link.
     """
 
     def __init__(self, table: JointTable, column: int, parents: list[int]):
@@ -219,31 +217,18 @@ class _TableLaw:
         """Store ``treatments`` and ``child`` for extending into ``nxt``, whose
         parents are this law's parents, its column and the table column
         ``treatment``.  The last treatment slot, all -1, takes a treatment
-        the table does not hold."""
+        the table does not hold.  ``position`` maps each value, rounded to
+        9 decimals, to its place in ``values``."""
         self.treatments, row_t = np.unique(np.round(treatment, 9), return_inverse=True)
-        _, same = np.unique(np.round(self.values, 9), return_inverse=True)
+        rounded = np.round(self.values, 9)
+        _, same = np.unique(rounded, return_inverse=True)
         child = np.full((len(self.keys), same.max() + 1, len(self.treatments) + 1), -1,
                         dtype=np.min_scalar_type(-len(nxt.keys)))
         child[self.row_key, same[self.row_value], row_t] = nxt.row_key
         supported = np.append(nxt.mass >= _POSITIVITY_EPS, False)  # -1 reads the False
         child[~supported[child]] = -1
         self.child = child[:, same]
-
-    def index(self, rows: np.ndarray) -> np.ndarray:
-        """Positions in ``keys`` of the parent rows ``rows``.
-
-        A parent row missing from the table, or with mass below
-        ``_POSITIVITY_EPS``, raises ``PositivityError`` naming its columns.
-        """
-        G = len(self.keys)
-        both, group = group_rows(np.vstack([self.keys, rows]))
-        key_of = np.full(len(both), -1)
-        key_of[group[:G]] = np.arange(G)
-        idx = key_of[group[G:]]
-        bad = (idx < 0) | (self.mass[idx] < _POSITIVITY_EPS)
-        if np.any(bad):
-            _unsupported(self, rows[np.argmax(bad)])
-        return idx
+        self.position = dict(zip(rounded.tolist(), range(len(self.values))))
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -316,23 +301,30 @@ class ConditionalLaws:
         return ConditionalLaws(K, tuple(chain[:-1]), chain[-1])
 
 
-def _roll_forward(table: JointTable, regime: Regime, path: np.ndarray) -> RegimeDistribution:
-    """Outcome law under the regime, starting from the single history held as
-    the one row (l0, a0, ..., l_{s-1}, a_{s-1}) of ``path``.
+def _roll_forward(table: JointTable, regime: Regime, l_bar: tuple = ()) -> RegimeDistribution:
+    """Outcome law under the regime, walked forward from the root law's one
+    history, key 0.
 
-    Each remaining occasion extends every live history by each covariate
-    value of positive conditional probability, and the regime assigns its
-    treatment; the outcome law is then mixed with the histories' weights.
+    Each occasion extends every live history through ``_TableLaw.extend``,
+    with the treatment the regime assigns: while ``l_bar`` lasts by its
+    observed covariate value (a value the table does not hold raises
+    ``PositivityError``), then by each covariate value of positive
+    probability, weighted by it.  The outcome law is mixed with the weights.
     """
     laws = table.laws
     chain = laws.l_laws + (laws.y_law,)
-    start = path.shape[1] // 2
-    key = chain[start].index(path)
-    w = np.ones(1)
-    for m in range(start, laws.K + 1):
-        i, j = np.nonzero(chain[m].probs[key] > 0.0)
-        w = w[i] * chain[m].probs[key[i], j]
-        key = chain[m].extend(chain[m + 1], regime, m, key[i], j)
+    key, w = np.zeros(1, dtype=np.intp), np.ones(1)
+    for m in range(laws.K + 1):
+        law = chain[m]
+        if m < len(l_bar):
+            j = law.position.get(float(np.round(l_bar[m], 9)))
+            if j is None:
+                raise PositivityError(f"{law.name} = {l_bar[m]!r} is not a value of the table")
+            j = np.array([j])
+        else:
+            i, j = np.nonzero(law.probs[key] > 0.0)
+            w, key = w[i] * law.probs[key[i], j], key[i]
+        key = law.extend(chain[m + 1], regime, m, key, j)
     atoms, at = laws.y_law.atoms
     probs = np.bincount(at, weights=w @ laws.y_law.probs[key])
     total = float(probs.sum())
@@ -344,7 +336,7 @@ def _roll_forward(table: JointTable, regime: Regime, path: np.ndarray) -> Regime
 
 def g_formula_exact(table: JointTable, regime: Regime) -> RegimeDistribution:
     """Exact standardized outcome law under the regime."""
-    return _roll_forward(table, regime, np.zeros((1, 0)))
+    return _roll_forward(table, regime)
 
 
 def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> RegimeDistribution:
@@ -358,13 +350,13 @@ def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> R
     if m > table.schema.K:
         raise ConfigError(f"history at occasion {m} is past the table's last occasion")
     L = np.array([hist.l_bar], dtype=float)
-    A = np.column_stack([regime_values(regime, L[:, : j + 1], j) for j in range(m + 1)])
-    if np.any(np.abs(A[0, :m] - np.asarray(hist.a_bar_prev, dtype=float)) > _MATCH_TOL):
+    A = tuple(float(regime_values(regime, L[:, : j + 1], j)[0]) for j in range(m))
+    if np.any(np.abs(np.subtract(A, hist.a_bar_prev)) > _MATCH_TOL):
         raise ConfigError(
             f"history treatments {hist.a_bar_prev} differ from the "
-            f"{tuple(float(a) for a in A[0, :m])} that {regime.name} assigns along {hist.l_bar}"
+            f"{A} that {regime.name} assigns along {hist.l_bar}"
         )
-    return _roll_forward(table, regime, np.dstack([L, A]).reshape(1, -1))
+    return _roll_forward(table, regime, hist.l_bar)
 
 
 def g_formula_mc(

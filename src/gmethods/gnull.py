@@ -18,9 +18,8 @@ Four testing routes live here:
   (``sndm``) for an intercept-only additive blip at psi = 0; a custom added
   column is ``sndm.g_test_at(..., additive_blip("1"), 0.0, qstar=...)``.
 
-Also here: exact conditional-independence predicates on discrete joint
-tables, used to cross-check the two equivalent statements of the null, and
-a random-table generator for those checks.
+Also here: exact predicates on discrete joint tables for the two statements
+of the null (see ``gnull_table_check``), and a random-table generator.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Schema, constant, discrete, group_rows
+from .data import Dataset, Regime, Schema, constant, discrete, group_rows
 from .errors import ConfigError, EstimationError
 from .features import history_cols
-from .gformula import JointTable, _TableLaw
+from .gformula import ConditionalLaws, JointTable, _TableLaw, g_formula_exact
 from .glm import ESTIMATED_DESIGN_NOTE  # noqa: F401  (the fitted-design note, re-exported)
 from .glm import TestReport, _report, fit_linear, wald_test
 from .sndm import _g_engine, additive_blip
@@ -83,15 +82,10 @@ def parametric_null_check(
     g = np.asarray(gamma, dtype=float)
     if th.shape != (4,) or g.shape != (2,):
         raise ConfigError("theta must have 4 coefficients and gamma 2")
-    branch_i = max(abs(th[1]), abs(th[2]), abs(th[3])) <= tol
-    branch_ii = max(abs(th[1]), abs(th[3]), abs(g[1])) <= tol
-    if branch_i and branch_ii:
-        return True, "i+ii"
-    if branch_i:
-        return True, "i"
-    if branch_ii:
-        return True, "ii"
-    return False, "none"
+    held = (("i", max(abs(th[1]), abs(th[2]), abs(th[3])) <= tol),
+            ("ii", max(abs(th[1]), abs(th[3]), abs(g[1])) <= tol))
+    branch = "+".join(name for name, ok in held if ok)
+    return bool(branch), branch or "none"
 
 
 # ---------------------------------------------------------------------------
@@ -191,26 +185,23 @@ def pooled_g_test(dataset: Dataset, spec: GTestSpec, level: float = 0.05) -> Tes
 # ---------------------------------------------------------------------------
 
 
-def _y_given(table: JointTable, parents: list[int]) -> _TableLaw:
+def _two_occasion_laws(table: JointTable) -> ConditionalLaws:
     if table.schema.K != 1:
         raise ConfigError("table predicates are defined for two-occasion tables")
-    return _TableLaw(table, 4, parents)
+    return table.laws
 
 
 def _rows_agree(dists: np.ndarray, by: np.ndarray, tol: float) -> bool:
     """True when, within each group of equal ``by`` rows, every row of
     ``dists`` is within ``tol`` of the group's first row."""
-    keys, inverse = group_rows(by)
-    for g in range(len(keys)):
-        d = dists[inverse == g]
-        if np.max(np.abs(d - d[0])) > tol:
-            return False
-    return True
+    _, group = group_rows(by)
+    _, first = np.unique(group, return_index=True)
+    return bool(np.all(np.abs(dists - dists[first[group]]) <= tol))
 
 
 def predicate_y_indep_a1_given_past(table: JointTable, tol: float = 1e-10) -> bool:
     """Y independent of A1 given (L0, A0, L1), by direct summation."""
-    law = _y_given(table, [0, 1, 2, 3])
+    law = _two_occasion_laws(table).y_law
     live = law.mass > 0.0
     return _rows_agree(law.probs[live], law.keys[live, :3], tol)
 
@@ -218,47 +209,39 @@ def predicate_y_indep_a1_given_past(table: JointTable, tol: float = 1e-10) -> bo
 def predicate_standardized_free_of_a0(table: JointTable, tol: float = 1e-10) -> bool:
     """The standardized outcome law with both treatments set does not depend on a0.
 
-    For each a1 and each a0: sum over (l0, l1) of P(l0, l1 | a0) times
-    P(y | l0, a0, l1, a1), computed literally from the table.  A1 is set to
-    a1, not averaged over its observed law; averaging would give P(y | a0)
-    and make this ``predicate_y_indep_a0``.  The weight conditions l0 on a0
-    too, so this is the g-formula when A0 does not depend on L0 (as in
-    ``random_sequential_table``, whose L0 is constant).  A covariate history
-    with mass but with (almost) none at some a1 value raises
-    ``PositivityError``.
+    For each a1 and each a0 with mass, the law is the g-formula under the
+    static plan (a0, a1), ``g_formula_exact``, compared by its CDF on the
+    outcome law's atoms.  A1 is set to a1, not averaged over its observed
+    law; averaging would give P(y | a0) and make this ``predicate_y_indep_a0``.
+    A covariate history with mass but with (almost) none at some (a0, a1)
+    raises ``PositivityError``.
     """
-    law = _y_given(table, [0, 1, 2, 3])
-    covs, of_cov = group_rows(table.cells[:, :3])
-    cov_mass = np.bincount(of_cov, weights=table.probs)
-    covs, cov_mass = covs[cov_mass > 0.0], cov_mass[cov_mass > 0.0]
-    a0s, of_a0 = group_rows(covs[:, 1:2])
-    weights = cov_mass / np.bincount(of_a0, weights=cov_mass)[of_a0]
-    a1s = np.unique(np.round(table.cells[table.probs > 0.0, 3], 9))
-    curves = np.zeros((len(a1s), len(a0s), len(law.values)))
-    for j, a1 in enumerate(a1s):
-        probs = law.probs[law.index(np.column_stack([covs, np.full(len(covs), a1)]))]
-        np.add.at(curves[j], of_a0, weights[:, None] * probs)
-    return _rows_agree(curves.reshape(-1, len(law.values)),
-                       np.repeat(a1s, len(a0s))[:, None], tol)
+    y_atoms = _two_occasion_laws(table).y_law.atoms[0]
+    a0s, a1s = (np.unique(np.round(table.cells[table.probs > 0.0, c], 9)) for c in (1, 3))
+    curves = [g_formula_exact(table, Regime.static((a0, a1))).cdf(y_atoms)
+              for a1 in a1s for a0 in a0s]
+    return _rows_agree(np.array(curves), np.repeat(a1s, len(a0s))[:, None], tol)
 
 
 def predicate_y_indep_a0(table: JointTable, tol: float = 1e-10) -> bool:
     """Y independent of A0 marginally, by direct summation."""
-    law = _y_given(table, [1])
+    _two_occasion_laws(table)
+    law = _TableLaw(table, 4, [1])
     live = law.mass > 0.0
     return _rows_agree(law.probs[live], np.zeros((int(live.sum()), 0)), tol)
 
 
 def gnull_table_check(table: JointTable, tol: float = 1e-10) -> dict[str, bool]:
-    """Evaluate both equivalent two-predicate statements of the null.
+    """Evaluate both two-predicate statements of the null.
 
-    The null of "no treatment effect of any kind" can be written as
-    (conditional ⊥ of Y and A1 given the past) AND (standardized law, with
-    a0 and a1 both set, free of a0), or equivalently with the second
-    conjunct replaced by marginal independence of Y and A0.  The second
-    conjuncts differ on their own: Y reacting to A1 alone passes the first
-    and fails the second.  Returns all three predicates plus the two
-    conjunctions.
+    The g-null, "no treatment effect of any kind", is (conditional ⊥ of Y
+    and A1 given the past) AND (standardized law, with a0 and a1 both set,
+    free of a0).  When L0 is constant, as in ``random_sequential_table``,
+    replacing the second conjunct by marginal independence of Y and A0
+    gives the same null; under baseline confounding it does not, and the
+    standardized form is the g-null.  The second conjuncts differ on their
+    own: Y reacting to A1 alone passes the first and fails the second.
+    Returns all three predicates plus the two conjunctions.
     """
     p2 = predicate_y_indep_a1_given_past(table, tol)
     p3 = predicate_standardized_free_of_a0(table, tol)
@@ -299,16 +282,12 @@ def random_sequential_table(
     p_a1 = {(a0, l1): rng.dirichlet(np.ones(a_levels))
             for a0 in a_vals for l1 in l_vals}
 
-    def y_key(a0: float, l1: float, a1: float) -> tuple:
-        ctx = {"a0": a0, "l1": l1, "a1": a1}
-        return tuple(ctx[p] for p in y_parents)
-
     p_y: dict[tuple, np.ndarray] = {}
     cells, probs = [], []
     for i0, a0 in enumerate(a_vals):
         for i1, l1 in enumerate(l_vals):
             for i2, a1 in enumerate(a_vals):
-                key = y_key(a0, l1, a1)
+                key = tuple(dict(a0=a0, l1=l1, a1=a1)[p] for p in y_parents)
                 if key not in p_y:
                     p_y[key] = rng.dirichlet(np.ones(y_levels))
                 for iy, y in enumerate(y_vals):

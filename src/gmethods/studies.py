@@ -16,7 +16,7 @@ import numpy as np
 
 from . import streams
 from .data import Dataset
-from .errors import ConfigError, GmethodsError
+from .errors import ConfigError, GmethodsError, _count
 from .gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from .scenarios import ScenarioConfig, design_alpha, simulate
 from .sndm import BlipSpec, g_estimate
@@ -48,10 +48,8 @@ class StudyConfig:
     analyses: tuple[tuple[str, dict], ...]
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        _count("replicates", self.replicates)
+        _count("n", self.n)
         for name, params in self.analyses:
             if name not in ANALYSES:
                 raise ConfigError(
@@ -59,6 +57,10 @@ class StudyConfig:
                 )
             if not isinstance(params, dict):
                 raise ConfigError(f"params of analysis {name!r} must be a mapping")
+            unread = sorted(set(params) - set(PARAMS[name]))
+            if unread:
+                raise ConfigError(f"analysis {name!r} has no parameter {unread[0]!r}; "
+                                  f"it reads {list(PARAMS[name])}")
 
 
 def replicate_seed(root_seed: int, index: int) -> int:
@@ -137,6 +139,14 @@ ANALYSES = {
     "naive-de": _an_naive_de,
     "g-estimate": _an_g_estimate,
 }
+
+
+# The params keys each analysis reads; StudyConfig refuses any other key.
+_LEVEL = ("level",)
+_DESIGN = ("treatment_terms", "alpha_known", "design_alpha", "level")
+PARAMS = {"naive": _LEVEL, "gnull-score": _LEVEL, "naive-de": _LEVEL,
+          "de-gnull": ("known_design", "level"), "pooled-g": _DESIGN,
+          "g-estimate": ("family", "cofactors", "psi_box", "grid_points") + _DESIGN}
 
 
 def run_replicate(config: StudyConfig, index: int) -> list[StudyRow]:

@@ -144,6 +144,49 @@ class TestConfigCounts:
         self.refused(tmp_path, capsys, "direct-effect", f"split {key}", split=split)
 
 
+class TestConfigTypes:
+    """Config numbers, lists and sections of the wrong type are refused with
+    exit 2 and a message naming the key, never a traceback."""
+
+    GFORMULA = dict(scenario="discrete-trial")
+    GESTIMATE = TestConfigCounts.BASE["g-estimate"]
+    DIRECT = TestConfigCounts.BASE["direct-effect"]
+
+    @pytest.mark.parametrize("command, base, changes, message", [
+        ("g-formula", GFORMULA, {"regime": {"kind": "threshold", "cutoff": "high"}},
+         "regime cutoff must be a number"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "threshold", "cutoff": float("nan")}},
+         "regime cutoff must be a number"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": [1, "x"]}},
+         "regime plan must be a number"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": 1}},
+         "regime plan must be a list"),
+        ("g-formula", GFORMULA, {"regime": ["static"]}, "regime must be a mapping"),
+        ("direct-effect", DIRECT, {"split": {"p": 0, "z": [1]}}, "split p must be a list"),
+        ("direct-effect", DIRECT, {"split": [0, 1]}, "split must be a mapping"),
+        ("direct-effect", DIRECT, {"mean_terms": 3}, "mean_terms must be a list"),
+        ("direct-effect", DIRECT, {"z_terms": "lm"}, "z_terms must be a list"),
+        ("g-estimate", GESTIMATE, {"treatment_terms": 5}, "treatment_terms must be a list"),
+        ("g-estimate", GESTIMATE, {"blip": {"cofactors": 1}},
+         "blip cofactors must be a list"),
+        ("g-estimate", GESTIMATE, {"blip": "additive"}, "blip must be a mapping"),
+    ], ids=["cutoff-word", "cutoff-nan", "plan-word", "plan-number", "regime-list", "split-number",
+            "split-list", "mean-terms", "z-terms", "treatment-terms", "cofactors",
+            "blip-word"])
+    def test_refused(self, tmp_path, capsys, command, base, changes, message):
+        out = tmp_path / "out"
+        path = cfg_file(tmp_path, **{**base, **changes})
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert stderr_of(capsys).startswith(f"config error: {message}, not ")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unquoted_terms_are_read_as_names(self, tmp_path, capsys):
+        # YAML reads the term 1 as a number; it names the intercept.
+        path = cfg_file(tmp_path, **{**self.GESTIMATE, "treatment_terms": [1, "lm"],
+                                     "grid_points": 5})
+        assert main(["g-estimate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 class TestSimulate:
     """Replicate files plus a manifest, reproducible from config + seed."""
 

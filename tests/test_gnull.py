@@ -30,6 +30,7 @@ from gmethods.scenarios import (
     binary_two_occasion_scenario,
     dag1b_scenario,
     discrete_trial_scenario,
+    enumerate_joint,
     simulate,
     two_occasion_scenario,
 )
@@ -285,6 +286,17 @@ class TestTablePredicates:
         thinned = JointTable(t.schema, t.cells, probs / probs.sum())
         with pytest.raises(PositivityError, match="a1"):
             predicate_standardized_free_of_a0(thinned)
+
+    def test_standardized_law_is_the_g_formula_under_baseline_confounding(self):
+        # The hidden cause moves L0, L0 moves A0, and neither treatment moves
+        # Y: a g-null.  The g-formula weighs l0 by P(l0), so its law is free
+        # of a0; weighing by P(l0 | a0) is not, and neither is Y's law given A0.
+        t = enumerate_joint(discrete_trial_scenario(a0_effect=0.0, a1_effect=0.0))
+        assert predicate_standardized_free_of_a0(t)
+        assert not predicate_y_indep_a0(t)
+        assert gnull_table_check(t)["joint_with_standardized"]
+        assert not predicate_standardized_free_of_a0(
+            enumerate_joint(discrete_trial_scenario(a0_effect=0.5, a1_effect=0.0)))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6),

@@ -52,6 +52,15 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig(dag1b_scenario(), 0, 2, 1, (("naive", {}),))
 
+    @pytest.mark.parametrize("name", ["naive", "g-estimate"])
+    def test_unread_parameter_rejected(self, name):
+        # A misspelled "level" once ran silently at the default level 0.05.
+        with pytest.raises(ConfigError, match=f"analysis '{name}' has no parameter 'levl'"):
+            StudyConfig(dag1b_scenario(), 100, 2, 1, ((name, {"levl": 0.5}),))
+
+    def test_every_analysis_declares_its_parameters(self):
+        assert set(studies.PARAMS) == set(ANALYSES)
+
     def test_registered_analyses(self):
         assert set(ANALYSES) == {"naive", "gnull-score", "pooled-g",
                                  "de-gnull", "naive-de", "g-estimate"}

@@ -34,6 +34,7 @@ from gmethods.gformula import (
     ConditionalLaws,
     JointTable,
     _TableLaw,
+    _unsupported,
     g_formula_conditional,
     g_formula_exact,
     g_formula_mc,
@@ -216,13 +217,30 @@ def per_key_draw(law, rng, key) -> np.ndarray:
     return out
 
 
+def sorted_index(law, rows) -> np.ndarray:
+    """Positions in ``law.keys`` of the parent rows ``rows``, by stacking them
+    under the keys and grouping at 9 decimals, as ``_TableLaw.index`` did.
+    A row missing from the table, or with mass below ``_POSITIVITY_EPS``,
+    raises PositivityError naming its columns."""
+    G = len(law.keys)
+    both, group = group_rows(np.vstack([law.keys, rows]))
+    key_of = np.full(len(both), -1)
+    key_of[group[:G]] = np.arange(G)
+    idx = key_of[group[G:]]
+    bad = (idx < 0) | (law.mass[idx] < _POSITIVITY_EPS)
+    if np.any(bad):
+        _unsupported(law, rows[np.argmax(bad)])
+    return idx
+
+
 def unique_extend(law, nxt, regime, m, key, j) -> np.ndarray:
-    """_TableLaw.extend as it was: the distinct (key, j) pairs by np.unique."""
+    """_TableLaw.extend as it was: the distinct (key, j) pairs by np.unique,
+    matched against the next law's keys by sorting."""
     pairs, at = np.unique(key * len(law.values) + j, return_inverse=True)
     k, v = np.divmod(pairs, len(law.values))
     path = np.column_stack([law.keys[k], law.values[v]])
     path = np.column_stack([path, regime_values(regime, path[:, 0::2], m)])
-    return nxt.index(path)[at]
+    return sorted_index(nxt, path)[at]
 
 
 def extend_outcome(extend, *args):
