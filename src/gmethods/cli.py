@@ -27,7 +27,7 @@ from .direct_effect import (
     direct_effect_g_estimate,
     direct_effect_gnull_test,
 )
-from .errors import ConfigError, GmethodsError, ValidationError, _count, _typed
+from .errors import ConfigError, GmethodsError, ValidationError, _count, _terms, _typed
 from .gformula import g_formula_exact, g_formula_mc
 from .reproduce import REPRODUCERS, run as run_reproduction
 from .scenarios import design_alpha, enumerate_joint, make_scenario, simulate
@@ -93,11 +93,6 @@ def _out_dir(args, cfg: dict) -> str:
     out = args.out or cfg.get("out") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _terms(key: str, value) -> tuple[str, ...]:
-    """A config list of feature terms; YAML reads an unquoted 1 as a number."""
-    return tuple(str(t) for t in _typed(key, value, "list"))
 
 
 def _jobs_of(args, cfg: dict) -> int:
@@ -325,7 +320,7 @@ def cmd_direct_effect(args) -> int:
         z_terms = _terms("z_terms", cfg.get("z_terms", ("1", "lm", "a_prev")))
         if cfg.get("known_design", False):
             z_laws = {k: scenario.a_laws[k] for k in split.z_occasions}
-            p_alpha = design_alpha(scenario, z_terms, occasions=split.p_occasions)
+            p_alpha = design_alpha(scenario, spec.mean_terms, occasions=split.p_occasions)
         else:
             z_laws, p_alpha = None, None
         est = direct_effect_g_estimate(

@@ -16,13 +16,12 @@ Main entry points:
 * ``naive_direct_effect_demo`` — the regression-flavored alternative built
   from a covariate model and a covariate-free blip family; shows how it
   rejects a true null when treatment effects are heterogeneous in a
-  hidden cause.  Its scan over the blip parameter (41 points on [-3, 3])
-  builds one score-test engine and scores the whole grid in one batched
-  pass along psi axis 0.
+  hidden cause.  Its scan (41 points on [-3, 3]) is g-estimation of the
+  one-parameter blip y + a1 psi2, the grid scored in one batched pass.
 * ``direct_effect_g_estimate`` — three-step weighted g-estimation of a
   direct-effect blip family, with within-subject-robust score tests.
 * ``direct_effect_moment_check`` — the population moment characterization
-  evaluated exactly on a joint table (or empirically on a large dataset).
+  evaluated exactly on a joint table.
 
 The naive scan and ``direct_effect_g_estimate`` both run on ``sndm``'s
 score-test engine, the one behind ``g_estimate``.  The scan uses it
@@ -61,6 +60,7 @@ from .sndm import (
     _ScoreEngine,
     _search,
     _stack_shifts,
+    additive_blip,
 )
 
 WEIGHT_FLOOR = 1e-6
@@ -258,7 +258,8 @@ class NaiveDirectEffectReport:
     level: float
 
 
-_FULL_FAMILY = BlipSpec("additive", ("1", "a0", "lm", "a0*lm"))
+# The naive scan pairs H with every cofactor of the heterogeneous blip.
+_FULL_FAMILY = ("1", "a0", "lm", "a0*lm")
 
 
 def naive_direct_effect_demo(
@@ -273,10 +274,10 @@ def naive_direct_effect_demo(
     slope).  Branch 2 asks whether ANY covariate-free blip y + a1*psi2 is
     compatible with the data, by profiling the 4-df residual-randomization
     score over 41 points of psi2 in [-3, 3] and keeping the largest p-value.
-    The scan is the full family's score engine moving along psi axis 0 with
-    the other three components at 0, so every grid point is scored in one
-    batched pass.  The late treatment's model has the terms ("1", "lm",
-    "a0"); ``a1_alpha_known`` gives its coefficients, else it is fitted.
+    The scan is g-estimation of ``additive_blip("1")`` at occasion 1 with H
+    paired with the terms of ``_FULL_FAMILY``, so every grid point is scored
+    in one batched pass.  The late treatment's model has the terms ("1",
+    "lm", "a0"); ``a1_alpha_known`` gives its coefficients, else it is fitted.
     The naive analysis declares a direct effect when both branches reject.
     """
     if dataset.schema.K != 1:
@@ -287,9 +288,9 @@ def naive_direct_effect_demo(
     covariate_test = wald_test(gfit, (1,), level=level,
                                note="covariate-vs-early-treatment dependence")
 
-    eng = _g_engine(dataset, _FULL_FAMILY, ("1", "lm", "a0"), None, a1_alpha_known,
-                    (1,), level)
-    pvals = eng.stats(grid[:, None], axes=(0,))[1]
+    eng = _g_engine(dataset, additive_blip("1"), ("1", "lm", "a0"), None, a1_alpha_known,
+                    (1,), level, q_terms=_FULL_FAMILY)
+    pvals = eng.stats(grid[:, None])[1]
     best = int(np.argmax(pvals))
     reduced_reject = bool(pvals[best] < level)
     naive_reject = bool(covariate_test.reject and reduced_reject)
@@ -350,7 +351,7 @@ def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.n
     """Residual outcome H: observed Y with every studied-arm shift removed."""
     _check_outcomes(spec.blip.family, dataset.Y)
     C = _de_cofactors(spec, split, dataset.L, dataset.A)
-    S = _stack_shifts(spec.blip, dataset.A, split.p_occasions, C)
+    S = _stack_shifts(dataset.A, split.p_occasions, C)
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
 
 
@@ -362,9 +363,10 @@ def _de_engine(dataset: Dataset, split: SplitSchema, spec: DeSndmSpec,
     occs = split.p_occasions
     note = ("known randomization design" if p_alpha_known is not None
             and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
+    C = _de_cofactors(spec, split, dataset.L, dataset.A)
     return _ScoreEngine(
-        dataset, spec.blip, pooled_rows(dataset, spec.mean_terms, occs), occs,
-        _de_cofactors(spec, split, dataset.L, dataset.A), qstar=spec.qstar,
+        dataset, spec.blip.family, pooled_rows(dataset, spec.mean_terms, occs), occs,
+        C, _stack_shifts(dataset.A, occs, C), qstar=spec.qstar,
         known_coef=p_alpha_known, note=note, level=level,
         weights=np.concatenate([weights.w_from(m + 1, dataset.n) for m in occs]),
     )
@@ -425,40 +427,23 @@ def _table_factor(table: JointTable, k: int) -> np.ndarray:
     return law.probs[law.row_key, law.row_value]
 
 
-def direct_effect_moment_check(
-    source: JointTable | Dataset,
-    split: SplitSchema,
-    spec: DeSndmSpec,
-    *,
-    z_laws: dict[int, object] | None = None,
-    t: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> DeMomentReport:
+def direct_effect_moment_check(table: JointTable, split: SplitSchema,
+                               spec: DeSndmSpec) -> DeMomentReport:
     """How far the weighted moment is from constant in the studied-arm treatment.
 
-    At the true blip parameter, E[t(H) / W_{m+1} | history through occasion
-    m] is the same at every level of A_m for each studied-arm occasion m.
-    On a joint table everything — residual outcome, weights, conditional
-    expectations — is computed by exact summation, so the deviation at the
-    true parameter is numerically zero and grows with parameter error.  On
-    a dataset the same quantity is estimated by within-cell averages
-    (discrete histories required, ``z_laws`` supply the weights).
+    At the true blip parameter, E[H / W_{m+1} | history through occasion m]
+    is the same at every level of A_m for each studied-arm occasion m.
+    Everything — residual outcome, weights, conditional expectations — is
+    computed by exact summation over the joint table, so the deviation at
+    the true parameter is numerically zero and grows with parameter error.
     """
     spec.blip.require_psi()
-    if isinstance(source, JointTable):
-        spec.validate_for(split, source.schema.K)
-        cells = source.cells
-        data = Dataset(source.schema, cells[:, 0:-1:2], cells[:, 1:-1:2], cells[:, -1])
-        mass = source.probs
-        factors = {k: _table_factor(source, k) for k in split.z_occasions}
-    else:
-        if z_laws is None and split.z_occasions:
-            raise ConfigError("dataset mode needs the fixed-arm laws for weights")
-        spec.validate_for(split, source.schema.K)
-        data = source
-        mass = np.ones(data.n)
-        factors = ipw_weights(data, split, z_laws or {}, "design").factors
+    spec.validate_for(split, table.schema.K)
+    cells = table.cells
+    data = Dataset(table.schema, cells[:, 0:-1:2], cells[:, 1:-1:2], cells[:, -1])
+    mass = table.probs
+    factors = {k: _table_factor(table, k) for k in split.z_occasions}
     h = de_blip_down(spec, split, data)
-    tv = h if t is None else np.asarray(t(h), dtype=float)
     live = mass > 0.0
     per, counted = {}, {}
     for m in split.p_occasions:
@@ -467,7 +452,7 @@ def direct_effect_moment_check(
             if k >= m + 1:
                 w = w * f[live]
         keys = np.column_stack([data.L[live, : m + 1], data.A[live, : m + 1]])
-        per[m], counted[m] = _moment_spread(keys, (mass * tv)[live] / w, mass[live])
+        per[m], counted[m] = _moment_spread(keys, (mass * h)[live] / w, mass[live])
     return DeMomentReport(per, counted)
 
 

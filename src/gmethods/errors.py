@@ -50,12 +50,18 @@ def _count(key: str, value, minimum: int = 1) -> int:
 
 def _typed(key: str, value, kind: str):
     """``value`` as a config ``kind``: a "number" (a finite float; a bool is
-    not one), a "list" (a tuple; a string is not one) or a "mapping".
-    Anything else is a ``ConfigError``."""
+    not one), a "list" (a tuple; a string is not one), a "mapping", a
+    "boolean" or a "string".  Anything else is a ``ConfigError``."""
     if kind == "number":
         ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
     else:
-        ok = isinstance(value, {"list": (list, tuple), "mapping": dict}[kind])
+        ok = isinstance(value, {"list": (list, tuple), "mapping": dict,
+                                "boolean": bool, "string": str}[kind])
     if not ok:
         raise ConfigError(f"{key} must be a {kind}, not {value!r}")
     return float(value) if kind == "number" else tuple(value) if kind == "list" else value
+
+
+def _terms(key: str, value) -> tuple[str, ...]:
+    """A config list of feature terms; YAML reads an unquoted 1 as a number."""
+    return tuple(str(t) for t in _typed(key, value, "list"))

@@ -119,12 +119,12 @@ def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
     all); treatments at other occasions are left as unmodeled context.
     """
     occs = range(L.shape[1]) if occasions is None else occasions
-    return _stack_shifts(spec, A, occs, [cofactor_matrix(spec, L, A, m) for m in occs])
+    return _stack_shifts(A, occs, [cofactor_matrix(spec, L, A, m) for m in occs])
 
 
-def _stack_shifts(spec: BlipSpec, A: np.ndarray, occs, C) -> np.ndarray:
+def _stack_shifts(A: np.ndarray, occs, C) -> np.ndarray:
     """Sum over occasions m of A_m times that occasion's cofactor rows ``C``."""
-    S = np.zeros((A.shape[0], spec.dim))
+    S = np.zeros((A.shape[0], C[0].shape[1]))
     for m, c in zip(occs, C):
         S += A[:, m][:, None] * c
     return S
@@ -225,14 +225,15 @@ class GEstimate:
 class _ScoreEngine:
     """Score test of "psi is the true blip parameter" in a pooled treatment model.
 
-    ``rows`` are the pooled treatment-model rows from ``pooled_rows`` and
-    ``C`` the cofactor rows at each tested occasion in ``occs``.  The null
-    treatment model uses ``known_coef`` when given and is fitted once
-    otherwise.  At each psi the added columns pair the residual outcome H(psi)
-    with the cofactors (or come from ``qstar(h, L, A, m)``).  Without
-    ``weights`` they are score-tested with the model-based variance; with
-    row weights they are divided by the weights and the variance is the
-    within-subject-robust one.
+    ``rows`` are the pooled treatment-model rows from ``pooled_rows`` at the
+    tested occasions ``occs``; ``C`` holds each tested occasion's q rows, the
+    history terms that the residual outcome is paired with, and ``S`` the
+    blip's (n, d) shift basis, so H(psi) blips Y by ``S @ psi`` in ``family``.
+    The null treatment model uses ``known_coef`` when given and is fitted once
+    otherwise.  At each psi the added columns pair H(psi) with the q rows (or
+    come from ``qstar(h, L, A, m)``).  Without ``weights`` they are
+    score-tested with the model-based variance; with row weights they are
+    divided by the weights and the variance is the within-subject-robust one.
 
     Every caller's inputs are checked here: 0/1 treatments, one ``known_coef``
     per treatment term, a user q*'s shape and values (see ``g_estimate``), and,
@@ -240,15 +241,14 @@ class _ScoreEngine:
 
     For the additive family with the default q* the added columns are affine
     in psi, Z(psi) = Z_0 + sum_j psi_j Z_j with Z_0 pairing Y and Z_j pairing
-    S_j with the cofactors.  The score U(psi) = a + B psi and its variance,
+    S_j with the q rows.  The score U(psi) = a + B psi and its variance,
     quadratic in psi, then come from the score and variance of the stacked
     [Z_0, ..., Z_d], computed once (``affine``): ``stats`` scores a whole
-    batch of psi in O(q^2) per point and ``root`` solves B psi = -a.  A
-    batch that moves along some axes only, the other components at 0, needs
-    only the blocks of Z_0 and those axes' Z_j (``_blocks``).
+    batch of psi in O(q^2) per point and, when B is square (q = d),
+    ``root`` solves B psi = -a.
     """
 
-    def __init__(self, dataset: Dataset, blip_spec: BlipSpec, rows, occs, C, *,
+    def __init__(self, dataset: Dataset, family: str, rows, occs, C, S, *,
                  qstar: Callable | None, known_coef, note: str, level: float,
                  weights: np.ndarray | None = None):
         self.X, self.resp, self.subj = rows
@@ -256,12 +256,12 @@ class _ScoreEngine:
             a = dataset.A[:, m]
             if np.any((np.abs(a) > 1e-9) & (np.abs(a - 1.0) > 1e-9)):
                 raise EstimationError(f"score test needs binary treatments; A{m} is not 0/1")
-        _check_outcomes(blip_spec.family, dataset.Y)
+        _check_outcomes(family, dataset.Y)
         self.dataset = dataset
-        self.family = blip_spec.family
+        self.family = family
         self.occs = list(occs)
         self.C = C
-        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, C)
+        self.S = S
         self.qstar = qstar
         self.weights = weights
         self.note = note
@@ -275,22 +275,16 @@ class _ScoreEngine:
         self.fit: FittedGlm | None = (fit_logistic(self.X, self.resp)
                                       if self.known is None else None)
 
-    @property
-    def _is_affine(self) -> bool:
-        return self.family == "additive" and self.qstar is None
-
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``_blocks`` along every axis; None unless the family is additive
-        with the default q*.  Built on first use, so engines that only
-        ``report`` never pay for it."""
-        return self._blocks(range(self.S.shape[1])) if self._is_affine else None
-
-    def _blocks(self, axes) -> tuple[np.ndarray, np.ndarray]:
-        """The score blocks (k+1, q) and variance blocks (k+1, q, k+1, q) of
-        [Z_0] + [Z_j for j in axes], k = len(axes), for an affine score."""
+        """The score blocks (d+1, q) and variance blocks (d+1, q, d+1, q) of
+        [Z_0, Z_1, ..., Z_d]; None unless the family is additive with the
+        default q*.  Built on first use, so engines that only ``report`` never
+        pay for it."""
+        if self.family != "additive" or self.qstar is not None:
+            return None
         q = self.C[0].shape[1]
-        bases = [self.dataset.Y] + [self.S[:, j] for j in axes]
+        bases = [self.dataset.Y] + list(self.S.T)
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
         U, V = _score_moments(self.X, self.resp, Z, None if self.weights is None else self.subj,
@@ -338,49 +332,48 @@ class _ScoreEngine:
                                  known_coef=self.known, level=self.level,
                                  note=self.note)
 
-    def stats(self, psis: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
+    def stats(self, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Statistics and p-values at each row of ``psis``: one batched pass
-        for an affine score, else one ``report`` per row.  With ``axes`` a
-        row gives psi along those axes only, every other component 0."""
+        for an affine score, else one ``report`` per row."""
         psis = np.asarray(psis, dtype=float)
-        if not self._is_affine:
-            if axes is not None:
-                full = np.zeros((len(psis), self.S.shape[1]))
-                full[:, list(axes)] = psis
-                psis = full
+        if self.affine is None:
             reps = [self.report(p) for p in psis]
             return (np.array([r.statistic for r in reps]),
                     np.array([r.p_value for r in reps]))
-        u, M = self.affine if axes is None else self._blocks(axes)
+        u, M = self.affine
         c = np.column_stack([np.ones(len(psis)), psis])
         V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=True)
         stat, _, p = _quadratic_stats(c @ u, V)
         return stat, p
 
     def root(self) -> np.ndarray | None:
-        """The psi where an affine score vanishes, if its slope B is nonsingular."""
+        """The psi where an affine score vanishes, if its slope B is square
+        (q = d: with other q rows the statistic has no zero) and nonsingular."""
         if self.affine is None:
             return None
         u = self.affine[0]
         B = u[1:].T
-        if not np.linalg.cond(B) < _ROOT_COND_LIMIT:
+        if B.shape[0] != B.shape[1] or not np.linalg.cond(B) < _ROOT_COND_LIMIT:
             return None
         return np.linalg.solve(B, -u[0])
 
 
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
               qstar: Callable | None, alpha_known, occasions,
-              level: float, known_note: str = "") -> _ScoreEngine:
-    """The engine for ``g_test_at``, ``g_estimate`` and ``gnull.pooled_g_test``:
-    unweighted rows, the family's cofactors at the tested occasions (default:
-    all).  Reports carry ``known_note`` with ``alpha_known``, else
-    ``ESTIMATED_DESIGN_NOTE``."""
+              level: float, known_note: str = "", q_terms=None) -> _ScoreEngine:
+    """The engine for ``g_test_at``, ``g_estimate``, ``gnull.pooled_g_test``
+    and the naive direct-effect scan: unweighted rows at the tested occasions
+    (default: all), H paired with ``q_terms`` (default: the blip's cofactors)
+    and shifted by the blip's cofactors.  Reports carry ``known_note`` with
+    ``alpha_known``, else ``ESTIMATED_DESIGN_NOTE``."""
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
-    C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in occs]
+    L, A = dataset.L, dataset.A
+    C = [eval_terms(q_terms or blip_spec.cofactors, history_cols(L, A, m + 1, m, m))
+         for m in occs]
     note = known_note if alpha_known is not None else ESTIMATED_DESIGN_NOTE
-    return _ScoreEngine(dataset, blip_spec, pooled_rows(dataset, treatment_terms, occs),
-                        occs, C, qstar=qstar, known_coef=alpha_known, note=note,
-                        level=level)
+    return _ScoreEngine(dataset, blip_spec.family, pooled_rows(dataset, treatment_terms, occs),
+                        occs, C, shift_basis(blip_spec, L, A, occs), qstar=qstar,
+                        known_coef=alpha_known, note=note, level=level)
 
 
 def g_test_at(
@@ -428,8 +421,8 @@ def _grid_spec(psi_box, grid_points, dim: int) -> tuple[np.ndarray, tuple[int, .
 
 
 def _grid(box, points) -> tuple[np.ndarray, tuple[int, ...]]:
-    axes = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(box, points)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    ticks = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(box, points)]
+    mesh = np.meshgrid(*ticks, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh]), tuple(points)
 
 

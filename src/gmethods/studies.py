@@ -16,7 +16,7 @@ import numpy as np
 
 from . import streams
 from .data import Dataset
-from .errors import ConfigError, GmethodsError, _count
+from .errors import ConfigError, GmethodsError, _count, _terms, _typed
 from .gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from .scenarios import ScenarioConfig, design_alpha, simulate
 from .sndm import BlipSpec, g_estimate
@@ -50,6 +50,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         _count("replicates", self.replicates)
         _count("n", self.n)
+        analyses = []
         for name, params in self.analyses:
             if name not in ANALYSES:
                 raise ConfigError(
@@ -61,6 +62,20 @@ class StudyConfig:
             if unread:
                 raise ConfigError(f"analysis {name!r} has no parameter {unread[0]!r}; "
                                   f"it reads {list(PARAMS[name])}")
+            analyses.append((name, {key: _param(f"{name} {key}", value, PARAMS[name][key])
+                                    for key, value in params.items()}))
+        object.__setattr__(self, "analyses", tuple(analyses))
+
+
+def _param(key: str, value, kind: str | None):
+    """A study param read by its kind: feature "terms", a list of "numbers",
+    or an ``errors._typed`` kind.  ``grid_points`` (kind None) is one count
+    or one per component, checked where ``g_estimate`` reads it."""
+    if kind == "terms":
+        return _terms(key, value)
+    if kind == "numbers":
+        return tuple(_typed(key, v, "number") for v in _typed(key, value, "list"))
+    return value if kind is None else _typed(key, value, kind)
 
 
 def replicate_seed(root_seed: int, index: int) -> int:
@@ -87,8 +102,7 @@ def _an_pooled_g(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict
     alpha = params.get("alpha_known")
     if alpha is None and params.get("design_alpha", True):
         alpha = design_alpha(config, terms)
-    spec = GTestSpec(treatment_terms=terms,
-                     alpha_known=tuple(alpha) if alpha is not None else None)
+    spec = GTestSpec(treatment_terms=terms, alpha_known=alpha)
     return _from_report(pooled_g_test(dataset, spec, level=params.get("level", 0.05)))
 
 
@@ -125,9 +139,11 @@ def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, params: dict) -> di
                      level=params.get("level", 0.05))
     out = {"statistic": est.statistic_at_hat, "p": est.p_at_hat,
            "reject": None, "estimate": float(est.psi_hat[0])}
-    if blip.dim == 1 and est.accepted.any():
-        acc = est.grid[est.accepted, 0]
-        out["ci_lo"], out["ci_hi"] = float(acc.min()), float(acc.max())
+    # The ends of a 1-D set, when its accepted grid points form one run: two
+    # rays cut off by the box would otherwise read as one interval.
+    run = np.flatnonzero(est.accepted)
+    if blip.dim == 1 and run.size and run[-1] - run[0] == run.size - 1:
+        out["ci_lo"], out["ci_hi"] = float(est.grid[run[0], 0]), float(est.grid[run[-1], 0])
     return out
 
 
@@ -141,12 +157,15 @@ ANALYSES = {
 }
 
 
-# The params keys each analysis reads; StudyConfig refuses any other key.
-_LEVEL = ("level",)
-_DESIGN = ("treatment_terms", "alpha_known", "design_alpha", "level")
+# The params keys each analysis reads, with the kind of value each takes;
+# StudyConfig refuses any other key and reads each value by its kind.
+_LEVEL = {"level": "number"}
+_DESIGN = {"treatment_terms": "terms", "alpha_known": "numbers", "design_alpha": "boolean",
+           **_LEVEL}
 PARAMS = {"naive": _LEVEL, "gnull-score": _LEVEL, "naive-de": _LEVEL,
-          "de-gnull": ("known_design", "level"), "pooled-g": _DESIGN,
-          "g-estimate": ("family", "cofactors", "psi_box", "grid_points") + _DESIGN}
+          "de-gnull": {"known_design": "boolean", **_LEVEL}, "pooled-g": _DESIGN,
+          "g-estimate": {"family": "string", "cofactors": "terms", "psi_box": "list",
+                         "grid_points": None, **_DESIGN}}
 
 
 def run_replicate(config: StudyConfig, index: int) -> list[StudyRow]:

@@ -306,6 +306,36 @@ class TestStudy:
         assert rc == 2
         assert "must be a name or a mapping" in stderr_of(capsys)
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "pooled-g", "params": {"treatment_terms": 5}},
+         "pooled-g treatment_terms must be a list, not 5"),
+        ({"name": "naive", "params": {"level": "high"}},
+         "naive level must be a number, not 'high'"),
+        ({"name": "pooled-g", "params": {"alpha_known": 0.5}},
+         "pooled-g alpha_known must be a list, not 0.5"),
+        ({"name": "pooled-g", "params": {"alpha_known": [0.1, "x", 0.3]}},
+         "pooled-g alpha_known must be a number, not 'x'"),
+        ({"name": "de-gnull", "params": {"known_design": "yes"}},
+         "de-gnull known_design must be a boolean, not 'yes'"),
+        ({"name": "g-estimate", "params": {"family": 2}},
+         "g-estimate family must be a string, not 2"),
+        ({"name": "g-estimate", "params": {"psi_box": 0}},
+         "g-estimate psi_box must be a list, not 0"),
+    ])
+    def test_param_values_are_read_by_kind(self, tmp_path, capsys, entry, message):
+        rc, _ = self.run(tmp_path, "st16", [entry])
+        assert rc == 2
+        assert stderr_of(capsys) == f"config error: {message}\n"
+
+    def test_unquoted_treatment_terms_are_read_as_names(self, tmp_path):
+        # YAML reads the 1 of [1, lm, a_prev] as a number, as in the CLI's
+        # own term lists.
+        logs = [self.run(tmp_path, name, [{"name": "pooled-g", "params": {
+            "treatment_terms": terms}}], scenario="sequential-trial")
+            for name, terms in (("st17", [1, "lm", "a_prev"]), ("st18", ["1", "lm", "a_prev"]))]
+        assert [rc for rc, _ in logs] == [0, 0]
+        assert logs[0][1].read_text() == logs[1][1].read_text()
+
     def test_errored_analyses_flip_the_exit_code(self, tmp_path, capsys):
         # pooled-g needs binary treatments; dag1b's are continuous, so every
         # replicate errors, the rows are logged, and the command exits 1.
@@ -568,6 +598,29 @@ class TestDirectEffect:
         assert abs(float(m.group(2)) - 0.5) < 0.5
         assert "note: known randomization design" in printed
         assert (out / "direct-effect-grid.csv").exists()
+
+    # README's estimate config; the known design's studied-arm coefficients
+    # are looked up on the studied arm's own model, ``mean_terms``.
+    README_ESTIMATE = dict(
+        scenario={"name": "direct-effect-discrete", "params": {"psi": [1.0, 0.5]}},
+        n=2500, seed=67, mode="estimate", known_design=True, split={"p": [0], "z": [1]},
+        blip={"family": "additive", "cofactors": ["1", "a1"]}, z_terms=["1"],
+        psi_box=[[0.0, 2.0], [-0.5, 1.5]], grid_points=[9, 9])
+
+    def test_known_design_does_not_depend_on_z_terms(self, tmp_path, capsys):
+        # Without README's z_terms line the fixed arm's terms default to
+        # ("1", "lm", "a_prev"); the studied arm's model is still ("1",).
+        cfg = {k: v for k, v in self.README_ESTIMATE.items() if k != "z_terms"}
+        path = cfg_file(tmp_path, **cfg)
+        assert main(["direct-effect", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        assert "note: known randomization design" in capsys.readouterr().out
+
+    def test_known_design_with_other_mean_terms_runs(self, tmp_path, capsys):
+        # The design's A0 law is on ("1",), so on ("1", "l0") it is estimated.
+        path = cfg_file(tmp_path, **{**self.README_ESTIMATE, "mean_terms": ["1", "l0"]})
+        assert main(["direct-effect", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "psi_hat = (" in out
 
     def test_estimate_mode_requires_split_and_box(self, tmp_path, capsys):
         base = dict(scenario="direct-effect-discrete", n=100, seed=1,

@@ -210,25 +210,6 @@ class TestMomentCheck:
         rep = direct_effect_moment_check(table, SPLIT01, spec)
         assert rep.worst > 0.1
 
-    def test_dataset_mode_tracks_the_table(self):
-        cfg = direct_effect_scenario(psi=(1.0, 0.5))
-        ds = simulate(cfg, 20_000, seed=66)
-        z_laws = {1: DE_A1_LAW}
-        good = direct_effect_moment_check(
-            ds, SPLIT01, DeSndmSpec(additive_blip("1", "a1", psi=(1.0, 0.5))),
-            z_laws=z_laws)
-        bad = direct_effect_moment_check(
-            ds, SPLIT01, DeSndmSpec(additive_blip("1", "a1", psi=(0.0, 0.0))),
-            z_laws=z_laws)
-        assert good.worst < 0.25
-        assert bad.worst > 0.5
-
-    def test_dataset_mode_needs_laws(self):
-        ds = simulate(direct_effect_scenario(), 100, seed=1)
-        spec = DeSndmSpec(additive_blip("1", psi=(1.0,)))
-        with pytest.raises(ConfigError, match="laws"):
-            direct_effect_moment_check(ds, SPLIT01, spec)
-
     def test_psi_required(self):
         table = enumerate_joint(direct_effect_scenario())
         with pytest.raises(ConfigError, match="psi"):

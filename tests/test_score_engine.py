@@ -111,7 +111,7 @@ class _RefGEngine:
             )
         self.qstar = qstar
         self.C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in self.occs]
-        self.S = _stack_shifts(blip_spec, dataset.A, self.occs, self.C)
+        self.S = _stack_shifts(dataset.A, self.occs, self.C)
         if alpha_known is not None:
             self.known = np.asarray(alpha_known, dtype=float)
             self.fit = None
@@ -171,7 +171,7 @@ class _RefDeEngine:
         if np.any(bad):
             raise EstimationError("studied-arm treatments must be binary")
         self.C = _de_cofactors(spec, split, dataset.L, dataset.A)
-        self.S = _stack_shifts(spec.blip, dataset.A, occs, self.C)
+        self.S = _stack_shifts(dataset.A, occs, self.C)
         self.occs = occs
         if p_alpha_known is not None:
             self.known = np.asarray(p_alpha_known, dtype=float)
@@ -623,18 +623,34 @@ def test_naive_scan_matches_per_point_tests(seed, n, known, interaction):
     assert np.argmax(rep.scan_pvals) == np.argmax(ref)
 
 
-@pytest.mark.parametrize("qstar", ["none", "cols"])
-def test_stats_along_one_axis_equals_stats_at_full_psi(qstar):
-    # The affine engine scores the axis from the [Z_0, Z_1] blocks alone;
-    # any other engine reports at the full psi with the other component 0.
-    ds = simulate(sndm_scenario(cofactors=("1", "a_prev"), psi=(1.0, 0.5)), 400, seed=31)
-    eng = _g_engine(ds, additive_blip("1", "a_prev"), SNDM_TERMS, QSTARS[qstar],
-                    None, None, 0.05)
-    vals = np.linspace(-1.0, 2.0, 7)
-    full = np.column_stack([np.zeros_like(vals), vals])
-    got, want = eng.stats(vals[:, None], axes=(1,)), eng.stats(full)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("known", [True, False])
+@pytest.mark.parametrize("cofactors, q_terms, occasions", [
+    (("1",), ("1", "lm", "a_prev"), None),          # q = 3 > d = 1
+    (("1", "a_prev"), ("1", "lm", "a_prev", "lm*a_prev"), None),
+    (("1", "a_prev"), ("1",), (1,)),                # q = 1 < d = 2
+])
+def test_q_terms_stats_match_the_callable_qstar(known, cofactors, q_terms, occasions):
+    # H paired with history terms other than the blip's cofactors: the
+    # batched statistics equal per-point reports of the same columns given
+    # as a user q*, and a score with q != d rows has no root to solve for.
+    ds = simulate(sndm_scenario(cofactors=cofactors, psi=(1.0, 0.5)[:len(cofactors)]),
+                  500, seed=31)
+
+    def qstar(h, L, A, m):
+        return h[:, None] * eval_terms(q_terms, history_cols(L, A, m + 1, m, m))
+
+    args = (ds, additive_blip(*cofactors), SNDM_TERMS)
+    tail = (SNDM_ALPHA if known else None, occasions, 0.05)
+    eng = _g_engine(*args, None, *tail, q_terms=q_terms)
+    ref = _g_engine(*args, qstar, *tail)
+    psis = _grid(np.array([(-1.0, 3.0), (-1.5, 2.5)][:len(cofactors)]),
+                 (21,) if len(cofactors) == 1 else (7, 7))[0]
+    stat, p = eng.stats(psis)
+    reps = [ref.report(v) for v in psis]
+    np.testing.assert_allclose(stat, [r.statistic for r in reps], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(p, [r.p_value for r in reps], rtol=0, atol=1e-12)
+    assert eng.affine[0].shape == (len(cofactors) + 1, len(q_terms))
+    assert eng.root() is None
 
 
 @pytest.mark.parametrize("known", [True, False])
@@ -655,8 +671,9 @@ def test_naive_analysis_builds_one_engine(monkeypatch, known):
 
 
 def test_full_family_fit_matches_the_former_search():
-    # The naive analysis's 4-cofactor engine on occasion 1, searched over a
-    # 5^4 grid, against the former search's Nelder-Mead in d = 4.
+    # The blip whose cofactors are the naive scan's q terms, on occasion 1,
+    # searched over a 5^4 grid, against the former search's Nelder-Mead in
+    # d = 4.
     cfg = masked_interaction_scenario()
     ds = simulate(cfg, 600, seed=64)
     alpha = design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,))

@@ -9,7 +9,8 @@ import pytest
 from gmethods import reproduce, studies
 from gmethods.errors import ConfigError, EstimationError, PositivityError
 from gmethods.gnull import naive_test
-from gmethods.scenarios import dag1b_scenario, simulate, sndm_scenario
+from gmethods.scenarios import dag1b_scenario, design_alpha, simulate, sndm_scenario
+from gmethods.sndm import additive_blip, g_estimate, g_test_at
 from gmethods.studies import (
     ANALYSES,
     StudyConfig,
@@ -105,6 +106,27 @@ class TestRunStudy:
         assert all("EstimationError" in r.error for r in pooled)
         assert all(np.isnan(r.statistic) for r in pooled)
         assert all(r.error == "" for r in naive)
+
+    def test_g_estimate_logs_no_ends_for_two_rays(self):
+        # At n = 20 the accepted grid is [-4, -1.75] and [1.15, 6]: two rays
+        # cut off by the box, which exclude psi = 1.  Their outer ends would
+        # read as one interval [-4, 6] that covers it.
+        scenario = sndm_scenario(psi=(1.0,))
+        config = StudyConfig(scenario, 20, 1, 154,
+                             (("g-estimate", {"psi_box": [[-4, 6]]}),))
+        (row,) = run_study(config)
+        assert row.error == "" and np.isfinite(row.estimate)
+        assert np.isnan(row.ci_lo) and np.isnan(row.ci_hi)
+        terms = ("1", "lm", "a_prev")
+        ds = simulate(scenario, 20, replicate_seed(154, 0))
+        alpha = design_alpha(scenario, terms)
+        est = g_estimate(ds, additive_blip("1"), treatment_terms=terms,
+                         psi_box=[[-4, 6]], alpha_known=alpha)
+        accepted = est.grid[est.accepted, 0]
+        assert (accepted.min(), accepted.max()) == (-4.0, 6.0)
+        assert not est.accepted[np.argmin(np.abs(est.grid[:, 0] - 1.0))]
+        assert g_test_at(ds, additive_blip("1"), 1.0, treatment_terms=terms,
+                         alpha_known=alpha).reject
 
     def test_g_estimate_analysis_reports_interval(self):
         config = StudyConfig(

@@ -25,7 +25,6 @@ from gmethods.direct_effect import (
     SplitSchema,
     _table_factor,
     direct_effect_moment_check,
-    ipw_weights,
 )
 from gmethods.errors import ConfigError, EstimationError, PositivityError
 from gmethods.features import eval_terms, history_cols
@@ -54,7 +53,6 @@ from gmethods.scenarios import (
     discrete_trial_scenario,
     enumerate_joint,
     sequential_trial_scenario,
-    simulate,
     sndm_scenario,
 )
 from gmethods.sndm import BlipSpec, additive_blip
@@ -810,27 +808,6 @@ class TestReplacedPathsAreUnchanged:
         spec = DeSndmSpec(additive_blip("1", "a1", psi=(psi0 + d0, psi1 + d1)))
         got = direct_effect_moment_check(table, split, spec).per_occasion
         assert got == masked_moment_check(table, split, spec)
-
-    def test_data_moment_check_equals_the_cell_loops(self):
-        cfg = direct_effect_scenario(psi=(1.0, 0.5))
-        ds = simulate(cfg, 3000, seed=3)
-        split = SplitSchema((0,), (1,))
-        spec = DeSndmSpec(additive_blip("1", "a1", psi=(0.8, 0.2)))
-        laws = {1: cfg.a_laws[1]}
-        w = ipw_weights(ds, split, laws, "design").w_from(1, ds.n)
-        S = ds.A[:, :1] * np.column_stack([np.ones(ds.n), ds.A[:, 1]])
-        tv = ds.Y + S @ np.array([0.8, 0.2])
-        worst = 0.0
-        keys = np.round(ds.L[:, :1], 9)
-        for u in np.unique(keys, axis=0):
-            in_cell = np.all(np.abs(keys - u) <= 1e-9, axis=1)
-            means = [float(np.mean(tv[sel] / w[sel]))
-                     for a in np.unique(ds.A[in_cell, 0])
-                     for sel in [in_cell & (np.abs(ds.A[:, 0] - a) <= 1e-9)]]
-            if len(means) >= 2:
-                worst = max(worst, max(means) - min(means))
-        got = direct_effect_moment_check(ds, split, spec, z_laws=laws)
-        assert got.per_occasion == {0: worst}
 
 
 class TestForwardPassOracle:
