@@ -283,7 +283,8 @@ def cmd_g_estimate(args) -> int:
         lo = est.confidence_set.min(axis=0)
         hi = est.confidence_set.max(axis=0)
         rng = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in zip(lo, hi))
-        print(f"{100 * (1 - est.level):.0f}% confidence set within: {rng}")
+        shape = "within:" if est.interval or blip.dim > 1 else f"in {est.pieces} pieces, within"
+        print(f"{100 * (1 - est.level):.0f}% confidence set {shape} {rng}")
     else:
         print("confidence set is empty at the grid resolution")
     if est.note:

@@ -199,7 +199,9 @@ def group_rows(M: np.ndarray, decimals: int | None = 9) -> tuple[np.ndarray, np.
     (exactly, with ``decimals=None``).
 
     Returns the distinct (rounded) rows in lexicographic order and, for each
-    row of M, the index of its group.  A zero-width M is one group.
+    row of M, the index of its group.  A zero-width M is one group.  The
+    lexsorted rows are compared one column at a time, and each group's first
+    row in that order is gathered as its distinct row.
     """
     R = np.asarray(M, dtype=float)
     if decimals is not None:
@@ -208,12 +210,14 @@ def group_rows(M: np.ndarray, decimals: int | None = 9) -> tuple[np.ndarray, np.
     if R.shape[1] == 0:
         return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
     order = np.lexsort(R.T[::-1])
-    S = R[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    first = np.zeros(n, dtype=bool)
+    first[:1] = True
+    for col in R.T:
+        c = col[order]
+        first[1:] |= c[1:] != c[:-1]
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return S[first], inverse
+    return R[order[first]], inverse
 
 
 @dataclass(frozen=True)

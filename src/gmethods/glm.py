@@ -2,7 +2,9 @@
 
 Fits are computed from scratch: the linear model by normal-equation solve
 (numpy's Cholesky with a one-shot jitter retry), the logistic by Newton
-iteration with step-halving.  Score tests of added covariates are for a
+iteration with step-halving on the distinct design rows, each weighted by
+its count and carrying its sum of responses (the Bernoulli likelihood's
+sufficient statistics).  Score tests of added covariates are for a
 logistic null: evaluated at the null fit with the usual nuisance
 projection, or at known coefficients without it, for designs whose
 treatment probabilities are known exactly.  One moments function,
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .data import Dataset
+from .data import Dataset, group_rows
 from .errors import ConvergenceError, EstimationError, SeparationError
 from .features import eval_terms, history_cols
 
@@ -139,12 +141,19 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> FittedGlm:
     return FittedGlm("normal", coef, sigma2, vcov, True, 1, float(loglik), n)
 
 
-def _binom_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+def _binom_loglik(eta: np.ndarray, ysum: np.ndarray, count: np.ndarray) -> float:
+    return float(np.sum(ysum * eta - count * np.logaddexp(0.0, eta)))
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
-    """Bernoulli MLE by Newton iteration with step-halving."""
+    """Bernoulli MLE by Newton iteration with step-halving.
+
+    The likelihood reads the data only through each distinct row of X, its
+    count and its sum of y, so the iteration runs on those rows (exactly
+    equal rows grouped by ``group_rows``), with the score, the Hessian and
+    the log-likelihood weighted by the counts.  A design with no repeated
+    rows is n groups of one.  ``n`` of the result is the row count of X.
+    """
     X = _as_matrix(X)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -152,12 +161,15 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
         raise EstimationError(f"n={n} smaller than parameter count p={p}")
     if np.any((np.abs(y) > 1e-9) & (np.abs(y - 1.0) > 1e-9)):
         raise EstimationError("logistic response must be 0/1")
+    X, group = group_rows(X, decimals=None)
+    count = np.bincount(group, minlength=len(X)).astype(float)
+    ysum = np.bincount(group, weights=y, minlength=len(X))
     coef = np.zeros(p)
     eta = X @ coef
-    ll = _binom_loglik(eta, y)
+    ll = _binom_loglik(eta, ysum, count)
     for it in range(1, _MAX_ITER + 1):
         prob = expit(eta)
-        score = X.T @ (y - prob)
+        score = X.T @ (ysum - count * prob)
         if np.max(np.abs(coef)) > _SEP_LIMIT:
             raise SeparationError(
                 "separation detected: coefficient magnitude exceeded "
@@ -165,14 +177,14 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
             )
         if np.max(np.abs(score)) < _SCORE_TOL:
             break
-        w = prob * (1.0 - prob)
+        w = count * prob * (1.0 - prob)
         H = X.T @ (X * w[:, None])
         step = _chol_solve(H, score)
         lam = 1.0
         for _ in range(40):
             trial = coef + lam * step
             eta_t = X @ trial
-            ll_t = _binom_loglik(eta_t, y)
+            ll_t = _binom_loglik(eta_t, ysum, count)
             if ll_t >= ll - 1e-12:
                 break
             lam *= 0.5
@@ -188,11 +200,12 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
     else:
         raise ConvergenceError(f"logistic fit did not converge in {_MAX_ITER} iterations")
     prob = expit(eta)
-    w = prob * (1.0 - prob)
+    w = count * prob * (1.0 - prob)
     H = X.T @ (X * w[:, None])
     vcov = _chol_solve(H, np.eye(p))
     vcov = 0.5 * (vcov + vcov.T)
-    return FittedGlm("binomial", coef, 1.0, vcov, True, it, _binom_loglik(eta, y), n)
+    return FittedGlm("binomial", coef, 1.0, vcov, True, it,
+                     _binom_loglik(eta, ysum, count), n)
 
 
 def wald_test(fit: FittedGlm, idx: list[int] | tuple[int, ...],

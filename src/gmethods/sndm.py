@@ -210,6 +210,22 @@ class GEstimate:
     def confidence_set(self) -> np.ndarray:
         return self.grid[self.accepted]
 
+    @property
+    def pieces(self) -> int:
+        """How many runs of consecutive accepted points a 1-D grid holds."""
+        run = np.flatnonzero(self.accepted)
+        return int(run.size > 0) + int(np.count_nonzero(np.diff(run) > 1))
+
+    @property
+    def interval(self) -> tuple[float, float] | None:
+        """The ends of a 1-D confidence set whose accepted grid points form
+        one run; None for an empty set, a set in several pieces (two rays
+        cut off by the box would otherwise read as one interval) or d > 1."""
+        if self.grid.shape[1] != 1 or self.pieces != 1:
+            return None
+        ends = self.confidence_set[[0, -1], 0]
+        return float(ends[0]), float(ends[1])
+
     def to_csv(self, path: str) -> None:
         import csv
 

@@ -69,12 +69,18 @@ class StudyConfig:
 
 def _param(key: str, value, kind: str | None):
     """A study param read by its kind: feature "terms", a list of "numbers",
-    or an ``errors._typed`` kind.  ``grid_points`` (kind None) is one count
-    or one per component, checked where ``g_estimate`` reads it."""
+    a test "level" strictly between 0 and 1, or an ``errors._typed`` kind.
+    ``grid_points`` (kind None) is one count or one per component, checked
+    where ``g_estimate`` reads it."""
     if kind == "terms":
         return _terms(key, value)
     if kind == "numbers":
         return tuple(_typed(key, v, "number") for v in _typed(key, value, "list"))
+    if kind == "level":
+        level = _typed(key, value, "number")
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"{key} must lie strictly between 0 and 1, got {level!r}")
+        return level
     return value if kind is None else _typed(key, value, kind)
 
 
@@ -139,11 +145,8 @@ def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, params: dict) -> di
                      level=params.get("level", 0.05))
     out = {"statistic": est.statistic_at_hat, "p": est.p_at_hat,
            "reject": None, "estimate": float(est.psi_hat[0])}
-    # The ends of a 1-D set, when its accepted grid points form one run: two
-    # rays cut off by the box would otherwise read as one interval.
-    run = np.flatnonzero(est.accepted)
-    if blip.dim == 1 and run.size and run[-1] - run[0] == run.size - 1:
-        out["ci_lo"], out["ci_hi"] = float(est.grid[run[0], 0]), float(est.grid[run[-1], 0])
+    if est.interval is not None:
+        out["ci_lo"], out["ci_hi"] = est.interval
     return out
 
 
@@ -159,7 +162,7 @@ ANALYSES = {
 
 # The params keys each analysis reads, with the kind of value each takes;
 # StudyConfig refuses any other key and reads each value by its kind.
-_LEVEL = {"level": "number"}
+_LEVEL = {"level": "level"}
 _DESIGN = {"treatment_terms": "terms", "alpha_known": "numbers", "design_alpha": "boolean",
            **_LEVEL}
 PARAMS = {"naive": _LEVEL, "gnull-score": _LEVEL, "naive-de": _LEVEL,

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 import yaml
 
@@ -327,6 +328,14 @@ class TestStudy:
         assert rc == 2
         assert stderr_of(capsys) == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("level", [0, 1, 5, -0.1])
+    def test_level_lies_strictly_between_0_and_1(self, tmp_path, capsys, level):
+        rc, log = self.run(tmp_path, "st19", [{"name": "naive", "params": {"level": level}}])
+        assert rc == 2
+        assert stderr_of(capsys) == (f"config error: naive level must lie strictly "
+                                     f"between 0 and 1, got {float(level)!r}\n")
+        assert not log.exists()
+
     def test_unquoted_treatment_terms_are_read_as_names(self, tmp_path):
         # YAML reads the 1 of [1, lm, a_prev] as a number, as in the CLI's
         # own term lists.
@@ -517,6 +526,22 @@ class TestGEstimate:
         assert abs(psi - 1.0) < 0.3
         assert "% confidence set within:" in printed
         assert (out / "g-estimate-grid.csv").exists()
+
+    def test_a_set_in_two_pieces_is_not_printed_as_one_interval(self, tmp_path, capsys):
+        # At n = 20 the score test accepts both ends of the box but rejects
+        # the grid points around psi = 1, between them.
+        path = cfg_file(tmp_path,
+                        scenario={"name": "sndm-additive", "params": {"psi": [1.0]}},
+                        n=20, seed=123, alpha_known="design",
+                        blip={"family": "additive", "cofactors": ["1"]},
+                        psi_box=[[-4.0, 6.0]])
+        out = tmp_path / "ge-pieces"
+        assert main(["g-estimate", "--config", path, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "95% confidence set in 2 pieces, within [-4.0000, 6.0000]\n" in printed
+        assert "within:" not in printed
+        grid = np.loadtxt(out / "g-estimate-grid.csv", delimiter=",", skiprows=1)
+        assert not grid[np.isclose(grid[:, 0], 1.0), 3].any()
 
     def test_explicit_alpha_vector_is_accepted(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="sndm-additive", n=400, seed=3,

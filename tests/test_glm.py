@@ -2,8 +2,9 @@
 
 The linear fit is checked against a hand-rolled Gaussian elimination of the
 normal equations; the saturated logistic fit against per-cell sample
-proportions; test statistics against their textbook identities and a small
-Monte Carlo level study.
+proportions, and the fit on distinct rows against the former row-wise fit;
+test statistics against their textbook identities and a small Monte Carlo
+level study.
 """
 
 import os
@@ -20,8 +21,13 @@ from scipy.special import logit
 import gmethods
 
 from gmethods.data import Dataset, Schema, binary
-from gmethods.errors import EstimationError, SeparationError
+from gmethods.errors import ConvergenceError, EstimationError, GmethodsError, SeparationError
 from gmethods.glm import (
+    _LOGLIK_TOL,
+    _MAX_ITER,
+    _SCORE_TOL,
+    _SEP_LIMIT,
+    FittedGlm,
     _as_matrix,
     _chol_solve,
     _report,
@@ -34,6 +40,7 @@ from gmethods.glm import (
     score_test_added,
     wald_test,
 )
+from gmethods.scenarios import make_scenario, simulate
 from gmethods.streams import substream
 
 
@@ -191,6 +198,117 @@ class TestFitLogistic:
     def test_non_binary_response_rejected(self):
         with pytest.raises(EstimationError, match="0/1"):
             fit_logistic(np.ones((5, 1)), np.array([0.0, 1.0, 2.0, 0.0, 1.0]))
+
+
+def _ref_fit_logistic(X, y):
+    """The former row-wise ``fit_logistic`` body: every Newton step over all
+    n rows (oracle for the fit on the distinct rows)."""
+
+    def loglik(eta):
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+    X = _as_matrix(X)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    if n < p:
+        raise EstimationError(f"n={n} smaller than parameter count p={p}")
+    if np.any((np.abs(y) > 1e-9) & (np.abs(y - 1.0) > 1e-9)):
+        raise EstimationError("logistic response must be 0/1")
+    coef = np.zeros(p)
+    eta = X @ coef
+    ll = loglik(eta)
+    for it in range(1, _MAX_ITER + 1):
+        prob = expit(eta)
+        score = X.T @ (y - prob)
+        if np.max(np.abs(coef)) > _SEP_LIMIT:
+            raise SeparationError("separation")
+        if np.max(np.abs(score)) < _SCORE_TOL:
+            break
+        w = prob * (1.0 - prob)
+        H = X.T @ (X * w[:, None])
+        step = _chol_solve(H, score)
+        lam = 1.0
+        for _ in range(40):
+            trial = coef + lam * step
+            eta_t = X @ trial
+            ll_t = loglik(eta_t)
+            if ll_t >= ll - 1e-12:
+                break
+            lam *= 0.5
+        coef, eta = trial, eta_t
+        if abs(ll_t - ll) < _LOGLIK_TOL * (abs(ll) + 1.0):
+            if np.max(np.abs(coef)) > _SEP_LIMIT:
+                raise SeparationError("separation")
+            break
+        ll = ll_t
+    else:
+        raise ConvergenceError("no convergence")
+    prob = expit(eta)
+    w = prob * (1.0 - prob)
+    H = X.T @ (X * w[:, None])
+    vcov = _chol_solve(H, np.eye(p))
+    vcov = 0.5 * (vcov + vcov.T)
+    return FittedGlm("binomial", coef, 1.0, vcov, True, it, loglik(eta), n)
+
+
+def _logistic_case(name):
+    """(X, y) of one oracle case for the grouped logistic fit."""
+    rng = substream(314, "glm", "grouped", name)
+    ones = np.ones(400)
+    u = rng.normal(size=400)
+    a0 = (rng.random(400) < 0.5).astype(float)
+    if name.startswith("naive-de-"):  # the naive analysis's fit of L1 on (1, A0)
+        ds = simulate(make_scenario("masked-interaction"), 5000, int(name.rsplit("-", 1)[1]))
+        return np.column_stack([np.ones(ds.n), ds.A[:, 0]]), ds.L[:, 1]
+    if name.startswith("a1-"):  # the fitted A1 law on (1, L1, A0)
+        ds = simulate(make_scenario("masked-interaction"), 5000, int(name.rsplit("-", 1)[1]))
+        return np.column_stack([np.ones(ds.n), ds.L[:, 1], ds.A[:, 0]]), ds.A[:, 1]
+    if name == "pooled":
+        X, resp, _ = pooled_rows(simulate(make_scenario("binary-trial"), 3000, 8),
+                                 ("1", "lm", "a_prev"))
+        return X, resp
+    X = np.column_stack([ones, u, a0])
+    y = (rng.random(400) < expit(-0.3 + 0.8 * u - 0.5 * a0)).astype(float)
+    if name == "continuous":
+        return X, y
+    if name == "near-binary":
+        return X, y + rng.uniform(-1e-9, 1e-9, 400) * np.where(y > 0, -1.0, 1.0)
+    if name == "all-zero":
+        return X[:, [0, 2]], np.zeros(400)
+    if name == "separated":
+        return X[:, :2], (u > 0).astype(float)
+    if name == "quasi-separated":  # separated but for the tied rows at u = 0
+        u0 = np.where(np.abs(u) < 0.3, 0.0, u)
+        y = np.where(u0 > 0, 1.0, np.where(u0 < 0, 0.0, rng.random(400) < 0.5))
+        return np.column_stack([ones, u0]), y
+    if name == "n-below-p":
+        return X[:2], y[:2]
+    if name == "non-binary":
+        return X, np.where(np.arange(400) == 7, 0.5, y)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", [
+    "naive-de-1", "naive-de-77", "naive-de-123", "a1-1", "a1-77", "a1-123", "pooled",
+    "continuous", "near-binary", "all-zero", "separated", "quasi-separated",
+    "n-below-p", "non-binary",
+])
+def test_grouped_fit_matches_the_row_wise_fit(case):
+    X, y = _logistic_case(case)
+    try:
+        want = _ref_fit_logistic(X, y)
+    except GmethodsError as exc:
+        with pytest.raises(type(exc)):
+            fit_logistic(X, y)
+        return
+    got = fit_logistic(X, y)
+    # The fit's own score tolerance (1e-8) allows a few 1e-9 between the two.
+    for name in ("coef", "vcov", "loglik"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert np.max(np.abs(a - b)) <= 1e-6 * max(1.0, np.max(np.abs(b))), name
+    assert abs(got.iterations - want.iterations) <= 1
+    assert got.n == want.n == len(y)
+    assert (got.family, got.dispersion, got.converged) == ("binomial", 1.0, True)
 
 
 class TestWald:

@@ -623,6 +623,66 @@ OUTCOME_LAWS = {
 }
 
 
+def _ref_group_rows(M, decimals=9):
+    """The former ``group_rows`` body: a sorted copy of the rows compared
+    with ``np.any(..., axis=1)`` (oracle for the column-at-a-time form)."""
+    R = np.asarray(M, dtype=float)
+    if decimals is not None:
+        R = np.round(R, decimals)
+    n = R.shape[0]
+    if R.shape[1] == 0:
+        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    order = np.lexsort(R.T[::-1])
+    S = R[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
+def _group_rows_input(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    ties = rng.integers(-2, 3, size=(300, 4)) / 3.0
+    if name == "ties":
+        return ties
+    if name == "ties-wide":
+        return rng.integers(0, 2, size=(500, 9)).astype(float)
+    if name == "nearby":  # equal after rounding to 9 places, apart exactly
+        return ties + rng.choice([0.0, 1e-12, -1e-12], size=ties.shape)
+    if name == "continuous":
+        return np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+    if name == "zero-rows":
+        return np.zeros((0, 3))
+    if name == "zero-columns":
+        return np.zeros((5, 0))
+    if name == "zero-rows-and-columns":
+        return np.zeros((0, 0))
+    if name == "signed-zero":
+        return np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [-0.0, 1.0], [1.0, 0.0]])
+    if name == "nan":
+        M = ties[:40].copy()
+        M[rng.random(M.shape) < 0.1] = np.nan
+        M[5] = M[9] = np.nan
+        return M
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("decimals", [9, None])
+@pytest.mark.parametrize("name", ["ties", "ties-wide", "nearby", "continuous", "zero-rows",
+                                  "zero-columns", "zero-rows-and-columns", "signed-zero",
+                                  "nan"])
+def test_group_rows_matches_the_sorted_copy_form(name, decimals):
+    M = _group_rows_input(name)
+    keys, inverse = group_rows(M, decimals=decimals)
+    want_keys, want_inverse = _ref_group_rows(M, decimals=decimals)
+    assert np.array_equal(keys, want_keys, equal_nan=True)
+    assert keys.shape == want_keys.shape
+    assert np.array_equal(np.signbit(keys), np.signbit(want_keys))
+    assert np.array_equal(inverse, want_inverse)
+    assert inverse.dtype == want_inverse.dtype
+
+
 class TestGroupRows:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6),
