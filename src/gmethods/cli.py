@@ -1,11 +1,15 @@
 """Command-line front end: simulation, replicate studies, and reports.
 
 Configuration is a single YAML file with a required ``config_version: 1``
-key; the subcommands read the sections they need.  Flags ``--seed`` and
-``--out`` override their config counterparts, and so does ``--jobs`` on
-``simulate`` and ``study``, the two subcommands that run replicates in
-parallel.  Exit codes: 0 success, 1 analysis or threshold failure, 2
-configuration error.
+key; the subcommands read the sections they need.  ``g-estimate`` and
+``direct-effect`` run one registered study analysis (``studies.ANALYSES``)
+on one simulated dataset: their configs hold the common keys beside that
+analysis's params, read by the same declaration as a study's
+(``studies.PARAMS``), so any other key is a configuration error.  Flags
+``--seed`` and ``--out`` override their config counterparts, and so does
+``--jobs`` on ``simulate`` and ``study``, the two subcommands that run
+replicates in parallel.  Exit codes: 0 success, 1 analysis or threshold
+failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,20 +25,15 @@ from concurrent.futures import ProcessPoolExecutor
 import yaml
 
 from .data import Regime, write_csv
-from .direct_effect import (
-    DeSndmSpec,
-    SplitSchema,
-    direct_effect_g_estimate,
-    direct_effect_gnull_test,
-)
-from .errors import ConfigError, GmethodsError, ValidationError, _count, _terms, _typed
+from .errors import ConfigError, GmethodsError, ValidationError, _count, _typed
 from .gformula import g_formula_exact, g_formula_mc
 from .reproduce import REPRODUCERS, run as run_reproduction
-from .scenarios import design_alpha, enumerate_joint, make_scenario, simulate
-from .sndm import BlipSpec, g_estimate
+from .scenarios import enumerate_joint, make_scenario, simulate
 from .studies import (
+    ANALYSES,
     StudyConfig,
     format_summary,
+    read_params,
     replicate_seed,
     run_study,
     summarize,
@@ -118,34 +117,6 @@ def _regime_from(sect) -> Regime:
         rule = functools.partial(_threshold_rule, cutoff=cutoff)
         return Regime.dynamic(rule, name=f"treat-if-covariate>={cutoff:g}")
     raise ConfigError("regime.kind must be 'static' or 'threshold'")
-
-
-def _blip_from(sect) -> BlipSpec:
-    if sect is None:
-        raise ConfigError("missing 'blip' section")
-    family = _typed("blip", sect, "mapping").get("family", "additive")
-    cofactors = _terms("blip cofactors", sect.get("cofactors", ()))
-    if not cofactors:
-        raise ConfigError("blip needs a non-empty 'cofactors' list")
-    return BlipSpec(family, cofactors)
-
-
-def _alpha_from(cfg: dict, scenario, terms, occasions=None):
-    raw = cfg.get("alpha_known")
-    if raw is None:
-        return None
-    if raw == "design":
-        alpha = design_alpha(scenario, terms, occasions)
-        if alpha is None:
-            raise ConfigError(
-                "alpha_known: design — but the scenario's assignment laws do "
-                f"not share a logistic model on terms {terms}"
-            )
-        return alpha
-    try:
-        return tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError("alpha_known must be 'design' or a list of numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,90 +228,58 @@ def cmd_g_formula(args) -> int:
     return 0
 
 
-def cmd_g_estimate(args) -> int:
-    cfg = _load_config(args.config)
+def _run_analysis(args, cfg: dict, name: str, *top_level: str):
+    """Analysis ``name`` on ``simulate(scenario, n, seed)``, with the config's
+    own seed; its params are the config's keys beside the common ones."""
     scenario = _scenario_from(cfg)
     n = _count("n", _require(cfg, "n"))
     seed = _seed_of(args, cfg)
-    ds = simulate(scenario, n, seed)
-    blip = _blip_from(cfg.get("blip"))
-    terms = _terms("treatment_terms", cfg.get("treatment_terms", ("1", "lm", "a_prev")))
-    box = _require(cfg, "psi_box")
-    alpha = _alpha_from(cfg, scenario, terms)
-    est = g_estimate(
-        ds, blip,
-        treatment_terms=terms,
-        psi_box=box,
-        alpha_known=alpha,
-        grid_points=_tuplify(cfg.get("grid_points", 201)),
-    )
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "g-estimate-grid.csv")
+    params = read_params(name, _tuplify(cfg),
+                         ("config_version", "scenario", "n", "seed", "out", *top_level))
+    return ANALYSES[name](simulate(scenario, n, seed), scenario, params)
+
+
+def _print_estimate(args, cfg: dict, est, with_set: bool) -> None:
+    path = os.path.join(_out_dir(args, cfg), f"{args.command}-grid.csv")
     est.to_csv(path)
     psi = ", ".join(f"{v:.4f}" for v in est.psi_hat)
     print(f"psi_hat = ({psi});  score p-value at psi_hat = {est.p_at_hat:.4f}")
-    if est.confidence_set.size:
+    if with_set and est.confidence_set.size:
         lo = est.confidence_set.min(axis=0)
         hi = est.confidence_set.max(axis=0)
         rng = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in zip(lo, hi))
-        shape = "within:" if est.interval or blip.dim > 1 else f"in {est.pieces} pieces, within"
+        shape = ("within:" if est.interval or len(lo) > 1
+                 else f"in {est.pieces} pieces, within")
         print(f"{100 * (1 - est.level):.0f}% confidence set {shape} {rng}")
-    else:
+    elif with_set:
         print("confidence set is empty at the grid resolution")
     if est.note:
         print(f"note: {est.note}")
     print(f"grid: {path}")
+
+
+def cmd_g_estimate(args) -> int:
+    cfg = _load_config(args.config)
+    _print_estimate(args, cfg, _run_analysis(args, cfg, "g-estimate"), with_set=True)
     return 0
 
 
 def cmd_direct_effect(args) -> int:
     cfg = _load_config(args.config)
-    scenario = _scenario_from(cfg)
-    n = _count("n", _require(cfg, "n"))
-    seed = _seed_of(args, cfg)
-    ds = simulate(scenario, n, seed)
     mode = cfg.get("mode", "test")
-    out = _out_dir(args, cfg)
-    if mode == "test":
-        a1_law = scenario.a_laws[1] if cfg.get("known_design", False) else None
-        rep = direct_effect_gnull_test(ds, a1_law=a1_law)
-        verdict = "reject" if rep.reject else "no evidence against"
-        print(f"direct-effect test: statistic = {rep.statistic:.4f}, "
-              f"p = {rep.p_value:.4f} -> {verdict} the no-direct-effect null")
-        if rep.note:
-            print(f"note: {rep.note}")
-        return 0
     if mode == "estimate":
-        split_cfg = _typed("split", _require(cfg, "split"), "mapping")
-        p, z = (tuple(_count(f"split {key}", v, 0)
-                      for v in _typed(f"split {key}", split_cfg.get(key, ()), "list"))
-                for key in ("p", "z"))
-        split = SplitSchema(p, z)
-        spec = DeSndmSpec(_blip_from(cfg.get("blip")),
-                          mean_terms=_terms("mean_terms", cfg.get("mean_terms", ("1",))))
-        z_terms = _terms("z_terms", cfg.get("z_terms", ("1", "lm", "a_prev")))
-        if cfg.get("known_design", False):
-            z_laws = {k: scenario.a_laws[k] for k in split.z_occasions}
-            p_alpha = design_alpha(scenario, spec.mean_terms, occasions=split.p_occasions)
-        else:
-            z_laws, p_alpha = None, None
-        est = direct_effect_g_estimate(
-            ds, split, spec,
-            psi_box=_require(cfg, "psi_box"),
-            z_laws=z_laws,
-            z_terms=z_terms,
-            p_alpha_known=p_alpha,
-            grid_points=_tuplify(cfg.get("grid_points", 201)),
-        )
-        path = os.path.join(out, "direct-effect-grid.csv")
-        est.to_csv(path)
-        psi = ", ".join(f"{v:.4f}" for v in est.psi_hat)
-        print(f"psi_hat = ({psi});  score p-value at psi_hat = {est.p_at_hat:.4f}")
-        if est.note:
-            print(f"note: {est.note}")
-        print(f"grid: {path}")
+        est = _run_analysis(args, cfg, "de-estimate", "mode")
+        _print_estimate(args, cfg, est, with_set=False)
         return 0
-    raise ConfigError("mode must be 'test' or 'estimate'")
+    if mode != "test":
+        raise ConfigError("mode must be 'test' or 'estimate'")
+    rep = _run_analysis(args, cfg, "de-gnull", "mode")
+    verdict = "reject" if rep.reject else "no evidence against"
+    print(f"direct-effect test: statistic = {rep.statistic:.4f}, "
+          f"p = {rep.p_value:.4f} -> {verdict} the no-direct-effect null")
+    if rep.note:
+        print(f"note: {rep.note}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -62,6 +62,14 @@ def _typed(key: str, value, kind: str):
     return float(value) if kind == "number" else tuple(value) if kind == "list" else value
 
 
+def _level(key: str, value) -> float:
+    """A test level: a number strictly between 0 and 1 (NaN is none)."""
+    level = _typed(key, value, "number")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"{key} must lie strictly between 0 and 1, got {level!r}")
+    return level
+
+
 def _terms(key: str, value) -> tuple[str, ...]:
     """A config list of feature terms; YAML reads an unquoted 1 as a number."""
     return tuple(str(t) for t in _typed(key, value, "list"))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .data import Dataset, group_rows
-from .errors import ConvergenceError, EstimationError, SeparationError
+from .errors import ConvergenceError, EstimationError, SeparationError, _level
 from .features import eval_terms, history_cols
 
 _COND_LIMIT = 1e12
@@ -85,6 +85,7 @@ def _tail_p(statistic: float, df: int | None, reference: str) -> float:
 
 def _report(statistic: float, df: int | None, reference: str, level: float,
             note: str = "") -> TestReport:
+    _level("level", level)
     p = _tail_p(statistic, df, reference)
     return TestReport(float(statistic), df, reference, p, level, p < level, note)
 
@@ -280,6 +281,7 @@ def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
 
 def _quadratic_report(U: np.ndarray, V: np.ndarray, level: float, note: str) -> TestReport:
     """U' V^+ U against chi-square(rank V), through ``_quadratic_stats``."""
+    _level("level", level)
     stat, df, p = _quadratic_stats(U[None], V[None])
     p0 = float(p[0])
     return TestReport(float(stat[0]), int(df[0]), "chi2", p0, level, p0 < level, note)

@@ -30,7 +30,7 @@ from scipy.special import gammaincinv
 # the closed-form path never needs it.
 
 from .data import Dataset
-from .errors import ConfigError, ConvergenceError, EstimationError
+from .errors import ConfigError, ConvergenceError, EstimationError, _level
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
 from .gformula import RegimeDistribution
@@ -251,7 +251,8 @@ class _ScoreEngine:
     score-tested with the model-based variance; with row weights they are
     divided by the weights and the variance is the within-subject-robust one.
 
-    Every caller's inputs are checked here: 0/1 treatments, one ``known_coef``
+    Every caller's inputs are checked here: a level in (0, 1), 0/1
+    treatments, one ``known_coef``
     per treatment term, a user q*'s shape and values (see ``g_estimate``), and,
     when the null is fitted, no nonzero-constant added column.
 
@@ -267,6 +268,7 @@ class _ScoreEngine:
     def __init__(self, dataset: Dataset, family: str, rows, occs, C, S, *,
                  qstar: Callable | None, known_coef, note: str, level: float,
                  weights: np.ndarray | None = None):
+        _level("level", level)
         self.X, self.resp, self.subj = rows
         for m in occs:
             a = dataset.A[:, m]

@@ -1,4 +1,10 @@
-"""Replicate studies: run named analyses over simulated datasets.
+"""Replicate studies: run the registered analyses over simulated datasets.
+
+``ANALYSES`` maps each analysis to a function that returns the library's
+result object, and ``PARAMS`` declares the params it reads, each with a
+kind and a default.  ``read_params`` reads a study's analysis entries and
+the top level of a ``gmethods g-estimate`` or ``direct-effect`` config by
+that one declaration; ``row_fields`` turns any result into a log row.
 
 A study is (scenario, n, replicates, seed, analyses).  Each replicate gets
 its own derived seed, so results are independent of execution order and of
@@ -16,10 +22,18 @@ import numpy as np
 
 from . import streams
 from .data import Dataset
-from .errors import ConfigError, GmethodsError, _count, _terms, _typed
+from .direct_effect import (
+    DeSndmSpec,
+    SplitSchema,
+    direct_effect_g_estimate,
+    direct_effect_gnull_test,
+    naive_direct_effect_demo,
+)
+from .errors import ConfigError, GmethodsError, _count, _level, _terms, _typed
+from .glm import TestReport
 from .gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from .scenarios import ScenarioConfig, design_alpha, simulate
-from .sndm import BlipSpec, g_estimate
+from .sndm import BlipSpec, GEstimate, g_estimate
 
 
 @dataclass(frozen=True)
@@ -50,37 +64,63 @@ class StudyConfig:
     def __post_init__(self) -> None:
         _count("replicates", self.replicates)
         _count("n", self.n)
-        analyses = []
-        for name, params in self.analyses:
-            if name not in ANALYSES:
-                raise ConfigError(
-                    f"unknown analysis {name!r}; registered: {sorted(ANALYSES)}"
-                )
-            if not isinstance(params, dict):
-                raise ConfigError(f"params of analysis {name!r} must be a mapping")
-            unread = sorted(set(params) - set(PARAMS[name]))
-            if unread:
-                raise ConfigError(f"analysis {name!r} has no parameter {unread[0]!r}; "
-                                  f"it reads {list(PARAMS[name])}")
-            analyses.append((name, {key: _param(f"{name} {key}", value, PARAMS[name][key])
-                                    for key, value in params.items()}))
-        object.__setattr__(self, "analyses", tuple(analyses))
+        object.__setattr__(self, "analyses", tuple(
+            (name, read_params(name, params)) for name, params in self.analyses))
+
+
+REQUIRED = object()  # the default of a param that has none
+
+
+def read_params(name: str, params, top_level: tuple[str, ...] = ()) -> dict:
+    """Every param of analysis ``name``: each given value read by its kind in
+    ``PARAMS[name]``, each absent one at its default.  A key that neither the
+    analysis nor ``top_level`` reads, or an absent required one, is a
+    ``ConfigError``.  ``top_level`` names the other keys of a single-run
+    config, whose params sit beside them at the top level, so its messages
+    name the bare key; a study's messages name the analysis too."""
+    if name not in ANALYSES:
+        raise ConfigError(f"unknown analysis {name!r}; registered: {sorted(ANALYSES)}")
+    if not isinstance(params, dict):
+        raise ConfigError(f"params of analysis {name!r} must be a mapping")
+    declared = PARAMS[name]
+    unread = sorted(set(params) - set(declared) - set(top_level))
+    if unread:
+        raise ConfigError(f"analysis {name!r} has no parameter {unread[0]!r}; "
+                          f"it reads {[*top_level, *declared]}")
+    where = "" if top_level else f"{name} "
+    out = {}
+    for key, (kind, default) in declared.items():
+        if key in params:
+            out[key] = _param(where + key, params[key], kind)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing '{where}{key}' key")
+        else:
+            out[key] = default
+    return out
 
 
 def _param(key: str, value, kind: str | None):
-    """A study param read by its kind: feature "terms", a list of "numbers",
-    a test "level" strictly between 0 and 1, or an ``errors._typed`` kind.
-    ``grid_points`` (kind None) is one count or one per component, checked
-    where ``g_estimate`` reads it."""
+    """A param read by its kind: feature "terms", a test "level" strictly
+    between 0 and 1, an "alpha" ('design', 'fitted' or a list of numbers), a
+    "split" of occasions ({p: [...], z: [...]}), or an ``errors._typed``
+    kind.  ``grid_points`` (kind None) is one count or one per component,
+    checked where the estimator reads it."""
     if kind == "terms":
         return _terms(key, value)
-    if kind == "numbers":
-        return tuple(_typed(key, v, "number") for v in _typed(key, value, "list"))
     if kind == "level":
-        level = _typed(key, value, "number")
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"{key} must lie strictly between 0 and 1, got {level!r}")
-        return level
+        return _level(key, value)
+    if kind == "alpha":
+        if isinstance(value, str):
+            if value not in ("design", "fitted"):
+                raise ConfigError(f"{key} must be 'design', 'fitted' or a list of numbers, "
+                                  f"not {value!r}")
+            return value
+        return tuple(_typed(key, v, "number") for v in _typed(key, value, "list"))
+    if kind == "split":
+        sect = _typed(key, value, "mapping")
+        return SplitSchema(*(tuple(_count(f"{key} {arm}", v, 0)
+                                   for v in _typed(f"{key} {arm}", sect.get(arm, ()), "list"))
+                             for arm in ("p", "z")))
     return value if kind is None else _typed(key, value, kind)
 
 
@@ -89,86 +129,83 @@ def replicate_seed(root_seed: int, index: int) -> int:
     return int(streams.substream(root_seed, "replicate", index).integers(0, 2**62))
 
 
-def _from_report(rep) -> dict:
-    return {"statistic": rep.statistic, "p": rep.p_value, "reject": rep.reject}
+def _alpha(config: ScenarioConfig, alpha, terms):
+    """The treatment-model coefficients an ``alpha`` param names (None: fit
+    them).  Its default, None, takes the design's where the scenario has one."""
+    if alpha == "fitted" or isinstance(alpha, tuple):
+        return None if alpha == "fitted" else alpha
+    found = design_alpha(config, terms)
+    if found is None and alpha == "design":
+        raise ConfigError("alpha: design — but the scenario's assignment laws do not "
+                          f"share a logistic model on terms {terms}")
+    return found
 
 
-def _an_naive(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    return _from_report(naive_test(dataset, level=params.get("level", 0.05)))
+def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, p: dict) -> GEstimate:
+    blip = BlipSpec(p["family"], p["cofactors"])
+    return g_estimate(dataset, blip, treatment_terms=p["treatment_terms"],
+                      psi_box=p["psi_box"] or [(-4.0, 4.0)] * blip.dim,
+                      alpha_known=_alpha(config, p["alpha"], p["treatment_terms"]),
+                      grid_points=p["grid_points"], level=p["level"])
 
 
-def _an_gnull_score(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    inputs = GnullScoreInputs.from_scenario(config)
-    return _from_report(gnull_score_test(dataset, inputs,
-                                         level=params.get("level", 0.05)))
+def _an_de_estimate(dataset: Dataset, config: ScenarioConfig, p: dict) -> GEstimate:
+    split = p["split"]
+    spec = DeSndmSpec(BlipSpec(p["family"], p["cofactors"]), mean_terms=p["mean_terms"])
+    z_laws, p_alpha = None, None
+    if p["known_design"]:
+        z_laws = {k: config.a_laws[k] for k in split.z_occasions}
+        p_alpha = design_alpha(config, spec.mean_terms, occasions=split.p_occasions)
+    return direct_effect_g_estimate(dataset, split, spec, psi_box=p["psi_box"], z_laws=z_laws,
+                                    z_terms=p["z_terms"], p_alpha_known=p_alpha,
+                                    grid_points=p["grid_points"], level=p["level"])
 
 
-def _an_pooled_g(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    terms = tuple(params.get("treatment_terms", ("1", "lm", "a_prev")))
-    alpha = params.get("alpha_known")
-    if alpha is None and params.get("design_alpha", True):
-        alpha = design_alpha(config, terms)
-    spec = GTestSpec(treatment_terms=terms, alpha_known=alpha)
-    return _from_report(pooled_g_test(dataset, spec, level=params.get("level", 0.05)))
-
-
-def _an_de_gnull(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    from .direct_effect import direct_effect_gnull_test
-
-    law = config.a_laws[1] if params.get("known_design", True) else None
-    return _from_report(direct_effect_gnull_test(
-        dataset, a1_law=law, level=params.get("level", 0.05)))
-
-
-def _an_naive_de(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    from .direct_effect import naive_direct_effect_demo
-
-    terms = ("1", "lm", "a0")
-    alpha = design_alpha(config, terms, occasions=(1,))
-    rep = naive_direct_effect_demo(dataset, a1_alpha_known=alpha,
-                                   level=params.get("level", 0.05))
-    return {"statistic": rep.scan_max_p, "p": rep.covariate_test.p_value,
-            "reject": rep.naive_reject}
-
-
-def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, params: dict) -> dict:
-    blip = BlipSpec(params.get("family", "additive"),
-                    tuple(params.get("cofactors", ("1",))))
-    box = params.get("psi_box") or [(-4.0, 4.0)] * blip.dim
-    terms = tuple(params.get("treatment_terms", ("1", "lm", "a_prev")))
-    alpha = params.get("alpha_known")
-    if alpha is None and params.get("design_alpha", True):
-        alpha = design_alpha(config, terms)
-    est = g_estimate(dataset, blip, treatment_terms=terms, psi_box=box,
-                     alpha_known=alpha,
-                     grid_points=params.get("grid_points", 201),
-                     level=params.get("level", 0.05))
-    out = {"statistic": est.statistic_at_hat, "p": est.p_at_hat,
-           "reject": None, "estimate": float(est.psi_hat[0])}
-    if est.interval is not None:
-        out["ci_lo"], out["ci_hi"] = est.interval
-    return out
-
-
+# Each analysis, (dataset, scenario, params) -> its result object, and the
+# params it reads, key -> (kind, default).  A default of None stands for a
+# rule the analysis applies: the g-estimate box is (-4, 4) per component,
+# and alpha is the design's where the scenario has one, else fitted.
 ANALYSES = {
-    "naive": _an_naive,
-    "gnull-score": _an_gnull_score,
-    "pooled-g": _an_pooled_g,
-    "de-gnull": _an_de_gnull,
-    "naive-de": _an_naive_de,
+    "naive": lambda ds, cfg, p: naive_test(ds, level=p["level"]),
+    "gnull-score": lambda ds, cfg, p: gnull_score_test(
+        ds, GnullScoreInputs.from_scenario(cfg), level=p["level"]),
+    "pooled-g": lambda ds, cfg, p: pooled_g_test(ds, GTestSpec(
+        p["treatment_terms"], _alpha(cfg, p["alpha"], p["treatment_terms"])), level=p["level"]),
+    "de-gnull": lambda ds, cfg, p: direct_effect_gnull_test(
+        ds, a1_law=cfg.a_laws[1] if p["known_design"] else None, level=p["level"]),
+    "naive-de": lambda ds, cfg, p: naive_direct_effect_demo(
+        ds, a1_alpha_known=design_alpha(cfg, ("1", "lm", "a0"), occasions=(1,)),
+        level=p["level"]),
     "g-estimate": _an_g_estimate,
+    "de-estimate": _an_de_estimate,
+}
+_LEVEL = {"level": ("level", 0.05)}
+_DESIGN = {"treatment_terms": ("terms", ("1", "lm", "a_prev")), "alpha": ("alpha", None),
+           **_LEVEL}
+_BLIP = {"family": ("string", "additive"), "cofactors": ("terms", ("1",))}
+PARAMS = {
+    "naive": _LEVEL, "gnull-score": _LEVEL, "naive-de": _LEVEL,
+    "de-gnull": {"known_design": ("boolean", True), **_LEVEL},
+    "pooled-g": _DESIGN,
+    "g-estimate": {**_BLIP, "psi_box": ("list", None), "grid_points": (None, 201), **_DESIGN},
+    "de-estimate": {"split": ("split", REQUIRED), **_BLIP, "mean_terms": ("terms", ("1",)),
+                    "z_terms": ("terms", ("1", "lm", "a_prev")), "psi_box": ("list", REQUIRED),
+                    "grid_points": (None, 201), "known_design": ("boolean", True), **_LEVEL},
 }
 
 
-# The params keys each analysis reads, with the kind of value each takes;
-# StudyConfig refuses any other key and reads each value by its kind.
-_LEVEL = {"level": "level"}
-_DESIGN = {"treatment_terms": "terms", "alpha_known": "numbers", "design_alpha": "boolean",
-           **_LEVEL}
-PARAMS = {"naive": _LEVEL, "gnull-score": _LEVEL, "naive-de": _LEVEL,
-          "de-gnull": {"known_design": "boolean", **_LEVEL}, "pooled-g": _DESIGN,
-          "g-estimate": {"family": "string", "cofactors": "terms", "psi_box": "list",
-                         "grid_points": None, **_DESIGN}}
+def row_fields(result) -> dict:
+    """The study-log fields of an analysis result: a test's statistic, p and
+    decision; an estimate's first component with its one-run interval; the
+    naive scan's largest p, covariate-test p and joint decision."""
+    if isinstance(result, TestReport):
+        return {"statistic": result.statistic, "p": result.p_value, "reject": result.reject}
+    if isinstance(result, GEstimate):
+        lo, hi = result.interval or (float("nan"), float("nan"))
+        return {"statistic": result.statistic_at_hat, "p": result.p_at_hat,
+                "estimate": float(result.psi_hat[0]), "ci_lo": lo, "ci_hi": hi}
+    return {"statistic": result.scan_max_p, "p": result.covariate_test.p_value,
+            "reject": result.naive_reject}
 
 
 def run_replicate(config: StudyConfig, index: int) -> list[StudyRow]:
@@ -179,8 +216,8 @@ def run_replicate(config: StudyConfig, index: int) -> list[StudyRow]:
         base = dict(scenario=config.scenario.name, n=config.n,
                     replicate=index, analysis=name)
         try:
-            out = ANALYSES[name](dataset, config.scenario, dict(params))
-            rows.append(StudyRow(**base, **out))
+            result = ANALYSES[name](dataset, config.scenario, dict(params))
+            rows.append(StudyRow(**base, **row_fields(result)))
         except GmethodsError as exc:
             rows.append(StudyRow(**base, error=f"{type(exc).__name__}: {exc}"))
     return rows

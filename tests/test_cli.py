@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from gmethods import studies
 from gmethods.cli import main
 from gmethods.data import Regime, write_csv
 from gmethods.gformula import ConditionalLaws, g_formula_exact, g_formula_mc
@@ -103,11 +104,11 @@ class TestConfigCounts:
         "simulate": dict(scenario="dag1b", n=10, seed=1),
         "study": dict(scenario="dag1b", n=10, replicates=1, seed=1, analyses=["naive"]),
         "g-estimate": dict(scenario="sndm-additive", n=10, seed=1, psi_box=[[-1.0, 1.0]],
-                           blip={"family": "additive", "cofactors": ["1"]}),
+                           family="additive", cofactors=["1"]),
         "direct-effect": dict(scenario="direct-effect-discrete", n=10, seed=1,
                               mode="estimate", split={"p": [0], "z": [1]},
                               psi_box=[[0.0, 2.0]],
-                              blip={"family": "additive", "cofactors": ["1"]}),
+                              family="additive", cofactors=["1"]),
     }
 
     def refused(self, tmp_path, capsys, command, key, **changes):
@@ -168,9 +169,8 @@ class TestConfigTypes:
         ("direct-effect", DIRECT, {"mean_terms": 3}, "mean_terms must be a list"),
         ("direct-effect", DIRECT, {"z_terms": "lm"}, "z_terms must be a list"),
         ("g-estimate", GESTIMATE, {"treatment_terms": 5}, "treatment_terms must be a list"),
-        ("g-estimate", GESTIMATE, {"blip": {"cofactors": 1}},
-         "blip cofactors must be a list"),
-        ("g-estimate", GESTIMATE, {"blip": "additive"}, "blip must be a mapping"),
+        ("g-estimate", GESTIMATE, {"cofactors": 1}, "cofactors must be a list"),
+        ("g-estimate", GESTIMATE, {"family": ["additive"]}, "family must be a string"),
     ], ids=["cutoff-word", "cutoff-nan", "plan-word", "plan-number", "regime-list", "split-number",
             "split-list", "mean-terms", "z-terms", "treatment-terms", "cofactors",
             "blip-word"])
@@ -312,10 +312,10 @@ class TestStudy:
          "pooled-g treatment_terms must be a list, not 5"),
         ({"name": "naive", "params": {"level": "high"}},
          "naive level must be a number, not 'high'"),
-        ({"name": "pooled-g", "params": {"alpha_known": 0.5}},
-         "pooled-g alpha_known must be a list, not 0.5"),
-        ({"name": "pooled-g", "params": {"alpha_known": [0.1, "x", 0.3]}},
-         "pooled-g alpha_known must be a number, not 'x'"),
+        ({"name": "pooled-g", "params": {"alpha": 0.5}},
+         "pooled-g alpha must be a list, not 0.5"),
+        ({"name": "pooled-g", "params": {"alpha": [0.1, "x", 0.3]}},
+         "pooled-g alpha must be a number, not 'x'"),
         ({"name": "de-gnull", "params": {"known_design": "yes"}},
          "de-gnull known_design must be a boolean, not 'yes'"),
         ({"name": "g-estimate", "params": {"family": 2}},
@@ -372,7 +372,7 @@ class TestStudy:
         # Two coefficients for the three default treatment terms: each
         # replicate logs a ConfigError row instead of crashing the study.
         rc, log = self.run(tmp_path, "st11", [{"name": "g-estimate", "params": {
-            "alpha_known": [0.1, 0.2], "psi_box": [[0.0, 2.0]], "grid_points": 5}}],
+            "alpha": [0.1, 0.2], "psi_box": [[0.0, 2.0]], "grid_points": 5}}],
             scenario="sndm-additive")
         assert rc == 1
         err = stderr_of(capsys).splitlines()
@@ -516,8 +516,8 @@ class TestGEstimate:
         path = cfg_file(tmp_path,
                         scenario={"name": "sndm-additive",
                                   "params": {"psi": [1.0]}},
-                        n=2500, seed=73, alpha_known="design",
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        n=2500, seed=73, alpha="design",
+                        family="additive", cofactors=["1"],
                         psi_box=[[0.0, 2.0]], grid_points=41)
         out = tmp_path / "ge1"
         assert main(["g-estimate", "--config", path, "--out", str(out)]) == 0
@@ -532,8 +532,8 @@ class TestGEstimate:
         # the grid points around psi = 1, between them.
         path = cfg_file(tmp_path,
                         scenario={"name": "sndm-additive", "params": {"psi": [1.0]}},
-                        n=20, seed=123, alpha_known="design",
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        n=20, seed=123, alpha="design",
+                        family="additive", cofactors=["1"],
                         psi_box=[[-4.0, 6.0]])
         out = tmp_path / "ge-pieces"
         assert main(["g-estimate", "--config", path, "--out", str(out)]) == 0
@@ -545,8 +545,8 @@ class TestGEstimate:
 
     def test_explicit_alpha_vector_is_accepted(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="sndm-additive", n=400, seed=3,
-                        alpha_known=[-0.1, 0.7, -0.3],
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        alpha=[-0.1, 0.7, -0.3],
+                        family="additive", cofactors=["1"],
                         psi_box=[[-1.0, 3.0]], grid_points=17)
         assert main(["g-estimate", "--config", path,
                      "--out", str(tmp_path / "ge2")]) == 0
@@ -554,12 +554,12 @@ class TestGEstimate:
 
     @pytest.mark.parametrize("alpha, message", [
         ([0.1, 0.2], "alpha_known must match the treatment terms"),
-        (["a", "b", "c"], "alpha_known must be 'design' or a list of numbers"),
+        (["a", "b", "c"], "alpha must be a number, not 'a'"),
     ])
     def test_bad_alpha_vector_is_a_config_error(self, tmp_path, capsys, alpha, message):
         path = cfg_file(tmp_path, scenario="sndm-additive", n=200, seed=3,
-                        alpha_known=alpha,
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        alpha=alpha,
+                        family="additive", cofactors=["1"],
                         psi_box=[[-1.0, 3.0]], grid_points=5)
         assert main(["g-estimate", "--config", path,
                      "--out", str(tmp_path / "ge3")]) == 2
@@ -567,27 +567,33 @@ class TestGEstimate:
 
     def test_design_alpha_requires_a_shared_logistic_model(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="dag1b", n=100, seed=3,
-                        alpha_known="design",
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        alpha="design",
+                        family="additive", cofactors=["1"],
                         psi_box=[[-1.0, 1.0]])
         assert main(["g-estimate", "--config", path]) == 2
         assert "do not share a logistic model" in stderr_of(capsys)
 
-    def test_blip_section_required(self, tmp_path, capsys):
-        path = cfg_file(tmp_path, scenario="sndm-additive", n=100, seed=3,
-                        psi_box=[[-1.0, 1.0]])
-        assert main(["g-estimate", "--config", path]) == 2
-        assert "missing 'blip' section" in stderr_of(capsys)
+    def test_blip_defaults_to_an_additive_intercept_shift(self, tmp_path):
+        # The g-estimate study analysis's defaults: family additive,
+        # cofactors ("1",).
+        base = dict(scenario="sndm-additive", n=100, seed=3, psi_box=[[-1.0, 1.0]],
+                    grid_points=5)
+        grids = []
+        for name, blip in (("bare", {}), ("given", dict(family="additive", cofactors=["1"]))):
+            path = cfg_file(tmp_path, f"{name}.yaml", **base, **blip)
+            assert main(["g-estimate", "--config", path, "--out", str(tmp_path / name)]) == 0
+            grids.append((tmp_path / name / "g-estimate-grid.csv").read_bytes())
+        assert grids[0] == grids[1]
 
-    def test_psi_box_required(self, tmp_path, capsys):
-        path = cfg_file(tmp_path, scenario="sndm-additive", n=100, seed=3,
-                        blip={"family": "additive", "cofactors": ["1"]})
-        assert main(["g-estimate", "--config", path]) == 2
-        assert "missing 'psi_box' key" in stderr_of(capsys)
+    def test_psi_box_defaults_to_minus_4_to_4(self, tmp_path):
+        path = cfg_file(tmp_path, scenario="sndm-additive", n=100, seed=3, grid_points=5)
+        assert main(["g-estimate", "--config", path, "--out", str(tmp_path / "ge")]) == 0
+        grid = np.loadtxt(tmp_path / "ge" / "g-estimate-grid.csv", delimiter=",", skiprows=1)
+        assert grid[:, 0].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
 
     def test_malformed_grid_is_a_config_error(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="sndm-additive", n=100, seed=3,
-                        blip={"family": "additive", "cofactors": ["1"]},
+                        family="additive", cofactors=["1"],
                         psi_box=[[-1.0, 1.0]], grid_points=1)
         assert main(["g-estimate", "--config", path]) == 2
         assert "grid_points must be at least 2" in stderr_of(capsys)
@@ -611,7 +617,7 @@ class TestDirectEffect:
                                   "params": {"psi": [1.0, 0.5]}},
                         n=2500, seed=67, mode="estimate", known_design=True,
                         split={"p": [0], "z": [1]},
-                        blip={"family": "additive", "cofactors": ["1", "a1"]},
+                        family="additive", cofactors=["1", "a1"],
                         z_terms=["1"],
                         psi_box=[[0.0, 2.0], [-0.5, 1.5]],
                         grid_points=[9, 9])
@@ -629,7 +635,7 @@ class TestDirectEffect:
     README_ESTIMATE = dict(
         scenario={"name": "direct-effect-discrete", "params": {"psi": [1.0, 0.5]}},
         n=2500, seed=67, mode="estimate", known_design=True, split={"p": [0], "z": [1]},
-        blip={"family": "additive", "cofactors": ["1", "a1"]}, z_terms=["1"],
+        family="additive", cofactors=["1", "a1"], z_terms=["1"],
         psi_box=[[0.0, 2.0], [-0.5, 1.5]], grid_points=[9, 9])
 
     def test_known_design_does_not_depend_on_z_terms(self, tmp_path, capsys):
@@ -650,7 +656,7 @@ class TestDirectEffect:
     def test_estimate_mode_requires_split_and_box(self, tmp_path, capsys):
         base = dict(scenario="direct-effect-discrete", n=100, seed=1,
                     mode="estimate",
-                    blip={"family": "additive", "cofactors": ["1"]})
+                    family="additive", cofactors=["1"])
         no_split = cfg_file(tmp_path, "de-nosplit.yaml",
                             psi_box=[[0.0, 2.0]], **base)
         assert main(["direct-effect", "--config", no_split]) == 2
@@ -663,7 +669,7 @@ class TestDirectEffect:
     def test_unknown_cofactor_is_a_config_error(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="direct-effect-discrete", n=100, seed=1,
                         mode="estimate", split={"p": [0], "z": [1]},
-                        blip={"family": "additive", "cofactors": ["1", "lx"]},
+                        family="additive", cofactors=["1", "lx"],
                         psi_box=[[0.0, 2.0], [-0.5, 1.5]], grid_points=5)
         assert main(["direct-effect", "--config", path]) == 2
         assert stderr_of(capsys).startswith("config error: unknown feature term 'lx'")
@@ -672,3 +678,76 @@ class TestDirectEffect:
         path = cfg_file(tmp_path, scenario="dag1b", n=50, seed=1, mode="nope")
         assert main(["direct-effect", "--config", path]) == 2
         assert "mode must be 'test' or 'estimate'" in stderr_of(capsys)
+
+
+class TestOneVocabulary:
+    """``g-estimate`` and ``direct-effect`` run the registered study analyses
+    on ``simulate(scenario, n, seed)``, with the study's keys and defaults."""
+
+    GESTIMATE = dict(scenario={"name": "sndm-additive", "params": {"psi": [1.0]}},
+                     n=2500, seed=73, family="additive", cofactors=["1"],
+                     treatment_terms=["1", "lm", "a_prev"], alpha="design",
+                     psi_box=[[0.0, 2.0]], grid_points=201)
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_known", "design"), ("design_alpha", False),
+        ("blip", {"family": "additive", "cofactors": ["1"]}), ("alpha_knwon", "design")])
+    def test_retired_and_misspelled_keys_are_refused(self, tmp_path, capsys, key, value):
+        # alpha_knwon once ran silently with a fitted alpha.
+        gest = cfg_file(tmp_path, "ge.yaml", **{**self.GESTIMATE, key: value})
+        out = tmp_path / "ge"
+        assert main(["g-estimate", "--config", gest, "--out", str(out)]) == 2
+        err = stderr_of(capsys)
+        assert err.startswith(f"config error: analysis 'g-estimate' has no parameter {key!r}")
+        assert "'alpha'" in err and "'family'" in err and "'cofactors'" in err
+        assert not out.exists()
+        rc, log = TestStudy().run(tmp_path, "st", [{"name": "g-estimate",
+                                                    "params": {key: value}}])
+        assert rc == 2 and not log.exists()
+        assert stderr_of(capsys).startswith(
+            f"config error: analysis 'g-estimate' has no parameter {key!r}")
+
+    @staticmethod
+    def row_of(name, sections):
+        """The study-log row of analysis ``name`` on the dataset the CLI draws."""
+        scenario = make_scenario(sections["scenario"]["name"], sections["scenario"]["params"])
+        params = {k: v for k, v in sections.items() if k in studies.PARAMS[name]}
+        result = studies.ANALYSES[name](simulate(scenario, sections["n"], sections["seed"]),
+                                        scenario, studies.read_params(name, params))
+        return studies.StudyRow("s", sections["n"], 0, name, **studies.row_fields(result))
+
+    def printed(self, tmp_path, capsys, command, sections):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_file(tmp_path, **sections),
+                     "--out", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_g_estimate_prints_the_analysis_row(self, tmp_path, capsys):
+        row = self.row_of("g-estimate", self.GESTIMATE)
+        assert self.printed(tmp_path, capsys, "g-estimate", self.GESTIMATE)[:2] == [
+            f"psi_hat = ({row.estimate:.4f});  score p-value at psi_hat = {row.p:.4f}",
+            f"95% confidence set within: [{row.ci_lo:.4f}, {row.ci_hi:.4f}]"]
+
+    def test_test_mode_prints_the_de_gnull_row(self, tmp_path, capsys):
+        sections = dict(scenario={"name": "dag1b", "params": {}}, n=700, seed=7, mode="test",
+                        known_design=True)
+        row = self.row_of("de-gnull", sections)
+        verdict = "reject" if row.reject else "no evidence against"
+        assert self.printed(tmp_path, capsys, "direct-effect", sections)[0] == (
+            f"direct-effect test: statistic = {row.statistic:.4f}, p = {row.p:.4f} "
+            f"-> {verdict} the no-direct-effect null")
+
+    def test_estimate_mode_prints_the_de_estimate_row(self, tmp_path, capsys):
+        sections = TestDirectEffect.README_ESTIMATE
+        row = self.row_of("de-estimate", sections)
+        line = self.printed(tmp_path, capsys, "direct-effect", sections)[0]
+        assert line.startswith(f"psi_hat = ({row.estimate:.4f}, ")
+        assert line.endswith(f");  score p-value at psi_hat = {row.p:.4f}")
+
+    def test_known_design_defaults_to_true_in_test_mode(self, tmp_path, capsys):
+        # The de-gnull study analysis's default; the subcommand once fitted A1's law.
+        sections = dict(scenario="dag1b", n=700, seed=7, mode="test")
+        bare = self.printed(tmp_path, capsys, "direct-effect", sections)
+        given = self.printed(tmp_path, capsys, "direct-effect",
+                             {**sections, "known_design": True})
+        assert bare == given and "note: known randomization design" in bare

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from gmethods import reproduce, studies
+from gmethods.direct_effect import DeSndmSpec, SplitSchema, direct_effect_g_estimate
 from gmethods.errors import ConfigError, EstimationError, PositivityError
 from gmethods.gnull import naive_test
-from gmethods.scenarios import dag1b_scenario, design_alpha, simulate, sndm_scenario
-from gmethods.sndm import additive_blip, g_estimate, g_test_at
+from gmethods.scenarios import (
+    dag1b_scenario,
+    design_alpha,
+    direct_effect_scenario,
+    simulate,
+    sndm_scenario,
+)
+from gmethods.sndm import BlipSpec, additive_blip, g_estimate, g_test_at
 from gmethods.studies import (
     ANALYSES,
     StudyConfig,
@@ -64,7 +71,26 @@ class TestStudyConfig:
 
     def test_registered_analyses(self):
         assert set(ANALYSES) == {"naive", "gnull-score", "pooled-g",
-                                 "de-gnull", "naive-de", "g-estimate"}
+                                 "de-gnull", "naive-de", "g-estimate", "de-estimate"}
+
+    def test_every_param_has_a_default_that_its_kind_reads(self):
+        # A default is read by the same kind as a given value, so the two
+        # ways in cannot disagree on what an absent key means.
+        for name, declared in studies.PARAMS.items():
+            for key, (kind, default) in declared.items():
+                if default is not studies.REQUIRED and default is not None:
+                    assert studies._param(key, default, kind) == default, (name, key)
+
+    @pytest.mark.parametrize("key", ["alpha_known", "design_alpha", "blip", "alpha_knwon"])
+    def test_retired_and_misspelled_keys_name_the_keys_read(self, key):
+        with pytest.raises(ConfigError, match=rf"analysis 'g-estimate' has no parameter "
+                                              rf"'{key}'; it reads \[.*'alpha'"):
+            StudyConfig(sndm_scenario(), 100, 2, 1, (("g-estimate", {key: "design"}),))
+
+    def test_a_required_param_is_named(self):
+        with pytest.raises(ConfigError, match="missing 'de-estimate split' key"):
+            StudyConfig(direct_effect_scenario(), 100, 2, 1,
+                        (("de-estimate", {"psi_box": [[0.0, 2.0]]}),))
 
 
 class TestRunStudy:
@@ -141,6 +167,25 @@ class TestRunStudy:
             assert np.isfinite(r.estimate)
             assert r.ci_lo <= r.estimate <= r.ci_hi
             assert r.reject is None
+
+
+    def test_de_estimate_logs_the_first_component(self):
+        # A two-component set has no one-run interval, so ci_lo/ci_hi are nan.
+        scenario = direct_effect_scenario(psi=(1.0, 0.5))
+        params = {"split": {"p": [0], "z": [1]}, "cofactors": ["1", "a1"],
+                  "z_terms": ["1"], "psi_box": [[0.0, 2.0], [-0.5, 1.5]],
+                  "grid_points": [9, 9]}
+        (row,) = run_study(StudyConfig(scenario, 2500, 1, 67, (("de-estimate", params),)))
+        ds = simulate(scenario, 2500, replicate_seed(67, 0))
+        est = direct_effect_g_estimate(
+            ds, SplitSchema((0,), (1,)), DeSndmSpec(BlipSpec("additive", ("1", "a1"))),
+            psi_box=[[0.0, 2.0], [-0.5, 1.5]], grid_points=[9, 9], z_terms=("1",),
+            z_laws={1: scenario.a_laws[1]},
+            p_alpha_known=design_alpha(scenario, ("1",), occasions=(0,)))
+        assert row.error == "" and row.reject is None
+        assert (row.estimate, row.statistic, row.p) == (
+            est.psi_hat[0], est.statistic_at_hat, est.p_at_hat)
+        assert np.isnan(row.ci_lo) and np.isnan(row.ci_hi)
 
 
 class TestStudyLog:
