@@ -70,7 +70,6 @@ from .gnull import (
     gnull_score_test,
     gnull_table_check,
     naive_test,
-    parametric_null_check,
     pooled_g_test,
     random_sequential_table,
 )
@@ -203,7 +202,6 @@ __all__ = [
     "multiplicative_blip",
     "naive_direct_effect_demo",
     "naive_test",
-    "parametric_null_check",
     "pooled_g_test",
     "pooled_rows",
     "random_sequential_table",

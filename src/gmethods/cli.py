@@ -7,9 +7,9 @@ on one simulated dataset: their configs hold the common keys beside that
 analysis's params, read by the same declaration as a study's
 (``studies.PARAMS``), so any other key is a configuration error.  Flags
 ``--seed`` and ``--out`` override their config counterparts, and so does
-``--jobs`` on ``simulate`` and ``study``, the two subcommands that run
-replicates in parallel.  Exit codes: 0 success, 1 analysis or threshold
-failure, 2 configuration error.
+``--jobs`` on ``study``, the one subcommand that runs replicates in
+parallel.  Exit codes: 0 success, 1 analysis or threshold failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import yaml
 
@@ -94,10 +93,6 @@ def _out_dir(args, cfg: dict) -> str:
     return out
 
 
-def _jobs_of(args, cfg: dict) -> int:
-    return _count("jobs", args.jobs if args.jobs is not None else cfg.get("jobs", 1))
-
-
 def _threshold_rule(m: int, l_bar: tuple[float, ...], cutoff: float) -> float:
     return 1.0 if l_bar[-1] >= cutoff else 0.0
 
@@ -130,18 +125,12 @@ def cmd_simulate(args) -> int:
     n = _count("n", _require(cfg, "n"))
     reps = _count("replicates", cfg.get("replicates", 1))
     seed = _seed_of(args, cfg)
-    jobs = _jobs_of(args, cfg)
     out = _out_dir(args, cfg)
-    seeds = [replicate_seed(seed, i) for i in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            datasets = list(pool.map(simulate, [scenario] * reps, [n] * reps, seeds))
-    else:
-        datasets = [simulate(scenario, n, s) for s in seeds]
     files = []
-    for i, (ds, s) in enumerate(zip(datasets, seeds)):
+    for i in range(reps):
+        s = replicate_seed(seed, i)
         fname = f"{scenario.name}-rep{i:03d}.csv"
-        write_csv(ds, os.path.join(out, fname))
+        write_csv(simulate(scenario, n, s), os.path.join(out, fname))
         files.append({"replicate": i, "seed": s, "rows": n, "file": fname})
     manifest = {
         "config_version": 1,
@@ -181,7 +170,7 @@ def cmd_study(args) -> int:
         seed=_seed_of(args, cfg),
         analyses=tuple(analyses),
     )
-    jobs = _jobs_of(args, cfg)
+    jobs = _count("jobs", args.jobs if args.jobs is not None else cfg.get("jobs", 1))
     out = _out_dir(args, cfg)
     rows = run_study(study, jobs=jobs)
     log_path = os.path.join(out, "study-log.csv")
@@ -290,19 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p):
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--seed", type=int, help="root seed (overrides the config)")
         p.add_argument("--out", help="output directory (overrides the config)")
-        if jobs:
-            p.add_argument("--jobs", type=int, help="worker processes")
 
     p = sub.add_parser("simulate", help="write replicate datasets and a manifest")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="run analyses over replicates; write a study log")
-    common(p, jobs=True)
+    common(p)
+    p.add_argument("--jobs", type=int, help="worker processes")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("reproduce", help="re-run a pinned-seed benchmark")

@@ -23,11 +23,13 @@ Main entry points:
 * ``direct_effect_moment_check`` — the population moment characterization
   evaluated exactly on a joint table.
 
-The naive scan and ``direct_effect_g_estimate`` both run on ``sndm``'s
-score-test engine, the one behind ``g_estimate``.  The scan uses it
-unweighted, as plain g-estimation does; ``direct_effect_g_estimate`` gives
-its rows inverse-probability weights, which switch it to the
-within-subject-robust variance.
+The naive scan and ``direct_effect_g_estimate`` both build their score
+engine with ``sndm._g_engine``, the builder behind ``g_estimate``.  The scan
+uses it unweighted, as plain g-estimation does.  Direct-effect
+g-estimation is g-estimation with a held-fixed arm: it tests the
+studied-arm occasions, lets the blip's cofactors read the fixed arm's
+later treatments, and gives its rows inverse-probability weights, which
+switch the engine to the within-subject-robust variance.
 """
 
 from __future__ import annotations
@@ -41,25 +43,17 @@ from .data import Dataset, group_rows
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw
-from .glm import (
-    TestReport,
-    _report,
-    fit_linear,
-    fit_logistic,
-    pooled_rows,
-    wald_test,
-)
+from .glm import TestReport, _report, fit_linear, fit_logistic, wald_test
 from .laws import BernoulliLogit, NormalLinear
 from .sndm import (
     BlipSpec,
     GEstimate,
     _check_outcomes,
+    _cofactor_rows,
     _g_engine,
-    _residual_outcome,
     _grid_spec,
-    _ScoreEngine,
+    _residual_outcome,
     _search,
-    _stack_shifts,
     additive_blip,
 )
 
@@ -320,7 +314,8 @@ class DeSndmSpec:
     studied-arm occasion m its cofactors may use covariates through L_m,
     earlier treatments and the fixed arm's treatments at ANY occasion (held
     fixed, so "future" Z values are legitimate effect modifiers): the
-    context of ``_de_cofactors``, in which ``validate_for`` evaluates them.
+    context of ``sndm._cofactor_rows`` with the fixed arm held fixed, in
+    which ``validate_for`` evaluates them.
     ``qstar(h, L, A, m)``, when given, replaces the default added columns (H
     paired with each cofactor) at studied-arm occasion m; it must return
     finite values of shape (n,) or (n, k), with the same k at every
@@ -333,43 +328,16 @@ class DeSndmSpec:
 
     def validate_for(self, split: SplitSchema, K: int) -> None:
         split.validate_for(K)
-        _de_cofactors(self, split, np.zeros((1, K + 1)), np.zeros((1, K + 1)))
-
-
-def _de_cofactors(spec: DeSndmSpec, split: SplitSchema, L: np.ndarray,
-                  A: np.ndarray) -> list[np.ndarray]:
-    """Cofactor rows at each studied-arm occasion m, from l0..lm, "lm",
-    a0..a(m-1), "a_prev" and the fixed arm's treatments after m; a term
-    naming any other column is a ``ConfigError``."""
-    return [eval_terms(spec.blip.cofactors,
-                       history_cols(L, A, m + 1, m, m, extra={
-                           f"a{k}": A[:, k] for k in split.z_occasions if k > m}))
-            for m in split.p_occasions]
+        zeros = np.zeros((1, K + 1))
+        _cofactor_rows(self.blip, zeros, zeros, split.p_occasions, split.z_occasions)
 
 
 def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.ndarray:
     """Residual outcome H: observed Y with every studied-arm shift removed."""
     _check_outcomes(spec.blip.family, dataset.Y)
-    C = _de_cofactors(spec, split, dataset.L, dataset.A)
-    S = _stack_shifts(dataset.A, split.p_occasions, C)
+    S = _cofactor_rows(spec.blip, dataset.L, dataset.A, split.p_occasions,
+                       split.z_occasions)[1]
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
-
-
-def _de_engine(dataset: Dataset, split: SplitSchema, spec: DeSndmSpec,
-               weights: IpwWeights, p_alpha_known, level: float) -> _ScoreEngine:
-    """The engine for ``direct_effect_g_estimate``: studied-arm rows, each
-    weighted by the fixed-arm densities after its occasion, so the score
-    test uses the within-subject-robust variance."""
-    occs = split.p_occasions
-    note = ("known randomization design" if p_alpha_known is not None
-            and weights.alpha_source == "design" else CONSERVATIVE_NOTE)
-    C = _de_cofactors(spec, split, dataset.L, dataset.A)
-    return _ScoreEngine(
-        dataset, spec.blip.family, pooled_rows(dataset, spec.mean_terms, occs), occs,
-        C, _stack_shifts(dataset.A, occs, C), qstar=spec.qstar,
-        known_coef=p_alpha_known, note=note, level=level,
-        weights=np.concatenate([weights.w_from(m + 1, dataset.n) for m in occs]),
-    )
 
 
 def direct_effect_g_estimate(
@@ -393,14 +361,21 @@ def direct_effect_g_estimate(
     weights the paired moment columns, and score-tests them with a
     within-subject-robust variance; the estimate and confidence set come
     from inverting that test over the grid.  The set is conservative when
-    any law was estimated.
+    any law was estimated.  This is ``g_estimate``'s engine and search, with
+    the studied-arm occasions tested, the fixed arm held fixed and each
+    studied-arm row weighted by the fixed-arm densities after its occasion.
     """
     spec.validate_for(split, dataset.schema.K)
     dim = spec.blip.dim
     box, points = _grid_spec(psi_box, grid_points, dim)
     laws, source = fit_z_laws(dataset, split, z_terms, known=z_laws)
-    eng = _de_engine(dataset, split, spec, ipw_weights(dataset, split, laws, source),
-                     p_alpha_known, level)
+    weights = ipw_weights(dataset, split, laws, source)
+    occs = split.p_occasions
+    note = ("known randomization design" if p_alpha_known is not None
+            and source == "design" else CONSERVATIVE_NOTE)
+    eng = _g_engine(dataset, spec.blip, spec.mean_terms, spec.qstar, p_alpha_known, occs,
+                    level, note=note, fixed=split.z_occasions,
+                    weights=np.concatenate([weights.w_from(m + 1, dataset.n) for m in occs]))
     return _search(eng, dim, box, points, level)
 
 

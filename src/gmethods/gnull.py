@@ -1,14 +1,11 @@
 """Tests of the joint null of no treatment effect in two-stage designs.
 
-Four testing routes live here:
+Three testing routes live here:
 
 * ``naive_test`` — the standard regression Wald test of both treatment
   coefficients in a linear outcome model.  Invalid when an intermediate
   covariate is confounded with the outcome: it rejects the true null with
   probability tending to 1.  Provided as the cautionary baseline.
-* ``parametric_null_check`` — the exact algebraic condition under which the
-  linear-outcome + logistic-covariate pair can represent a null standardized
-  mean.
 * ``gnull_score_test`` — the randomization score test built from the known
   design means; valid regardless of the covariate process.
 * ``pooled_g_test`` — the person-occasion logistic score test: each subject
@@ -38,7 +35,7 @@ from .sndm import _g_engine, additive_blip
 
 
 # ---------------------------------------------------------------------------
-# The naive regression test and why it cannot be fixed parametrically.
+# The naive regression test.
 # ---------------------------------------------------------------------------
 
 
@@ -61,31 +58,6 @@ def naive_test(dataset: Dataset, level: float = 0.05) -> TestReport:
     fit = fit_linear(X, dataset.Y)
     return wald_test(fit, (1, 3), level=level,
                      note="regression-adjusted test; invalid under confounded covariates")
-
-
-def parametric_null_check(
-    theta: np.ndarray, gamma: np.ndarray, tol: float = 1e-12
-) -> tuple[bool, str]:
-    """When is the standardized mean constant under these two working models?
-
-    ``theta`` = (intercept, a0, l, a1) coefficients of the linear outcome
-    model; ``gamma`` = (intercept, a0) coefficients of the logistic covariate
-    model.  The plug-in standardized mean
-
-        I(a0, a1) = th0 + th1 a0 + th3 a1 + th2 expit(g0 + g1 a0)
-
-    is constant in (a0, a1) exactly when branch "i" (th1 = th2 = th3 = 0)
-    or branch "ii" (th1 = th3 = g1 = 0) holds.  Returns (holds, branch)
-    with branch in {"i", "ii", "i+ii", "none"}.
-    """
-    th = np.asarray(theta, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    if th.shape != (4,) or g.shape != (2,):
-        raise ConfigError("theta must have 4 coefficients and gamma 2")
-    held = (("i", max(abs(th[1]), abs(th[2]), abs(th[3])) <= tol),
-            ("ii", max(abs(th[1]), abs(th[3]), abs(g[1])) <= tol))
-    branch = "+".join(name for name, ok in held if ok)
-    return bool(branch), branch or "none"
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +145,7 @@ def pooled_g_test(dataset: Dataset, spec: GTestSpec, level: float = 0.05) -> Tes
     """
     eng = _g_engine(dataset, additive_blip("1"), spec.treatment_terms, None,
                     spec.alpha_known, spec.occasions, level,
-                    known_note="known randomization design")
+                    note=None if spec.alpha_known is None else "known randomization design")
     return eng.report(0.0)
 
 

@@ -108,7 +108,7 @@ def multiplicative_blip(*cofactors: str, psi=None) -> BlipSpec:
 
 def cofactor_matrix(spec: BlipSpec, L: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
     """(n, dim) matrix of cofactor values at occasion m, from the history before A_m."""
-    return eval_terms(spec.cofactors, history_cols(L, A, m + 1, m, m))
+    return _cofactor_rows(spec, L, A, (m,))[0][0]
 
 
 def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
@@ -119,15 +119,25 @@ def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
     all); treatments at other occasions are left as unmodeled context.
     """
     occs = range(L.shape[1]) if occasions is None else occasions
-    return _stack_shifts(A, occs, [cofactor_matrix(spec, L, A, m) for m in occs])
+    return _cofactor_rows(spec, L, A, occs)[1]
 
 
-def _stack_shifts(A: np.ndarray, occs, C) -> np.ndarray:
-    """Sum over occasions m of A_m times that occasion's cofactor rows ``C``."""
-    S = np.zeros((A.shape[0], C[0].shape[1]))
+def _cofactor_rows(spec: BlipSpec, L: np.ndarray, A: np.ndarray, occs,
+                   fixed=()) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each occasion m's cofactor rows C_m, and the shift basis S, the sum
+    over m of A_m C_m.
+
+    Occasion m's rows read l0..lm, "lm", a0..a(m-1), "a_prev" and the
+    treatments after m at the held-fixed occasions ``fixed``: a treatment
+    held fixed by weighting is context, so a later one may modify the
+    effect.  A term naming any other column is a ``ConfigError``.
+    """
+    C = [eval_terms(spec.cofactors, history_cols(
+        L, A, m + 1, m, m, extra={f"a{k}": A[:, k] for k in fixed if k > m})) for m in occs]
+    S = np.zeros((A.shape[0], spec.dim))
     for m, c in zip(occs, C):
         S += A[:, m][:, None] * c
-    return S
+    return C, S
 
 
 def _check_outcomes(family: str, Y: np.ndarray) -> None:
@@ -377,21 +387,28 @@ class _ScoreEngine:
 
 
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
-              qstar: Callable | None, alpha_known, occasions,
-              level: float, known_note: str = "", q_terms=None) -> _ScoreEngine:
-    """The engine for ``g_test_at``, ``g_estimate``, ``gnull.pooled_g_test``
-    and the naive direct-effect scan: unweighted rows at the tested occasions
-    (default: all), H paired with ``q_terms`` (default: the blip's cofactors)
-    and shifted by the blip's cofactors.  Reports carry ``known_note`` with
-    ``alpha_known``, else ``ESTIMATED_DESIGN_NOTE``."""
+              qstar: Callable | None, alpha_known, occasions, level: float, *,
+              note: str | None = None, q_terms=None, fixed=(),
+              weights: np.ndarray | None = None) -> _ScoreEngine:
+    """The score engine of every analysis (``g_test_at``, ``g_estimate``,
+    ``gnull.pooled_g_test``, the naive direct-effect scan and
+    ``direct_effect_g_estimate``): pooled treatment-model rows at the tested
+    occasions (default: all), where the blip acts; H shifted by the blip's
+    cofactors, read with the held-fixed occasions ``fixed`` as context
+    (``_cofactor_rows``), and paired with ``q_terms`` (default: the same
+    cofactor rows).  Row ``weights``, one per pooled row, switch the test to
+    the within-subject-robust variance.  Reports carry ``note``, by default
+    "" with ``alpha_known`` and ``ESTIMATED_DESIGN_NOTE`` without."""
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
     L, A = dataset.L, dataset.A
-    C = [eval_terms(q_terms or blip_spec.cofactors, history_cols(L, A, m + 1, m, m))
-         for m in occs]
-    note = known_note if alpha_known is not None else ESTIMATED_DESIGN_NOTE
+    C, S = _cofactor_rows(blip_spec, L, A, occs, fixed)
+    if q_terms is not None:
+        C = [eval_terms(q_terms, history_cols(L, A, m + 1, m, m)) for m in occs]
+    if note is None:
+        note = "" if alpha_known is not None else ESTIMATED_DESIGN_NOTE
     return _ScoreEngine(dataset, blip_spec.family, pooled_rows(dataset, treatment_terms, occs),
-                        occs, C, shift_basis(blip_spec, L, A, occs), qstar=qstar,
-                        known_coef=alpha_known, note=note, level=level)
+                        occs, C, S, qstar=qstar, known_coef=alpha_known, note=note,
+                        level=level, weights=weights)
 
 
 def g_test_at(

@@ -33,7 +33,7 @@ from .errors import ConfigError, GmethodsError, _count, _level, _terms, _typed
 from .glm import TestReport
 from .gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from .scenarios import ScenarioConfig, design_alpha, simulate
-from .sndm import BlipSpec, GEstimate, g_estimate
+from .sndm import BlipSpec, GEstimate, _grid_spec, g_estimate
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,11 @@ def read_params(name: str, params, top_level: tuple[str, ...] = ()) -> dict:
     """Every param of analysis ``name``: each given value read by its kind in
     ``PARAMS[name]``, each absent one at its default.  A key that neither the
     analysis nor ``top_level`` reads, or an absent required one, is a
-    ``ConfigError``.  ``top_level`` names the other keys of a single-run
-    config, whose params sit beside them at the top level, so its messages
-    name the bare key; a study's messages name the analysis too."""
+    ``ConfigError``, and so is a bad search grid (``psi_box`` and
+    ``grid_points``), so a study stops before its first replicate.
+    ``top_level`` names the other keys of a single-run config, whose params
+    sit beside them at the top level, so its messages name the bare key; a
+    study's messages name the analysis too."""
     if name not in ANALYSES:
         raise ConfigError(f"unknown analysis {name!r}; registered: {sorted(ANALYSES)}")
     if not isinstance(params, dict):
@@ -96,6 +98,11 @@ def read_params(name: str, params, top_level: tuple[str, ...] = ()) -> dict:
             raise ConfigError(f"missing '{where}{key}' key")
         else:
             out[key] = default
+    if "grid_points" in declared:
+        try:
+            _grid_spec(_search_box(out), out["grid_points"], len(out["cofactors"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from None
     return out
 
 
@@ -104,7 +111,7 @@ def _param(key: str, value, kind: str | None):
     between 0 and 1, an "alpha" ('design', 'fitted' or a list of numbers), a
     "split" of occasions ({p: [...], z: [...]}), or an ``errors._typed``
     kind.  ``grid_points`` (kind None) is one count or one per component,
-    checked where the estimator reads it."""
+    checked with the box in ``read_params``."""
     if kind == "terms":
         return _terms(key, value)
     if kind == "level":
@@ -141,10 +148,15 @@ def _alpha(config: ScenarioConfig, alpha, terms):
     return found
 
 
+def _search_box(p: dict):
+    """The psi_box of a g-estimate or de-estimate analysis; absent, (-4, 4)
+    per blip component."""
+    return [(-4.0, 4.0)] * len(p["cofactors"]) if p["psi_box"] is None else p["psi_box"]
+
+
 def _an_g_estimate(dataset: Dataset, config: ScenarioConfig, p: dict) -> GEstimate:
-    blip = BlipSpec(p["family"], p["cofactors"])
-    return g_estimate(dataset, blip, treatment_terms=p["treatment_terms"],
-                      psi_box=p["psi_box"] or [(-4.0, 4.0)] * blip.dim,
+    return g_estimate(dataset, BlipSpec(p["family"], p["cofactors"]),
+                      treatment_terms=p["treatment_terms"], psi_box=_search_box(p),
                       alpha_known=_alpha(config, p["alpha"], p["treatment_terms"]),
                       grid_points=p["grid_points"], level=p["level"])
 

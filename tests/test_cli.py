@@ -134,7 +134,7 @@ class TestConfigCounts:
     def test_replicates(self, tmp_path, capsys, command, value):
         self.refused(tmp_path, capsys, command, "replicates", replicates=value)
 
-    @pytest.mark.parametrize("command", ["simulate", "study"])
+    @pytest.mark.parametrize("command", ["study"])
     @pytest.mark.parametrize("value", BAD + [0])
     def test_jobs(self, tmp_path, capsys, command, value):
         self.refused(tmp_path, capsys, command, "jobs", jobs=value)
@@ -237,16 +237,13 @@ class TestSimulate:
         assert ((base / "dag1b-rep000.csv").read_bytes()
                 != (other / "dag1b-rep000.csv").read_bytes())
 
-    def test_parallel_run_matches_serial(self, tmp_path):
-        _, serial = self.run(tmp_path, "simser")
-        _, par = self.run(tmp_path, "simpar", extra=("--jobs", "2"))
-        for name in ("manifest.json", "dag1b-rep000.csv", "dag1b-rep001.csv"):
-            assert (serial / name).read_bytes() == (par / name).read_bytes()
-
-    def test_jobs_must_be_positive(self, tmp_path, capsys):
-        rc, _ = self.run(tmp_path, "simjobs", extra=("--jobs", "0"))
-        assert rc == 2
-        assert "jobs must be at least 1" in stderr_of(capsys)
+    def test_jobs_is_not_a_simulate_flag(self, tmp_path):
+        # Writing the CSV files is most of simulate's time, so worker
+        # processes only made it slower; it runs serially.
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "simjobs", extra=("--jobs", "2"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "simjobs").exists()
 
 
 class TestStudy:
@@ -390,15 +387,31 @@ class TestStudy:
         assert stderr_of(capsys) == ""
         assert len(log.read_text().splitlines()) == 3
 
-    def test_bad_grid_points_are_logged_config_errors(self, tmp_path, capsys):
-        rc, log = self.run(tmp_path, "st13", [{"name": "g-estimate", "params": {
-            "psi_box": [[0.0, 2.0]], "grid_points": [1]}}], scenario="sndm-additive")
-        assert rc == 1
-        err = stderr_of(capsys).splitlines()
-        assert err[0].startswith("2 replicate analysis run(s) errored (2 ConfigError)")
-        assert err[1].endswith("ConfigError: grid_points must be at least 2 per component")
-        assert log.read_text().splitlines()[1] == \
-            "sndm-additive,150,0,g-estimate,nan,nan,,nan,nan,nan"
+    def test_bad_grid_is_refused_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        # The grid is checked when the config loads: no replicate is
+        # simulated and no log is written.
+        drawn = []
+        monkeypatch.setattr(studies, "simulate", lambda *args: drawn.append(args))
+        split = {"p": [0], "z": [1]}
+        cases = [
+            ("g-estimate", {"psi_box": [[0.0, 2.0]], "grid_points": [1]},
+             "grid_points must be at least 2 per component"),
+            ("g-estimate", {"cofactors": ["1", "a_prev"], "grid_points": [5]},
+             "grid_points must give one count per blip component (2)"),
+            ("g-estimate", {"psi_box": [[2.0, 0.0]]}, "psi_box needs lo < hi for every component"),
+            ("de-estimate", {"split": split, "psi_box": [[0.0, 2.0]], "grid_points": 1},
+             "grid_points must be at least 2 per component"),
+            ("de-estimate", {"split": split, "cofactors": ["1", "a1"],
+                             "psi_box": [[0.0, 2.0]]},
+             "psi_box must give (lo, hi) per blip component"),
+        ]
+        for i, (name, params, message) in enumerate(cases):
+            rc, log = self.run(tmp_path, f"grid{i}", [{"name": name, "params": params}],
+                               scenario="direct-effect-discrete")
+            assert rc == 2
+            assert stderr_of(capsys) == f"config error: {name} {message}\n"
+            assert not log.parent.exists()
+        assert drawn == []
 
     def test_jobs_flag_leaves_the_log_unchanged(self, tmp_path):
         _, serial = self.run(tmp_path, "st8", ["naive"], n=120)

