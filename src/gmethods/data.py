@@ -246,7 +246,10 @@ def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
     A dynamic rule must be a pure function of (m, l_bar): it is called once
     per distinct covariate prefix, with that prefix's own values (rows are
     grouped by exact equality), and its value is scattered back to every row
-    that shares the prefix.
+    that shares the prefix.  Standardization over a table calls it through
+    ``gformula._TableLaw.extend``, whose per-regime plan keeps what it
+    found, so there a rule runs once per distinct prefix per table and
+    regime, not once per pass.
     """
     n = L_prefix.shape[0]
     if regime.kind == "static":
@@ -264,19 +267,14 @@ def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
 
 
 def write_csv(dataset: Dataset, path: str) -> None:
-    """Write the flat (L0,A0,...,LK,AK,Y) layout."""
-    cols = dataset.schema.columns()
+    """Write the flat (L0,A0,...,LK,AK,Y) layout, each value as the ``repr``
+    of its float: the bytes ``csv.writer`` writes (no float needs quoting,
+    and every line ends in CRLF), formatted one column at a time."""
+    flat = np.empty((dataset.n, 2 * (dataset.schema.K + 1) + 1))
+    flat[:, 0:-1:2], flat[:, 1:-1:2], flat[:, -1] = dataset.L, dataset.A, dataset.Y
+    rows = map(",".join, zip(*[map(repr, col.tolist()) for col in flat.T]))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        K = dataset.schema.K
-        for i in range(dataset.n):
-            row: list[str] = []
-            for m in range(K + 1):
-                row.append(repr(float(dataset.L[i, m])))
-                row.append(repr(float(dataset.A[i, m])))
-            row.append(repr(float(dataset.Y[i])))
-            w.writerow(row)
+        fh.write("\r\n".join([",".join(dataset.schema.columns()), *rows, ""]))
 
 
 def read_csv(path: str, schema: Schema) -> Dataset:

@@ -1,5 +1,7 @@
 """Containers, validation, regimes, and CSV round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,23 @@ from gmethods.data import (
     write_csv,
 )
 from gmethods.errors import ConfigError, ValidationError
+from gmethods.scenarios import SCENARIOS, simulate
+
+
+def per_row_write_csv(dataset, path) -> None:
+    """write_csv as it was: one csv.writer row per subject, each value the
+    repr of its float."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(dataset.schema.columns())
+        K = dataset.schema.K
+        for i in range(dataset.n):
+            row: list[str] = []
+            for m in range(K + 1):
+                row.append(repr(float(dataset.L[i, m])))
+                row.append(repr(float(dataset.A[i, m])))
+            row.append(repr(float(dataset.Y[i])))
+            w.writerow(row)
 
 
 def k1_schema():
@@ -149,3 +168,24 @@ class TestCsv:
         path.write_text("L0,A0,L1,A1,Y\n0.0,1.0,5.0,0.0,1.0\n")
         with pytest.raises(ValidationError, match="level violation"):
             read_csv(str(path), k1_schema())
+
+    @staticmethod
+    def assert_same_bytes(ds, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(ds, str(got))
+        per_row_write_csv(ds, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_column_writer_equals_the_row_writer(self, name, n, tmp_path):
+        self.assert_same_bytes(simulate(SCENARIOS[name](), n, 17), tmp_path)
+
+    def test_column_writer_equals_the_row_writer_on_edge_values(self, tmp_path):
+        odd = [-0.0, 1e-300, 0.1 + 0.2, 5e-324, -1e300, 1e16, 123456789.125,
+               float("nan"), float("inf"), -float("inf"), 1.0 / 3.0, -2.5]
+        schema = Schema((continuous(), continuous()), (continuous(), continuous()))
+        L = np.reshape(odd * 2, (12, 2))
+        ds = Dataset(schema, L, L[::-1], np.array(odd)[::-1])
+        self.assert_same_bytes(ds, tmp_path)
+        self.assert_same_bytes(Dataset(schema, L[:0], L[:0], L[:0, 0]), tmp_path)

@@ -3,6 +3,7 @@ table laws, array-at-a-time enumeration and once-per-prefix regime rules
 against the code they replaced, which is kept below as the reference."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -849,13 +850,20 @@ class TestReplacedPathsAreUnchanged:
         table, plans, unsupported = self.LINK_CASES[case]()
         laws = table.laws
         chain = laws.l_laws + (laws.y_law,)
+        rng = np.random.default_rng(7)
         wants = []
         for plan in plans:
             for m in range(laws.K + 1):
                 law = chain[m]
                 key, j = np.nonzero(law.probs > 0.0)  # every live history and value
-                want = extend_outcome(unique_extend, law, chain[m + 1], plan, m, key, j)
-                assert extend_outcome(law.extend, chain[m + 1], plan, m, key, j) == want
+                # Half the pairs, then all (half of them kept in the plan),
+                # then all again and shuffled (every supported pair kept).
+                perm = rng.permutation(len(key))
+                for at in (perm[: len(key) // 2], np.arange(len(key)), np.arange(len(key)),
+                           perm):
+                    args = (chain[m + 1], plan, m, key[at], j[at])
+                    want = extend_outcome(unique_extend, law, *args)
+                    assert extend_outcome(law.extend, *args) == want
                 wants.append(want[0])
         assert ("PositivityError" in wants) == unsupported
 
@@ -922,6 +930,129 @@ class TestForwardPassOracle:
         np.testing.assert_array_equal(got.atoms, [0.0, 1.0])
         self.assert_same_law(t, Regime.static((0.0, 1.0)))
         self.assert_same_law(t, Regime.static((1.0, 0.0)))
+
+
+class TestRegimePlans:
+    """Each covariate law keeps one plan per regime, filled lazily by extend:
+    no order of passes, and no warm plan, changes an output or an error."""
+
+    SEQ_K2 = enumerate_joint(sequential_trial_scenario(K=2), y_bins=np.linspace(-2, 6, 10))
+
+    @staticmethod
+    def fresh(table: JointTable) -> JointTable:
+        """The same table with no laws built yet, so no plan."""
+        return JointTable(table.schema, table.cells, table.probs)
+
+    @staticmethod
+    def histories(table: JointTable, regime: Regime) -> list[History]:
+        """Every observed covariate history, with the treatments the regime
+        assigns along it."""
+        out = []
+        for m in range(table.schema.K + 1):
+            l_cols = [table.l_col(j) for j in range(m + 1)]
+            for l_bar in np.unique(table.cells[:, l_cols], axis=0):
+                l_bar = tuple(float(v) for v in l_bar)
+                out.append(History(m, l_bar, tuple(_regime_prefix(table, regime, l_bar[:m]))))
+        return out
+
+    @staticmethod
+    def run(table: JointTable, regime: Regime, step):
+        """One pass ("exact", "mc" or a History) as its law's arrays, or the
+        PositivityError it raised."""
+        try:
+            if step == "exact":
+                law = g_formula_exact(table, regime)
+            elif step == "mc":
+                law = g_formula_mc(table.laws, regime, 9000, 5)
+            else:
+                law = g_formula_conditional(table, regime, step)
+        except PositivityError as exc:
+            return ("PositivityError", str(exc))
+        if law.kind == "samples":
+            return ("samples", law.samples)
+        return ("exact", law.atoms, law.atom_probs)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want) and got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert (g == w) if isinstance(w, str) else np.array_equal(g, w)
+
+    @pytest.mark.parametrize("order", [("exact", "mc", "conditional"), ("mc", "exact"),
+                                       ("conditional", "exact")])
+    @pytest.mark.parametrize("case", ["seq-K2", "hand", "thinned"])
+    def test_every_order_of_passes_gives_the_cold_outputs(self, case, order):
+        table = {"seq-K2": self.SEQ_K2, "hand": _hand_table(),
+                 "thinned": _oracle_table("thinned", 3)}[case]
+        K = table.schema.K
+        regimes = (Regime.static((1.0,) * (K + 1)), Regime.static((0.0, 1.0, 0.0)[: K + 1]),
+                   Regime.dynamic(_threshold), Regime.dynamic(_alternating))
+        outcomes = set()
+        for regime in regimes:
+            warm = self.fresh(table)
+            for name in order:
+                steps = self.histories(table, regime) if name == "conditional" else [name]
+                for step in steps:
+                    got = self.run(warm, regime, step)
+                    self.assert_same(got, self.run(self.fresh(table), regime, step))
+                    outcomes.add(got[0])
+        assert {"exact", "samples" if "mc" in order else "exact"} <= outcomes
+        assert ("PositivityError" in outcomes) == (case != "seq-K2")
+
+    def test_a_positivity_error_reads_the_same_after_a_warm_plan(self):
+        # Under (1, 1), L0 = 0 has a supported path and L0 = 1 does not.
+        table, regime = _hand_table(), Regime.static((1.0, 1.0))
+        cold = {step: self.run(self.fresh(table), regime, step) for step in ("exact", "mc")}
+        assert cold["exact"][0] == cold["mc"][0] == "PositivityError"
+        warm = self.fresh(table)
+        assert self.run(warm, regime, History(0, (0.0,), ()))[0] == "exact"
+        assert all(np.any(law.plans[regime] >= 0) for law in warm.laws.l_laws)
+        for step in ("exact", "mc", "exact"):  # an unsupported pair is never kept
+            assert self.run(warm, regime, step) == cold[step]
+
+    def test_the_plan_is_keyed_by_the_whole_regime(self):
+        table = self.fresh(self.SEQ_K2)
+        ones, zeros = Regime.static((1.0, 1.0, 1.0), "p"), Regime.static((0.0, 0.0, 0.0), "p")
+        laws = {}
+        for regime in (ones, zeros, ones):
+            got = self.run(table, regime, "exact")
+            self.assert_same(got, self.run(self.fresh(table), regime, "exact"))
+            laws[regime.plan] = got
+        assert not np.array_equal(laws[ones.plan][2], laws[zeros.plan][2])
+        assert all(len(law.plans) == 2 for law in table.laws.l_laws)
+
+    def test_equal_regimes_share_one_plan(self):
+        table = self.fresh(self.SEQ_K2)
+        calls = []
+
+        def rule(m, l_bar):
+            calls.append((m, l_bar))
+            return _threshold(m, l_bar)
+
+        first, second = Regime.dynamic(rule, "x"), Regime.dynamic(rule, "x")
+        assert first is not second and first == second
+        want = self.run(table, first, "exact")
+        called = len(calls)
+        self.assert_same(self.run(table, second, "exact"), want)
+        assert len(calls) == called > 0
+        assert all(list(law.plans) == [first] for law in table.laws.l_laws)
+
+    @pytest.mark.parametrize("rule", [_threshold, _alternating])
+    def test_a_rule_runs_once_per_prefix_across_the_passes(self, rule):
+        table = self.fresh(self.SEQ_K2)
+        calls = Counter()
+
+        def counted(m, l_bar):
+            calls[m, l_bar] += 1
+            return rule(m, l_bar)
+
+        regime = Regime.dynamic(counted, "counted")
+        g_formula_exact(table, regime)
+        g_formula_mc(table.laws, regime, 20000, 5)  # three blocks
+        for l0 in table.covariate_support(0):
+            g_formula_conditional(table, regime, History(0, (float(l0),), ()))
+        assert {m for m, _ in calls} == {0, 1, 2}
+        assert max(calls.values()) == 1
 
 
 class TestContextKeys:
