@@ -1,9 +1,12 @@
-"""Data containers: schemas, datasets, regimes, histories.
+"""Data containers: schemas, datasets, regimes, histories, and the CSV format.
 
 Occasions are indexed 0..K.  A subject's record is the time-ordered vector
 (L_0, A_0, L_1, A_1, ..., L_K, A_K, Y); the virtual pre-study treatment
 A_{-1} is identically 0.  All values are stored as float64; discreteness is
 carried by kind metadata, not dtype.
+
+Every CSV the package writes goes through ``_write_table`` and every CSV it
+reads through ``_read_table``; no other module formats or parses one.
 """
 
 from __future__ import annotations
@@ -266,38 +269,59 @@ def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
     return values[inverse]
 
 
+def _quoted(cell: str) -> str:
+    """A text cell as ``csv.writer`` quotes it: only if it holds , " CR or LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_table(path: str, header: list[str], columns: list) -> None:
+    """Write ``header`` and one CRLF-ended line per row of ``columns``: a numpy
+    column as the ``repr`` of each ``.tolist()`` value, any other as text
+    cells through ``_quoted``; the bytes ``csv.writer`` writes."""
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_quoted, col)
+             for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+
+
+def _read_table(path: str, header: list[str]) -> np.ndarray:
+    """The non-blank rows under ``header`` as an (n, len(header)) float array;
+    a wrong header, no row, a row of another width or a non-numeric cell is a
+    ``ValidationError`` naming the row (0-based, as ``validate`` counts)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise ValidationError(f"CSV header {got} in {path} does not match {header}")
+        rows = [row for row in reader if row]
+    if not rows:
+        raise ValidationError(f"no data rows in {path}")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"row {i} of {path} has {len(row)} cells, not {len(header)}")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for i, row in enumerate(rows):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValidationError(f"row {i} of {path}: {exc}") from None
+        raise
+
+
 def write_csv(dataset: Dataset, path: str) -> None:
-    """Write the flat (L0,A0,...,LK,AK,Y) layout, each value as the ``repr``
-    of its float: the bytes ``csv.writer`` writes (no float needs quoting,
-    and every line ends in CRLF), formatted one column at a time."""
+    """Write the flat (L0,A0,...,LK,AK,Y) layout through ``_write_table``."""
     flat = np.empty((dataset.n, 2 * (dataset.schema.K + 1) + 1))
     flat[:, 0:-1:2], flat[:, 1:-1:2], flat[:, -1] = dataset.L, dataset.A, dataset.Y
-    rows = map(",".join, zip(*[map(repr, col.tolist()) for col in flat.T]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(dataset.schema.columns()), *rows, ""]))
+    _write_table(path, dataset.schema.columns(), list(flat.T))
 
 
 def read_csv(path: str, schema: Schema) -> Dataset:
     """Read a dataset written by write_csv; header must match the schema."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        expected = schema.columns()
-        if header != expected:
-            raise ValidationError(
-                f"CSV header {header} does not match schema columns {expected}"
-            )
-        raw = [row for row in r if row]
-    try:
-        arr = np.array(raw, dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"non-numeric cell in {path}: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != len(expected):
-        raise ValidationError(f"ragged CSV in {path}")
-    K = schema.K
-    L = arr[:, 0 : 2 * (K + 1) : 2]
-    A = arr[:, 1 : 2 * (K + 1) : 2]
-    Y = arr[:, -1]
-    ds = Dataset(schema, L, A, Y)
+    flat = _read_table(path, schema.columns())
+    ds = Dataset(schema, flat[:, 0:-1:2], flat[:, 1:-1:2], flat[:, -1])
     validate(ds)
     return ds

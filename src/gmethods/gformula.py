@@ -1,11 +1,12 @@
 """Standardization over covariate history: exact, conditional, and MC forms.
 
 The internal standard object is the survivor function S_g(y) = pr[Y_g > y]
-of the outcome under a regime g; CSV export converts to the distribution
-function F = 1 - S.  Exact, conditional and Monte Carlo evaluation all read
-the same conditional laws of a JointTable (finite joint law of the
-observable record), built once per table as ``JointTable.laws``, which
-``ConditionalLaws.from_table`` returns.  Building them links each
+of the outcome under a regime g; its CSV export, through
+``data._write_table``, is the distribution function F = 1 - S.  Exact,
+conditional and Monte Carlo evaluation all read the same conditional laws
+of a JointTable (finite joint law of the observable record), built once
+per table as ``JointTable.laws``, which ``ConditionalLaws.from_table``
+returns.  Building them links each
 covariate law to the next one through a child map (see ``_TableLaw``).
 All three forms start at the root law's one history and carry a history
 as its integer position in the current law's keys, advanced through one
@@ -22,14 +23,13 @@ sorting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
 
-from .data import History, Regime, Schema, group_rows, regime_values
+from .data import History, Regime, Schema, _read_table, _write_table, group_rows, regime_values
 from .errors import ConfigError, EstimationError, PositivityError, _count
 from .glm import expit
 from .laws import _choice_cdf, _invert_cdf
@@ -81,14 +81,8 @@ class JointTable:
     def a_col(m: int) -> int:
         return 2 * m + 1
 
-    def y_values(self) -> np.ndarray:
-        return np.unique(self.cells[:, -1])
-
     def covariate_support(self, m: int) -> np.ndarray:
         return np.unique(self.cells[:, self.l_col(m)])
-
-    def treatment_support(self, m: int) -> np.ndarray:
-        return np.unique(self.cells[:, self.a_col(m)])
 
     def match(self, assign: dict[int, float]) -> np.ndarray:
         """Boolean mask of cells whose column values match ``assign``."""
@@ -101,23 +95,12 @@ class JointTable:
         return float(self.probs[self.match(assign)].sum())
 
     def to_csv(self, path: str) -> None:
-        cols = self.schema.columns() + ["prob"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row, p in zip(self.cells, self.probs):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(p))])
+        _write_table(path, self.schema.columns() + ["prob"], [*self.cells.T, self.probs])
 
     @staticmethod
     def from_csv(path: str, schema: Schema) -> "JointTable":
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if header != schema.columns() + ["prob"]:
-                raise ConfigError(f"unexpected table header in {path}")
-            raw = [row for row in r if row]
-        arr = np.array(raw, dtype=float)
-        return JointTable(schema, arr[:, :-1], arr[:, -1])
+        rows = _read_table(path, schema.columns() + ["prob"])
+        return JointTable(schema, rows[:, :-1], rows[:, -1])
 
 
 @dataclass(frozen=True)
@@ -165,17 +148,10 @@ class RegimeDistribution:
 
     def to_csv(self, path: str) -> None:
         """Exact laws export a (y, F) grid; sample laws a raw sample column."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.kind == "exact":
-                w.writerow(["y", "F"])
-                running = np.cumsum(self.atom_probs)
-                for v, F in zip(self.atoms, running):
-                    w.writerow([repr(float(v)), repr(float(F))])
-            else:
-                w.writerow(["y"])
-                for v in self.samples:
-                    w.writerow([repr(float(v))])
+        if self.kind == "exact":
+            _write_table(path, ["y", "F"], [self.atoms, np.cumsum(self.atom_probs)])
+        else:
+            _write_table(path, ["y"], [self.samples])
 
 
 class _TableLaw:

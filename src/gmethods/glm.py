@@ -69,9 +69,6 @@ class TestReport:
     reject: bool
     note: str = ""
 
-    def recomputed_p(self) -> float:
-        return _tail_p(self.statistic, self.df, self.reference)
-
 
 def _tail_p(statistic: float, df: int | None, reference: str) -> float:
     """p-value of a statistic: chi-square(df) upper tail, or two-sided normal.

@@ -31,7 +31,7 @@ from .data import (
     group_rows,
     regime_values,
 )
-from .errors import ConfigError, EstimationError, _count
+from .errors import ConfigError, EstimationError, _count, _typed
 from .features import Cols, history_cols
 from .gformula import JointTable, RegimeDistribution
 from .laws import (
@@ -536,6 +536,12 @@ SCENARIOS = {
 
 
 def make_scenario(name: str, params: dict | None = None) -> ScenarioConfig:
+    """The registered scenario built with ``params``; params its factory
+    refuses (an unknown or clashing key, a wrong type) are a ``ConfigError``."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
-    return SCENARIOS[name](**(params or {}))
+    params = _typed(f"scenario {name!r} params", params or {}, "mapping")
+    try:
+        return SCENARIOS[name](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario {name!r}: {exc}") from exc

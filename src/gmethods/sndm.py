@@ -29,7 +29,7 @@ from scipy.special import gammaincinv
 # only: it adds about 17 MB and 0.2 s to every import of the package, and
 # the closed-form path never needs it.
 
-from .data import Dataset
+from .data import Dataset, _write_table
 from .errors import ConfigError, ConvergenceError, EstimationError, _level
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
@@ -237,15 +237,9 @@ class GEstimate:
         return float(ends[0]), float(ends[1])
 
     def to_csv(self, path: str) -> None:
-        import csv
-
-        dim = self.grid.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"psi{j}" for j in range(dim)] + ["statistic", "p", "accept"])
-            for g, s, p, a in zip(self.grid, self.grid_stats, self.grid_pvals, self.accepted):
-                w.writerow([repr(float(v)) for v in g]
-                           + [repr(float(s)), repr(float(p)), int(a)])
+        header = [f"psi{j}" for j in range(self.grid.shape[1])] + ["statistic", "p", "accept"]
+        _write_table(path, header, [*self.grid.T, self.grid_stats, self.grid_pvals,
+                                    self.accepted.astype(int)])
 
 
 class _ScoreEngine:

@@ -14,14 +14,13 @@ and the study continues.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .data import Dataset
+from .data import Dataset, _write_table
 from .direct_effect import (
     DeSndmSpec,
     SplitSchema,
@@ -247,17 +246,16 @@ def run_study(config: StudyConfig, jobs: int = 1) -> list[StudyRow]:
 
 
 def write_study_log(path: str, rows: list[StudyRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "n", "replicate", "analysis", "statistic",
-                    "p", "reject", "estimate", "ci_lo", "ci_hi"])
-        for r in rows:
-            w.writerow([
-                r.scenario, r.n, r.replicate, r.analysis,
-                repr(float(r.statistic)), repr(float(r.p)),
-                "" if r.reject is None else int(r.reject),
-                repr(float(r.estimate)), repr(float(r.ci_lo)), repr(float(r.ci_hi)),
-            ])
+    def floats(key: str) -> np.ndarray:
+        return np.array([getattr(r, key) for r in rows], dtype=float)
+
+    _write_table(path, ["scenario", "n", "replicate", "analysis", "statistic",
+                        "p", "reject", "estimate", "ci_lo", "ci_hi"],
+                 [[r.scenario for r in rows], [str(r.n) for r in rows],
+                  [str(r.replicate) for r in rows], [r.analysis for r in rows],
+                  floats("statistic"), floats("p"),
+                  ["" if r.reject is None else str(int(r.reject)) for r in rows],
+                  floats("estimate"), floats("ci_lo"), floats("ci_hi")])
 
 
 @dataclass(frozen=True)

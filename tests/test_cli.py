@@ -81,6 +81,12 @@ class TestConfigLoading:
         assert main(["simulate", "--config", path]) == 2
         assert "unknown scenario" in stderr_of(capsys)
 
+    def test_bad_scenario_params_are_a_config_error(self, tmp_path, capsys):
+        path = cfg_file(tmp_path, scenario={"name": "dag1b", "params": {"bogus": 1}},
+                        n=10, seed=1)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: scenario 'dag1b': " in stderr_of(capsys)
+
     def test_missing_n_and_seed_are_named(self, tmp_path, capsys):
         no_n = cfg_file(tmp_path, "no-n.yaml", scenario="dag1b", seed=1)
         assert main(["simulate", "--config", no_n]) == 2

@@ -1,4 +1,6 @@
-"""Containers, validation, regimes, and CSV round trips."""
+"""Containers, validation, regimes, and the one CSV format: round trips,
+every writer against the per-row ``csv.writer`` code it replaced, and both
+readers on malformed files."""
 
 import csv
 
@@ -20,7 +22,16 @@ from gmethods.data import (
     write_csv,
 )
 from gmethods.errors import ConfigError, ValidationError
-from gmethods.scenarios import SCENARIOS, simulate
+from gmethods.gformula import JointTable, g_formula_exact, g_formula_mc
+from gmethods.scenarios import (
+    SCENARIOS,
+    enumerate_joint,
+    sequential_trial_scenario,
+    simulate,
+    sndm_scenario,
+)
+from gmethods.sndm import additive_blip, g_estimate
+from gmethods.studies import StudyConfig, StudyRow, run_study, write_study_log
 
 
 def per_row_write_csv(dataset, path) -> None:
@@ -37,6 +48,54 @@ def per_row_write_csv(dataset, path) -> None:
                 row.append(repr(float(dataset.A[i, m])))
             row.append(repr(float(dataset.Y[i])))
             w.writerow(row)
+
+
+def per_row_table_csv(table, path) -> None:
+    """JointTable.to_csv as it was: one csv.writer row per cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(table.schema.columns() + ["prob"])
+        for row, p in zip(table.cells, table.probs):
+            w.writerow([repr(float(v)) for v in row] + [repr(float(p))])
+
+
+def per_row_law_csv(dist, path) -> None:
+    """RegimeDistribution.to_csv as it was: one csv.writer row per atom or
+    sample."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if dist.kind == "exact":
+            w.writerow(["y", "F"])
+            for v, F in zip(dist.atoms, np.cumsum(dist.atom_probs)):
+                w.writerow([repr(float(v)), repr(float(F))])
+        else:
+            w.writerow(["y"])
+            for v in dist.samples:
+                w.writerow([repr(float(v))])
+
+
+def per_row_grid_csv(est, path) -> None:
+    """GEstimate.to_csv as it was: one csv.writer row per grid point."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"psi{j}" for j in range(est.grid.shape[1])] + ["statistic", "p", "accept"])
+        for g, s, p, a in zip(est.grid, est.grid_stats, est.grid_pvals, est.accepted):
+            w.writerow([repr(float(v)) for v in g] + [repr(float(s)), repr(float(p)), int(a)])
+
+
+def per_row_study_log(path, rows) -> None:
+    """studies.write_study_log as it was: one csv.writer row per StudyRow."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["scenario", "n", "replicate", "analysis", "statistic",
+                    "p", "reject", "estimate", "ci_lo", "ci_hi"])
+        for r in rows:
+            w.writerow([
+                r.scenario, r.n, r.replicate, r.analysis,
+                repr(float(r.statistic)), repr(float(r.p)),
+                "" if r.reject is None else int(r.reject),
+                repr(float(r.estimate)), repr(float(r.ci_lo)), repr(float(r.ci_hi)),
+            ])
 
 
 def k1_schema():
@@ -189,3 +248,82 @@ class TestCsv:
         ds = Dataset(schema, L, L[::-1], np.array(odd)[::-1])
         self.assert_same_bytes(ds, tmp_path)
         self.assert_same_bytes(Dataset(schema, L[:0], L[:0], L[:0, 0]), tmp_path)
+
+
+SNDM_TERMS = ("1", "lm", "a_prev")
+SNDM_ALPHA = (-0.1, 0.7, -0.3)
+
+
+def same_bytes(write, reference, tmp_path) -> bool:
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(str(got))
+    reference(str(want))
+    return got.read_bytes() == want.read_bytes()
+
+
+class TestOneFormat:
+    """Each writer goes through data._write_table and writes the bytes of the
+    per-row writer it replaced; both readers go through data._read_table."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return enumerate_joint(sequential_trial_scenario(K=1), y_bins=np.linspace(-2, 6, 6))
+
+    def test_joint_table(self, table, tmp_path):
+        assert same_bytes(table.to_csv, lambda p: per_row_table_csv(table, p), tmp_path)
+
+    @pytest.mark.parametrize("regime", [
+        Regime.static((1.0, 1.0)),
+        Regime.dynamic(lambda m, l_bar: float(l_bar[-1] > 0.5), "threshold"),
+    ], ids=["static", "dynamic"])
+    def test_exact_and_sampled_laws(self, table, regime, tmp_path):
+        for dist in (g_formula_exact(table, regime),
+                     g_formula_mc(table.laws, regime, draws=20_000, seed=5)):
+            assert same_bytes(dist.to_csv, lambda p: per_row_law_csv(dist, p), tmp_path)
+
+    @pytest.mark.parametrize("cofactors, box, points", [
+        (("1",), ((0.0, 2.0),), 41),
+        (("1", "a_prev"), ((0.0, 2.0), (-0.5, 1.5)), (7, 5)),
+    ], ids=["1-D", "2-D"])
+    def test_grids(self, cofactors, box, points, tmp_path):
+        ds = simulate(sndm_scenario(cofactors=cofactors, psi=(1.0, 0.5)[:len(box)]), 800, 73)
+        est = g_estimate(ds, additive_blip(*cofactors), treatment_terms=SNDM_TERMS,
+                         alpha_known=SNDM_ALPHA, psi_box=box, grid_points=points)
+        assert est.grid.shape[1] == len(box)
+        assert same_bytes(est.to_csv, lambda p: per_row_grid_csv(est, p), tmp_path)
+
+    def test_study_logs(self, tmp_path):
+        config = StudyConfig(SCENARIOS["dag1b"](), 200, 2, 77,
+                             (("naive", {}), ("gnull-score", {})))
+        odd = [
+            StudyRow('a,b "q"', 10, 0, "naive", np.float64(1.5), 0.25, np.bool_(True),
+                     -0.0, float("-inf"), float("inf")),
+            StudyRow("line\nbreak", 10, 1, "g-estimate", estimate=1 / 3, ci_lo=5e-324),
+            StudyRow("cr\rcell", 10, 2, "de-gnull", error="EstimationError: no fit"),
+            StudyRow("", 10, 3, "pooled-g", reject=False),
+        ]
+        for rows in (run_study(config), odd, []):
+            assert same_bytes(lambda p: write_study_log(p, rows),
+                              lambda p: per_row_study_log(p, rows), tmp_path)
+
+    READERS = {
+        "read_csv": (lambda path: read_csv(path, k1_schema()), "L0,A0,L1,A1,Y"),
+        "JointTable.from_csv": (lambda path: JointTable.from_csv(path, k1_schema()),
+                                "L0,A0,L1,A1,Y,prob"),
+    }
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("body, match", [
+        (lambda good: [], "no data rows"),
+        (lambda good: ["", ""], "no data rows"),
+        (lambda good: [good, good + ",0.0", good], "row 1 of .* cells, not"),
+        (lambda good: [good, good.rpartition(",")[0]], "row 1 of .* cells, not"),
+        (lambda good: [good, good, "x" + good], "row 2 of .*could not convert"),
+        (lambda good: [good, good.rpartition(",")[0] + ","], "row 1 of .*could not convert"),
+    ], ids=["header-only", "blank-lines", "long-row", "short-row", "non-numeric", "empty-cell"])
+    def test_malformed_files_are_validation_errors(self, reader, body, match, tmp_path):
+        read, header = self.READERS[reader]
+        good = ",".join(["0.0", "1.0", "0.0", "1.0", "0.5", "1.0"][:header.count(",") + 1])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *body(good), ""]))
+        with pytest.raises(ValidationError, match=match):
+            read(str(path))

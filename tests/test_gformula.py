@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmethods.data import History, Regime, Schema, discrete
-from gmethods.errors import ConfigError, PositivityError
+from gmethods.errors import ConfigError, PositivityError, ValidationError
 from gmethods.gformula import (
     ConditionalLaws,
     JointTable,
@@ -92,8 +92,8 @@ class TestJointTable:
     def test_supports(self):
         t = one_occasion_table()
         np.testing.assert_array_equal(t.covariate_support(0), [0.0, 1.0])
-        np.testing.assert_array_equal(t.treatment_support(0), [0.0, 1.0])
-        np.testing.assert_array_equal(t.y_values(), [0.0, 1.0])
+        np.testing.assert_array_equal(np.unique(t.cells[:, t.a_col(0)]), [0.0, 1.0])
+        np.testing.assert_array_equal(np.unique(t.cells[:, -1]), [0.0, 1.0])
 
     def test_csv_round_trip(self, tmp_path):
         t = enumerate_joint(discrete_trial_scenario())
@@ -107,7 +107,7 @@ class TestJointTable:
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:
             fh.write("L0,A0,prob\n0.0,0.0,1.0\n")
-        with pytest.raises(ConfigError, match="header"):
+        with pytest.raises(ValidationError, match="header"):
             JointTable.from_csv(path, binary_schema(0))
 
 

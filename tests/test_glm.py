@@ -31,6 +31,7 @@ from gmethods.glm import (
     _as_matrix,
     _chol_solve,
     _report,
+    _tail_p,
     _score_moments,
     expit,
     fit_linear,
@@ -342,14 +343,14 @@ class TestWald:
         X = np.column_stack([np.ones(50), rng.normal(size=50)])
         fit = fit_linear(X, rng.normal(size=50))
         rep = wald_test(fit, [0, 1])
-        assert abs(rep.p_value - rep.recomputed_p()) < 1e-10
+        assert abs(rep.p_value - _tail_p(rep.statistic, rep.df, rep.reference)) < 1e-10
 
 
 class TestPValues:
     def test_zero_df_gives_p_one_both_ways(self):
         rep = _report(0.0, 0, "chi2", 0.05)
         assert rep.p_value == 1.0
-        assert rep.recomputed_p() == 1.0
+        assert _tail_p(rep.statistic, rep.df, rep.reference) == 1.0
 
     @pytest.mark.parametrize("df", [1, 2, 3, 4, 5])
     def test_tails_equal_the_scipy_stats_tails(self, df):

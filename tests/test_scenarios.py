@@ -85,6 +85,17 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="unknown scenario"):
             make_scenario("no-such-scenario")
 
+    @pytest.mark.parametrize("name, params, match", [
+        ("dag1b", {"bogus": 1}, "scenario 'dag1b': .*unexpected keyword argument 'bogus'"),
+        ("dag1b", {"name": "x"}, "scenario 'dag1b': .*multiple values .*'name'"),
+        ("dag1b", [1], "scenario 'dag1b' params must be a mapping"),
+        ("dag1b", {"u_prob": "x"}, "scenario 'dag1b': "),
+        ("sndm-additive", {"psi": ("a",)}, "scenario 'sndm-additive': could not convert"),
+    ], ids=["unknown-key", "clash", "non-mapping", "wrong-type", "bad-value"])
+    def test_bad_params_are_config_errors(self, name, params, match):
+        with pytest.raises(ConfigError, match=match):
+            make_scenario(name, params)
+
 
 class TestEnumerateJoint:
     def test_probabilities_normalized(self):

@@ -87,13 +87,14 @@ def masked_factor(table, k) -> np.ndarray:
 
 
 def masked_y_given(table, idx, vals) -> np.ndarray | None:
-    """P(Y = y | condition) over table.y_values, or None if the event is null."""
+    """P(Y = y | condition) over the table's distinct outcome values, or None
+    if the event is null."""
     denom = masked_sum(table, idx, vals)
     if denom <= 0.0:
         return None
     ycol = table.cells.shape[1] - 1
     return np.array([
-        masked_sum(table, idx + [ycol], vals + [y]) for y in table.y_values()
+        masked_sum(table, idx + [ycol], vals + [y]) for y in np.unique(table.cells[:, ycol])
     ]) / denom
 
 
