@@ -65,7 +65,6 @@ from .glm import (
     wald_test,
 )
 from .gnull import (
-    GnullScoreInputs,
     GTestSpec,
     gnull_score_test,
     gnull_table_check,
@@ -148,7 +147,6 @@ __all__ = [
     "FittedGlm",
     "GEstimate",
     "GmethodsError",
-    "GnullScoreInputs",
     "GTestSpec",
     "History",
     "JointTable",

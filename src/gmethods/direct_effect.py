@@ -23,13 +23,14 @@ Main entry points:
 * ``direct_effect_moment_check`` — the population moment characterization
   evaluated exactly on a joint table.
 
-The naive scan and ``direct_effect_g_estimate`` both build their score
-engine with ``sndm._g_engine``, the builder behind ``g_estimate``.  The scan
-uses it unweighted, as plain g-estimation does.  Direct-effect
-g-estimation is g-estimation with a held-fixed arm: it tests the
-studied-arm occasions, lets the blip's cofactors read the fixed arm's
-later treatments, and gives its rows inverse-probability weights, which
-switch the engine to the within-subject-robust variance.
+Every test and estimator here builds its score engine with
+``sndm._g_engine``, the builder behind ``g_estimate``.  The naive scan uses
+it unweighted, as plain g-estimation does.  Direct-effect g-estimation is
+g-estimation with a held-fixed arm: it tests the studied-arm occasions,
+lets the blip's cofactors read the fixed arm's later treatments, and gives
+its rows inverse-probability weights, which switch the engine to the
+within-subject-robust variance.  The weighted test is that engine at
+psi = 0 on occasion 0, with a least-squares null for A0.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .data import Dataset, group_rows
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw
-from .glm import TestReport, _report, fit_linear, fit_logistic, wald_test
-from .laws import BernoulliLogit, NormalLinear
+from .glm import TestReport, fit_linear, fit_logistic, wald_test
+from .laws import BernoulliLogit, NormalLinear, _normal_density
 from .sndm import (
     BlipSpec,
     GEstimate,
@@ -188,15 +189,15 @@ def direct_effect_gnull_test(
     """Weighted independence test of the early treatment's direct effect.
 
     Forms script-W = Y phi(A1) / f(A1 | L, A0), phi the standard normal
-    density, and score-tests the A0 slope in a linear model for script-W.
-    Weighting by the late-treatment assignment density removes the
-    dependence that conditioning on A1 would otherwise induce; phi has a
-    finite weighted expectation for continuous A1.  Without ``a1_law`` the
-    assignment law is fitted on ("1", "lm", "a0").  The score is
-    self-normalized (per-subject squared summands) — the weight ratio makes
-    the variance of script-W depend on A0, so a homoskedastic variance
-    would not hold the level.  With an estimated assignment law the test is
-    conservative.
+    density, and score-tests the A0 slope in a linear model for script-W:
+    the score engine at psi = 0, rows weighted by f / phi, with an
+    intercept-only least-squares null for A0 of any type.  Weighting by the
+    late-treatment assignment density removes the dependence that
+    conditioning on A1 would otherwise induce; phi has a finite weighted
+    expectation for continuous A1.  Without ``a1_law`` the assignment law is
+    fitted on ("1", "lm", "a0").  The score is self-normalized (per-subject
+    squared summands): the weight ratio makes the variance of script-W
+    depend on A0.  With an estimated assignment law the test is conservative.
     """
     if dataset.schema.K != 1:
         raise ConfigError("direct_effect_gnull_test expects a two-occasion dataset")
@@ -204,23 +205,11 @@ def direct_effect_gnull_test(
     laws, source = fit_z_laws(dataset, split, ("1", "lm", "a0"),
                               known=None if a1_law is None else {1: a1_law})
     w1 = ipw_weights(dataset, split, laws, source).factors[1]
-    root = history_cols(dataset.L, dataset.A, 0, 0, 0)
-    phi = NormalLinear(("1",), (0.0,)).density(dataset.A[:, 1], root)
-    script = dataset.Y * phi / w1
-    if not np.isfinite(script).all():
-        raise EstimationError("weighted transform is non-finite")
+    phi = _normal_density(dataset.A[:, 1], 0.0, 1.0)
     note = "known randomization design" if source == "design" else CONSERVATIVE_NOTE
-    if np.ptp(script) == 0.0:
-        return _report(0.0, 1, "chi2", level,
-                       note=note + "; degenerate transform (constant)")
-    a0 = dataset.A[:, 0]
-    u = (script - script.mean()) * (a0 - a0.mean())
-    ss = float(np.sum(u * u))
-    if ss <= 0.0:
-        return _report(0.0, 1, "chi2", level,
-                       note=note + "; degenerate score (no variation)")
-    chi = float(np.sum(u) / np.sqrt(ss))
-    return _report(chi, None, "normal", level, note=note)
+    eng = _g_engine(dataset, additive_blip("1"), ("1",), None, None, (0,), level,
+                    note=note, fixed=(1,), weights=w1 / phi, least_squares=True)
+    return eng.signed_report(0.0)
 
 
 # ---------------------------------------------------------------------------

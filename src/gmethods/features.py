@@ -60,9 +60,8 @@ def history_cols(
 
 
 def eval_term(term: str, cols: Cols) -> np.ndarray:
-    """Evaluate one term to a column vector."""
-    n = len(next(iter(cols.values())))
-    out = np.ones(n)
+    """Evaluate one term to a new column: its bases' product, or ones for "1"."""
+    out = None
     for base in term.split("*"):
         base = base.strip()
         if base == "1":
@@ -72,15 +71,19 @@ def eval_term(term: str, cols: Cols) -> np.ndarray:
                 f"unknown feature term {base!r}; available: "
                 f"{sorted(cols.keys()) + ['1']}"
             )
-        out = out * np.asarray(cols[base], dtype=float)
-    return out
+        col = np.asarray(cols[base], dtype=float)
+        out = col.copy() if out is None else out * col
+    return np.ones(len(next(iter(cols.values())))) if out is None else out
 
 
 def eval_terms(terms: tuple[str, ...] | list[str], cols: Cols) -> np.ndarray:
-    """Stack terms into an (n, p) design matrix."""
+    """Stack terms into an (n, p) design matrix, filled a column at a time."""
     if not terms:
         raise ConfigError("empty term list")
-    return np.column_stack([eval_term(t, cols) for t in terms])
+    X = np.empty((len(next(iter(cols.values()))), len(terms)))
+    for k, term in enumerate(terms):
+        X[:, k] = eval_term(term, cols)
+    return X
 
 
 def term_bases(terms) -> set[str]:

@@ -4,13 +4,13 @@ Fits are computed from scratch: the linear model by normal-equation solve
 (numpy's Cholesky with a one-shot jitter retry), the logistic by Newton
 iteration with step-halving on the distinct design rows, each weighted by
 its count and carrying its sum of responses (the Bernoulli likelihood's
-sufficient statistics).  Score tests of added covariates are for a
-logistic null: evaluated at the null fit with the usual nuisance
-projection, or at known coefficients without it, for designs whose
-treatment probabilities are known exactly.  One moments function,
-``_score_moments``, serves both the model-based and the subject-robust
-variance.  Only ``numpy.linalg`` is used: importing ``scipy.linalg``
-would add about 6 MB of resident memory to every import of the package.
+sufficient statistics).  Score tests of added covariates read their null
+as per-row means: a logistic null at its fit, with the usual nuisance
+projection, or at known coefficients without it; a known design's means;
+or a least-squares fit.  One moments function, ``_score_moments``, serves
+both the model-based and the subject-robust variance.  Only
+``numpy.linalg`` is used: importing ``scipy.linalg`` would add about 6 MB
+of resident memory to every import of the package.
 """
 
 from __future__ import annotations
@@ -237,35 +237,50 @@ def robust_score_test(X: np.ndarray, y: np.ndarray, Z: np.ndarray, subjects: np.
     return _quadratic_report(U, V, level, note)
 
 
-def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
-                   known_coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Score U of the added columns Z at the logistic null and its variance V.
-
-    The null probabilities come from ``known_coef`` when given (a known
-    randomization design: no nuisance projection) and from ``fit``, or a fit
-    of y on X, otherwise.  Without ``subjects`` V is the model-based
-    variance; with them it is P'P over the per-subject score pieces P, with
-    Z projected on the null's score when the null is fitted.  U and V are
-    linear in Z's columns, so for Z = [Z_0, ..., Z_d] their blocks give the
-    score and variance of every combination of the Z_j.
-    """
-    X = _as_matrix(X)
-    Z = _as_matrix(Z)
-    y = np.asarray(y, dtype=float)
+def _logistic_null(X, y, fit: FittedGlm | None = None, known_coef=None):
+    """The logistic null of y on X, as ``_score_moments`` reads a null."""
     coef = (fit or fit_logistic(X, y)).coef if known_coef is None else known_coef
     prob = expit(X @ np.asarray(coef, dtype=float))
-    w = prob * (1.0 - prob)
-    eps = y - prob
+    return y - prob, prob * (1.0 - prob), X if known_coef is None else None
+
+
+def _least_squares_null(X, y):
+    """The least-squares null of y on X, with no variance function and an
+    orthonormal design Q = X c (c c' = (X'X)^-1), projected without a solve."""
+    Q = X.dot(np.linalg.cholesky(_chol_solve(X.T @ X, np.eye(X.shape[1]))))
+    return y - Q.dot(Q.T @ y), None, Q  # dot: numpy's @ of one column skips BLAS
+
+
+def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
+                   known_coef: np.ndarray | None = None,
+                   null=None) -> tuple[np.ndarray, np.ndarray]:
+    """Score U of the added columns Z at the null and its variance V.
+
+    ``null`` is, per row, the residual from the null mean, the variance (None
+    for a null with no variance function) and, if fitted, the design whose
+    score Z is projected off; by default the logistic null of y on X at
+    ``known_coef`` (a known design, no projection) or ``fit``, or a fit.
+    Without ``subjects`` V is the model-based variance; with them it is P'P
+    over the per-subject score pieces P.  U and V are linear in Z's columns,
+    so for Z = [Z_0, ..., Z_d] their blocks give every combination's.
+    """
+    Z = _as_matrix(Z)
+    if null is None:
+        X = _as_matrix(X)
+        null = _logistic_null(X, np.asarray(y, dtype=float), fit, known_coef)
+    eps, w, X = null
     U = Z.T @ eps
     if subjects is None:
         Zw = Z * w[:, None]
         V = Z.T @ Zw
-        if known_coef is None:
+        if X is not None:
             XtWZ = X.T @ Zw
             V = V - XtWZ.T @ _chol_solve(X.T @ (X * w[:, None]), XtWZ)
         return U, V
     adj = Z
-    if known_coef is None:
+    if X is not None and w is None:  # least squares: X is orthonormal
+        adj = Z - X.dot(X.T @ Z)
+    elif X is not None:
         Xw = X * w[:, None]
         adj = Z - X @ _chol_solve(X.T @ Xw, (Z.T @ Xw).T)
     subjects = np.asarray(subjects, dtype=int)
@@ -276,12 +291,15 @@ def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
     return U, pieces.T @ pieces
 
 
+def _no_information(v, u):
+    """Whether variance v (top eigenvalue) is uninformative for a score of size u."""
+    return (v <= 0) | (v < 1e-12 * np.maximum(1.0, u ** 2))
+
+
 def _quadratic_report(U: np.ndarray, V: np.ndarray, level: float, note: str) -> TestReport:
     """U' V^+ U against chi-square(rank V), through ``_quadratic_stats``."""
-    _level("level", level)
-    stat, df, p = _quadratic_stats(U[None], V[None])
-    p0 = float(p[0])
-    return TestReport(float(stat[0]), int(df[0]), "chi2", p0, level, p0 < level, note)
+    stat, df, _ = _quadratic_stats(U[None], V[None])
+    return _report(float(stat[0]), int(df[0]), "chi2", level, note)
 
 
 def _quadratic_stats(U: np.ndarray, V: np.ndarray):
@@ -297,7 +315,7 @@ def _quadratic_stats(U: np.ndarray, V: np.ndarray):
         return np.zeros(G), np.zeros(G, dtype=int), np.ones(G)
     eigval, eigvec = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
     top = eigval[:, -1]
-    empty = (top <= 0) | (top < 1e-12 * np.maximum(1.0, np.abs(U).max(axis=1) ** 2))
+    empty = _no_information(top, np.abs(U).max(axis=1))
     keep = eigval > 1e-10 * top[:, None]
     rank = keep.sum(axis=1)
     proj = np.einsum("gij,gi->gj", eigvec, U)

@@ -6,13 +6,13 @@ Three testing routes live here:
   coefficients in a linear outcome model.  Invalid when an intermediate
   covariate is confounded with the outcome: it rejects the true null with
   probability tending to 1.  Provided as the cautionary baseline.
-* ``gnull_score_test`` — the randomization score test built from the known
-  design means; valid regardless of the covariate process.
-* ``pooled_g_test`` — the person-occasion logistic score test: each subject
-  contributes one Bernoulli row per occasion, and the test asks whether the
-  outcome predicts treatment.  "No treatment effect" is psi = 0 in a
-  structural nested model, so this is the g-estimation score engine
-  (``sndm``) for an intercept-only additive blip at psi = 0; a custom added
+* ``gnull_score_test`` and ``pooled_g_test`` — score tests that the outcome
+  does not predict treatment.  "No treatment effect" is psi = 0 in a
+  structural nested model, so both are the g-estimation score engine
+  (``sndm._g_engine``) of an intercept-only additive blip at psi = 0:
+  ``gnull_score_test`` with the known design means as its null, valid for
+  any treatment type and covariate process, ``pooled_g_test`` with one
+  Bernoulli row per occasion in a logistic treatment model.  A custom added
   column is ``sndm.g_test_at(..., additive_blip("1"), 0.0, qstar=...)``.
 
 Also here: exact predicates on discrete joint tables for the two statements
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Regime, Schema, constant, discrete, group_rows
-from .errors import ConfigError, EstimationError
-from .features import history_cols
+from .errors import ConfigError
 from .gformula import ConditionalLaws, JointTable, _TableLaw, g_formula_exact
 from .glm import ESTIMATED_DESIGN_NOTE  # noqa: F401  (the fitted-design note, re-exported)
-from .glm import TestReport, _report, fit_linear, wald_test
+from .glm import TestReport, fit_linear, wald_test
 from .sndm import _g_engine, additive_blip
 
 
@@ -65,51 +64,23 @@ def naive_test(dataset: Dataset, level: float = 0.05) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GnullScoreInputs:
-    """Known design of the two treatments in a randomized study.
-
-    ``pi1`` and ``pi2`` are the assignment laws of A0 and A1, whose
-    ``mean(cols)`` gives each treatment's design mean as a function of the
-    observed past.
-    """
-
-    pi1: object
-    pi2: object
-
-    def design_mean(self, m: int, dataset: Dataset) -> np.ndarray:
-        """Each subject's design mean of A_m, at its history up to L_m."""
-        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
-        return np.asarray((self.pi1, self.pi2)[m].mean(cols), dtype=float)
-
-    @classmethod
-    def from_scenario(cls, config) -> "GnullScoreInputs":
-        """The design is the scenario's two treatment laws."""
-        return cls(pi1=config.a_laws[0], pi2=config.a_laws[1])
-
-
-def gnull_score_test(
-    dataset: Dataset, inputs: GnullScoreInputs, level: float = 0.05
-) -> TestReport:
+def gnull_score_test(dataset: Dataset, a_laws, level: float = 0.05) -> TestReport:
     """Score test of the joint null from the summands
 
-        U_i = Y_i (A1_i - pi2(L0_i, A0_i, L1_i)) + Y_i (A0_i - pi1(L0_i)).
+        U_i = Y_i (A0_i - pi1(L0_i)) + Y_i (A1_i - pi2(L0_i, A0_i, L1_i)),
 
-    Each summand has mean zero under the null because the treatment
-    residuals are mean-zero given everything that precedes them; no model
-    for the covariate or the outcome is involved.  The standardized sum
-    is compared to a standard normal, two-sided.
+    pi1 and pi2 the means of the assignment laws ``a_laws``.  Each summand
+    has mean zero under the null because the treatment residuals are
+    mean-zero given everything that precedes them; no model for the
+    covariate or the outcome is involved.  The score engine with these
+    means as its null compares sum U_i / sqrt(sum U_i^2) to a standard normal.
     """
     if dataset.schema.K != 1:
         raise ConfigError("gnull_score_test expects a two-occasion dataset")
-    p1, p2 = inputs.design_mean(0, dataset), inputs.design_mean(1, dataset)
-    U = dataset.Y * (dataset.A[:, 1] - p2) + dataset.Y * (dataset.A[:, 0] - p1)
-    ss = float(np.sum(U * U))
-    if ss <= 0.0:
-        raise EstimationError("sum of squared summands is zero (degenerate data)")
-    chi = float(np.sum(U) / np.sqrt(ss))
-    return _report(chi, None, "normal", level,
-                   note="randomization score test with known design means")
+    eng = _g_engine(dataset, additive_blip("1"), ("1",), None, None, (0, 1), level,
+                    note="randomization score test with known design means",
+                    null_laws=a_laws)
+    return eng.signed_report(0.0)
 
 
 # ---------------------------------------------------------------------------

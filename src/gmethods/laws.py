@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .features import Cols, eval_terms
+from .features import Cols, eval_term
 from .glm import expit
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -35,8 +35,9 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 def _linear(terms: tuple[str, ...], coefs: tuple[float, ...], cols: Cols) -> np.ndarray:
     """coefs . terms(parents), summed a term column at a time: unlike a BLAS
     ``X @ coefs``, a row's value does not depend on the rows evaluated with it."""
-    X = eval_terms(terms, cols)
-    return sum(X[:, k] * float(c) for k, c in enumerate(coefs))
+    if not terms:
+        raise ConfigError("empty term list")
+    return sum(eval_term(t, cols) * float(c) for t, c in zip(terms, coefs))
 
 
 def _rows(cols: Cols) -> int:

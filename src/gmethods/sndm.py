@@ -38,6 +38,9 @@ from .glm import (
     ESTIMATED_DESIGN_NOTE,
     FittedGlm,
     TestReport,
+    _least_squares_null,
+    _logistic_null,
+    _no_information,
     _quadratic_stats,
     _report,
     _score_moments,
@@ -249,14 +252,14 @@ class _ScoreEngine:
     tested occasions ``occs``; ``C`` holds each tested occasion's q rows, the
     history terms that the residual outcome is paired with, and ``S`` the
     blip's (n, d) shift basis, so H(psi) blips Y by ``S @ psi`` in ``family``.
-    The null treatment model uses ``known_coef`` when given and is fitted once
-    otherwise.  At each psi the added columns pair H(psi) with the q rows (or
-    come from ``qstar(h, L, A, m)``).  Without ``weights`` they are
-    score-tested with the model-based variance; with row weights they are
-    divided by the weights and the variance is the within-subject-robust one.
+    At each psi the added columns pair H(psi) with the q rows (or come from
+    ``qstar(h, L, A, m)``) and are divided by the row ``weights``, if any.
+    The null becomes per-row means once: logistic (``known_coef`` or fitted),
+    whose p(1 - p) gives the model-based variance, or, with the robust one
+    like row weights, ``null_means`` or the ``least_squares`` fit.
 
-    Every caller's inputs are checked here: a level in (0, 1), 0/1
-    treatments, one ``known_coef``
+    Every caller's inputs are checked here: a level in (0, 1), a finite
+    outcome, 0/1 treatments under a logistic null, one ``known_coef``
     per treatment term, a user q*'s shape and values (see ``g_estimate``), and,
     when the null is fitted, no nonzero-constant added column.
 
@@ -271,14 +274,17 @@ class _ScoreEngine:
 
     def __init__(self, dataset: Dataset, family: str, rows, occs, C, S, *,
                  qstar: Callable | None, known_coef, note: str, level: float,
-                 weights: np.ndarray | None = None):
+                 weights: np.ndarray | None = None, null_means=None, least_squares=False):
         _level("level", level)
         self.X, self.resp, self.subj = rows
-        for m in occs:
+        logistic = null_means is None and not least_squares
+        for m in occs if logistic else ():
             a = dataset.A[:, m]
             if np.any((np.abs(a) > 1e-9) & (np.abs(a - 1.0) > 1e-9)):
                 raise EstimationError(f"score test needs binary treatments; A{m} is not 0/1")
         _check_outcomes(family, dataset.Y)
+        if not np.isfinite(dataset.Y).all():
+            raise EstimationError("outcome Y is non-finite")
         self.dataset = dataset
         self.family = family
         self.occs = list(occs)
@@ -295,7 +301,11 @@ class _ScoreEngine:
         if self.known is not None and self.known.shape != (self.X.shape[1],):
             raise ConfigError("alpha_known must match the treatment terms")
         self.fit: FittedGlm | None = (fit_logistic(self.X, self.resp)
-                                      if self.known is None else None)
+                                      if logistic and self.known is None else None)
+        self.null = (_logistic_null(self.X, self.resp, self.fit, self.known) if logistic
+                     else _least_squares_null(self.X, self.resp) if least_squares
+                     else (self.resp - null_means, None, None))
+        self.subjects = self.subj if weights is not None or not logistic else None
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -309,8 +319,7 @@ class _ScoreEngine:
         bases = [self.dataset.Y] + list(self.S.T)
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
-        U, V = _score_moments(self.X, self.resp, Z, None if self.weights is None else self.subj,
-                              fit=self.fit, known_coef=self.known)
+        U, V = _score_moments(None, None, Z, self.subjects, null=self.null)
         k = len(bases)
         return U.reshape(k, q), V.reshape(k, q, k, q)
 
@@ -318,18 +327,16 @@ class _ScoreEngine:
         return Z if self.weights is None else Z / self.weights[:, None]
 
     def h_of(self, psi: np.ndarray) -> np.ndarray:
-        return _residual_outcome(self.family, self.dataset.Y, self.S @ psi)
+        return _residual_outcome(self.family, self.dataset.Y, self.S.dot(psi))
 
-    def zmat(self, psi: np.ndarray) -> np.ndarray:
-        h = self.h_of(psi)
-        if self.qstar is None:
-            Z = np.vstack([h[:, None] * C for C in self.C])
-        else:
-            Z = self._qstar_columns(h)
-        if self.known is None and np.any((np.ptp(Z, axis=0) == 0.0) & (Z[0] != 0.0)):
+    def zmat(self, psi) -> np.ndarray:
+        h = self.h_of(np.atleast_1d(np.asarray(psi, dtype=float)))
+        Z = self._weighted(self._qstar_columns(h) if self.qstar is not None
+                           else np.vstack([h[:, None] * C for C in self.C]))
+        if self.null[2] is not None and np.any((Z == Z[0]).all(axis=0) & (Z[0] != 0.0)):
             raise EstimationError("added column Q is a nonzero constant; it is confounded "
                                   "with the intercept and cannot be tested")
-        return self._weighted(Z)
+        return Z
 
     def _qstar_columns(self, h: np.ndarray) -> np.ndarray:
         """The user q*'s columns, stacked over the tested occasions."""
@@ -346,13 +353,19 @@ class _ScoreEngine:
         return Z
 
     def report(self, psi) -> TestReport:
-        Z = self.zmat(np.atleast_1d(np.asarray(psi, dtype=float)))
-        if self.weights is None:
-            return score_test_added(self.X, self.resp, Z, fit=self.fit, known_coef=self.known,
-                                    level=self.level, note=self.note)
-        return robust_score_test(self.X, self.resp, Z, self.subj, fit=self.fit,
-                                 known_coef=self.known, level=self.level,
-                                 note=self.note)
+        """The chi-square score test at psi of a logistic null."""
+        Z = self.zmat(psi)
+        kw = dict(fit=self.fit, known_coef=self.known, level=self.level, note=self.note)
+        if self.subjects is None:
+            return score_test_added(self.X, self.resp, Z, **kw)
+        return robust_score_test(self.X, self.resp, Z, self.subjects, **kw)
+
+    def signed_report(self, psi) -> TestReport:
+        """One added column's score at psi, U / sqrt(V), on the standard normal."""
+        (u,), ((v,),) = _score_moments(None, None, self.zmat(psi), self.subjects, null=self.null)
+        if _no_information(v, abs(u)):
+            return _report(0.0, None, "normal", self.level, self.note + "; degenerate score")
+        return _report(u / np.sqrt(v), None, "normal", self.level, self.note)
 
     def stats(self, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Statistics and p-values at each row of ``psis``: one batched pass
@@ -383,16 +396,20 @@ class _ScoreEngine:
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
               qstar: Callable | None, alpha_known, occasions, level: float, *,
               note: str | None = None, q_terms=None, fixed=(),
-              weights: np.ndarray | None = None) -> _ScoreEngine:
+              weights: np.ndarray | None = None, null_laws=None,
+              least_squares: bool = False) -> _ScoreEngine:
     """The score engine of every analysis (``g_test_at``, ``g_estimate``,
-    ``gnull.pooled_g_test``, the naive direct-effect scan and
-    ``direct_effect_g_estimate``): pooled treatment-model rows at the tested
-    occasions (default: all), where the blip acts; H shifted by the blip's
-    cofactors, read with the held-fixed occasions ``fixed`` as context
-    (``_cofactor_rows``), and paired with ``q_terms`` (default: the same
-    cofactor rows).  Row ``weights``, one per pooled row, switch the test to
-    the within-subject-robust variance.  Reports carry ``note``, by default
-    "" with ``alpha_known`` and ``ESTIMATED_DESIGN_NOTE`` without."""
+    ``pooled_g_test``, ``gnull_score_test``, ``direct_effect_gnull_test``,
+    the naive direct-effect scan and ``direct_effect_g_estimate``): pooled
+    treatment-model rows at the tested occasions (default: all), where the
+    blip acts; H shifted by the blip's cofactors, read with the held-fixed
+    occasions ``fixed`` as context (``_cofactor_rows``), and paired with
+    ``q_terms`` (default: the same cofactor rows).  Row ``weights``, one per
+    pooled row, switch the test to the within-subject-robust variance.  The
+    null is a model on ``treatment_terms``, logistic or, with
+    ``least_squares``, linear, or the means of ``null_laws``, one law per
+    occasion.  Reports carry ``note``, by default "" with ``alpha_known``
+    and ``ESTIMATED_DESIGN_NOTE`` without."""
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
     L, A = dataset.L, dataset.A
     C, S = _cofactor_rows(blip_spec, L, A, occs, fixed)
@@ -400,9 +417,11 @@ def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
         C = [eval_terms(q_terms, history_cols(L, A, m + 1, m, m)) for m in occs]
     if note is None:
         note = "" if alpha_known is not None else ESTIMATED_DESIGN_NOTE
+    means = None if null_laws is None else np.concatenate(
+        [null_laws[m].mean(history_cols(L, A, m + 1, m, m)) for m in occs])
     return _ScoreEngine(dataset, blip_spec.family, pooled_rows(dataset, treatment_terms, occs),
                         occs, C, S, qstar=qstar, known_coef=alpha_known, note=note,
-                        level=level, weights=weights)
+                        level=level, weights=weights, null_means=means, least_squares=least_squares)
 
 
 def g_test_at(

@@ -30,7 +30,7 @@ from .direct_effect import (
 )
 from .errors import ConfigError, GmethodsError, _count, _level, _terms, _typed
 from .glm import TestReport
-from .gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
+from .gnull import GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from .scenarios import ScenarioConfig, design_alpha, simulate
 from .sndm import BlipSpec, GEstimate, _grid_spec, g_estimate
 
@@ -178,8 +178,7 @@ def _an_de_estimate(dataset: Dataset, config: ScenarioConfig, p: dict) -> GEstim
 # and alpha is the design's where the scenario has one, else fitted.
 ANALYSES = {
     "naive": lambda ds, cfg, p: naive_test(ds, level=p["level"]),
-    "gnull-score": lambda ds, cfg, p: gnull_score_test(
-        ds, GnullScoreInputs.from_scenario(cfg), level=p["level"]),
+    "gnull-score": lambda ds, cfg, p: gnull_score_test(ds, cfg.a_laws, level=p["level"]),
     "pooled-g": lambda ds, cfg, p: pooled_g_test(ds, GTestSpec(
         p["treatment_terms"], _alpha(cfg, p["alpha"], p["treatment_terms"])), level=p["level"]),
     "de-gnull": lambda ds, cfg, p: direct_effect_gnull_test(

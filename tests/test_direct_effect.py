@@ -137,6 +137,29 @@ class TestWeightedIndependenceTest:
         assert rep.p_value == 1.0
         assert "degenerate" in rep.note
 
+    def test_constant_early_treatment_reports_zero(self):
+        # A0 without variation leaves the least-squares null no residual: a
+        # zero variance, which the engine's one rule reports as 0, p = 1.
+        cfg = dag1b_scenario()
+        ds = simulate(cfg, 200, seed=11)
+        ds = Dataset(ds.schema, ds.L, np.column_stack([np.ones(ds.n), ds.A[:, 1]]), ds.Y)
+        rep = direct_effect_gnull_test(ds, a1_law=cfg.a_laws[1])
+        assert (rep.statistic, rep.p_value, rep.reject) == (0.0, 1.0, False)
+        assert "degenerate" in rep.note
+
+    def test_nonzero_constant_transform_rejected(self):
+        # Y = f(A1 | past) / phi(A1) makes the weighted transform 1 in every
+        # row: under the fitted least-squares null it is confounded with the
+        # intercept, as a nonzero-constant added column is for every fitted
+        # null of the engine.
+        cfg = dag1b_scenario()
+        ds = simulate(cfg, 200, seed=11)
+        f = ipw_weights(ds, SPLIT01, {1: cfg.a_laws[1]}, "design").factors[1]
+        phi = NormalLinear(("1",), (0.0,)).density(ds.A[:, 1], {"a_prev": np.zeros(ds.n)})
+        ds = Dataset(ds.schema, ds.L, ds.A, f / phi)
+        with pytest.raises(EstimationError, match="nonzero constant"):
+            direct_effect_gnull_test(ds, a1_law=cfg.a_laws[1])
+
     def test_nonfinite_transform_rejected(self):
         ds = simulate(dag1b_scenario(), 200, seed=11)
         ds = Dataset(ds.schema, ds.L, ds.A, np.where(np.arange(ds.n) == 3, np.inf, ds.Y))

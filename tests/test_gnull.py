@@ -9,10 +9,10 @@ from scipy import stats
 from gmethods import streams
 from gmethods.data import Dataset, Schema, binary, constant, discrete
 from gmethods.errors import ConfigError, EstimationError, PositivityError
+from gmethods.features import history_cols
 from gmethods.gformula import JointTable, g_mean_plugin
 from gmethods.gnull import (
     ESTIMATED_DESIGN_NOTE,
-    GnullScoreInputs,
     GTestSpec,
     gnull_score_test,
     gnull_table_check,
@@ -49,26 +49,30 @@ class TestRandomizationScore:
         # U2 = 2*(0-0.3) + 2*(0-0.5) = -1.6
         # chi = (1.2 - 1.6) / sqrt(1.44 + 2.56) = -0.2
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [1.0, 2.0])
-        inputs = GnullScoreInputs(pi1=NormalLinear(("1",), (0.5,)),
-                                  pi2=NormalLinear(("1",), (0.3,)))
-        rep = gnull_score_test(ds, inputs)
+        rep = gnull_score_test(ds, (NormalLinear(("1",), (0.5,)), NormalLinear(("1",), (0.3,))))
         assert abs(rep.statistic - (-0.2)) < 1e-15
         assert abs(rep.p_value - 2.0 * stats.norm.sf(0.2)) < 1e-12
         assert not rep.reject
 
     def test_degenerate_outcome_rejected(self):
+        # An all-zero outcome carries no information: the engine's one
+        # degenerate rule reports statistic 0 and p = 1, as for pooled-g.
         ds = tiny_dataset([[0, 0], [0, 1]], [[1, 1], [0, 0]], [0.0, 0.0])
-        inputs = GnullScoreInputs(pi1=NormalLinear(("1",), (0.5,)),
-                                  pi2=NormalLinear(("1",), (0.3,)))
-        with pytest.raises(EstimationError, match="degenerate"):
-            gnull_score_test(ds, inputs)
+        rep = gnull_score_test(ds, (NormalLinear(("1",), (0.5,)), NormalLinear(("1",), (0.3,))))
+        assert rep.statistic == 0.0
+        assert rep.p_value == 1.0
+        assert not rep.reject
+        assert "degenerate" in rep.note
 
     def test_inputs_read_off_scenario(self):
         cfg = binary_two_occasion_scenario()
-        inputs = GnullScoreInputs.from_scenario(cfg)
         ds = simulate(cfg, 200, seed=31)
-        np.testing.assert_allclose(inputs.design_mean(0, ds), 0.5, rtol=0, atol=1e-15)
-        got = inputs.design_mean(1, ds)
+
+        def design_mean(m):
+            return cfg.a_laws[m].mean(history_cols(ds.L, ds.A, m + 1, m, m))
+
+        np.testing.assert_allclose(design_mean(0), 0.5, rtol=0, atol=1e-15)
+        got = design_mean(1)
         want = expit(-0.3 + 0.8 * ds.L[:, 1] + 0.4 * ds.A[:, 0])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -76,12 +80,11 @@ class TestRandomizationScore:
         # The design means are known, so the test keeps its level on the
         # confounded graph where the regression test falls apart.
         cfg = dag1b_scenario()
-        inputs = GnullScoreInputs.from_scenario(cfg)
         rejects = 0
         reps = 200
         for r in range(reps):
             ds = simulate(cfg, 500, seed=streams.substream(808, r).integers(2**31))
-            rejects += gnull_score_test(ds, inputs).reject
+            rejects += gnull_score_test(ds, cfg.a_laws).reject
         assert 0.01 <= rejects / reps <= 0.10
 
     def test_level_when_early_treatment_follows_a_baseline_covariate(self):
@@ -89,10 +92,9 @@ class TestRandomizationScore:
         # per-subject value; a mean taken at L0 = 0 rejected the true null
         # in nearly every replicate.
         cfg = discrete_trial_scenario(a0_effect=0.0, a1_effect=0.0)
-        inputs = GnullScoreInputs.from_scenario(cfg)
         reps = 200
         rejects = sum(
-            gnull_score_test(simulate(cfg, 2000, seed=replicate_seed(717, r)), inputs).reject
+            gnull_score_test(simulate(cfg, 2000, seed=replicate_seed(717, r)), cfg.a_laws).reject
             for r in range(reps))
         assert 0.01 <= rejects / reps <= 0.10
 
@@ -113,12 +115,11 @@ class TestNaiveRegressionTest:
         # Same null, but a hidden cause drives both the covariate and the
         # outcome; conditioning on the covariate manufactures an effect.
         cfg = dag1b_scenario()
-        inputs = GnullScoreInputs.from_scenario(cfg)
         naive_rej, score_rej = 0, 0
         for r in range(20):
             ds = simulate(cfg, 2000, seed=streams.substream(515, r).integers(2**31))
             naive_rej += naive_test(ds).reject
-            score_rej += gnull_score_test(ds, inputs).reject
+            score_rej += gnull_score_test(ds, cfg.a_laws).reject
         assert naive_rej >= 10
         assert score_rej <= 4
 

@@ -8,7 +8,7 @@ import pytest
 
 from gmethods.direct_effect import SplitSchema, ipw_weights
 from gmethods.errors import ConfigError
-from gmethods.gnull import GnullScoreInputs
+from gmethods.features import history_cols
 from gmethods.laws import (
     BernoulliLogit,
     ConstantLaw,
@@ -120,9 +120,9 @@ class TestOneProtocolForEveryConsumer:
     def test_root_style_law_as_late_design_mean(self):
         cfg = binary_two_occasion_scenario()
         ds = simulate(cfg, 50, seed=1)
-        inputs = GnullScoreInputs(DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),
-                                  DiscreteMarginal((0.0, 1.0), (0.7, 0.3)))
-        np.testing.assert_allclose(inputs.design_mean(1, ds), 0.3, rtol=0, atol=1e-15)
+        late = DiscreteMarginal((0.0, 1.0), (0.7, 0.3))
+        np.testing.assert_allclose(late.mean(history_cols(ds.L, ds.A, 2, 1, 1)), 0.3,
+                                   rtol=0, atol=1e-15)
 
     def test_fair_coin_design_law_weights(self):
         cfg = binary_two_occasion_scenario()

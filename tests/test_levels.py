@@ -17,7 +17,7 @@ from gmethods.direct_effect import (
 )
 from gmethods.errors import ConfigError
 from gmethods.glm import fit_logistic, robust_score_test, score_test_added, wald_test
-from gmethods.gnull import GnullScoreInputs, GTestSpec, gnull_score_test, naive_test, pooled_g_test
+from gmethods.gnull import GTestSpec, gnull_score_test, naive_test, pooled_g_test
 from gmethods.scenarios import make_scenario, simulate
 from gmethods.sndm import BlipSpec, additive_blip, g_estimate, g_test_at, sndm_lr_test
 
@@ -44,7 +44,7 @@ def _de_estimate(level):
 CALLS = {
     "naive_test": lambda level: naive_test(data("dag1b"), level=level),
     "gnull_score_test": lambda level: gnull_score_test(
-        data("dag1b"), GnullScoreInputs.from_scenario(make_scenario("dag1b")), level=level),
+        data("dag1b"), make_scenario("dag1b").a_laws, level=level),
     "pooled_g_test": lambda level: pooled_g_test(
         data("sndm-additive"), GTestSpec(treatment_terms=TERMS), level=level),
     "g_test_at": lambda level: g_test_at(

@@ -25,6 +25,12 @@ bounded Brent (within Brent's own tolerance where the new search keeps a
 grid edge), else within 1e-6.  Where the former search's rules missed the
 minimum (a q* with more score columns than components), the statistic at
 psi_hat is checked against the grid instead.
+
+``_ref_gnull_score_test`` and ``_ref_direct_effect_gnull_test`` are the
+former hand-built randomization tests, sum u / sqrt(sum u^2).  Both tests
+are now the engine at psi = 0 and must agree with them on every registered
+two-occasion scenario, seeds 0-4, n = 500: the signed statistic within
+1e-12 relative, p within 1e-12 and the same decision.
 """
 
 import ast
@@ -47,25 +53,29 @@ from gmethods.direct_effect import (
     IpwWeights,
     SplitSchema,
     direct_effect_g_estimate,
+    direct_effect_gnull_test,
     fit_z_laws,
     ipw_weights,
     naive_direct_effect_demo,
 )
-from gmethods.errors import ConfigError, EstimationError
+from gmethods.errors import ConfigError, EstimationError, GmethodsError
 from gmethods.features import eval_terms, history_cols
-from gmethods.gnull import GTestSpec, pooled_g_test
+from gmethods.gnull import GTestSpec, gnull_score_test, pooled_g_test
 from gmethods.glm import (
     ESTIMATED_DESIGN_NOTE,
+    _report,
     expit,
     fit_logistic,
     pooled_rows,
     robust_score_test,
     score_test_added,
 )
-from gmethods.laws import BernoulliLogit
+from gmethods.laws import BernoulliLogit, NormalLinear
 from gmethods.scenarios import (
+    SCENARIOS,
     design_alpha,
     direct_effect_scenario,
+    make_scenario,
     masked_interaction_scenario,
     sequential_trial_scenario,
     simulate,
@@ -867,3 +877,92 @@ def test_psi_hat_minimizes_a_two_column_score():
     for step in (-1e-3, 1e-3):
         near = sndm.g_test_at(ds, additive_blip("1"), est.psi_hat + step, **kw)
         assert est.statistic_at_hat <= near.statistic
+
+
+# ---------------------------------------------------------------------------
+# The two randomization tests of a null of no effect, formerly hand-built.
+# ---------------------------------------------------------------------------
+
+
+def _ref_gnull_score_test(dataset, a_laws, level=0.05):
+    """The former ``gnull.gnull_score_test`` body (oracle)."""
+    def design_mean(m):
+        cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
+        return np.asarray(a_laws[m].mean(cols), dtype=float)
+
+    p1, p2 = design_mean(0), design_mean(1)
+    U = dataset.Y * (dataset.A[:, 1] - p2) + dataset.Y * (dataset.A[:, 0] - p1)
+    ss = float(np.sum(U * U))
+    if ss <= 0.0:
+        raise EstimationError("sum of squared summands is zero (degenerate data)")
+    chi = float(np.sum(U) / np.sqrt(ss))
+    return _report(chi, None, "normal", level,
+                   note="randomization score test with known design means")
+
+
+def _ref_direct_effect_gnull_test(dataset, a1_law=None, level=0.05):
+    """The former ``direct_effect.direct_effect_gnull_test`` body (oracle)."""
+    laws, source = fit_z_laws(dataset, SPLIT01, ("1", "lm", "a0"),
+                              known=None if a1_law is None else {1: a1_law})
+    w1 = ipw_weights(dataset, SPLIT01, laws, source).factors[1]
+    root = history_cols(dataset.L, dataset.A, 0, 0, 0)
+    phi = NormalLinear(("1",), (0.0,)).density(dataset.A[:, 1], root)
+    script = dataset.Y * phi / w1
+    note = "known randomization design" if source == "design" else CONSERVATIVE_NOTE
+    if np.ptp(script) == 0.0:
+        return _report(0.0, 1, "chi2", level, note=note + "; degenerate transform (constant)")
+    a0 = dataset.A[:, 0]
+    u = (script - script.mean()) * (a0 - a0.mean())
+    ss = float(np.sum(u * u))
+    if ss <= 0.0:
+        return _report(0.0, 1, "chi2", level, note=note + "; degenerate score (no variation)")
+    return _report(float(np.sum(u) / np.sqrt(ss)), None, "normal", level, note=note)
+
+
+TWO_OCCASION = sorted(name for name in SCENARIOS if make_scenario(name).schema.K == 1)
+
+
+def _agree(new, ref):
+    """Same signed statistic (1e-12 relative), p (1e-12) and decision."""
+    assert new.reference == ref.reference == "normal"
+    assert abs(new.statistic - ref.statistic) <= 1e-12 * abs(ref.statistic)
+    assert abs(new.p_value - ref.p_value) <= 1e-12
+    assert new.reject == ref.reject
+    assert new.note == ref.note
+
+
+def _outcome(call):
+    """A test's report, or the type of the error it raised."""
+    try:
+        return call()
+    except GmethodsError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", TWO_OCCASION)
+def test_gnull_score_test_is_the_former_statistic(name, seed):
+    # The engine at psi = 0 with the design means as its null and the
+    # within-subject-robust variance, on binary and continuous treatments.
+    cfg = make_scenario(name)
+    ds = simulate(cfg, 500, seed=seed)
+    _agree(gnull_score_test(ds, cfg.a_laws), _ref_gnull_score_test(ds, cfg.a_laws))
+
+
+@pytest.mark.parametrize("known", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", TWO_OCCASION)
+def test_direct_effect_gnull_test_is_the_former_statistic(name, seed, known):
+    # The engine at psi = 0 on occasion 0, rows weighted by f(A1 | past) /
+    # phi(A1), with a least-squares null for A0, under the design's A1 law
+    # or a fitted one.  A replicate that breaks the positivity floor raises
+    # the same error on both routes.
+    cfg = make_scenario(name)
+    ds = simulate(cfg, 500, seed=seed)
+    a1_law = cfg.a_laws[1] if known else None
+    new = _outcome(lambda: direct_effect_gnull_test(ds, a1_law=a1_law))
+    ref = _outcome(lambda: _ref_direct_effect_gnull_test(ds, a1_law=a1_law))
+    if isinstance(ref, type):
+        assert new is ref
+    else:
+        _agree(new, ref)
