@@ -204,14 +204,22 @@ def group_rows(M: np.ndarray, decimals: int | None = 9) -> tuple[np.ndarray, np.
     Returns the distinct (rounded) rows in lexicographic order and, for each
     row of M, the index of its group.  A zero-width M is one group.  The
     lexsorted rows are compared one column at a time, and each group's first
-    row in that order is gathered as its distinct row.
+    row in that order is gathered as its distinct row.  Rows of at most 16
+    exact 0s and 1s skip the sort: as binary numbers they count into 2^p bins.
     """
     R = np.asarray(M, dtype=float)
     if decimals is not None:
         R = np.round(R, decimals)
-    n = R.shape[0]
-    if R.shape[1] == 0:
+    n, p = R.shape
+    if p == 0:
         return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    bits = R.view(np.uint64)  # +0.0 and 1.0 bit for bit, the first row checked first
+    if p <= 16 and all(((b == 0) | (b == 0x3FF0000000000000)).all() for b in (bits[:1], bits)):
+        place = 1 << np.arange(p - 1, -1, -1)
+        code = (R @ place).astype(np.intp)
+        count = np.bincount(code, minlength=1 << p)
+        present = np.flatnonzero(count)
+        return ((present[:, None] & place) > 0).astype(float), (np.cumsum(count > 0) - 1)[code]
     order = np.lexsort(R.T[::-1])
     first = np.zeros(n, dtype=bool)
     first[:1] = True

@@ -55,6 +55,7 @@ from .sndm import (
     _grid_spec,
     _residual_outcome,
     _search,
+    _shift,
     additive_blip,
 )
 
@@ -324,8 +325,8 @@ class DeSndmSpec:
 def de_blip_down(spec: DeSndmSpec, split: SplitSchema, dataset: Dataset) -> np.ndarray:
     """Residual outcome H: observed Y with every studied-arm shift removed."""
     _check_outcomes(spec.blip.family, dataset.Y)
-    S = _cofactor_rows(spec.blip, dataset.L, dataset.A, split.p_occasions,
-                       split.z_occasions)[1]
+    S = _shift(dataset.A, split.p_occasions, _cofactor_rows(
+        spec.blip, dataset.L, dataset.A, split.p_occasions, split.z_occasions), spec.blip.dim)
     return _residual_outcome(spec.blip.family, dataset.Y, S @ spec.blip.require_psi())
 
 

@@ -8,7 +8,9 @@ sufficient statistics).  Score tests of added covariates read their null
 as per-row means: a logistic null at its fit, with the usual nuisance
 projection, or at known coefficients without it; a known design's means;
 or a least-squares fit.  One moments function, ``_score_moments``, serves
-both the model-based and the subject-robust variance.  Only
+both the model-based and the subject-robust variance, and gives the one
+degenerate rule: a variance at its rounding floor, which scales with the
+added columns, carries no information.  Only
 ``numpy.linalg`` is used: importing ``scipy.linalg`` would add about 6 MB
 of resident memory to every import of the package.
 """
@@ -41,7 +43,9 @@ def expit(b):
     """Inverse logit, overflow-safe over the whole float range."""
     b = np.asarray(b, dtype=float)
     e = np.exp(-np.abs(b))
-    out = np.where(b >= 0, 1.0, e) / (1.0 + e)
+    out = np.where(b >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 
@@ -224,8 +228,8 @@ def score_test_added(X: np.ndarray, y: np.ndarray, Z: np.ndarray, *,
                      level: float = 0.05, note: str = "") -> TestReport:
     """Rao score test that the added columns Z enter the logistic null model
     of y on X with zero coefficient, with the model-based variance."""
-    U, V = _score_moments(X, y, Z, fit=fit, known_coef=known_coef)
-    return _quadratic_report(U, V, level, note)
+    U, V, F = _score_moments(Z, None, _logistic_null(X, y, fit, known_coef))
+    return _quadratic_report(U, V, F, level, note)
 
 
 def robust_score_test(X: np.ndarray, y: np.ndarray, Z: np.ndarray, subjects: np.ndarray, *,
@@ -233,50 +237,56 @@ def robust_score_test(X: np.ndarray, y: np.ndarray, Z: np.ndarray, subjects: np.
                       level: float = 0.05, note: str = "") -> TestReport:
     """As ``score_test_added``, with the within-subject-robust variance for
     stacked rows that are dependent within subject."""
-    U, V = _score_moments(X, y, Z, subjects, fit=fit, known_coef=known_coef)
-    return _quadratic_report(U, V, level, note)
+    U, V, F = _score_moments(Z, subjects, _logistic_null(X, y, fit, known_coef))
+    return _quadratic_report(U, V, F, level, note)
+
+
+def _null(y, mean, w=None, X=None):
+    """A null as ``_score_moments`` reads it: the residuals y - mean, their
+    size (the mean of y^2 + mean^2, which bounds their rounding error), the
+    variance per row (None: no variance function) and, for a fitted null,
+    the design whose score the added columns are projected off."""
+    return y - mean, (y.dot(y) + mean.dot(mean)) / len(y), w, X
 
 
 def _logistic_null(X, y, fit: FittedGlm | None = None, known_coef=None):
-    """The logistic null of y on X, as ``_score_moments`` reads a null."""
+    """The logistic null of y on X at ``known_coef`` (a known design, no
+    projection) or ``fit``, or a fit."""
+    X, y = _as_matrix(X), np.asarray(y, dtype=float)
     coef = (fit or fit_logistic(X, y)).coef if known_coef is None else known_coef
     prob = expit(X @ np.asarray(coef, dtype=float))
-    return y - prob, prob * (1.0 - prob), X if known_coef is None else None
+    return _null(y, prob, prob * (1.0 - prob), X if known_coef is None else None)
 
 
 def _least_squares_null(X, y):
     """The least-squares null of y on X, with no variance function and an
     orthonormal design Q = X c (c c' = (X'X)^-1), projected without a solve."""
     Q = X.dot(np.linalg.cholesky(_chol_solve(X.T @ X, np.eye(X.shape[1]))))
-    return y - Q.dot(Q.T @ y), None, Q  # dot: numpy's @ of one column skips BLAS
+    return _null(y, Q.dot(Q.T @ y), None, Q)  # dot: numpy's @ of one column skips BLAS
 
 
-def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
-                   known_coef: np.ndarray | None = None,
-                   null=None) -> tuple[np.ndarray, np.ndarray]:
-    """Score U of the added columns Z at the null and its variance V.
+def _score_moments(Z, subjects, null) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score U of the added columns Z at ``null`` (see ``_null``), its
+    variance V and V's rounding floor F: the one degenerate rule, unchanged
+    by the scale of Z, is that a V at or below F carries no information.
 
-    ``null`` is, per row, the residual from the null mean, the variance (None
-    for a null with no variance function) and, if fitted, the design whose
-    score Z is projected off; by default the logistic null of y on X at
-    ``known_coef`` (a known design, no projection) or ``fit``, or a fit.
-    Without ``subjects`` V is the model-based variance; with them it is P'P
-    over the per-subject score pieces P.  U and V are linear in Z's columns,
-    so for Z = [Z_0, ..., Z_d] their blocks give every combination's.
-    """
+    Without ``subjects`` V is the model-based Z'WZ, less its projection on
+    a fitted null's design, and F is 1e-12 Z'WZ; with them V is P'P over
+    the per-subject score pieces P, whose residuals may be rounding (a null
+    that fits exactly), and F is 1e-24 Z'Z times the null's size.  All three
+    are linear in each of Z's columns, so for Z = [Z_0, ..., Z_d] their
+    blocks give every combination's."""
     Z = _as_matrix(Z)
-    if null is None:
-        X = _as_matrix(X)
-        null = _logistic_null(X, np.asarray(y, dtype=float), fit, known_coef)
-    eps, w, X = null
+    eps, size, w, X = null
     U = Z.T @ eps
     if subjects is None:
         Zw = Z * w[:, None]
         V = Z.T @ Zw
+        F = 1e-12 * V
         if X is not None:
             XtWZ = X.T @ Zw
             V = V - XtWZ.T @ _chol_solve(X.T @ (X * w[:, None]), XtWZ)
-        return U, V
+        return U, V, F
     adj = Z
     if X is not None and w is None:  # least squares: X is orthonormal
         adj = Z - X.dot(X.T @ Z)
@@ -288,34 +298,31 @@ def _score_moments(X, y, Z, subjects=None, *, fit: FittedGlm | None = None,
     pieces = np.zeros((nsub, Z.shape[1]))
     for j in range(Z.shape[1]):
         pieces[:, j] = np.bincount(subjects, weights=adj[:, j] * eps, minlength=nsub)
-    return U, pieces.T @ pieces
+    return U, pieces.T @ pieces, 1e-24 * size * (Z.T @ Z)
 
 
-def _no_information(v, u):
-    """Whether variance v (top eigenvalue) is uninformative for a score of size u."""
-    return (v <= 0) | (v < 1e-12 * np.maximum(1.0, u ** 2))
-
-
-def _quadratic_report(U: np.ndarray, V: np.ndarray, level: float, note: str) -> TestReport:
+def _quadratic_report(U: np.ndarray, V: np.ndarray, F: np.ndarray, level: float,
+                      note: str) -> TestReport:
     """U' V^+ U against chi-square(rank V), through ``_quadratic_stats``."""
-    stat, df, _ = _quadratic_stats(U[None], V[None])
+    stat, df, _ = _quadratic_stats(U[None], V[None], np.trace(F)[None])
     return _report(float(stat[0]), int(df[0]), "chi2", level, note)
 
 
-def _quadratic_stats(U: np.ndarray, V: np.ndarray):
-    """Score statistics U' V^+ U for a batch: U is (G, q), V is (G, q, q).
+def _quadratic_stats(U: np.ndarray, V: np.ndarray, floor: np.ndarray):
+    """Score statistics U' V^+ U for a batch: U is (G, q), V is (G, q, q)
+    and ``floor`` (G,) the traces of their rounding floors.
 
     Returns the statistics, their chi-square df (the rank of V) and the
-    p-values.  A V with no information (all-zero or duplicated columns)
-    gives statistic 0 on q df; a rank-deficient V whose statistic is below
-    1e-8 gives 0.
+    p-values.  A V with no information (all-zero columns, or every column
+    in the null's span) gives statistic 0 on q df; a rank-deficient V whose
+    statistic is below 1e-8 gives 0.
     """
     G, q = U.shape
     if q == 0:
         return np.zeros(G), np.zeros(G, dtype=int), np.ones(G)
     eigval, eigvec = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
     top = eigval[:, -1]
-    empty = _no_information(top, np.abs(U).max(axis=1))
+    empty = top <= floor
     keep = eigval > 1e-10 * top[:, None]
     rank = keep.sum(axis=1)
     proj = np.einsum("gij,gi->gj", eigvec, U)
@@ -342,4 +349,5 @@ def pooled_rows(
         cols = history_cols(dataset.L, dataset.A, m + 1, m, m)
         blocks.append(eval_terms(tuple(terms), cols))
         resp.append(dataset.A[:, m])
-    return np.vstack(blocks), np.concatenate(resp), np.tile(np.arange(dataset.n), len(occs))
+    subjects = np.concatenate([np.arange(dataset.n)] * len(occs))
+    return np.vstack(blocks), np.concatenate(resp), subjects

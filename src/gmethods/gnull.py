@@ -77,7 +77,7 @@ def gnull_score_test(dataset: Dataset, a_laws, level: float = 0.05) -> TestRepor
     """
     if dataset.schema.K != 1:
         raise ConfigError("gnull_score_test expects a two-occasion dataset")
-    eng = _g_engine(dataset, additive_blip("1"), ("1",), None, None, (0, 1), level,
+    eng = _g_engine(dataset, additive_blip("1"), None, None, None, (0, 1), level,
                     note="randomization score test with known design means",
                     null_laws=a_laws)
     return eng.signed_report(0.0)

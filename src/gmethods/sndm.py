@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,7 @@ from .glm import (
     TestReport,
     _least_squares_null,
     _logistic_null,
-    _no_information,
+    _null,
     _quadratic_stats,
     _report,
     _score_moments,
@@ -111,7 +111,7 @@ def multiplicative_blip(*cofactors: str, psi=None) -> BlipSpec:
 
 def cofactor_matrix(spec: BlipSpec, L: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
     """(n, dim) matrix of cofactor values at occasion m, from the history before A_m."""
-    return _cofactor_rows(spec, L, A, (m,))[0][0]
+    return _cofactor_rows(spec, L, A, (m,))[0]
 
 
 def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
@@ -122,25 +122,28 @@ def shift_basis(spec: BlipSpec, L: np.ndarray, A: np.ndarray,
     all); treatments at other occasions are left as unmodeled context.
     """
     occs = range(L.shape[1]) if occasions is None else occasions
-    return _cofactor_rows(spec, L, A, occs)[1]
+    return _shift(A, occs, _cofactor_rows(spec, L, A, occs), spec.dim)
 
 
 def _cofactor_rows(spec: BlipSpec, L: np.ndarray, A: np.ndarray, occs,
-                   fixed=()) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each occasion m's cofactor rows C_m, and the shift basis S, the sum
-    over m of A_m C_m.
+                   fixed=()) -> list[np.ndarray]:
+    """Each occasion m's cofactor rows C_m.
 
     Occasion m's rows read l0..lm, "lm", a0..a(m-1), "a_prev" and the
     treatments after m at the held-fixed occasions ``fixed``: a treatment
     held fixed by weighting is context, so a later one may modify the
     effect.  A term naming any other column is a ``ConfigError``.
     """
-    C = [eval_terms(spec.cofactors, history_cols(
+    return [eval_terms(spec.cofactors, history_cols(
         L, A, m + 1, m, m, extra={f"a{k}": A[:, k] for k in fixed if k > m})) for m in occs]
-    S = np.zeros((A.shape[0], spec.dim))
+
+
+def _shift(A: np.ndarray, occs, C: list[np.ndarray], dim: int) -> np.ndarray:
+    """The (n, dim) shift basis S, the sum over occasions m of A_m C_m."""
+    S = np.zeros((A.shape[0], dim))
     for m, c in zip(occs, C):
         S += A[:, m][:, None] * c
-    return C, S
+    return S
 
 
 def _check_outcomes(family: str, Y: np.ndarray) -> None:
@@ -249,9 +252,10 @@ class _ScoreEngine:
     """Score test of "psi is the true blip parameter" in a pooled treatment model.
 
     ``rows`` are the pooled treatment-model rows from ``pooled_rows`` at the
-    tested occasions ``occs``; ``C`` holds each tested occasion's q rows, the
-    history terms that the residual outcome is paired with, and ``S`` the
-    blip's (n, d) shift basis, so H(psi) blips Y by ``S @ psi`` in ``family``.
+    tested occasions ``occs`` (no design under ``null_means``); ``C`` holds
+    each tested occasion's q rows, the history terms that the residual
+    outcome is paired with, and ``B`` the blip's cofactor rows, whose shift
+    basis S (built on first use) blips Y by ``S @ psi`` in ``family``.
     At each psi the added columns pair H(psi) with the q rows (or come from
     ``qstar(h, L, A, m)``) and are divided by the row ``weights``, if any.
     The null becomes per-row means once: logistic (``known_coef`` or fitted),
@@ -272,7 +276,7 @@ class _ScoreEngine:
     ``root`` solves B psi = -a.
     """
 
-    def __init__(self, dataset: Dataset, family: str, rows, occs, C, S, *,
+    def __init__(self, dataset: Dataset, family: str, rows, occs, C, B, *,
                  qstar: Callable | None, known_coef, note: str, level: float,
                  weights: np.ndarray | None = None, null_means=None, least_squares=False):
         _level("level", level)
@@ -289,7 +293,7 @@ class _ScoreEngine:
         self.family = family
         self.occs = list(occs)
         self.C = C
-        self.S = S
+        self.B = B
         self.qstar = qstar
         self.weights = weights
         self.note = note
@@ -304,13 +308,18 @@ class _ScoreEngine:
                                       if logistic and self.known is None else None)
         self.null = (_logistic_null(self.X, self.resp, self.fit, self.known) if logistic
                      else _least_squares_null(self.X, self.resp) if least_squares
-                     else (self.resp - null_means, None, None))
+                     else _null(self.resp, null_means))
         self.subjects = self.subj if weights is not None or not logistic else None
 
     @cached_property
-    def affine(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def S(self) -> np.ndarray:
+        return _shift(self.dataset.A, self.occs, self.B, self.B[0].shape[1])
+
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The score blocks (d+1, q) and variance blocks (d+1, q, d+1, q) of
-        [Z_0, Z_1, ..., Z_d]; None unless the family is additive with the
+        [Z_0, Z_1, ..., Z_d], and the (d+1, d+1) traces of their rounding
+        floor's blocks; None unless the family is additive with the
         default q*.  Built on first use, so engines that only ``report`` never
         pay for it."""
         if self.family != "additive" or self.qstar is not None:
@@ -319,21 +328,23 @@ class _ScoreEngine:
         bases = [self.dataset.Y] + list(self.S.T)
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
-        U, V = _score_moments(None, None, Z, self.subjects, null=self.null)
+        U, V, F = _score_moments(Z, self.subjects, self.null)
         k = len(bases)
-        return U.reshape(k, q), V.reshape(k, q, k, q)
+        return U.reshape(k, q), V.reshape(k, q, k, q), F.reshape(k, q, k, q).trace(axis1=1, axis2=3)
 
     def _weighted(self, Z: np.ndarray) -> np.ndarray:
         return Z if self.weights is None else Z / self.weights[:, None]
 
     def h_of(self, psi: np.ndarray) -> np.ndarray:
+        if not psi.any():  # H(0) = Y in both families
+            return self.dataset.Y
         return _residual_outcome(self.family, self.dataset.Y, self.S.dot(psi))
 
     def zmat(self, psi) -> np.ndarray:
         h = self.h_of(np.atleast_1d(np.asarray(psi, dtype=float)))
         Z = self._weighted(self._qstar_columns(h) if self.qstar is not None
                            else np.vstack([h[:, None] * C for C in self.C]))
-        if self.null[2] is not None and np.any((Z == Z[0]).all(axis=0) & (Z[0] != 0.0)):
+        if self.null[3] is not None and np.any((Z == Z[0]).all(axis=0) & (Z[0] != 0.0)):
             raise EstimationError("added column Q is a nonzero constant; it is confounded "
                                   "with the intercept and cannot be tested")
         return Z
@@ -362,8 +373,8 @@ class _ScoreEngine:
 
     def signed_report(self, psi) -> TestReport:
         """One added column's score at psi, U / sqrt(V), on the standard normal."""
-        (u,), ((v,),) = _score_moments(None, None, self.zmat(psi), self.subjects, null=self.null)
-        if _no_information(v, abs(u)):
+        (u,), ((v,),), ((f,),) = _score_moments(self.zmat(psi), self.subjects, self.null)
+        if v <= f:  # no information (see ``_score_moments``)
             return _report(0.0, None, "normal", self.level, self.note + "; degenerate score")
         return _report(u / np.sqrt(v), None, "normal", self.level, self.note)
 
@@ -375,10 +386,10 @@ class _ScoreEngine:
             reps = [self.report(p) for p in psis]
             return (np.array([r.statistic for r in reps]),
                     np.array([r.p_value for r in reps]))
-        u, M = self.affine
+        u, M, F = self.affine
         c = np.column_stack([np.ones(len(psis)), psis])
-        V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=True)
-        stat, _, p = _quadratic_stats(c @ u, V)
+        V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=_batch_path(*c.shape, M.shape[1]))
+        stat, _, p = _quadratic_stats(c @ u, V, ((c @ F) * c).sum(axis=1))
         return stat, p
 
     def root(self) -> np.ndarray | None:
@@ -391,6 +402,13 @@ class _ScoreEngine:
         if B.shape[0] != B.shape[1] or not np.linalg.cond(B) < _ROOT_COND_LIMIT:
             return None
         return np.linalg.solve(B, -u[0])
+
+
+@lru_cache(maxsize=64)
+def _batch_path(G: int, k: int, q: int) -> list:
+    """numpy's optimized order for ``stats``' c_g' M c_g, searched once per shape."""
+    return np.einsum_path("ga,aibj,gb->gij", np.empty((G, k)), np.empty((k, q, k, q)),
+                          np.empty((G, k)), optimize=True)[0]
 
 
 def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
@@ -412,16 +430,19 @@ def _g_engine(dataset: Dataset, blip_spec: BlipSpec, treatment_terms,
     and ``ESTIMATED_DESIGN_NOTE`` without."""
     occs = list(range(dataset.schema.K + 1)) if occasions is None else list(occasions)
     L, A = dataset.L, dataset.A
-    C, S = _cofactor_rows(blip_spec, L, A, occs, fixed)
+    B = C = _cofactor_rows(blip_spec, L, A, occs, fixed)
     if q_terms is not None:
         C = [eval_terms(q_terms, history_cols(L, A, m + 1, m, m)) for m in occs]
     if note is None:
         note = "" if alpha_known is not None else ESTIMATED_DESIGN_NOTE
-    means = None if null_laws is None else np.concatenate(
-        [null_laws[m].mean(history_cols(L, A, m + 1, m, m)) for m in occs])
-    return _ScoreEngine(dataset, blip_spec.family, pooled_rows(dataset, treatment_terms, occs),
-                        occs, C, S, qstar=qstar, known_coef=alpha_known, note=note,
-                        level=level, weights=weights, null_means=means, least_squares=least_squares)
+    if null_laws is None:
+        means, rows = None, pooled_rows(dataset, treatment_terms, occs)
+    else:  # the laws' means stand in for a treatment model and its design
+        means = np.concatenate([null_laws[m].mean(history_cols(L, A, m + 1, m, m)) for m in occs])
+        rows = None, A.T[occs].ravel(), np.concatenate([np.arange(dataset.n)] * len(occs))
+    return _ScoreEngine(dataset, blip_spec.family, rows, occs, C, B, qstar=qstar,
+                        known_coef=alpha_known, note=note, level=level, weights=weights,
+                        null_means=means, least_squares=least_squares)
 
 
 def g_test_at(

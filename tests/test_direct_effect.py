@@ -137,12 +137,14 @@ class TestWeightedIndependenceTest:
         assert rep.p_value == 1.0
         assert "degenerate" in rep.note
 
-    def test_constant_early_treatment_reports_zero(self):
-        # A0 without variation leaves the least-squares null no residual: a
-        # zero variance, which the engine's one rule reports as 0, p = 1.
+    @pytest.mark.parametrize("a0", [1.0, 0.1, 1e-9])
+    def test_constant_early_treatment_reports_zero(self, a0):
+        # A0 without variation leaves the least-squares null no residual
+        # beyond rounding: a variance below the rounding floor, which the
+        # engine's one rule reports as 0, p = 1, at any scale of A0.
         cfg = dag1b_scenario()
         ds = simulate(cfg, 200, seed=11)
-        ds = Dataset(ds.schema, ds.L, np.column_stack([np.ones(ds.n), ds.A[:, 1]]), ds.Y)
+        ds = Dataset(ds.schema, ds.L, np.column_stack([np.full(ds.n, a0), ds.A[:, 1]]), ds.Y)
         rep = direct_effect_gnull_test(ds, a1_law=cfg.a_laws[1])
         assert (rep.statistic, rep.p_value, rep.reject) == (0.0, 1.0, False)
         assert "degenerate" in rep.note

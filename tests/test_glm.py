@@ -30,9 +30,10 @@ from gmethods.glm import (
     FittedGlm,
     _as_matrix,
     _chol_solve,
+    _logistic_null,
     _report,
-    _tail_p,
     _score_moments,
+    _tail_p,
     expit,
     fit_linear,
     fit_logistic,
@@ -521,7 +522,7 @@ def test_score_moments_match_the_former_bodies(seed, n, p, q, zero_column, null,
             "occasion-major": np.arange(n) % -(-n // 3)}[subjects]
     kw = {"known": dict(known_coef=coef), "fitted": dict(fit=fit_logistic(X, y)),
           "fitted here": {}}[null]
-    U, V = _score_moments(X, y, Z, subj, **kw)
+    U, V, _ = _score_moments(Z, subj, _logistic_null(X, y, **kw))
     if subj is None:
         U_ref, V_ref = _ref_added_moments(X, y, Z, **kw)
     else:

@@ -966,3 +966,36 @@ def test_direct_effect_gnull_test_is_the_former_statistic(name, seed, known):
         assert new is ref
     else:
         _agree(new, ref)
+
+
+def _rescaled(ds, scale):
+    return Dataset(ds.schema, ds.L, ds.A, ds.Y * scale)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -27, 2.0 ** 27])
+@pytest.mark.parametrize("name", TWO_OCCASION)
+def test_null_tests_do_not_depend_on_the_outcome_scale(name, scale):
+    # The degenerate rule is relative to the added column's size, so an
+    # outcome in other units (about 1e-8 or 1e8 of these) tests the same.  A
+    # power of two rescales without rounding: the reports are identical.
+    cfg = make_scenario(name)
+    ds = simulate(cfg, 500, seed=0)
+    tests = [lambda d: gnull_score_test(d, cfg.a_laws),
+             lambda d: direct_effect_gnull_test(d, a1_law=cfg.a_laws[1]),
+             lambda d: direct_effect_gnull_test(d)]
+    for test in tests:
+        got, want = _outcome(lambda: test(_rescaled(ds, scale))), _outcome(lambda: test(ds))
+        assert got == want
+        assert isinstance(want, type) or "degenerate" not in want.note
+
+
+@pytest.mark.parametrize("known", [True, False])
+def test_pooled_g_test_does_not_depend_on_the_outcome_scale(known):
+    # The same rule serves the logistic null with the model-based variance.
+    trial = sequential_trial_scenario(K=2)
+    ds = simulate(trial, 500, seed=5)
+    spec = GTestSpec(POOLED_TERMS, design_alpha(trial, POOLED_TERMS) if known else None)
+    want = pooled_g_test(ds, spec)
+    assert want.statistic > 0.0
+    for scale in (2.0 ** -27, 2.0 ** 27):
+        assert pooled_g_test(_rescaled(ds, scale), spec) == want

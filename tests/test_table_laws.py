@@ -650,6 +650,12 @@ def _group_rows_input(name):
         return ties
     if name == "ties-wide":
         return rng.integers(0, 2, size=(500, 9)).astype(float)
+    if name in ("binary-16", "binary-17"):  # the widest binary rows counted, then sorted
+        return rng.integers(0, 2, size=(400, int(name[-2:]))).astype(float)
+    if name == "intercept-and-binary":  # a logistic design of binary regressors
+        return np.column_stack([np.ones(1000), rng.integers(0, 2, size=(1000, 2))]).astype(float)
+    if name == "binary-one-row":
+        return np.tile([1.0, 0.0, 1.0], (7, 1))
     if name == "nearby":  # equal after rounding to 9 places, apart exactly
         return ties + rng.choice([0.0, 1e-12, -1e-12], size=ties.shape)
     if name == "continuous":
@@ -671,9 +677,10 @@ def _group_rows_input(name):
 
 
 @pytest.mark.parametrize("decimals", [9, None])
-@pytest.mark.parametrize("name", ["ties", "ties-wide", "nearby", "continuous", "zero-rows",
-                                  "zero-columns", "zero-rows-and-columns", "signed-zero",
-                                  "nan"])
+@pytest.mark.parametrize("name", ["ties", "ties-wide", "binary-16", "binary-17",
+                                  "intercept-and-binary", "binary-one-row", "nearby",
+                                  "continuous", "zero-rows", "zero-columns",
+                                  "zero-rows-and-columns", "signed-zero", "nan"])
 def test_group_rows_matches_the_sorted_copy_form(name, decimals):
     M = _group_rows_input(name)
     keys, inverse = group_rows(M, decimals=decimals)
