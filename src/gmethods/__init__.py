@@ -7,6 +7,10 @@ regression adjustment does not; g-estimation of shift-type structural
 models; and weighted tests and estimators for direct effects of early
 treatments.  The ``cli`` module exposes the same machinery as the
 ``gmethods`` command.
+
+``__all__`` is the API that README's "Public API" section lists: the entry
+points, the types a caller builds or gets back, and the errors.  The
+wiring between modules is imported from its module.
 """
 
 from .data import (
@@ -31,8 +35,6 @@ from .direct_effect import (
     direct_effect_g_estimate,
     direct_effect_gnull_test,
     direct_effect_moment_check,
-    fit_z_laws,
-    ipw_weights,
     naive_direct_effect_demo,
 )
 from .errors import (
@@ -56,12 +58,8 @@ from .gformula import (
 from .glm import (
     FittedGlm,
     TestReport,
-    expit,
     fit_linear,
     fit_logistic,
-    pooled_rows,
-    robust_score_test,
-    score_test_added,
     wald_test,
 )
 from .gnull import (
@@ -70,7 +68,6 @@ from .gnull import (
     gnull_table_check,
     naive_test,
     pooled_g_test,
-    random_sequential_table,
 )
 from .laws import (
     BernoulliLogit,
@@ -79,9 +76,8 @@ from .laws import (
     LinearOutcome,
     NormalLinear,
 )
-from .reproduce import REPRODUCERS, CheckLine, ReproduceReport
+from .reproduce import ReproduceReport
 from .scenarios import (
-    SCENARIOS,
     ScenarioConfig,
     counterfactual_draws,
     enumerate_joint,
@@ -100,17 +96,13 @@ from .sndm import (
     g_estimate,
     g_test_at,
     multiplicative_blip,
-    shift_basis,
     sndm_lr_test,
     sndm_mle,
 )
 from .studies import (
-    ANALYSES,
     AnalysisSummary,
     StudyConfig,
     StudyRow,
-    format_summary,
-    replicate_seed,
     run_study,
     summarize,
     write_study_log,
@@ -130,11 +122,9 @@ _np.empty(1 << 19)
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANALYSES",
     "AnalysisSummary",
     "BernoulliLogit",
     "BlipSpec",
-    "CheckLine",
     "ConditionalLaws",
     "ConfigError",
     "ConstantLaw",
@@ -156,9 +146,7 @@ __all__ = [
     "PositivityError",
     "Regime",
     "RegimeDistribution",
-    "REPRODUCERS",
     "ReproduceReport",
-    "SCENARIOS",
     "ScenarioConfig",
     "Schema",
     "SeparationError",
@@ -182,10 +170,8 @@ __all__ = [
     "discrete",
     "empirical_static_survivor",
     "enumerate_joint",
-    "expit",
     "fit_linear",
     "fit_logistic",
-    "fit_z_laws",
     "g_estimate",
     "g_formula_conditional",
     "g_formula_exact",
@@ -194,21 +180,14 @@ __all__ = [
     "g_test_at",
     "gnull_score_test",
     "gnull_table_check",
-    "ipw_weights",
     "make_scenario",
     "mc_regime_draws",
     "multiplicative_blip",
     "naive_direct_effect_demo",
     "naive_test",
     "pooled_g_test",
-    "pooled_rows",
-    "random_sequential_table",
     "read_csv",
-    "replicate_seed",
-    "robust_score_test",
     "run_study",
-    "score_test_added",
-    "shift_basis",
     "simulate",
     "sndm_lr_test",
     "sndm_mle",
@@ -217,5 +196,4 @@ __all__ = [
     "wald_test",
     "write_csv",
     "write_study_log",
-    "__version__",
 ]

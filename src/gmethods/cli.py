@@ -1,11 +1,11 @@
 """Command-line front end: simulation, replicate studies, and reports.
 
 Configuration is a single YAML file with a required ``config_version: 1``
-key; the subcommands read the sections they need.  ``g-estimate`` and
-``direct-effect`` run one registered study analysis (``studies.ANALYSES``)
-on one simulated dataset: their configs hold the common keys beside that
-analysis's params, read by the same declaration as a study's
-(``studies.PARAMS``), so any other key is a configuration error.  Flags
+key; a key the subcommand does not read is a configuration error.
+``g-estimate`` and ``direct-effect`` run one registered study analysis
+(``studies.ANALYSES``) on one simulated dataset: their configs hold the
+common keys beside that analysis's params, read by the same declaration as
+a study's (``studies.PARAMS``).  Flags
 ``--seed`` and ``--out`` override their config counterparts, and so does
 ``--jobs`` on ``study``, the one subcommand that runs replicates in
 parallel.  Exit codes: 0 success, 1 analysis or threshold failure, 2
@@ -40,7 +40,21 @@ from .studies import (
 )
 
 
-def _load_config(path: str | None) -> dict:
+# The keys of each config that ``studies.read_params`` does not check.
+# ``simulate`` and ``study`` share theirs, so one file serves both.
+REPLICATE_KEYS = ("config_version", "scenario", "n", "replicates", "seed", "jobs",
+                  "analyses", "out")
+G_FORMULA_KEYS = ("config_version", "scenario", "method", "regime", "draws", "seed", "out")
+
+
+def _known_keys(what: str, sect: dict, keys: tuple[str, ...]) -> None:
+    unread = [key for key in sect if key not in keys]
+    if unread:
+        raise ConfigError(f"{what} key must be one of {', '.join(keys)}, not {unread[0]!r}")
+
+
+def _load_config(path: str | None, keys: tuple[str, ...] | None = None) -> dict:
+    """The config at ``path``; with ``keys``, any other top-level key is an error."""
     if path is None:
         raise ConfigError("this subcommand needs --config")
     try:
@@ -53,6 +67,8 @@ def _load_config(path: str | None) -> dict:
     version = _typed("config", cfg, "mapping").get("config_version")
     if version != 1:
         raise ConfigError("config_version must be present and equal to 1")
+    if keys is not None:
+        _known_keys("config", cfg, keys)
     return cfg
 
 
@@ -97,21 +113,25 @@ def _threshold_rule(m: int, l_bar: tuple[float, ...], cutoff: float) -> float:
     return 1.0 if l_bar[-1] >= cutoff else 0.0
 
 
-def _regime_from(sect) -> Regime:
+def _regime_from(sect, occasions: int) -> Regime:
     if sect is None:
         raise ConfigError("missing 'regime' section")
     kind = _typed("regime", sect, "mapping").get("kind")
-    if kind == "static":
-        plan = sect.get("plan")
-        if plan is None:
-            raise ConfigError("static regime needs a 'plan' list")
-        return Regime.static(tuple(_typed("regime plan", v, "number")
-                                   for v in _typed("regime plan", plan, "list")))
+    if kind not in ("static", "threshold"):
+        raise ConfigError("regime.kind must be 'static' or 'threshold'")
+    _known_keys(f"{kind} regime", sect, ("kind", "plan" if kind == "static" else "cutoff"))
     if kind == "threshold":
         cutoff = _typed("regime cutoff", sect.get("cutoff", 0.5), "number")
         rule = functools.partial(_threshold_rule, cutoff=cutoff)
         return Regime.dynamic(rule, name=f"treat-if-covariate>={cutoff:g}")
-    raise ConfigError("regime.kind must be 'static' or 'threshold'")
+    plan = sect.get("plan")
+    if plan is None:
+        raise ConfigError("static regime needs a 'plan' list")
+    plan = _typed("regime plan", plan, "list")
+    if len(plan) != occasions:
+        raise ConfigError(f"regime plan must hold one entry per occasion ({occasions}), "
+                          f"not {len(plan)}")
+    return Regime.static(tuple(_typed("regime plan", v, "number") for v in plan))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +140,7 @@ def _regime_from(sect) -> Regime:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, REPLICATE_KEYS)
     scenario = _scenario_from(cfg)
     n = _count("n", _require(cfg, "n"))
     reps = _count("replicates", cfg.get("replicates", 1))
@@ -148,7 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, REPLICATE_KEYS)
     scenario = _scenario_from(cfg)
     analyses_cfg = _require(cfg, "analyses")
     if not isinstance(analyses_cfg, list) or not analyses_cfg:
@@ -197,9 +217,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_g_formula(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, G_FORMULA_KEYS)
     scenario = _scenario_from(cfg)
-    regime = _regime_from(cfg.get("regime"))
+    regime = _regime_from(cfg.get("regime"), scenario.schema.K + 1)
     method = cfg.get("method", "exact")
     table = enumerate_joint(scenario)
     if method == "exact":

@@ -254,7 +254,7 @@ def _logistic_null(X, y, fit: FittedGlm | None = None, known_coef=None):
     projection) or ``fit``, or a fit."""
     X, y = _as_matrix(X), np.asarray(y, dtype=float)
     coef = (fit or fit_logistic(X, y)).coef if known_coef is None else known_coef
-    prob = expit(X @ np.asarray(coef, dtype=float))
+    prob = expit(X.dot(np.asarray(coef, dtype=float)))
     return _null(y, prob, prob * (1.0 - prob), X if known_coef is None else None)
 
 
@@ -292,7 +292,7 @@ def _score_moments(Z, subjects, null) -> tuple[np.ndarray, np.ndarray, np.ndarra
         adj = Z - X.dot(X.T @ Z)
     elif X is not None:
         Xw = X * w[:, None]
-        adj = Z - X @ _chol_solve(X.T @ Xw, (Z.T @ Xw).T)
+        adj = Z - X.dot(_chol_solve(X.T @ Xw, (Z.T @ Xw).T))
     subjects = np.asarray(subjects, dtype=int)
     nsub = int(subjects.max()) + 1
     pieces = np.zeros((nsub, Z.shape[1]))

@@ -153,10 +153,13 @@ class TestConfigCounts:
 
 
 class TestConfigTypes:
-    """Config numbers, lists and sections of the wrong type are refused with
-    exit 2 and a message naming the key, never a traceback."""
+    """Config numbers, lists and sections of the wrong type, keys a
+    subcommand does not read and a static plan of the wrong length are
+    refused with exit 2 and a message naming the key, never a traceback."""
 
     GFORMULA = dict(scenario="discrete-trial")
+    SIMULATE = TestConfigCounts.BASE["simulate"]
+    STUDY = TestConfigCounts.BASE["study"]
     GESTIMATE = TestConfigCounts.BASE["g-estimate"]
     DIRECT = TestConfigCounts.BASE["direct-effect"]
 
@@ -177,9 +180,24 @@ class TestConfigTypes:
         ("g-estimate", GESTIMATE, {"treatment_terms": 5}, "treatment_terms must be a list"),
         ("g-estimate", GESTIMATE, {"cofactors": 1}, "cofactors must be a list"),
         ("g-estimate", GESTIMATE, {"family": ["additive"]}, "family must be a string"),
+        # Each of these once ran: one file written, the exact method run, the
+        # key ignored, and a four-entry plan printed as static(1.0, 1.0, 0.0, 5.0).
+        ("simulate", SIMULATE, {"replicate": 3}, "config key must be one of config_version, "
+         "scenario, n, replicates, seed, jobs, analyses, out"),
+        ("g-formula", GFORMULA, {"methd": "mc"}, "config key must be one of config_version, "
+         "scenario, method, regime, draws, seed, out"),
+        ("study", STUDY, {"job": 2}, "config key must be one of config_version, "
+         "scenario, n, replicates, seed, jobs, analyses, out"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": [1, 1, 0, 5]}},
+         "regime plan must hold one entry per occasion (2)"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": [1, 1], "cutof": 1}},
+         "static regime key must be one of kind, plan"),
+        ("g-formula", GFORMULA, {"regime": {"kind": "threshold", "plan": [1, 1]}},
+         "threshold regime key must be one of kind, cutoff"),
     ], ids=["cutoff-word", "cutoff-nan", "plan-word", "plan-number", "regime-list", "split-number",
             "split-list", "mean-terms", "z-terms", "treatment-terms", "cofactors",
-            "blip-word"])
+            "blip-word", "simulate-key", "g-formula-key", "study-key", "plan-length",
+            "static-key", "threshold-key"])
     def test_refused(self, tmp_path, capsys, command, base, changes, message):
         out = tmp_path / "out"
         path = cfg_file(tmp_path, **{**base, **changes})
@@ -223,8 +241,9 @@ class TestSimulate:
             assert (out / entry["file"]).exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # A study's keys are legal here, so one file serves both commands.
         _, first = self.run(tmp_path, "sima")
-        _, second = self.run(tmp_path, "simb")
+        _, second = self.run(tmp_path, "simb", analyses=["naive"], jobs=2)
         for name in ("manifest.json", "dag1b-rep000.csv", "dag1b-rep001.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -464,6 +483,12 @@ class TestGFormula:
         want = g_formula_exact(table, Regime.static((1.0, 1.0))).mean()
         assert abs(got - want) < 5e-7
         assert (out / "g-formula-exact.csv").exists()
+
+    def test_exact_method_accepts_the_mc_keys(self, tmp_path, capsys):
+        # One config may switch method alone; the exact method reads neither key.
+        path = cfg_file(tmp_path, scenario="discrete-trial", method="exact", draws=20000,
+                        seed=5, regime={"kind": "static", "plan": [1, 1]})
+        assert main(["g-formula", "--config", path, "--out", str(tmp_path / "gf")]) == 0
 
     def test_threshold_regime_is_named_in_the_report(self, tmp_path, capsys):
         path = cfg_file(tmp_path, scenario="discrete-trial",
