@@ -250,6 +250,14 @@ class Regime:
         return Regime("dynamic", (), rule, name or "dynamic")
 
 
+def _check_plan(regime: Regime, occasions: int) -> None:
+    """Refuse a static plan without exactly one entry per occasion: a longer
+    one would otherwise be cut short without a word."""
+    if regime.kind == "static" and len(regime.plan) != occasions:
+        raise ConfigError(f"static plan of length {len(regime.plan)} does not match "
+                          f"the {occasions} occasions")
+
+
 def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
     """Treatment the regime assigns at occasion m to each row of L_prefix,
     the covariate history (n, m+1).

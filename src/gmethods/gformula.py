@@ -29,7 +29,16 @@ from typing import NoReturn
 
 import numpy as np
 
-from .data import History, Regime, Schema, _read_table, _write_table, group_rows, regime_values
+from .data import (
+    History,
+    Regime,
+    Schema,
+    _check_plan,
+    _read_table,
+    _write_table,
+    group_rows,
+    regime_values,
+)
 from .errors import ConfigError, EstimationError, PositivityError, _count
 from .glm import expit
 from .laws import _choice_cdf, _invert_cdf
@@ -338,6 +347,7 @@ def _roll_forward(table: JointTable, regime: Regime, l_bar: tuple = ()) -> Regim
 
 def g_formula_exact(table: JointTable, regime: Regime) -> RegimeDistribution:
     """Exact standardized outcome law under the regime."""
+    _check_plan(regime, table.schema.K + 1)
     return _roll_forward(table, regime)
 
 
@@ -348,6 +358,7 @@ def g_formula_conditional(table: JointTable, regime: Regime, hist: History) -> R
     covariate prefix, and ``hist.a_bar_prev`` must equal them; from hist.m on,
     the regime continues and remaining covariates are integrated out.
     """
+    _check_plan(regime, table.schema.K + 1)
     m = hist.m
     if m > table.schema.K:
         raise ConfigError(f"history at occasion {m} is past the table's last occasion")
@@ -370,6 +381,7 @@ def g_formula_mc(
     """Monte Carlo standardization: roll covariates forward under the regime,
     each draw carried as its history's position in the current law."""
     draws = _count("draws", draws)
+    _check_plan(regime, laws.K + 1)
     chain = laws.l_laws + (laws.y_law,)
     nb = streams.BLOCK
     ys = np.empty(streams.block_count(draws) * nb)

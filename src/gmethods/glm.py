@@ -13,14 +13,20 @@ degenerate rule: a variance at its rounding floor, which scales with the
 added columns, carries no information.  Only
 ``numpy.linalg`` is used: importing ``scipy.linalg`` would add about 6 MB
 of resident memory to every import of the package.
+
+The normal CDF is 0.5 erfc(-x / sqrt 2), and the chi-square tail for an
+integer df is its closed form over erfc and the exponential (Abramowitz &
+Stegun 1964, 26.4.4-5), both on ``math.erfc``.  So ``scipy.special`` is
+not imported: it loads a copy of numpy's namespace that costs about 0.25 s
+and 26 MB in every process.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from .data import Dataset, group_rows
 from .errors import ConvergenceError, EstimationError, SeparationError, _level
@@ -32,6 +38,12 @@ _MAX_ITER = 100
 _SCORE_TOL = 1e-8
 _LOGLIK_TOL = 1e-10
 _SEP_LIMIT = 30.0
+
+_SQRT1_2 = math.sqrt(0.5)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # 1 / Gamma(3/2)
+# An infinite chi-square statistic is taken as this one, so that its tail
+# meets no inf * 0.
+_HUGE_STAT = 1e300
 
 ESTIMATED_DESIGN_NOTE = (
     "treatment model estimated from the data; the test level relies on its "
@@ -74,14 +86,76 @@ class TestReport:
     note: str = ""
 
 
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of each element (numpy has no erfc)."""
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
+def _ndtr(x):
+    """Standard normal CDF of a scalar or an array, 0.5 erfc(-x / sqrt 2)."""
+    if isinstance(x, (int, float)):
+        return 0.5 * math.erfc(-x * _SQRT1_2)
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) * _SQRT1_2)
+
+
+def _chi2_sf(df: int, x):
+    """Upper tail of chi-square(df), for an integer df >= 1, at a scalar or
+    an array x.  With h = x / 2 (A&S 26.4.4-5):
+
+        even df:  e^-h sum_{j < df/2} h^j / j!
+        odd df:   erfc(sqrt h) + e^-h sum_{j=1}^{(df-1)/2} h^(j-1/2) / Gamma(j+1/2)
+
+    Every term is positive, so the sums lose no digits.  e^-h is taken as
+    the square of e^(-h/2), which stays a normal number until the tail
+    itself underflows.  x <= 0 gives 1, inf gives 0 and nan gives nan.
+    A scalar and an array run the same floating-point operations, with
+    numpy's exponential for both (``math.exp`` differs from it in the last
+    bit), so they agree to the bit.
+    """
+    terms, half = df // 2, 0.5 * (df % 2)
+    if isinstance(x, (int, float)):
+        if not x > 0.0:
+            return 1.0 if x <= 0.0 else math.nan
+        h, sqrt, erfc, exp = 0.5 * min(x, _HUGE_STAT), math.sqrt, math.erfc, _float_exp
+    else:
+        h = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), _HUGE_STAT)  # nan stays
+        h *= 0.5
+        sqrt, erfc, exp = np.sqrt, _erfc, np.exp
+    root = sqrt(h) if half else None
+    if not terms:
+        return erfc(root)
+    e = exp(h * -0.5)
+    t = e * root * _TWO_OVER_SQRT_PI if half else e
+    total = t
+    for j in range(1, terms):
+        t = t * h / (j + half)
+        total = total + t
+    total = total * e
+    return erfc(root) + total if half else total
+
+
+def _float_exp(v: float) -> float:
+    """numpy's exponential of a float, as a float (see ``_chi2_sf``)."""
+    return float(np.exp(v))
+
+
+def _chi2_sfs(df: np.ndarray, stat: np.ndarray) -> np.ndarray:
+    """Chi-square p-values of a batch of statistics on their own df, which
+    are nearly always one value; a row on 0 df gets p = 1, as in ``_tail_p``."""
+    ks = df.tolist()
+    if ks[0] > 0 and ks.count(ks[0]) == len(ks):
+        return _chi2_sf(ks[0], stat)
+    return np.array([_tail_p(s, k, "chi2") for s, k in zip(stat.tolist(), ks)])
+
+
 def _tail_p(statistic: float, df: int | None, reference: str) -> float:
     """p-value of a statistic: chi-square(df) upper tail, or two-sided normal.
 
     A chi-square statistic on 0 df carries no information and gets p = 1.
     """
     if reference == "chi2":
-        return float(chdtrc(df, statistic)) if df and df > 0 else 1.0
-    return float(2.0 * ndtr(-abs(statistic)))
+        return float(_chi2_sf(df, statistic)) if df and df > 0 else 1.0
+    return float(2.0 * _ndtr(-abs(statistic)))
 
 
 def _report(statistic: float, df: int | None, reference: str, level: float,
@@ -304,7 +378,7 @@ def _score_moments(Z, subjects, null) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _quadratic_report(U: np.ndarray, V: np.ndarray, F: np.ndarray, level: float,
                       note: str) -> TestReport:
     """U' V^+ U against chi-square(rank V), through ``_quadratic_stats``."""
-    stat, df, _ = _quadratic_stats(U[None], V[None], np.trace(F)[None])
+    stat, df = _quadratic_stats(U[None], V[None], np.trace(F)[None])
     return _report(float(stat[0]), int(df[0]), "chi2", level, note)
 
 
@@ -312,14 +386,14 @@ def _quadratic_stats(U: np.ndarray, V: np.ndarray, floor: np.ndarray):
     """Score statistics U' V^+ U for a batch: U is (G, q), V is (G, q, q)
     and ``floor`` (G,) the traces of their rounding floors.
 
-    Returns the statistics, their chi-square df (the rank of V) and the
-    p-values.  A V with no information (all-zero columns, or every column
-    in the null's span) gives statistic 0 on q df; a rank-deficient V whose
-    statistic is below 1e-8 gives 0.
+    Returns the statistics and their chi-square df, the rank of V (``_chi2_sfs``
+    gives their p-values).  A V with no information (all-zero columns, or
+    every column in the null's span) gives statistic 0 on q df; a
+    rank-deficient V whose statistic is below 1e-8 gives 0.
     """
     G, q = U.shape
     if q == 0:
-        return np.zeros(G), np.zeros(G, dtype=int), np.ones(G)
+        return np.zeros(G), np.zeros(G, dtype=int)
     eigval, eigvec = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
     top = eigval[:, -1]
     empty = top <= floor
@@ -328,9 +402,7 @@ def _quadratic_stats(U: np.ndarray, V: np.ndarray, floor: np.ndarray):
     proj = np.einsum("gij,gi->gj", eigvec, U)
     stat = (np.where(keep, proj, 0.0) ** 2 / np.where(keep, eigval, 1.0)).sum(axis=1)
     stat[empty | ((rank < q) & (stat < 1e-8))] = 0.0
-    df = np.where(empty, q, rank)
-    # As in ``_tail_p``: a statistic on 0 df (a V of NaNs) gets p = 1.
-    return stat, df, np.where(df > 0, chdtrc(df, stat), 1.0)
+    return stat, np.where(empty, q, rank)
 
 
 def pooled_rows(

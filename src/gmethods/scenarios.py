@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import streams
 from .data import (
     Dataset,
     Regime,
     Schema,
+    _check_plan,
     binary,
     constant,
     continuous,
@@ -34,6 +34,7 @@ from .data import (
 from .errors import ConfigError, EstimationError, _count, _typed
 from .features import Cols, history_cols
 from .gformula import JointTable, RegimeDistribution
+from .glm import _ndtr
 from .laws import (
     BernoulliLogit,
     ConstantLaw,
@@ -146,6 +147,8 @@ def counterfactual_draws(
     With regime=None the treatment laws run untouched, which reproduces the
     observational outcome stream draw for draw at equal seed.
     """
+    if regime is not None:
+        _check_plan(regime, config.schema.K + 1)
     _, _, _, Y = _rollout(config, n, seed, regime=regime)
     return Y
 
@@ -196,11 +199,14 @@ class _BinnedOutcome:
         self.law, self.edges = law, edges
 
     def atoms(self, cols: Cols) -> tuple[np.ndarray, np.ndarray]:
-        z = (self.edges - self.law.mean(cols)[:, None]) / self.law.noise_sd
-        cdf = ndtr(z)
+        # Paths share few outcome means, so bin masses are computed once per mean.
+        mean, rows = np.unique(self.law.mean(cols), return_inverse=True)
+        z = (self.edges - mean[:, None]) / self.law.noise_sd
+        cdf = _ndtr(z)
         probs = np.diff(cdf, axis=1)
         probs[:, 0] += cdf[:, 0]
-        probs[:, -1] += ndtr(-z[:, -1])
+        probs[:, -1] += _ndtr(-z[:, -1])
+        probs = probs[rows]
         return np.broadcast_to(0.5 * (self.edges[:-1] + self.edges[1:]), probs.shape), probs
 
 

@@ -23,11 +23,11 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincinv
 
 # scipy.optimize is imported inside the numerical fallbacks and sndm_mle
-# only: it adds about 17 MB and 0.2 s to every import of the package, and
-# the closed-form path never needs it.
+# only, and no other part of scipy is imported: it would add about 17 MB
+# and 0.2 s to every import of the package, and the closed-form path never
+# needs it.
 
 from .data import Dataset, _write_table
 from .errors import ConfigError, ConvergenceError, EstimationError, _level
@@ -38,6 +38,8 @@ from .glm import (
     ESTIMATED_DESIGN_NOTE,
     FittedGlm,
     TestReport,
+    _chi2_sf,
+    _chi2_sfs,
     _least_squares_null,
     _logistic_null,
     _null,
@@ -389,8 +391,8 @@ class _ScoreEngine:
         u, M, F = self.affine
         c = np.column_stack([np.ones(len(psis)), psis])
         V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=_batch_path(*c.shape, M.shape[1]))
-        stat, _, p = _quadratic_stats(c @ u, V, ((c @ F) * c).sum(axis=1))
-        return stat, p
+        stat, df = _quadratic_stats(c @ u, V, ((c @ F) * c).sum(axis=1))
+        return stat, _chi2_sfs(df, stat)
 
     def root(self) -> np.ndarray | None:
         """The psi where an affine score vanishes, if its slope B is square
@@ -580,10 +582,10 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
     edge = (np.abs(psi_hat - lo) < 1e-9) | (np.abs(psi_hat - hi) < 1e-9)
     # A minimum on the box edge is flagged only when the data still reject
     # there more than a typical null draw would: the statistic exceeds the
-    # median of chi-square(dim), which is 2 * gammaincinv(dim / 2, 0.5).  A
+    # median of chi-square(dim), that is, its upper tail is below 1/2.  A
     # heuristic, not a test: an edge minimum with a smaller statistic is
     # taken as a fit, not a boundary.
-    boundary = bool(np.any(edge) and at_hat.statistic > 2.0 * gammaincinv(dim / 2, 0.5))
+    boundary = bool(np.any(edge) and _chi2_sf(dim, at_hat.statistic) < 0.5)
     return GEstimate(
         psi_hat=np.atleast_1d(psi_hat),
         statistic_at_hat=at_hat.statistic,

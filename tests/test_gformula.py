@@ -15,8 +15,10 @@ from gmethods.gformula import (
     g_mean_plugin,
 )
 from gmethods.scenarios import (
+    counterfactual_draws,
     discrete_trial_scenario,
     enumerate_joint,
+    make_scenario,
     sequential_trial_scenario,
 )
 
@@ -369,6 +371,30 @@ class TestMonteCarloStandardization:
         plan = Regime.static((1.0, 1.0))
         np.testing.assert_array_equal(g_formula_mc(laws, plan, np.int64(300), 2).samples,
                                       g_formula_mc(laws, plan, 300, 2).samples)
+
+
+class TestStaticPlanLength:
+    """Every standardization entry point refuses a static plan without one
+    entry per occasion; a longer plan was once cut short without a word."""
+
+    ENTRY_POINTS = {
+        "exact": lambda table, cfg, plan: g_formula_exact(table, plan),
+        "conditional": lambda table, cfg, plan: g_formula_conditional(
+            table, plan, History(0, (0.0,), ())),
+        "mc": lambda table, cfg, plan: g_formula_mc(
+            ConditionalLaws.from_table(table), plan, 100, 1),
+        "counterfactual": lambda table, cfg, plan: counterfactual_draws(cfg, plan, 100, 1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("plan", [(1.0,), (1.0, 1.0, 0.0, 5.0)], ids=["short", "long"])
+    def test_refused(self, entry, plan):
+        cfg = make_scenario("discrete-trial")
+        table = enumerate_joint(cfg)
+        with pytest.raises(ConfigError, match=f"static plan of length {len(plan)} does "
+                                              "not match the 2 occasions"):
+            self.ENTRY_POINTS[entry](table, cfg, Regime.static(plan))
+        self.ENTRY_POINTS[entry](table, cfg, Regime.static((1.0, 0.0)))
 
 
 class TestPluginMean:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.special import logit
 
 import gmethods
@@ -29,8 +29,11 @@ from gmethods.glm import (
     _SEP_LIMIT,
     FittedGlm,
     _as_matrix,
+    _chi2_sf,
+    _chi2_sfs,
     _chol_solve,
     _logistic_null,
+    _ndtr,
     _report,
     _score_moments,
     _tail_p,
@@ -347,19 +350,71 @@ class TestWald:
         assert abs(rep.p_value - _tail_p(rep.statistic, rep.df, rep.reference)) < 1e-10
 
 
+# Chi-square statistics from zero to far past underflow, and the edges.
+TAIL_GRID = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.0, 40.0),
+                            [1e3, 1.4e3, 1e5, 1e300, np.inf, np.nan]])
+
+
 class TestPValues:
     def test_zero_df_gives_p_one_both_ways(self):
         rep = _report(0.0, 0, "chi2", 0.05)
         assert rep.p_value == 1.0
         assert _tail_p(rep.statistic, rep.df, rep.reference) == 1.0
 
-    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("df", range(1, 41))
     def test_tails_equal_the_scipy_stats_tails(self, df):
+        # The closed forms against scipy's incomplete gamma and normal tail,
+        # to 1e-12 relative wherever scipy's tail is at least 1e-290 (below
+        # that, both are at the edge of the float range).
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _chi2_sf(df, TAIL_GRID)
+        ref = stats.chi2.sf(TAIL_GRID, df)
+        big, nan = ref >= 1e-290, np.isnan(TAIL_GRID)
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
+        assert np.all((got[~big & ~nan] >= 0.0) & (got[~big & ~nan] < 1e-280))
+        assert np.all(np.isnan(got[nan]))
         for x in np.linspace(0.0, 40.0, 161):
-            assert _report(x, df, "chi2", 0.05).p_value == float(stats.chi2.sf(x, df))
+            assert _report(x, df, "chi2", 0.05).p_value == _chi2_sf(df, x)
         for z in np.linspace(-8.0, 8.0, 161):
-            assert (_report(z, None, "normal", 0.05).p_value
-                    == float(2.0 * stats.norm.sf(abs(z))))
+            ref = 2.0 * stats.norm.sf(abs(z))
+            assert abs(_report(z, None, "normal", 0.05).p_value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 40])
+    def test_tail_edges(self, df):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _chi2_sf(df, np.array([-np.inf, -1.0, 0.0, -0.0, np.inf, np.nan]))
+        np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 0.0, np.nan])
+        assert [_chi2_sf(df, x) for x in (-1.0, 0, 0.0)] == [1.0, 1.0, 1.0]
+        assert _chi2_sf(df, np.inf) == 0.0 and np.isnan(_chi2_sf(df, np.nan))
+
+    def test_normal_cdf_matches_scipy(self):
+        z = np.linspace(-37.0, 37.0, 7401)
+        ref = special.ndtr(z)
+        assert np.all(np.abs(_ndtr(z) - ref) <= 1e-12 * ref)
+        assert _ndtr(-np.inf) == 0.0 and _ndtr(np.inf) == 1.0 and np.isnan(_ndtr(np.nan))
+
+    def test_scalar_and_array_tails_agree_to_the_bit(self):
+        # The scalar path runs on floats and the array path on numpy: the
+        # same operations in the same order must give the same bits.
+        for df in range(1, 41):
+            np.testing.assert_array_equal(_chi2_sf(df, TAIL_GRID),
+                                          [_chi2_sf(df, float(x)) for x in TAIL_GRID])
+        z = np.linspace(-40.0, 40.0, 1600)
+        np.testing.assert_array_equal(_ndtr(z), [_ndtr(float(v)) for v in z])
+        np.testing.assert_array_equal(_ndtr(z.reshape(2, -1)), _ndtr(z).reshape(2, -1))
+        stat = np.abs(np.linspace(-30.0, 30.0, 41))
+        np.testing.assert_array_equal(_chi2_sfs(np.full(41, 4), stat), _chi2_sf(4, stat))
+        df = np.array([0, 1, 2, 3] * 10 + [4])
+        np.testing.assert_array_equal(_chi2_sfs(df, stat), [
+            1.0 if k == 0 else _chi2_sf(int(k), float(s)) for k, s in zip(df, stat)])
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_boundary_rule_is_the_median_rule(self, dim):
+        # g-estimation flags an edge minimum when the tail at its statistic
+        # is below 1/2, which is "the statistic exceeds the median".
+        median = 2.0 * special.gammaincinv(dim / 2, 0.5)
+        for s in median * (1.0 + np.array([-1e-2, -1e-6, -1e-10, 1e-10, 1e-6, 1e-2, 1.0])):
+            assert (_chi2_sf(dim, float(s)) < 0.5) == (s > median)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         assert _loaded_after_import("scipy.stats") == []
@@ -373,12 +428,40 @@ class TestPValues:
         # The normal equations are solved with numpy's Cholesky.
         assert _loaded_after_import("scipy.linalg") == []
 
+    def test_import_leaves_scipy_special_unloaded(self):
+        # The tails are closed forms over math.erfc.
+        assert _loaded_after_import("scipy.special") == []
 
-def _loaded_after_import(prefix):
-    """Modules under ``prefix`` that a fresh ``import gmethods`` loads."""
+
+def test_analyses_and_standardization_load_no_scipy():
+    # One replicate of each benchmarked analysis (g-estimation on its
+    # closed-form path: the numerical fallbacks import scipy.optimize), and
+    # exact and Monte Carlo standardization over a y_bins table.
+    run = """
+import numpy as np
+from gmethods import gformula, scenarios, studies
+from gmethods.data import Regime
+for name, analyses in (("sndm-additive", ("g-estimate", "pooled-g")),
+                       ("masked-interaction", ("naive", "gnull-score", "de-gnull", "naive-de"))):
+    config = studies.StudyConfig(scenarios.make_scenario(name), 1000, 1, 3,
+                                 tuple((a, {}) for a in analyses))
+    rows = studies.run_replicate(config, 0)
+    assert [r.analysis for r in rows if not r.error] == list(analyses), rows
+cfg = scenarios.sequential_trial_scenario(K=2, a_effects=(0.5, -0.5, 1.0))
+table = scenarios.enumerate_joint(cfg, y_bins=np.linspace(-2.0, 6.0, 10))
+plan = Regime.static((1.0, 1.0, 1.0))
+gformula.g_formula_exact(table, plan)
+gformula.g_formula_mc(gformula.ConditionalLaws.from_table(table), plan, 1000, 5)
+"""
+    assert _loaded_after_import("scipy", run) == []
+
+
+def _loaded_after_import(prefix, run=""):
+    """Modules under ``prefix`` that a fresh ``import gmethods`` loads, and
+    the code ``run`` after it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gmethods.__file__)))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods; "
-            "print(*sorted(m for m in sys.modules if m.startswith(sys.argv[2])))")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmethods\n" + run +
+            "\nprint(*sorted(m for m in sys.modules if m.startswith(sys.argv[2])))")
     out = subprocess.run([sys.executable, "-c", code, src, prefix], check=True,
                          capture_output=True, text=True).stdout
     return out.split()

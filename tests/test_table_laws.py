@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from gmethods import scenarios, streams
 from gmethods.data import (
@@ -39,6 +38,7 @@ from gmethods.gformula import (
     g_formula_exact,
     g_formula_mc,
 )
+from gmethods.glm import _ndtr as ndtr
 from gmethods.gnull import random_sequential_table
 from gmethods.laws import (
     BernoulliLogit,
@@ -398,7 +398,9 @@ def walker_law(table, regime, hist=None) -> dict[float, float]:
 # ---------------------------------------------------------------------------
 # Reference: the recursive enumeration, one path and one density call at a time.
 # The laws now answer for n parent rows: the walker reads row 0 of a one-row
-# answer for the atoms of each variable, and computes bin mass itself.
+# answer for the atoms of each variable, and computes bin mass itself, with
+# the package's normal CDF (``tests/test_glm.py`` checks that against scipy),
+# so the comparison here is of enumeration order and summation, to the bit.
 # ---------------------------------------------------------------------------
 
 
