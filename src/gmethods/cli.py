@@ -15,7 +15,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -109,11 +108,9 @@ def _out_dir(args, cfg: dict) -> str:
     return out
 
 
-def _threshold_rule(m: int, l_bar: tuple[float, ...], cutoff: float) -> float:
-    return 1.0 if l_bar[-1] >= cutoff else 0.0
-
-
-def _regime_from(sect, occasions: int) -> Regime:
+def _regime_from(sect) -> Regime:
+    """The config's regime; ``g_formula_exact`` and ``g_formula_mc`` check
+    a static plan against the scenario (``data._check_plan``)."""
     if sect is None:
         raise ConfigError("missing 'regime' section")
     kind = _typed("regime", sect, "mapping").get("kind")
@@ -121,17 +118,12 @@ def _regime_from(sect, occasions: int) -> Regime:
         raise ConfigError("regime.kind must be 'static' or 'threshold'")
     _known_keys(f"{kind} regime", sect, ("kind", "plan" if kind == "static" else "cutoff"))
     if kind == "threshold":
-        cutoff = _typed("regime cutoff", sect.get("cutoff", 0.5), "number")
-        rule = functools.partial(_threshold_rule, cutoff=cutoff)
-        return Regime.dynamic(rule, name=f"treat-if-covariate>={cutoff:g}")
+        return Regime.threshold(_typed("regime cutoff", sect.get("cutoff", 0.5), "number"))
     plan = sect.get("plan")
     if plan is None:
         raise ConfigError("static regime needs a 'plan' list")
-    plan = _typed("regime plan", plan, "list")
-    if len(plan) != occasions:
-        raise ConfigError(f"regime plan must hold one entry per occasion ({occasions}), "
-                          f"not {len(plan)}")
-    return Regime.static(tuple(_typed("regime plan", v, "number") for v in plan))
+    return Regime.static(tuple(_typed("regime plan", v, "number")
+                               for v in _typed("regime plan", plan, "list")))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +177,8 @@ def cmd_study(args) -> int:
         analyses.append((name, _tuplify(item.get("params", {}) or {})))
     study = StudyConfig(
         scenario=scenario,
-        n=_count("n", _require(cfg, "n")),
-        replicates=_count("replicates", _require(cfg, "replicates")),
+        n=_require(cfg, "n"),
+        replicates=_require(cfg, "replicates"),
         seed=_seed_of(args, cfg),
         analyses=tuple(analyses),
     )
@@ -219,7 +211,7 @@ def cmd_reproduce(args) -> int:
 def cmd_g_formula(args) -> int:
     cfg = _load_config(args.config, G_FORMULA_KEYS)
     scenario = _scenario_from(cfg)
-    regime = _regime_from(cfg.get("regime"), scenario.schema.K + 1)
+    regime = _regime_from(cfg.get("regime"))
     method = cfg.get("method", "exact")
     table = enumerate_joint(scenario)
     if method == "exact":

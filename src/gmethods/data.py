@@ -157,8 +157,26 @@ class Dataset:
         return self.L.shape[0]
 
 
-def _check_levels(tag: str, values: np.ndarray, kind: VarKind) -> None:
-    if not kind.is_discrete:
+def _is_binary(values) -> bool:
+    """Whether every value lies within ``_LEVEL_TOL`` of 0 or 1 (NaN does
+    not): the one test of a 0/1 column, as ``validate`` reads a binary kind."""
+    v = np.asarray(values, dtype=float)
+    return bool(np.all((np.abs(v) <= _LEVEL_TOL) | (np.abs(v - 1.0) <= _LEVEL_TOL)))
+
+
+def _two_occasions(dataset: Dataset, caller: str) -> None:
+    if dataset.schema.K != 1:
+        raise ConfigError(f"{caller} expects a two-occasion dataset")
+
+
+def _check_column(tag: str, values: np.ndarray, kind: VarKind | None) -> None:
+    """Refuse a column's first non-finite value, then its first value off its
+    kind's levels; the outcome Y has no kind."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"row {bad[0]}, column {tag}: non-finite "
+                              f"{'outcome' if kind is None else 'value'}")
+    if kind is None or not kind.is_discrete:
         return
     levels = np.asarray(kind.levels, dtype=float)
     dist = np.min(np.abs(values[:, None] - levels[None, :]), axis=1)
@@ -167,7 +185,7 @@ def _check_levels(tag: str, values: np.ndarray, kind: VarKind) -> None:
         i = int(bad[0])
         raise ValidationError(
             f"row {i}, column {tag}: level violation "
-            f"(value {values[i]!r} not in {kind.levels})"
+            f"(value {float(values[i])!r} not in {kind.levels})"
         )
 
 
@@ -182,19 +200,9 @@ def validate(dataset: Dataset) -> None:
     if dataset.Y.shape != (dataset.n,):
         raise ValidationError(f"shape mismatch: Y has shape {dataset.Y.shape}")
     for m in range(K + 1):
-        col = dataset.L[:, m]
-        if not np.all(np.isfinite(col)):
-            i = int(np.nonzero(~np.isfinite(col))[0][0])
-            raise ValidationError(f"row {i}, column L{m}: non-finite value")
-        _check_levels(f"L{m}", col, dataset.schema.covariates[m])
-        col = dataset.A[:, m]
-        if not np.all(np.isfinite(col)):
-            i = int(np.nonzero(~np.isfinite(col))[0][0])
-            raise ValidationError(f"row {i}, column A{m}: non-finite value")
-        _check_levels(f"A{m}", col, dataset.schema.treatments[m])
-    if not np.all(np.isfinite(dataset.Y)):
-        i = int(np.nonzero(~np.isfinite(dataset.Y))[0][0])
-        raise ValidationError(f"row {i}, column Y: non-finite outcome")
+        _check_column(f"L{m}", dataset.L[:, m], dataset.schema.covariates[m])
+        _check_column(f"A{m}", dataset.A[:, m], dataset.schema.treatments[m])
+    _check_column("Y", dataset.Y, None)
 
 
 def group_rows(M: np.ndarray, decimals: int | None = 9) -> tuple[np.ndarray, np.ndarray]:
@@ -249,39 +257,48 @@ class Regime:
     def dynamic(rule: Callable[[int, tuple[float, ...]], float], name: str = "") -> "Regime":
         return Regime("dynamic", (), rule, name or "dynamic")
 
+    @staticmethod
+    def threshold(cutoff: float, name: str = "") -> "Regime":
+        """Treat exactly when the current covariate reaches ``cutoff``."""
+        return Regime.dynamic(lambda m, l_bar: 1.0 if l_bar[-1] >= cutoff else 0.0,
+                              name or f"treat-if-covariate>={cutoff:g}")
+
 
 def _check_plan(regime: Regime, occasions: int) -> None:
-    """Refuse a static plan without exactly one entry per occasion: a longer
-    one would otherwise be cut short without a word."""
+    """Refuse a static plan without exactly one finite entry per occasion: a
+    longer one would otherwise be cut short without a word, and a non-finite
+    one give non-finite outcomes.  Every entry point that takes a regime
+    calls this before ``regime_values``."""
     if regime.kind == "static" and len(regime.plan) != occasions:
-        raise ConfigError(f"static plan of length {len(regime.plan)} does not match "
-                          f"the {occasions} occasions")
+        raise ConfigError(f"static plan must hold one entry per occasion ({occasions}), "
+                          f"not {len(regime.plan)}")
+    if regime.kind == "static" and not np.all(np.isfinite(regime.plan)):
+        raise ConfigError(f"static plan entries must be finite, not {regime.plan}")
 
 
 def regime_values(regime: Regime, L_prefix: np.ndarray, m: int) -> np.ndarray:
     """Treatment the regime assigns at occasion m to each row of L_prefix,
-    the covariate history (n, m+1).
+    the covariate history (n, m+1); a static plan has passed ``_check_plan``.
 
     A dynamic rule must be a pure function of (m, l_bar): it is called once
     per distinct covariate prefix, with that prefix's own values (rows are
-    grouped by exact equality), and its value is scattered back to every row
-    that shares the prefix.  Standardization over a table calls it through
-    ``gformula._TableLaw.extend``, whose per-regime plan keeps what it
-    found, so there a rule runs once per distinct prefix per table and
-    regime, not once per pass.
+    grouped by exact equality), and its value, which must be finite, is
+    scattered back to every row that shares the prefix.  Standardization
+    over a table calls it through ``gformula._TableLaw.extend``, whose
+    per-regime plan keeps what it found, so there a rule runs once per
+    distinct prefix per table and regime, not once per pass.
     """
     n = L_prefix.shape[0]
     if regime.kind == "static":
-        if m >= len(regime.plan):
-            raise ConfigError(
-                f"static plan of length {len(regime.plan)} has no entry "
-                f"for occasion {m}"
-            )
         return np.full(n, float(regime.plan[m]))
     if regime.rule is None:
         raise ConfigError("dynamic regime has no rule")
     prefixes, inverse = group_rows(L_prefix[:, : m + 1], decimals=None)
     values = np.array([float(regime.rule(m, tuple(p))) for p in prefixes], dtype=float)
+    if not np.all(np.isfinite(values)):
+        i = int(np.argmin(np.isfinite(values)))
+        raise ConfigError(f"{regime.name} assigns {float(values[i])!r} at occasion {m} "
+                          f"to covariate prefix {tuple(prefixes[i].tolist())}")
     return values[inverse]
 
 

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, group_rows
+from .data import Dataset, _is_binary, _two_occasions, group_rows
 from .errors import ConfigError, EstimationError, PositivityError
 from .features import eval_terms, history_cols
 from .gformula import JointTable, _TableLaw
@@ -135,9 +135,9 @@ def fit_z_laws(
 ):
     """One assignment law per Z occasion: known objects or fits from ``terms``.
 
-    Binary columns get a logistic law, anything else a normal-linear law
-    with the residual standard deviation plugged in.  Returns
-    (laws, source) with source "design" only when every law was supplied.
+    A binary column (``data._is_binary``) gets a logistic law, any other a
+    normal-linear law with the residual standard deviation plugged in.
+    Returns (laws, source), source "design" only when every law was supplied.
     """
     split.validate_for(dataset.schema.K)
     known = dict(known or {})
@@ -151,7 +151,7 @@ def fit_z_laws(
         cols = history_cols(dataset.L, dataset.A, k + 1, k, k)
         X = eval_terms(terms, cols)
         a = dataset.A[:, k]
-        if np.isin(np.unique(a), (0.0, 1.0)).all():
+        if _is_binary(a):
             fit = fit_logistic(X, a)
             laws[k] = BernoulliLogit(terms, tuple(fit.coef))
         else:
@@ -200,8 +200,7 @@ def direct_effect_gnull_test(
     squared summands): the weight ratio makes the variance of script-W
     depend on A0.  With an estimated assignment law the test is conservative.
     """
-    if dataset.schema.K != 1:
-        raise ConfigError("direct_effect_gnull_test expects a two-occasion dataset")
+    _two_occasions(dataset, "direct_effect_gnull_test")
     split = SplitSchema((0,), (1,))
     laws, source = fit_z_laws(dataset, split, ("1", "lm", "a0"),
                               known=None if a1_law is None else {1: a1_law})
@@ -264,8 +263,7 @@ def naive_direct_effect_demo(
     "lm", "a0"); ``a1_alpha_known`` gives its coefficients, else it is fitted.
     The naive analysis declares a direct effect when both branches reject.
     """
-    if dataset.schema.K != 1:
-        raise ConfigError("naive_direct_effect_demo expects a two-occasion dataset")
+    _two_occasions(dataset, "naive_direct_effect_demo")
     grid = np.linspace(-3.0, 3.0, 41)
     Xg = np.column_stack([np.ones(dataset.n), dataset.A[:, 0]])
     gfit = fit_logistic(Xg, dataset.L[:, 1])

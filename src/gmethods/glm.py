@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, group_rows
+from .data import Dataset, _is_binary, group_rows
 from .errors import ConvergenceError, EstimationError, SeparationError, _level
 from .features import eval_terms, history_cols
 
@@ -203,6 +203,8 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> FittedGlm:
     n, p = X.shape
     if n < p:
         raise EstimationError(f"n={n} smaller than parameter count p={p}")
+    if not np.isfinite(y).all():
+        raise EstimationError("linear response is non-finite")
     XtX = X.T @ X
     _check_condition(XtX)
     coef = _chol_solve(XtX, X.T @ y)
@@ -235,7 +237,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> FittedGlm:
     n, p = X.shape
     if n < p:
         raise EstimationError(f"n={n} smaller than parameter count p={p}")
-    if np.any((np.abs(y) > 1e-9) & (np.abs(y - 1.0) > 1e-9)):
+    if not _is_binary(y):
         raise EstimationError("logistic response must be 0/1")
     X, group = group_rows(X, decimals=None)
     count = np.bincount(group, minlength=len(X)).astype(float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Regime, Schema, constant, discrete, group_rows
+from .data import Dataset, Regime, Schema, _two_occasions, constant, discrete, group_rows
 from .errors import ConfigError
 from .gformula import ConditionalLaws, JointTable, _TableLaw, g_formula_exact
 from .glm import ESTIMATED_DESIGN_NOTE  # noqa: F401  (the fitted-design note, re-exported)
@@ -46,8 +46,7 @@ def naive_test(dataset: Dataset, level: float = 0.05) -> TestReport:
     and the outcome whenever a hidden cause drives both the covariate and
     the outcome — so it is *not* a valid test of "no treatment effect".
     """
-    if dataset.schema.K != 1:
-        raise ConfigError("naive_test expects a two-occasion dataset")
+    _two_occasions(dataset, "naive_test")
     X = np.column_stack([
         np.ones(dataset.n),
         dataset.A[:, 0],
@@ -75,8 +74,7 @@ def gnull_score_test(dataset: Dataset, a_laws, level: float = 0.05) -> TestRepor
     covariate or the outcome is involved.  The score engine with these
     means as its null compares sum U_i / sqrt(sum U_i^2) to a standard normal.
     """
-    if dataset.schema.K != 1:
-        raise ConfigError("gnull_score_test expects a two-occasion dataset")
+    _two_occasions(dataset, "gnull_score_test")
     eng = _g_engine(dataset, additive_blip("1"), None, None, None, (0, 1), level,
                     note="randomization score test with known design means",
                     null_laws=a_laws)

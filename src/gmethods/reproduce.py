@@ -302,11 +302,6 @@ def run_sndm_recovery(seed: int | None = None) -> ReproduceReport:
 # ---------------------------------------------------------------------------
 
 
-def _treat_if_covariate(m: int, l_bar: tuple[float, ...]) -> float:
-    """Dynamic plan: treat exactly when the current covariate is raised."""
-    return 1.0 if l_bar[-1] >= 0.5 else 0.0
-
-
 def run_appendix29(seed: int | None = None) -> ReproduceReport:
     seed = SEEDS["appendix29"] if seed is None else seed
     cfg = discrete_trial_scenario()
@@ -316,7 +311,7 @@ def run_appendix29(seed: int | None = None) -> ReproduceReport:
     dkw = 3.0 * np.sqrt(np.log(2.0) / (2.0 * draws))
     lines = []
     regimes = (Regime.static((1.0, 1.0)),
-               Regime.dynamic(_treat_if_covariate, "treat-if-covariate"))
+               Regime.threshold(0.5, "treat-if-covariate"))
     for regime in regimes:
         exact = g_formula_exact(table, regime)
         # evaluate just above each atom so ties cannot flip a comparison

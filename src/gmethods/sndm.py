@@ -29,7 +29,7 @@ import numpy as np
 # and 0.2 s to every import of the package, and the closed-form path never
 # needs it.
 
-from .data import Dataset, _write_table
+from .data import Dataset, Regime, _check_plan, _is_binary, _write_table
 from .errors import ConfigError, ConvergenceError, EstimationError, _level
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
@@ -285,8 +285,7 @@ class _ScoreEngine:
         self.X, self.resp, self.subj = rows
         logistic = null_means is None and not least_squares
         for m in occs if logistic else ():
-            a = dataset.A[:, m]
-            if np.any((np.abs(a) > 1e-9) & (np.abs(a - 1.0) > 1e-9)):
+            if not _is_binary(dataset.A[:, m]):
                 raise EstimationError(f"score test needs binary treatments; A{m} is not 0/1")
         _check_outcomes(family, dataset.Y)
         if not np.isfinite(dataset.Y).all():
@@ -639,10 +638,9 @@ def sndm_mle(
     L, A, Y = dataset.L, dataset.A, dataset.Y
     n, K1 = L.shape
     S = shift_basis(blip_spec, L, A)
-    modeled = [m for m in range(K1) if np.ptp(L[:, m]) > 0]
+    modeled = [m for m in range(K1) if np.ptp(L[:, m]) != 0]  # NaN is modeled, and refused
     for m in modeled:
-        col = L[:, m]
-        if np.any((np.abs(col) > 1e-9) & (np.abs(col - 1.0) > 1e-9)):
+        if not _is_binary(L[:, m]):
             raise EstimationError("covariate models support binary columns only")
     if isinstance(covariate_terms, dict):
         terms_by_m = {m: tuple(covariate_terms[m]) for m in modeled}
@@ -726,12 +724,9 @@ def empirical_static_survivor(
             "blip cofactors reference covariate history; the empirical plug-in "
             "applies only to covariate-free blip families"
         )
-    plan = np.asarray(plan, dtype=float)
-    K = dataset.schema.K
-    if plan.shape != (K + 1,):
-        raise ConfigError(f"plan must assign all {K + 1} occasions")
+    regime = Regime.static(plan)
+    _check_plan(regime, dataset.schema.K + 1)
     h = blip_down(blip_spec, dataset).h
-    L = np.zeros((dataset.n, K + 1))
-    A = np.tile(plan, (dataset.n, 1))
-    y = blip_up(blip_spec, h, L, A)
-    return RegimeDistribution.from_samples(y, f"static{tuple(plan)}")
+    A = np.tile(regime.plan, (dataset.n, 1))
+    y = blip_up(blip_spec, h, np.zeros_like(A), A)
+    return RegimeDistribution.from_samples(y, regime.name)

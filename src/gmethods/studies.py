@@ -14,7 +14,6 @@ and the study continues.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +60,8 @@ class StudyConfig:
     analyses: tuple[tuple[str, dict], ...]
 
     def __post_init__(self) -> None:
-        _count("replicates", self.replicates)
         _count("n", self.n)
+        _count("replicates", self.replicates)
         object.__setattr__(self, "analyses", tuple(
             (name, read_params(name, params)) for name, params in self.analyses))
 
@@ -239,6 +238,8 @@ def run_study(config: StudyConfig, jobs: int = 1) -> list[StudyRow]:
     if jobs <= 1:
         batches = [run_replicate(config, i) for i in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(run_replicate, [config] * len(indices), indices))
     return [row for batch in batches for row in batch]

@@ -189,7 +189,7 @@ class TestConfigTypes:
         ("study", STUDY, {"job": 2}, "config key must be one of config_version, "
          "scenario, n, replicates, seed, jobs, analyses, out"),
         ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": [1, 1, 0, 5]}},
-         "regime plan must hold one entry per occasion (2)"),
+         "static plan must hold one entry per occasion (2)"),
         ("g-formula", GFORMULA, {"regime": {"kind": "static", "plan": [1, 1], "cutof": 1}},
          "static regime key must be one of kind, plan"),
         ("g-formula", GFORMULA, {"regime": {"kind": "threshold", "plan": [1, 1]}},

@@ -176,8 +176,11 @@ class TestRegime:
                                       [1.0, 0.0])
 
     def test_static_plan_too_short(self):
-        with pytest.raises(ConfigError):
-            regime_values(Regime.static((1.0,)), np.zeros((1, 2)), 1)
+        # regime_values reads a plan that _check_plan has passed; every entry
+        # point checks it first.
+        table = enumerate_joint(sequential_trial_scenario(K=1), y_bins=np.linspace(-2, 6, 6))
+        with pytest.raises(ConfigError, match=r"one entry per occasion \(2\), not 1"):
+            g_formula_exact(table, Regime.static((1.0,)))
 
     def test_regime_values_matches_scalar_application(self):
         # The rule runs once per distinct prefix; every row gets its prefix's value.

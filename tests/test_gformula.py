@@ -5,6 +5,7 @@ import pytest
 
 from gmethods.data import History, Regime, Schema, discrete
 from gmethods.errors import ConfigError, PositivityError, ValidationError
+from gmethods.laws import BernoulliLogit, NormalLinear
 from gmethods.gformula import (
     ConditionalLaws,
     JointTable,
@@ -19,8 +20,10 @@ from gmethods.scenarios import (
     discrete_trial_scenario,
     enumerate_joint,
     make_scenario,
+    mc_regime_draws,
     sequential_trial_scenario,
 )
+from gmethods.sndm import additive_blip
 
 
 def binary_schema(K):
@@ -384,17 +387,44 @@ class TestStaticPlanLength:
         "mc": lambda table, cfg, plan: g_formula_mc(
             ConditionalLaws.from_table(table), plan, 100, 1),
         "counterfactual": lambda table, cfg, plan: counterfactual_draws(cfg, plan, 100, 1),
+        "mc-regime": lambda table, cfg, plan: mc_regime_draws(
+            additive_blip("1", psi=(0.5,)), plan, h_law=NormalLinear(("1",), (0.0,)),
+            covariate_models=(BernoulliLogit(("1", "u"), (0.0, 0.5)),) * 2, draws=100),
     }
+
+    @staticmethod
+    def refused(entry, regime, message):
+        cfg = make_scenario("discrete-trial")
+        table = enumerate_joint(cfg)
+        with pytest.raises(ConfigError, match=message):
+            TestStaticPlanLength.ENTRY_POINTS[entry](table, cfg, regime)
+        TestStaticPlanLength.ENTRY_POINTS[entry](table, cfg, Regime.static((1.0, 0.0)))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("plan", [(1.0,), (1.0, 1.0, 0.0, 5.0)], ids=["short", "long"])
     def test_refused(self, entry, plan):
-        cfg = make_scenario("discrete-trial")
-        table = enumerate_joint(cfg)
-        with pytest.raises(ConfigError, match=f"static plan of length {len(plan)} does "
-                                              "not match the 2 occasions"):
-            self.ENTRY_POINTS[entry](table, cfg, Regime.static(plan))
-        self.ENTRY_POINTS[entry](table, cfg, Regime.static((1.0, 0.0)))
+        self.refused(entry, Regime.static(plan),
+                     rf"static plan must hold one entry per occasion \(2\), not {len(plan)}")
+
+
+class TestNonFiniteTreatment:
+    """A static plan's NaN or inf entry, or a dynamic rule's NaN value, is a
+    ConfigError at every entry point: it once gave NaN or inf outcomes from
+    ``counterfactual_draws`` and a PositivityError from ``g_formula_exact``."""
+
+    REGIMES = {
+        "nan": (Regime.static((1.0, float("nan"))),
+                r"static plan entries must be finite, not \(1.0, nan\)"),
+        "inf": (Regime.static((float("inf"), 0.0)),
+                r"static plan entries must be finite, not \(inf, 0.0\)"),
+        "nan-rule": (Regime.dynamic(lambda m, l_bar: float("nan") if m else 1.0, "odd"),
+                     r"odd assigns nan at occasion 1 to covariate prefix \(0.0, [01].0\)"),
+    }
+
+    @pytest.mark.parametrize("entry", TestStaticPlanLength.ENTRY_POINTS)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_refused(self, entry, regime):
+        TestStaticPlanLength.refused(entry, *self.REGIMES[regime])
 
 
 class TestPluginMean:

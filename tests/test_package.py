@@ -1,6 +1,7 @@
 """The package's public names, and no import left unused."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -39,14 +40,26 @@ def test_readme_public_api_is_all():
             if getattr(gmethods, name).__module__ != f"gmethods.{module}"] == []
 
 
+def _loaded_by_import(roots: tuple[str, ...]) -> list[str]:
+    """The modules under ``roots`` that a fresh "import gmethods" loads."""
+    code = (f"import sys, gmethods; print(*sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {roots!r}))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
 def test_import_loads_every_module_but_the_cli():
     # perfbench's tracer looks every module it spans up in sys.modules after
     # a bare "import gmethods", so no module may load only on first use.
-    code = "import sys, gmethods; print(*sorted(m for m in sys.modules if m.startswith('gmethods.')))"
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == sorted(f"gmethods.{p.stem}" for p in MODULES if p.stem != "cli")
+    assert _loaded_by_import(("gmethods",)) == sorted(
+        ["gmethods"] + [f"gmethods.{p.stem}" for p in MODULES if p.stem != "cli"])
+
+
+def test_import_loads_no_process_pool():
+    # studies.run_study imports its pool only when it runs replicates in
+    # parallel, so a bare "import gmethods" pays for no worker machinery.
+    assert _loaded_by_import(("concurrent", "multiprocessing")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -71,6 +84,7 @@ def test_every_imported_name_is_used(path):
 
 SOURCES = MODULES + sorted(p for p in (ROOT / "perfbench").glob("*.py")
                            if not p.name.startswith("test_"))
+STEMS = {p.stem for p in MODULES}
 
 # Public names that nothing outside the tests reaches yet, each with the
 # ROADMAP item that will reach it.  This list may only shrink: a listed name
@@ -85,51 +99,105 @@ UNREACHED = {
 SKIPPED = {name.rpartition(".")[2] for name in UNREACHED}
 
 
-def _uses() -> list[tuple[str, frozenset]]:
-    """Every name or attribute used in ``SOURCES`` (``src/`` but
-    ``__init__``, and ``perfbench/`` but its tests), with the names of the
-    functions and classes whose definitions enclose the use."""
+def _bindings(tree, stem: str | None) -> tuple[dict, dict]:
+    """The names a source binds by importing: alias -> package module (from
+    ``from . import m``, ``from gmethods import m`` or ``import gmethods.m as
+    alias``), and alias -> (defining module, name) (from ``from .m import
+    name as alias`` or ``from gmethods.m import name``).  Inside a package
+    module ``stem``, its own top-level names are bound to it as well."""
+    modules, names = {}, {}
+    if stem is not None:
+        names = {node.name: (stem, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parent, _, child = alias.name.partition(".")
+                if alias.asname and parent == "gmethods" and child in STEMS:
+                    modules[alias.asname] = child
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if source.partition(".")[0] != "gmethods":
+                    continue
+                source = source.partition(".")[2]
+            for alias in node.names:
+                if not source and alias.name in STEMS:
+                    modules[alias.asname or alias.name] = alias.name
+                    continue
+                home = importlib.import_module(f"gmethods.{source}" if source else "gmethods")
+                package, _, defined = (getattr(getattr(home, alias.name, None), "__module__",
+                                               None) or "").partition(".")
+                if package == "gmethods":
+                    names[alias.asname or alias.name] = (defined, alias.name)
+    return modules, names
+
+
+def _uses_in(source: str, stem: str | None) -> list[tuple[str, tuple | None, str | None, frozenset]]:
+    """Every name or attribute used in ``source``, the text of package module
+    ``stem`` (None outside the package): its bare name, the (module, name) it
+    resolves to through the source's imports (None if it does not), ``stem``,
+    and the functions and classes whose definitions enclose the use."""
+    tree = ast.parse(source)
+    modules, names = _bindings(tree, stem)
     uses = []
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            uses.append((node.id if isinstance(node, ast.Name) else node.attr, enclosing))
+        if isinstance(node, ast.Name):
+            uses.append((node.id, names.get(node.id), stem, enclosing))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            target = (modules[owner], node.attr) if owner in modules else None
+            uses.append((node.attr, target, stem, enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    for path in SOURCES:
-        visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, frozenset())
     return uses
 
 
-USES = _uses()
+USES = [use for path in SOURCES  # src/ but __init__, and perfbench/ but its tests
+        for use in _uses_in(path.read_text(), path.stem if path in MODULES else None)]
 
 
-def _reached(name: str) -> bool:
-    """Used outside its own definition and outside those of the listed names."""
-    return any(used == name and not enclosing & (SKIPPED | {name})
-               for used, enclosing in USES)
-
-
-def _definitions() -> list[str]:
-    """``name`` for each public function or class defined at the top level of
-    a module in ``MODULES``, and ``Class.name`` for each public method,
-    property or static method defined in the body of such a class."""
-    found = []
+def _definitions() -> dict[str, str]:
+    """The module of each public function or class defined at the top level
+    of a module in ``MODULES``, and of each public method, property or static
+    method, as ``Class.name``, defined in the body of such a class."""
+    found = {}
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                found.append(node.name)
+                found[node.name] = path.stem
                 if isinstance(node, ast.ClassDef):
-                    found += [f"{node.name}.{child.name}" for child in node.body
-                              if isinstance(child, ast.FunctionDef)
-                              and not child.name.startswith("_")]
+                    found.update({f"{node.name}.{child.name}": path.stem for child in node.body
+                                  if isinstance(child, ast.FunctionDef)
+                                  and not child.name.startswith("_")})
     return found
 
 
 DEFINITIONS = _definitions()
+
+
+def _reached(definition: str, uses=USES) -> bool:
+    """Whether ``definition`` (a key of ``DEFINITIONS``) is used outside its
+    own definition and outside those of the listed names.
+
+    A module-level function or class is used only where a source's imports
+    resolve the use to it: ``module.name`` on a name bound to its module, the
+    name or alias a ``from`` import binds, or the bare name in its own module,
+    where alone its own definition does not count.  A method is used wherever
+    its bare name is, outside any definition of that name, because its
+    callers reach it through instances whose class the source does not name.
+    """
+    method = "." in definition
+    name, module = definition.rpartition(".")[2], DEFINITIONS[definition]
+    return any(not enclosing & SKIPPED
+               and (bare == name and name not in enclosing if method
+                    else target == (module, name) and not (stem == module and name in enclosing))
+               for bare, target, stem, enclosing in uses)
 
 
 def test_every_public_name_has_a_caller_that_is_not_a_test():
@@ -141,11 +209,25 @@ def test_every_public_name_has_a_caller_that_is_not_a_test():
 def test_every_public_method_has_a_caller_that_is_not_a_test():
     methods = [d for d in DEFINITIONS if "." in d]
     assert "JointTable.from_csv" in methods
-    assert [m for m in methods
-            if m not in UNREACHED and not _reached(m.rpartition(".")[2])] == []
+    assert [m for m in methods if m not in UNREACHED and not _reached(m)] == []
 
 
 @pytest.mark.parametrize("name", sorted(UNREACHED))
 def test_a_listed_name_is_public_and_still_unreached(name):
     assert name in DEFINITIONS
-    assert not _reached(name.rpartition(".")[2])
+    assert not _reached(name)
+
+
+def test_a_function_is_reached_only_through_its_module():
+    # subprocess.run is not reproduce.run, and a method's body may call the
+    # same-named function of another module, but a function may not call itself.
+    def reached(source, name, stem=None):
+        return _reached(name, _uses_in(source, stem))
+
+    assert not reached("import subprocess\nsubprocess.run(['x'])", "run")
+    assert reached("from gmethods import reproduce\nreproduce.run('x')", "run")
+    assert reached("from .reproduce import run as go\ngo('x')", "run", "cli")
+    assert reached("from .features import uses_covariates as f\nclass B:\n"
+                   "    def uses_covariates(self):\n        return f(())\n",
+                   "uses_covariates", "sndm")
+    assert not reached("def g_estimate():\n    g_estimate()\n", "g_estimate", "sndm")
