@@ -24,12 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-# scipy.optimize is imported inside the numerical fallbacks and sndm_mle
-# only, and no other part of scipy is imported: it would add about 17 MB
-# and 0.2 s to every import of the package, and the closed-form path never
-# needs it.
+# scipy.optimize is imported inside sndm_mle only, and no other part of
+# scipy is imported: it would add about 17 MB and 0.2 s to every import of
+# the package, and g-estimation never needs it.
 
-from .data import Dataset, Regime, _check_plan, _is_binary, _write_table
+from .data import Dataset, Regime, _check_plan, _is_binary, _write_table, group_rows
 from .errors import ConfigError, ConvergenceError, EstimationError, _level
 from .features import eval_terms, history_cols, term_bases
 from .features import uses_covariates as _terms_use_covariates
@@ -54,8 +53,12 @@ from .glm import (
 
 _FORBIDDEN_COFACTOR_BASES = {"y", "u", "h"}
 # An affine score's slope B with a larger condition number has no usable
-# root; the search then falls back to the numerical path.
+# root; the search then zooms on the batched statistic instead.
 _ROOT_COND_LIMIT = 1e12
+# The most distinct shift rows a multiplicative score is expanded over
+# (``affine``): every blip on binary two-occasion history, with a Gram on
+# 2,000 rows below the size at which OpenBLAS starts threads, m n k = 2^18.
+_EXPANSION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ class GEstimate:
     accepted: np.ndarray  # grid points not rejected at `level`
     resolution: tuple[int, ...]
     level: float
-    method: str  # how psi_hat was found: "closed-form", "bounded", "nelder-mead"
+    method: str  # how psi_hat was found: "closed-form" (the score's root) or "zoom"
     note: str = ""
 
     @property
@@ -266,16 +269,14 @@ class _ScoreEngine:
 
     Every caller's inputs are checked here: a level in (0, 1), a finite
     outcome, 0/1 treatments under a logistic null, one ``known_coef``
-    per treatment term, a user q*'s shape and values (see ``g_estimate``), and,
-    when the null is fitted, no nonzero-constant added column.
+    per treatment term, one finite psi per blip component, a user q*'s shape
+    and values (see ``g_estimate``), and, when the null is fitted, no
+    nonzero-constant added column.
 
-    For the additive family with the default q* the added columns are affine
-    in psi, Z(psi) = Z_0 + sum_j psi_j Z_j with Z_0 pairing Y and Z_j pairing
-    S_j with the q rows.  The score U(psi) = a + B psi and its variance,
-    quadratic in psi, then come from the score and variance of the stacked
-    [Z_0, ..., Z_d], computed once (``affine``): ``stats`` scores a whole
-    batch of psi in O(q^2) per point and, when B is square (q = d),
-    ``root`` solves B psi = -a.
+    With the default q* both families' added columns expand as Z(psi) =
+    sum_k f_k(psi) Z_k (``affine``), so ``stats`` scores a batch of psi from
+    moments of the Z_k computed once.  An additive score a + B psi is affine;
+    when B is square (q = d), ``root`` solves B psi = -a.
     """
 
     def __init__(self, dataset: Dataset, family: str, rows, occs, C, B, *,
@@ -317,21 +318,32 @@ class _ScoreEngine:
         return _shift(self.dataset.A, self.occs, self.B, self.B[0].shape[1])
 
     @cached_property
-    def affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The score blocks (d+1, q) and variance blocks (d+1, q, d+1, q) of
-        [Z_0, Z_1, ..., Z_d], and the (d+1, d+1) traces of their rounding
-        floor's blocks; None unless the family is additive with the
-        default q*.  Built on first use, so engines that only ``report`` never
-        pay for it."""
-        if self.family != "additive" or self.qstar is not None:
+    def affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """The default q*'s added columns as Z(psi) = sum_k f_k(psi) Z_k, Z_k
+        pairing base k with the q rows: additive, bases Y, S_1, ..., S_d and
+        f = (1, psi); multiplicative, bases Y 1{S = s_k} and f_k = exp(s_k psi)
+        over the distinct rows s_k of S.  Returns the score blocks (K, q), the
+        variance blocks (K, q, K, q), the (K, K) traces of their rounding
+        floor's blocks and the s_k (None if additive); None for a user q* or
+        more than ``_EXPANSION_CAP`` rows s_k.  Built on first use, so engines
+        that only ``report`` never pay for it."""
+        if self.qstar is not None:
             return None
+        Y, rows = self.dataset.Y, None
+        if self.family == "additive":
+            bases = [Y] + list(self.S.T)
+        else:
+            rows, group = group_rows(self.S, decimals=None)
+            if len(rows) > _EXPANSION_CAP:
+                return None
+            bases = [np.where(group == k, Y, 0.0) for k in range(len(rows))]
         q = self.C[0].shape[1]
-        bases = [self.dataset.Y] + list(self.S.T)
         Z = np.hstack([self._weighted(np.vstack([b[:, None] * c for c in self.C]))
                        for b in bases])
         U, V, F = _score_moments(Z, self.subjects, self.null)
         k = len(bases)
-        return U.reshape(k, q), V.reshape(k, q, k, q), F.reshape(k, q, k, q).trace(axis1=1, axis2=3)
+        return (U.reshape(k, q), V.reshape(k, q, k, q),
+                F.reshape(k, q, k, q).trace(axis1=1, axis2=3), rows)
 
     def _weighted(self, Z: np.ndarray) -> np.ndarray:
         return Z if self.weights is None else Z / self.weights[:, None]
@@ -342,7 +354,10 @@ class _ScoreEngine:
         return _residual_outcome(self.family, self.dataset.Y, self.S.dot(psi))
 
     def zmat(self, psi) -> np.ndarray:
-        h = self.h_of(np.atleast_1d(np.asarray(psi, dtype=float)))
+        psi, d = np.atleast_1d(np.asarray(psi)), self.B[0].shape[1]
+        if psi.dtype.kind not in "biuf" or psi.shape != (d,) or not np.isfinite(psi).all():
+            raise ConfigError(f"psi must be one finite number per blip component ({d})")
+        h = self.h_of(psi.astype(float))
         Z = self._weighted(self._qstar_columns(h) if self.qstar is not None
                            else np.vstack([h[:, None] * C for C in self.C]))
         if self.null[3] is not None and np.any((Z == Z[0]).all(axis=0) & (Z[0] != 0.0)):
@@ -381,22 +396,22 @@ class _ScoreEngine:
 
     def stats(self, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Statistics and p-values at each row of ``psis``: one batched pass
-        for an affine score, else one ``report`` per row."""
+        on the expansion (``affine``), else one ``report`` per row."""
         psis = np.asarray(psis, dtype=float)
         if self.affine is None:
             reps = [self.report(p) for p in psis]
             return (np.array([r.statistic for r in reps]),
                     np.array([r.p_value for r in reps]))
-        u, M, F = self.affine
-        c = np.column_stack([np.ones(len(psis)), psis])
+        u, M, F, rows = self.affine
+        c = np.column_stack([np.ones(len(psis)), psis]) if rows is None else np.exp(psis @ rows.T)
         V = np.einsum("ga,aibj,gb->gij", c, M, c, optimize=_batch_path(*c.shape, M.shape[1]))
         stat, df = _quadratic_stats(c @ u, V, ((c @ F) * c).sum(axis=1))
         return stat, _chi2_sfs(df, stat)
 
     def root(self) -> np.ndarray | None:
-        """The psi where an affine score vanishes, if its slope B is square
-        (q = d: with other q rows the statistic has no zero) and nonsingular."""
-        if self.affine is None:
+        """The root of an additive score a + B psi, if B is square (q = d:
+        with other q rows the statistic has no zero) and nonsingular."""
+        if self.family != "additive" or self.affine is None:
             return None
         u = self.affine[0]
         B = u[1:].T
@@ -491,9 +506,12 @@ def _grid_spec(psi_box, grid_points, dim: int) -> tuple[np.ndarray, tuple[int, .
 
 
 def _grid(box, points) -> tuple[np.ndarray, tuple[int, ...]]:
-    ticks = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(box, points)]
-    mesh = np.meshgrid(*ticks, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh]), tuple(points)
+    return _mesh([np.linspace(lo, hi, pts) for (lo, hi), pts in zip(box, points)]), tuple(points)
+
+
+def _mesh(ticks) -> np.ndarray:
+    """Every combination of the per-axis ``ticks``, the last axis fastest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*ticks, indexing="ij")])
 
 
 def g_estimate(
@@ -513,12 +531,12 @@ def g_estimate(
     For each candidate psi the residual outcome H(psi) is tested as an added
     covariate in the pooled treatment model (score test); the estimate is
     the psi in ``psi_box`` where the statistic is smallest, and the
-    confidence set collects grid points not rejected at ``level``.  For the
-    additive family with the default q* the score is affine in psi, so the
-    grid is scored in one batch and, when the score's root lies in the box,
-    the estimate is that root (Robins' closed-form g-estimator); otherwise a
-    numerical search minimizes the statistic (see ``_search``).  ``method``
-    on the result says which path produced psi_hat.  ``psi_box`` is (lo, hi)
+    confidence set collects grid points not rejected at ``level``.  With the
+    default q* the grid is scored in one batch; for the additive family the
+    score is affine in psi and, when its root lies in the box, the estimate
+    is that root (Robins' closed-form g-estimator); otherwise a zoom
+    minimizes the statistic (see ``_search``).  ``method`` on the result
+    says which path produced psi_hat.  ``psi_box`` is (lo, hi)
     per component; ``grid_points`` is one count (at least 2) for every axis
     or one per axis; the default q* pairs H with each cofactor of the blip
     family.  ``occasions`` limits both where the family acts and which
@@ -538,45 +556,26 @@ def _search(eng: _ScoreEngine, dim: int, box: np.ndarray, points: tuple[int, ...
     """Grid the box, take psi_hat where the statistic is smallest, and invert
     the test.
 
-    When the affine score's root (``_ScoreEngine.root``) lies in the box it
+    When the additive score's root (``_ScoreEngine.root``) lies in the box it
     is psi_hat ("closed-form"): with the default q* the score has one column
-    per component, so the statistic is 0 there.  Otherwise the statistic is
-    minimized inside the box on ``_ScoreEngine.stats``: in 1-D by bounded
-    Brent between the grid minimum's neighbours ("bounded"), keeping the
-    grid minimum itself if Brent, which never evaluates the bracket ends,
-    does no better; in d >= 2 by Nelder-Mead from the five best grid points
-    ("nelder-mead").
+    per component, so the statistic is 0 there.  Otherwise a zoom on
+    ``_ScoreEngine.stats`` ("zoom"), in any dimension: from the grid minimum,
+    score 11 ticks per axis between its neighbours (the centre is the middle
+    tick, so the statistic never rises), clipped to the box, recentre on the
+    best and shrink the half-width 5x until it is below 1e-10.
     """
     grid, resolution = _grid(box, points)
     stats_arr, pvals = eng.stats(grid)
-    lo, hi = box[:, 0], box[:, 1]
-    root = eng.root()
+    (lo, hi), root = box.T, eng.root()
     if root is not None and np.all((lo <= root) & (root <= hi)):
         psi_hat, method = root, "closed-form"
     else:
-        import scipy.optimize
-
-        def stat(v):
-            return float(eng.stats(np.clip(v, lo, hi)[None, :])[0][0])
-
-        order = np.argsort(stats_arr)
-        if dim == 1:
-            imin = int(order[0])
-            bracket = grid[max(imin - 1, 0), 0], grid[min(imin + 1, len(grid) - 1), 0]
-            res = scipy.optimize.minimize_scalar(stat, bounds=bracket, method="bounded",
-                                                 options={"xatol": 1e-10})
-            psi_hat = np.array([float(res.x)]) if res.fun < stats_arr[imin] else grid[imin].copy()
-            method = "bounded"
-        else:
-            best, best_val = None, np.inf
-            for i in order[:5]:
-                res = scipy.optimize.minimize(
-                    stat, grid[i], method="Nelder-Mead",
-                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
-                )
-                if res.fun < best_val:
-                    best, best_val = np.clip(res.x, lo, hi), res.fun
-            psi_hat, method = best, "nelder-mead"
+        psi_hat, half = grid[np.argmin(stats_arr)].copy(), (hi - lo) / (np.asarray(points) - 1)
+        while half.max() >= 1e-10:
+            mesh = _mesh([np.clip(c + h * np.linspace(-1.0, 1.0, 11), a, b)
+                          for c, h, a, b in zip(psi_hat, half, lo, hi)])
+            psi_hat, half = mesh[np.argmin(eng.stats(mesh)[0])], half / 5.0
+        method = "zoom"
     at_hat = eng.report(psi_hat)
     edge = (np.abs(psi_hat - lo) < 1e-9) | (np.abs(psi_hat - hi) < 1e-9)
     # A minimum on the box edge is flagged only when the data still reject

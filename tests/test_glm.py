@@ -420,8 +420,7 @@ class TestPValues:
         assert _loaded_after_import("scipy.stats") == []
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # Only the numerical fallbacks of the g-estimation search and the
-        # SNDM likelihood fit use it; they import it when they run.
+        # Only the SNDM likelihood fit uses it, and imports it when it runs.
         assert _loaded_after_import("scipy.optimize") == []
 
     def test_import_leaves_scipy_linalg_unloaded(self):
@@ -434,19 +433,24 @@ class TestPValues:
 
 
 def test_analyses_and_standardization_load_no_scipy():
-    # One replicate of each benchmarked analysis (g-estimation on its
-    # closed-form path: the numerical fallbacks import scipy.optimize), and
-    # exact and Monte Carlo standardization over a y_bins table.
+    # One replicate of each benchmarked analysis, multiplicative g-estimation
+    # (the zoom) under the design and a fitted alpha, and exact and Monte
+    # Carlo standardization over a y_bins table.
     run = """
 import numpy as np
 from gmethods import gformula, scenarios, studies
 from gmethods.data import Regime
-for name, analyses in (("sndm-additive", ("g-estimate", "pooled-g")),
-                       ("masked-interaction", ("naive", "gnull-score", "de-gnull", "naive-de"))):
-    config = studies.StudyConfig(scenarios.make_scenario(name), 1000, 1, 3,
-                                 tuple((a, {}) for a in analyses))
+mult = [("g-estimate", {"family": "multiplicative", "psi_box": [[-1, 2]], "alpha": alpha})
+        for alpha in ("design", "fitted")]
+for name, params, analyses in (
+        ("sndm-additive", {}, [("g-estimate", {}), ("pooled-g", {})]),
+        ("sndm-additive", {"family": "multiplicative", "psi": [0.4]}, mult),
+        ("masked-interaction", {}, [(a, {}) for a in ("naive", "gnull-score", "de-gnull",
+                                                      "naive-de")])):
+    config = studies.StudyConfig(scenarios.make_scenario(name, params), 1000, 1, 3,
+                                 tuple(analyses))
     rows = studies.run_replicate(config, 0)
-    assert [r.analysis for r in rows if not r.error] == list(analyses), rows
+    assert [r.analysis for r in rows if not r.error] == [a for a, _ in analyses], rows
 cfg = scenarios.sequential_trial_scenario(K=2, a_effects=(0.5, -0.5, 1.0))
 table = scenarios.enumerate_joint(cfg, y_bins=np.linspace(-2.0, 6.0, 10))
 plan = Regime.static((1.0, 1.0, 1.0))

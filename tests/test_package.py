@@ -62,6 +62,27 @@ def test_import_loads_no_process_pool():
     assert _loaded_by_import(("concurrent", "multiprocessing")) == []
 
 
+def test_only_the_likelihood_fit_imports_scipy():
+    # g-estimation's search and every tail run on numpy; sndm_mle's L-BFGS-B
+    # is the one scipy import left, made when the fit runs.
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Import):
+            sites.extend(where for alias in node.names if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                (node.module or "").split(".")[0] == "scipy":
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == ["sndm.sndm_mle"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_imported_name_is_used(path):
     # An import a deletion leaves behind fails here; a deliberate re-export

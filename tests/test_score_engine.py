@@ -9,22 +9,30 @@ direct-effect analysis and the former hand-written pooled g-null test
 their per-point statistics and p-values bit for bit (``pooled_g_test`` is
 the engine at psi = 0); the naive scan, now one batched pass, agrees with
 the per-point scan within 1e-12 and on every decision.  The engine's input
-contract (binary treatments, ``alpha_known`` length, the shape and values of
-a user q*) is checked here for every caller.
+contract (binary treatments, ``alpha_known`` length, one finite psi per
+component, the shape and values of a user q*) is checked here for every
+caller.
 
-``_ref_search`` is the former search: one score test per grid point, then
-bisection of the first score column's sign change, a bounded scalar
-minimization or Nelder-Mead.  ``_search`` scores the grid in one batch and
-takes psi_hat where the statistic is smallest: the affine score's root when
-it lies in the box, else a minimization of the batched statistic.  It must
-agree with ``_ref_search`` to rounding: exactly on the grid, the accepted
-set and the flags (``boundary`` only where both searches use the same edge
-rule), within 1e-10 on statistics and p-values, and on estimates with a
-statistic no larger than the former one: within 1e-10 where both ran
-bounded Brent (within Brent's own tolerance where the new search keeps a
-grid edge), else within 1e-6.  Where the former search's rules missed the
-minimum (a q* with more score columns than components), the statistic at
-psi_hat is checked against the grid instead.
+With the default q* both blip families' added columns are one expansion
+Z(psi) = sum_k f_k(psi) Z_k (additive: f = (1, psi); multiplicative: one Z_k
+per distinct shift row s_k, f_k = exp(s_k . psi)), so ``stats`` scores a
+batch of psi in one pass.  The batched statistics match per-point
+``report`` calls, the multiplicative ones at the naive scan's tolerances,
+and a shift basis with more distinct rows than the cap is scored per point.
+
+``_ref_search`` is the former search, with scipy as its dependency: one
+score test per grid point, then bisection of the first score column's sign
+change, a bounded scalar minimization or Nelder-Mead.  ``_search`` scores
+the grid in one batch and takes psi_hat where the statistic is smallest:
+the additive score's root when it lies in the box, else a zoom on the
+batched statistic.  It must agree with ``_ref_search`` to rounding: exactly
+on the grid, the accepted set and the flags (``boundary`` only where both
+searches use the same edge rule), within 1e-10 on statistics and p-values,
+and on estimates with a statistic no larger than the former one plus 1e-12:
+within 1e-10 where the former search ran bounded Brent (within Brent's own
+tolerance where the zoom ends on a box edge), else within 1e-6.  Where the
+former search's rules missed the minimum (a q* with more score columns than
+components), the statistic at psi_hat is checked against the grid instead.
 
 ``_ref_gnull_score_test`` and ``_ref_direct_effect_gnull_test`` are the
 former hand-built randomization tests, sum u / sqrt(sum u^2).  Both tests
@@ -45,8 +53,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincinv
 
-from gmethods import direct_effect, sndm
-from gmethods.data import Dataset
+from gmethods import direct_effect, glm, sndm
+from gmethods.data import Dataset, group_rows
 from gmethods.direct_effect import (
     CONSERVATIVE_NOTE,
     DeSndmSpec,
@@ -440,14 +448,16 @@ def _close_estimate(new, ref, identified=True):
     assert np.all(np.abs(new.grid_stats - ref.grid_stats) <= 1e-10 * scale)
     np.testing.assert_allclose(new.grid_pvals, ref.grid_pvals, rtol=0, atol=1e-10)
     if new.method != "closed-form":
-        # A 1-D search without a closed form now minimizes the statistic
-        # where the former one bisected the signed score.
-        assert new.method == {"bisection": "bounded"}.get(ref.method, ref.method)
+        # Every search without a closed form is now the zoom, in any
+        # dimension, where the former one bisected the signed score, ran
+        # bounded Brent or Nelder-Mead.
+        assert new.method == "zoom"
     atol = 1e-6
     if new.psi_hat.size == 1 and ref.method == "bounded":
-        # Both ran bounded Brent.  On an edge minimum the new search keeps
-        # the grid edge, which Brent never evaluates; the former one stopped
-        # within Brent's tolerance 2 (sqrt(eps) |x| + xatol / 3) of it.
+        # The former search ran bounded Brent, the new one zooms to 1e-10.
+        # On an edge minimum the zoom keeps the box edge, which Brent never
+        # evaluates; the former one stopped within Brent's tolerance
+        # 2 (sqrt(eps) |x| + xatol / 3) of it.
         on_edge = new.psi_hat[0] in (new.grid[0, 0], new.grid[-1, 0])
         atol = (2.0 * (np.sqrt(np.finfo(float).eps) * abs(new.psi_hat[0]) + 1e-10 / 3.0)
                 if on_edge else 1e-10)
@@ -601,6 +611,23 @@ def test_non_binary_treatment_is_named():
         g_test_at(bad, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS)
     # Only the tested occasions are checked.
     g_test_at(bad, additive_blip("1"), 0.5, treatment_terms=SNDM_TERMS, occasions=(0,))
+
+
+@pytest.mark.parametrize("spec, psi", [
+    (additive_blip("1"), [np.nan]),
+    (additive_blip("1"), [np.inf]),
+    (additive_blip("1"), [-np.inf]),
+    (additive_blip("1"), [1.0, 2.0]),
+    (additive_blip("1", "a_prev"), [1.0]),
+    (additive_blip("1"), "one"),
+    (additive_blip("1"), None),
+], ids=["nan", "inf", "minus-inf", "too-long", "too-short", "word", "none"])
+def test_psi_is_one_finite_number_per_component(spec, psi):
+    # A NaN psi must not read as statistic 0 and p = 1, nor a psi of the
+    # wrong length end in numpy's shape error.
+    with pytest.raises(ConfigError, match="one finite number per blip component"):
+        g_test_at(simulate(sndm_scenario(), 300, seed=1), spec, psi,
+                  treatment_terms=SNDM_TERMS)
 
 
 @pytest.mark.parametrize("known", [True, False])
@@ -792,7 +819,7 @@ def test_closed_form_search_matches_the_former_search(seed, n, dim, known, sourc
     assert (new.method == "closed-form") == _inside(eng.root(), box)
     if case == "zero" and dim == 2:
         assert eng.root() is None
-        assert new.method == "nelder-mead"
+        assert new.method == "zoom"
         # Only the last component (the all-zero cofactor) is flat; component
         # 0 is pinned, up to a plateau: the statistic of a rank-deficient V
         # reads 0 wherever it is below 1e-8, so its minimum along component
@@ -803,18 +830,51 @@ def test_closed_form_search_matches_the_former_search(seed, n, dim, known, sourc
         assert abs(new.psi_hat[0] - ref.psi_hat[0]) <= 2.0 * np.sqrt(1e-8 / c)
 
 
-@pytest.mark.parametrize("source", ["g", "de"])
+def _multiplicative_engine(source, dim, known):
+    """A multiplicative engine: g-estimation on multiplicative sndm data
+    (3 or 6 distinct shift rows), or the weighted direct-effect engine on
+    the direct-effect scenario's outcomes made positive, exp(Y / 2)."""
+    if source == "g":
+        cofactors = ("1", "lm")[:dim]
+        ds = simulate(sndm_scenario(cofactors=cofactors, psi=(0.4, -0.2)[:dim],
+                                    family="multiplicative"), 500, seed=11)
+        return _g_engine(ds, multiplicative_blip(*cofactors), SNDM_TERMS, None,
+                         SNDM_ALPHA if known else None, None, 0.05)
+    ds = simulate(direct_effect_scenario(psi=(1.0, 0.5)), 500, seed=11)
+    ds = Dataset(ds.schema, ds.L, ds.A, np.exp(ds.Y / 2.0))
+    return _de_engine(ds, SPLIT01, DeSndmSpec(multiplicative_blip(*("1", "a1")[:dim])),
+                      {1: DE_A1_LAW} if known else None, (0.0,) if known else None, 0.05)
+
+
+@pytest.mark.parametrize("source", ["g", "de", "g-multiplicative-1", "g-multiplicative-2",
+                                    "de-multiplicative-1", "de-multiplicative-2"])
 @pytest.mark.parametrize("known", [True, False])
 def test_batched_statistics_match_per_point_reports(source, known):
-    eng = _engine_case(source, "inside", 11, 500, 2, known)[0]
-    psis = _grid(np.array([(-4.0, 6.0), (-3.0, 5.0)]), (9, 9))[0]
+    # The additive score is affine; the multiplicative one is expanded over
+    # the distinct shift rows, and must match the per-point reports at the
+    # naive scan's tolerances: p within 1e-12, the same decisions and the
+    # same best point.
+    kind, _, dim = source.partition("-multiplicative-")
+    if not dim:
+        eng = _engine_case(source, "inside", 11, 500, 2, known)[0]
+        psis = _grid(np.array([(-4.0, 6.0), (-3.0, 5.0)]), (9, 9))[0]
+    else:
+        eng = _multiplicative_engine(kind, int(dim), known)
+        psis = _grid(np.array([(-1.5, 2.0), (-1.5, 1.5)][:int(dim)]),
+                     (41,) if dim == "1" else (9, 9))[0]
     stat, p = eng.stats(psis)
+    assert eng.affine is not None
     reps = [eng.report(v) for v in psis]
     want = np.array([r.statistic for r in reps])
     assert np.all(np.abs(stat - want) <= 1e-10 * np.maximum(1.0, want))
-    np.testing.assert_allclose(p, [r.p_value for r in reps], rtol=0, atol=1e-10)
-    root = eng.root()
-    assert eng.report(root).statistic < 1e-12
+    np.testing.assert_allclose(p, [r.p_value for r in reps], rtol=0,
+                               atol=1e-12 if dim else 1e-10)
+    if dim:
+        np.testing.assert_array_equal(p < 0.05, [r.reject for r in reps])
+        assert np.argmin(stat) == np.argmin(want)
+        assert eng.root() is None
+    else:
+        assert eng.report(eng.root()).statistic < 1e-12
 
 
 def test_qstar_and_multiplicative_engines_have_no_closed_form():
@@ -823,12 +883,44 @@ def test_qstar_and_multiplicative_engines_have_no_closed_form():
     eng = _g_engine(ds, additive_blip("1"), SNDM_TERMS, _qstar_row, None, None, 0.05)
     assert eng.affine is None and eng.root() is None
     est = _search(eng, 1, box, (21,), 0.05)
-    assert est.method == "bounded"
+    assert est.method == "zoom"
     _close_estimate(est, _ref_search(eng, 1, box, (21,), 0.05))
     ds = simulate(sndm_scenario(psi=(0.5,), family="multiplicative"), 300, seed=3)
     eng = _g_engine(ds, multiplicative_blip("1"), SNDM_TERMS, None, None, None, 0.05)
-    assert eng.affine is None and eng.root() is None
+    assert eng.root() is None
     _close_estimate(_search(eng, 1, box, (21,), 0.05), _ref_search(eng, 1, box, (21,), 0.05))
+
+
+def test_a_shift_basis_past_the_cap_is_scored_per_point(monkeypatch):
+    # A cofactor reading a continuous column has about one distinct shift
+    # row per treated subject.  The engine expands no score over them: no
+    # (Kq)^2 block is built, every psi is one ``report`` on q = 1 column,
+    # and the estimate is, bit for bit, the per-point zoom's, here forced by
+    # a user q* giving the same columns.
+    ds = simulate(sndm_scenario(psi=(0.4,), family="multiplicative"), 300, seed=5)
+    L = ds.L.copy()
+    L[:, 0] = np.random.default_rng(5).uniform(0.5, 1.5, ds.n)
+    ds = Dataset(ds.schema, L, ds.A, ds.Y)
+    spec = multiplicative_blip("l0")
+    eng = _g_engine(ds, spec, SNDM_TERMS, None, None, None, 0.05)
+    assert len(group_rows(eng.S, decimals=None)[0]) > 10 * sndm._EXPANSION_CAP
+    assert eng.affine is None
+    widths = []
+    for module in (sndm, glm):
+        monkeypatch.setattr(module, "_score_moments", lambda Z, *a, _real=module._score_moments:
+                            widths.append(np.shape(Z)[-1]) or _real(Z, *a))
+    kw = dict(treatment_terms=SNDM_TERMS, psi_box=((-1.0, 2.0),), grid_points=21)
+    est = g_estimate(ds, spec, **kw)
+    assert est.method == "zoom" and widths and max(widths) == 1
+    ref = g_estimate(ds, spec, qstar=lambda h, L, A, m: h * L[:, 0], **kw)
+    for field in ("psi_hat", "statistic_at_hat", "grid_stats", "grid_pvals"):
+        np.testing.assert_array_equal(getattr(est, field), getattr(ref, field), err_msg=field)
+    # At the cap the score is expanded; one row past it, it is not.
+    ds = simulate(sndm_scenario(psi=(0.4,), family="multiplicative"), 300, seed=5)
+    for cap, expanded in ((3, True), (2, False)):
+        monkeypatch.setattr(sndm, "_EXPANSION_CAP", cap)
+        eng = _g_engine(ds, multiplicative_blip("1"), SNDM_TERMS, None, None, None, 0.05)
+        assert (eng.affine is not None) is expanded
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +964,7 @@ def test_psi_hat_minimizes_a_two_column_score():
     ds = simulate(sndm_scenario(psi=(1.0,)), 1000, seed=13)
     kw = dict(treatment_terms=SNDM_TERMS, qstar=_qstar_cols, alpha_known=SNDM_ALPHA)
     est = g_estimate(ds, additive_blip("1"), psi_box=((-2.0, 4.0),), grid_points=201, **kw)
-    assert est.method == "bounded"
+    assert est.method == "zoom"
     assert est.statistic_at_hat <= est.grid_stats.min()
     for step in (-1e-3, 1e-3):
         near = sndm.g_test_at(ds, additive_blip("1"), est.psi_hat + step, **kw)

@@ -269,7 +269,7 @@ class TestGEstimation:
     @pytest.mark.parametrize("shift, flagged", [(0.02, False), (0.1, True)])
     def test_clipped_minimum_is_flagged_by_its_statistic(self, shift, flagged):
         # The box starts just beyond the root's first component, so
-        # Nelder-Mead ends on that edge.  The flag is raised only when the
+        # the zoom ends on that edge.  The flag is raised only when the
         # edge statistic exceeds the chi-square(2) median, 2 log 2.
         cfg = sndm_scenario(cofactors=("1", "a_prev"), psi=(1.0, 0.5))
         ds = simulate(cfg, 3000, seed=76)
@@ -280,7 +280,7 @@ class TestGEstimation:
         edge = root[0] + shift
         est = g_estimate(ds, additive_blip("1", "a_prev"),
                          psi_box=((edge, edge + 2.0), (-0.5, 1.5)), **kw)
-        assert est.method == "nelder-mead"
+        assert est.method == "zoom"
         assert est.psi_hat[0] == pytest.approx(edge, abs=1e-9)
         assert (est.statistic_at_hat > 2.0 * math.log(2.0)) is flagged
         assert est.boundary is flagged
@@ -333,7 +333,7 @@ class TestGEstimation:
         # points.  Its minimum is the near edge, still rejecting, so it is
         # flagged as a boundary.
         est = g_estimate(ds, additive_blip("1"), psi_box=((3.0, 5.0),), **kw)
-        assert est.method == "bounded"
+        assert est.method == "zoom"
         assert est.psi_hat[0] == 3.0
         assert est.boundary
         # The estimate is its own array, not a view of the grid.
@@ -346,7 +346,7 @@ class TestGEstimation:
         est = g_estimate(ds, multiplicative_blip("1"), treatment_terms=SNDM_TERMS,
                          psi_box=((0.0, 1.0),), grid_points=21)
         assert abs(est.psi_hat[0] - 0.5) < 0.05
-        assert est.method == "bounded"
+        assert est.method == "zoom"
         assert est.statistic_at_hat < 1e-8
 
     def test_multiplicative_positivity_is_checked_before_any_test(self, monkeypatch):
