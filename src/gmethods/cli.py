@@ -118,7 +118,7 @@ def _regime_from(sect) -> Regime:
         raise ConfigError("regime.kind must be 'static' or 'threshold'")
     _known_keys(f"{kind} regime", sect, ("kind", "plan" if kind == "static" else "cutoff"))
     if kind == "threshold":
-        return Regime.threshold(_typed("regime cutoff", sect.get("cutoff", 0.5), "number"))
+        return Regime.threshold(sect.get("cutoff", 0.5))
     plan = sect.get("plan")
     if plan is None:
         raise ConfigError("static regime needs a 'plan' list")

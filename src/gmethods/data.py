@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _typed
 
 _LEVEL_TOL = 1e-9
 
@@ -259,7 +259,8 @@ class Regime:
 
     @staticmethod
     def threshold(cutoff: float, name: str = "") -> "Regime":
-        """Treat exactly when the current covariate reaches ``cutoff``."""
+        """Treat exactly when the current covariate reaches ``cutoff``, a finite number."""
+        cutoff = _typed("regime cutoff", cutoff, "number")
         return Regime.dynamic(lambda m, l_bar: 1.0 if l_bar[-1] >= cutoff else 0.0,
                               name or f"treat-if-covariate>={cutoff:g}")
 

@@ -92,15 +92,13 @@ def _erfc(z: np.ndarray) -> np.ndarray:
 
 
 def _ndtr(x):
-    """Standard normal CDF of a scalar or an array, 0.5 erfc(-x / sqrt 2)."""
-    if isinstance(x, (int, float)):
-        return 0.5 * math.erfc(-x * _SQRT1_2)
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise."""
     return 0.5 * _erfc(-np.asarray(x, dtype=float) * _SQRT1_2)
 
 
 def _chi2_sf(df: int, x):
-    """Upper tail of chi-square(df), for an integer df >= 1, at a scalar or
-    an array x.  With h = x / 2 (A&S 26.4.4-5):
+    """Upper tail of chi-square(df), for an integer df >= 1, elementwise in
+    x.  With h = x / 2 (A&S 26.4.4-5):
 
         even df:  e^-h sum_{j < df/2} h^j / j!
         odd df:   erfc(sqrt h) + e^-h sum_{j=1}^{(df-1)/2} h^(j-1/2) / Gamma(j+1/2)
@@ -108,35 +106,21 @@ def _chi2_sf(df: int, x):
     Every term is positive, so the sums lose no digits.  e^-h is taken as
     the square of e^(-h/2), which stays a normal number until the tail
     itself underflows.  x <= 0 gives 1, inf gives 0 and nan gives nan.
-    A scalar and an array run the same floating-point operations, with
-    numpy's exponential for both (``math.exp`` differs from it in the last
-    bit), so they agree to the bit.
     """
     terms, half = df // 2, 0.5 * (df % 2)
-    if isinstance(x, (int, float)):
-        if not x > 0.0:
-            return 1.0 if x <= 0.0 else math.nan
-        h, sqrt, erfc, exp = 0.5 * min(x, _HUGE_STAT), math.sqrt, math.erfc, _float_exp
-    else:
-        h = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), _HUGE_STAT)  # nan stays
-        h *= 0.5
-        sqrt, erfc, exp = np.sqrt, _erfc, np.exp
-    root = sqrt(h) if half else None
+    h = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), _HUGE_STAT)  # nan stays
+    h *= 0.5
+    root = np.sqrt(h) if half else None
     if not terms:
-        return erfc(root)
-    e = exp(h * -0.5)
+        return _erfc(root)
+    e = np.exp(h * -0.5)
     t = e * root * _TWO_OVER_SQRT_PI if half else e
     total = t
     for j in range(1, terms):
         t = t * h / (j + half)
         total = total + t
     total = total * e
-    return erfc(root) + total if half else total
-
-
-def _float_exp(v: float) -> float:
-    """numpy's exponential of a float, as a float (see ``_chi2_sf``)."""
-    return float(np.exp(v))
+    return _erfc(root) + total if half else total
 
 
 def _chi2_sfs(df: np.ndarray, stat: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import streams
-from .data import History, Regime
+from .data import History, Regime, group_rows
 from .direct_effect import DeSndmSpec, SplitSchema, direct_effect_moment_check
 from .errors import ConfigError
 from .gformula import (
@@ -141,23 +141,13 @@ def _rejections(cfg, n: int, reps: int, seed: int, *checks) -> list[CheckLine]:
 # ---------------------------------------------------------------------------
 
 
-def _plugin_grid_mc(th, ga, points, draws: int, seed: int):
-    """Monte Carlo standardization of the fitted model pair on a grid.
-
-    For each treatment pair, draws the covariate from its fitted logistic
-    law and averages the fitted outcome mean.  Returns the per-cell MC
-    standard errors — the numerical yardstick for how much of the grid
-    variation could be evaluation noise rather than model structure.
-    """
-    rng = streams.substream(seed, "plugin-grid")
-    ses = []
-    for a0, a1 in points:
-        p = float(expit(ga.coef[0] + ga.coef[1] * a0))
-        lsamp = (rng.random(draws) < p).astype(float)
-        cell = (th.coef[0] + th.coef[1] * a0 + th.coef[2] * lsamp
-                + th.coef[3] * a1)
-        ses.append(float(np.std(cell, ddof=1) / np.sqrt(draws)))
-    return ses
+def _plugin_se(theta, gamma, a0, draws: int):
+    """SE of a ``draws``-draw Monte Carlo evaluation of the plug-in mean at
+    early treatment(s) a0: a draw is theta0 + theta1 a0 + theta2 L + theta3 a1
+    with L ~ Bernoulli(p), p = expit(gamma0 + gamma1 a0), so the SE is
+    |theta2| sqrt(p (1 - p) / draws)."""
+    p = expit(gamma[0] + gamma[1] * np.asarray(a0, dtype=float))
+    return abs(theta[2]) * np.sqrt(p * (1.0 - p) / draws)
 
 
 def run_theorem2(seed: int | None = None) -> ReproduceReport:
@@ -182,9 +172,8 @@ def run_theorem2(seed: int | None = None) -> ReproduceReport:
 
     points = list(itertools.product((-1.0, 0.0, 1.0), repeat=2))
     vals = [float(g_mean_plugin(th.coef, ga.coef, a0, a1)) for a0, a1 in points]
-    ses = _plugin_grid_mc(th, ga, points, 1_000_000, _derive(seed, "grid"))
     spread = max(vals) - min(vals)
-    se = max(ses)
+    se = float(np.max(_plugin_se(th.coef, ga.coef, [a0 for a0, _ in points], 1_000_000)))
     lines.append(CheckLine(
         "standardized mean varies across the 3x3 treatment grid",
         f"spread = {spread:.4f} with max MC SE = {se:.2e}",
@@ -318,19 +307,12 @@ def run_appendix29(seed: int | None = None) -> ReproduceReport:
         grid = exact.atoms + 1e-9
         F = np.cumsum(exact.atom_probs)
         cf = counterfactual_draws(cfg, regime, draws, _derive(seed, "cf", regime.name))
-        sup_cf = float(np.max(np.abs(
-            np.array([float(np.mean(cf <= y)) for y in grid]) - F)))
-        mc = g_formula_mc(laws, regime, draws, _derive(seed, "mc", regime.name))
-        sup_mc = float(np.max(np.abs(
-            np.array([float(np.mean(mc.samples <= y)) for y in grid]) - F)))
-        lines.append(CheckLine(
-            f"exact law matches counterfactual draws ({regime.name})",
-            f"sup |F_hat - F| = {sup_cf:.5f}", f"< {dkw:.5f} (DKW band)",
-            sup_cf < dkw))
-        lines.append(CheckLine(
-            f"exact law matches resampled standardization ({regime.name})",
-            f"sup |F_hat - F| = {sup_mc:.5f}", f"< {dkw:.5f} (DKW band)",
-            sup_mc < dkw))
+        mc = g_formula_mc(laws, regime, draws, _derive(seed, "mc", regime.name)).samples
+        for what, ys in (("counterfactual draws", cf), ("resampled standardization", mc)):
+            sup = float(np.max(np.abs((ys[:, None] <= grid).mean(axis=0) - F)))
+            lines.append(CheckLine(f"exact law matches {what} ({regime.name})",
+                                   f"sup |F_hat - F| = {sup:.5f}", f"< {dkw:.5f} (DKW band)",
+                                   sup < dkw))
 
     cfg8 = sndm_scenario(name="sndm-discrete", psi=(1.0, 0.5),
                          cofactors=("1", "lm"), h_atoms=7)
@@ -338,31 +320,19 @@ def run_appendix29(seed: int | None = None) -> ReproduceReport:
     ds = simulate(cfg8, 100_000, _derive(seed, "cells"))
     per = blip_down(additive_blip("1", "lm", psi=(1.0, 0.5)), ds).h_per_occasion
     for m in (0, 1):
+        # the cells are the observed histories (l_bar_m, a_bar_{m-1})
+        cells, cell_of = group_rows(np.hstack([ds.L[:, : m + 1], ds.A[:, :m]]), decimals=None)
         units = ok = 0
-        if m == 0:
-            cells = [((l0,), ()) for l0 in (0.0, 1.0)]
-        else:
-            cells = [((l0, l1), (a0,))
-                     for l0, a0, l1 in itertools.product((0.0, 1.0), repeat=3)]
-        for l_bar, a_prev in cells:
-            regime = Regime.static(a_prev + (0.0,) * (2 - len(a_prev)))
+        for g, row in enumerate(cells.tolist()):
+            l_bar, a_prev = tuple(row[: m + 1]), tuple(row[m + 1 :])
+            regime = Regime.static(a_prev + (0.0,) * (2 - m))
             cond = g_formula_conditional(table8, regime, History(m, l_bar, a_prev))
-            mask = np.ones(ds.n, dtype=bool)
-            for j, lv in enumerate(l_bar):
-                mask &= np.abs(ds.L[:, j] - lv) <= 1e-9
-            for j, av in enumerate(a_prev):
-                mask &= np.abs(ds.A[:, j] - av) <= 1e-9
-            n_cell = int(mask.sum())
-            if n_cell == 0:
-                continue
-            hm = per[mask, m]
+            hm = per[cell_of == g, m]
             mids = 0.5 * (cond.atoms[:-1] + cond.atoms[1:])
-            for y in mids:
-                s = float(cond.survivor(y))
-                s_hat = float(np.mean(hm > y))
-                band = 3.0 * np.sqrt(s * (1.0 - s) / n_cell)
-                units += 1
-                ok += int(abs(s_hat - s) <= band)
+            s = cond.survivor(mids)
+            band = 3.0 * np.sqrt(s * (1.0 - s) / hm.size)
+            units += mids.size
+            ok += int(np.sum(np.abs((hm[:, None] > mids).mean(axis=0) - s) <= band))
         frac = ok / units
         lines.append(CheckLine(
             f"conditional residual law matches the standardized law (occasion {m})",

@@ -15,7 +15,9 @@ too, with the residual outcome as its hidden cause, so its standardized law
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -541,12 +543,23 @@ SCENARIOS = {
 }
 
 
+def _finite(value) -> bool:
+    """Whether every number in a param value, nested lists included, is finite."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(map(_finite, value))
+    return not isinstance(value, Real) or math.isfinite(value)
+
+
 def make_scenario(name: str, params: dict | None = None) -> ScenarioConfig:
-    """The registered scenario built with ``params``; params its factory
-    refuses (an unknown or clashing key, a wrong type) are a ``ConfigError``."""
+    """The registered scenario built with ``params``; a non-finite number in
+    a param, or params its factory refuses, are a ``ConfigError``."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     params = _typed(f"scenario {name!r} params", params or {}, "mapping")
+    for key, value in params.items():
+        if not _finite(value):
+            raise ConfigError(f"scenario {name!r} param {key!r} must hold finite numbers, "
+                              f"not {value!r}")
     try:
         return SCENARIOS[name](**params)
     except (TypeError, ValueError) as exc:

@@ -61,6 +61,14 @@ _ROOT_COND_LIMIT = 1e12
 _EXPANSION_CAP = 8
 
 
+def _psi(psi, d: int) -> np.ndarray:
+    """``psi`` as one finite float per blip component, else a ``ConfigError``."""
+    psi = np.atleast_1d(np.asarray(psi))
+    if psi.dtype.kind not in "biuf" or psi.shape != (d,) or not np.isfinite(psi).all():
+        raise ConfigError(f"psi must be one finite number per blip component ({d})")
+    return psi.astype(float)
+
+
 @dataclass(frozen=True)
 class BlipSpec:
     """A shift-family blip: per-component cofactor terms and optional psi."""
@@ -81,10 +89,7 @@ class BlipSpec:
                 f"treatment; found {sorted(bad)}"
             )
         if self.psi is not None:
-            psi = tuple(float(v) for v in self.psi)
-            if len(psi) != len(self.cofactors):
-                raise ConfigError("psi length must match the cofactor count")
-            object.__setattr__(self, "psi", psi)
+            object.__setattr__(self, "psi", tuple(_psi(self.psi, len(self.cofactors)).tolist()))
         object.__setattr__(self, "cofactors", tuple(self.cofactors))
 
     @property
@@ -354,10 +359,7 @@ class _ScoreEngine:
         return _residual_outcome(self.family, self.dataset.Y, self.S.dot(psi))
 
     def zmat(self, psi) -> np.ndarray:
-        psi, d = np.atleast_1d(np.asarray(psi)), self.B[0].shape[1]
-        if psi.dtype.kind not in "biuf" or psi.shape != (d,) or not np.isfinite(psi).all():
-            raise ConfigError(f"psi must be one finite number per blip component ({d})")
-        h = self.h_of(psi.astype(float))
+        h = self.h_of(_psi(psi, self.B[0].shape[1]))
         Z = self._weighted(self._qstar_columns(h) if self.qstar is not None
                            else np.vstack([h[:, None] * C for C in self.C]))
         if self.null[3] is not None and np.any((Z == Z[0]).all(axis=0) & (Z[0] != 0.0)):
@@ -666,7 +668,7 @@ def sndm_mle(
         return float(ll), mu, sd, phis
 
     if psi_fixed is not None:
-        psi, converged = np.atleast_1d(np.asarray(psi_fixed, dtype=float)), True
+        psi, converged = _psi(psi_fixed, blip_spec.dim), True
     else:
         import scipy.optimize
 
@@ -700,7 +702,7 @@ def sndm_lr_test(
 ) -> TestReport:
     """Likelihood-ratio test of psi = psi_null (default 0) in the MLE."""
     d = blip_spec.dim
-    psi_null = np.zeros(d) if psi_null is None else np.atleast_1d(np.asarray(psi_null, float))
+    psi_null = np.zeros(d) if psi_null is None else _psi(psi_null, d)
     free = sndm_mle(dataset, blip_spec, covariate_terms=covariate_terms)
     null = sndm_mle(dataset, blip_spec, covariate_terms=covariate_terms,
                     psi_fixed=psi_null)

@@ -17,6 +17,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _count
+
 BLOCK = 8192
 
 
@@ -28,8 +30,9 @@ def _words(name: str | int) -> list[int]:
 
 
 def substream(root_seed: int, *names: str | int) -> np.random.Generator:
-    """Generator for the stream addressed by ``names`` under ``root_seed``."""
-    entropy = [int(root_seed) & 0xFFFFFFFFFFFFFFFF]
+    """Generator for the stream addressed by ``names`` under ``root_seed``, a
+    non-negative integer (a float, a string or a bool is a ``ConfigError``)."""
+    entropy = [_count("seed", root_seed, 0) & 0xFFFFFFFFFFFFFFFF]
     for name in names:
         entropy.extend(_words(name))
     return np.random.default_rng(np.random.SeedSequence(entropy))

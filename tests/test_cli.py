@@ -194,10 +194,27 @@ class TestConfigTypes:
          "static regime key must be one of kind, plan"),
         ("g-formula", GFORMULA, {"regime": {"kind": "threshold", "plan": [1, 1]}},
          "threshold regime key must be one of kind, cutoff"),
+        # Each of these once exited 0 and wrote nan or +-inf outcomes.
+        ("simulate", SIMULATE, {"scenario": {"name": "dag1b",
+                                             "params": {"intercept": float("nan")}}},
+         "scenario 'dag1b' param 'intercept' must hold finite numbers"),
+        ("simulate", SIMULATE, {"scenario": {"name": "sequential-trial",
+                                             "params": {"a_effects": [float("inf"), 0.0]}}},
+         "scenario 'sequential-trial' param 'a_effects' must hold finite numbers"),
+        ("simulate", SIMULATE, {"scenario": {"name": "direct-effect-discrete",
+                                             "params": {"psi": [float("nan"), 0.5]}}},
+         "scenario 'direct-effect-discrete' param 'psi' must hold finite numbers"),
+        ("simulate", SIMULATE, {"scenario": {"name": "two-occasion",
+                                             "params": {"y_noise_sd": float("inf")}}},
+         "scenario 'two-occasion' param 'y_noise_sd' must hold finite numbers"),
+        ("simulate", SIMULATE, {"scenario": {"name": "sndm-additive",
+                                             "params": {"psi": [float("nan")]}}},
+         "scenario 'sndm-additive' param 'psi' must hold finite numbers"),
     ], ids=["cutoff-word", "cutoff-nan", "plan-word", "plan-number", "regime-list", "split-number",
             "split-list", "mean-terms", "z-terms", "treatment-terms", "cofactors",
             "blip-word", "simulate-key", "g-formula-key", "study-key", "plan-length",
-            "static-key", "threshold-key"])
+            "static-key", "threshold-key", "nan-intercept", "inf-effect", "nan-de-psi",
+            "inf-noise", "nan-sndm-psi"])
     def test_refused(self, tmp_path, capsys, command, base, changes, message):
         out = tmp_path / "out"
         path = cfg_file(tmp_path, **{**base, **changes})

@@ -199,6 +199,14 @@ class TestRegime:
         with pytest.raises(ConfigError, match="no rule"):
             regime_values(Regime("dynamic"), np.zeros((3, 1)), 0)
 
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -float("inf"), "0.5",
+                                        None, True])
+    def test_threshold_cutoff_is_a_finite_number(self, cutoff):
+        # A NaN cutoff once never treated: its exact mean was the static
+        # (0, 0) plan's.
+        with pytest.raises(ConfigError, match="regime cutoff must be a number"):
+            Regime.threshold(cutoff)
+
     def test_default_names(self):
         assert Regime.static((1.0, 0.0)).name == "static(1.0, 0.0)"
         assert Regime.dynamic(lambda m, l: 0.0).name == "dynamic"

@@ -91,7 +91,12 @@ class TestSimulate:
         ("dag1b", [1], "scenario 'dag1b' params must be a mapping"),
         ("dag1b", {"u_prob": "x"}, "scenario 'dag1b': "),
         ("sndm-additive", {"psi": ("a",)}, "scenario 'sndm-additive': could not convert"),
-    ], ids=["unknown-key", "clash", "non-mapping", "wrong-type", "bad-value"])
+        ("two-occasion", {"l_coefs": np.array([0.0, np.inf, 1.0])},
+         r"scenario 'two-occasion' param 'l_coefs' must hold finite numbers, not array"),
+        ("sequential-trial", {"a_effects": ((0.0, 1.0), (np.nan,))},
+         "scenario 'sequential-trial' param 'a_effects' must hold finite numbers"),
+    ], ids=["unknown-key", "clash", "non-mapping", "wrong-type", "bad-value", "inf-in-array",
+            "nested-nan"])
     def test_bad_params_are_config_errors(self, name, params, match):
         with pytest.raises(ConfigError, match=match):
             make_scenario(name, params)

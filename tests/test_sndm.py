@@ -57,8 +57,13 @@ class TestBlipSpec:
             BlipSpec("additive", ())
 
     def test_psi_length_must_match(self):
-        with pytest.raises(ConfigError, match="psi length"):
+        with pytest.raises(ConfigError, match=r"one finite number per blip component \(2\)"):
             additive_blip("1", "lm", psi=(1.0,))
+
+    @pytest.mark.parametrize("psi", [float("nan"), float("inf"), -float("inf")])
+    def test_psi_must_be_finite(self, psi):
+        with pytest.raises(ConfigError, match=r"one finite number per blip component \(2\)"):
+            additive_blip("1", "lm", psi=(1.0, psi))
 
     def test_future_references_forbidden(self):
         with pytest.raises(ConfigError, match="history before"):
@@ -488,6 +493,18 @@ class TestSndmMle:
             eta = np.column_stack([np.ones(n), h]) @ fit.phi[m]
             covariates += float(L[:, m] @ eta - np.sum(np.logaddexp(0.0, eta)))
         assert abs(fit.loglik - (normal + float(np.sum(shift)) + covariates)) < 1e-8
+
+    @pytest.mark.parametrize("psi", [(1.0, 2.0), (), (float("nan"),), (float("inf"),), "one"],
+                             ids=["too-long", "empty", "nan", "inf", "word"])
+    def test_fixed_and_null_psi_are_one_finite_number_per_component(self, psi):
+        # (1.0, 2.0) once raised numpy's bare matmul ValueError and (nan,) a
+        # misleading "residual outcome H is constant".
+        ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)
+        match = r"psi must be one finite number per blip component \(1\)"
+        with pytest.raises(ConfigError, match=match):
+            sndm_mle(ds, additive_blip("1"), covariate_terms=COV_TERMS, psi_fixed=psi)
+        with pytest.raises(ConfigError, match=match):
+            sndm_lr_test(ds, additive_blip("1"), covariate_terms=COV_TERMS, psi_null=psi)
 
     def test_covariate_terms_restricted_to_earlier_history(self):
         ds = simulate(sndm_scenario(psi=(1.0,)), 200, seed=2)

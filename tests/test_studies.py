@@ -9,6 +9,8 @@ import pytest
 from gmethods import reproduce, studies
 from gmethods.direct_effect import DeSndmSpec, SplitSchema, direct_effect_g_estimate
 from gmethods.errors import ConfigError, EstimationError, PositivityError
+from gmethods.gformula import g_mean_plugin
+from gmethods.glm import expit
 from gmethods.gnull import naive_test
 from gmethods.scenarios import (
     dag1b_scenario,
@@ -18,6 +20,7 @@ from gmethods.scenarios import (
     sndm_scenario,
 )
 from gmethods.sndm import BlipSpec, additive_blip, g_estimate, g_test_at
+from gmethods.streams import substream
 from gmethods.studies import (
     ANALYSES,
     StudyConfig,
@@ -286,3 +289,34 @@ class TestReproducerRejections:
         assert naive.observed.startswith(tuple(f"{h}/3 = " for h in range(4)))
         assert naive.observed.endswith(" (1 replicates at the positivity floor)")
         assert naive.ok
+
+
+class TestPluginYardstick:
+    """theorem2's yardstick, |theta2| sqrt(p (1 - p) / draws), is the standard
+    error of a seeded Monte Carlo evaluation of the same plug-in cell."""
+
+    THETA, GAMMA = (0.3, -0.2, 0.8, 0.5), (-0.4, 1.1)
+
+    @pytest.mark.parametrize("a0", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("a1", [-1.0, 1.0])
+    def test_closed_form_se_matches_a_sampled_evaluation(self, a0, a1):
+        draws = 200_000
+        th2, p = self.THETA[2], float(expit(self.GAMMA[0] + self.GAMMA[1] * a0))
+        lsamp = (substream(5, "yardstick", a0, a1).random(draws) < p).astype(float)
+        cell = self.THETA[0] + self.THETA[1] * a0 + th2 * lsamp + self.THETA[3] * a1
+        sampled = float(np.std(cell, ddof=1) / np.sqrt(draws))
+        closed = float(reproduce._plugin_se(self.THETA, self.GAMMA, a0, draws))
+        # The sample SD of theta2 L has sampling SD sqrt((mu4 - s^4) / draws) / (2 s)
+        # with s^2 = theta2^2 p q and mu4 = theta2^4 p q (1 - 3 p q).
+        pq = p * (1.0 - p)
+        s2, mu4 = th2**2 * pq, th2**4 * pq * (1.0 - 3.0 * pq)
+        own = np.sqrt((mu4 - s2**2) / draws) / (2.0 * np.sqrt(s2)) / np.sqrt(draws)
+        assert abs(sampled - closed) <= 4.0 * own
+        # ... and the cell is the plug-in mean's, within the SE itself.
+        plugin = float(g_mean_plugin(self.THETA, self.GAMMA, a0, a1))
+        assert abs(float(np.mean(cell)) - plugin) <= 4.0 * closed
+
+    def test_vectorized_over_the_early_treatment(self):
+        got = reproduce._plugin_se(self.THETA, self.GAMMA, [-1.0, 0.0, 1.0], 100)
+        want = [reproduce._plugin_se(self.THETA, self.GAMMA, a0, 100) for a0 in (-1.0, 0.0, 1.0)]
+        np.testing.assert_array_equal(got, want)
